@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 from typing import Any, Optional
 
@@ -35,6 +36,7 @@ from .models import (
 from .llm import GeneratorRequest
 from .pipeline import DEFAULT_MAX_LEVELS, DEFAULT_SHOTS, PipelineConfig, run_instance
 from .prompts import load_shots, load_shots_file, render_answer_prompt
+from .scorer import MAX_NLL, MIN_NLL
 
 BASELINE_METHODS = ("bm25", "precomputed")
 
@@ -73,8 +75,11 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
         for field in ("generator_url", "generator_model", "scorer_url", "scorer_model"):
             if not cfg.get(field):
                 raise ConfigError(f"http backend requires {field!r}")
-        generator = HttpBackend(cfg["generator_url"], cfg["generator_model"])
-        scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
+        try:
+            generator = HttpBackend(cfg["generator_url"], cfg["generator_model"])
+            scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"unknown backend kind {backend_kind!r}")
     return LlmGateway(
@@ -90,13 +95,18 @@ def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
         variant = Variant(cfg["variant"])
     except ValueError as exc:
         raise ConfigError(f"unknown variant {cfg['variant']!r}") from exc
+    score_sign = cfg.get("score_sign", MIN_NLL)
+    if score_sign not in (MIN_NLL, MAX_NLL):
+        raise ConfigError(
+            f"unknown score_sign {score_sign!r}; expected {MIN_NLL!r} or {MAX_NLL!r}"
+        )
     return PipelineConfig(
         variant=variant,
         max_levels=int(cfg.get("max_levels", DEFAULT_MAX_LEVELS[dataset])),
         shots=int(cfg.get("shots", DEFAULT_SHOTS[dataset])),
         temperature=float(cfg.get("temperature", 0.0)),
         dedupe_pool=bool(cfg.get("dedupe_pool", False)),
-        score_sign=cfg.get("score_sign", "min_nll"),
+        score_sign=score_sign,
         shuffle=bool(cfg.get("shuffle", False)),
         shuffle_seed=int(cfg.get("shuffle_seed", 0)),
         scorer_concurrency=int(cfg.get("scorer_concurrency", 1)),
@@ -216,7 +226,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
 
     failures = 0
     concurrency = max(1, int(cfg.get("concurrency", 1)))
-    with open(traces_path, "a", encoding="utf-8") as tf, open(
+    with closing(gateway), open(traces_path, "a", encoding="utf-8") as tf, open(
         answers_path, "a", encoding="utf-8"
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
         failures_path, "a", encoding="utf-8"

@@ -9,16 +9,18 @@ scripted backend for deterministic tests.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
+import select
+import ssl
 import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 
 class GatewayError(Exception):
@@ -31,6 +33,14 @@ class BackendUnavailable(GatewayError):
 
 class ContextOverflow(GatewayError):
     """Prompt exceeds the backend's context limit; never silently truncated."""
+
+
+class HttpStatusError(GatewayError):
+    """Backend answered with a non-2xx status; never retried."""
+
+    def __init__(self, status: int, body: str) -> None:
+        super().__init__(f"HTTP {status}: {body}")
+        self.status = status
 
 
 class LogprobsUnsupported(GatewayError):
@@ -116,6 +126,8 @@ class Backend(Protocol):
 
     def token_logprobs(self, req: ScorerRequest) -> list[float]: ...
 
+    def close(self) -> None: ...
+
 
 class ScriptedBackend:
     """Deterministic backend driven entirely by pre-registered responses.
@@ -153,6 +165,9 @@ class ScriptedBackend:
             )
         return list(self._logprobs[key])
 
+    def close(self) -> None:
+        pass
+
     def to_file(self, path) -> None:
         payload = {
             "backend_id": self.backend_id,
@@ -172,8 +187,26 @@ class ScriptedBackend:
         return backend
 
 
+def _readable(sock) -> bool:
+    """True when an idle socket has something to read: for a keep-alive
+    connection between requests, that is the server's close."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class HttpBackend:
-    """OpenAI-compatible /completions client with echoed-logprobs scoring."""
+    """OpenAI-compatible /completions client with echoed-logprobs scoring.
+
+    Connections are kept alive: idle ones wait in a LIFO pool shared by
+    all threads, so a request made from a fresh worker thread still
+    reuses one, and the pool never holds more connections than were
+    ever in flight at once. A pooled connection the server has closed
+    is dropped before reuse. Transport failures surface as the builtin
+    ``ConnectionError`` or ``TimeoutError``, which the gateway retries.
+    """
 
     def __init__(
         self,
@@ -181,26 +214,70 @@ class HttpBackend:
         model: str,
         api_key: Optional[str] = None,
         timeout: float = 120.0,
-        session: Optional[requests.Session] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get("GENSCO_API_KEY")
         self.timeout = timeout
-        self.session = session or requests.Session()
         self.backend_id = f"http:{self.base_url}:{model}"
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend URL must be http(s)://host[:port][/path]: {base_url!r}")
+        self._host, self._port = url.hostname, url.port
+        self._path = url.path + "/completions"
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if not _readable(conn.sock):
+                return conn
+            conn.close()
+        if self._tls is not None:
+            return http.client.HTTPSConnection(
+                self._host, self._port, timeout=self.timeout, context=self._tls
+            )
+        return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+
+    def close(self) -> None:
+        """Close the idle connections; the backend stays usable."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _post(self, body: dict[str, Any]) -> dict[str, Any]:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = self.session.post(
-            f"{self.base_url}/completions", json=body, headers=headers, timeout=self.timeout
-        )
-        if resp.status_code == 400 and "context" in resp.text.lower():
-            raise ContextOverflow(resp.text[:500])
-        resp.raise_for_status()
-        return resp.json()
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path, json.dumps(body).encode("utf-8"), headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        except (http.client.HTTPException, OSError) as exc:
+            # Name-resolution and TLS failures are connection failures too.
+            conn.close()
+            if isinstance(exc, (ConnectionError, TimeoutError)):
+                raise
+            raise ConnectionError(f"POST {self.base_url}/completions: {exc!r}") from exc
+        except BaseException:
+            conn.close()
+            raise
+        if not resp.will_close:  # else http.client has closed it already
+            with self._idle_lock:
+                self._idle.append(conn)
+        if not 200 <= resp.status < 300:
+            text = raw.decode("utf-8", errors="replace")
+            if resp.status == 400 and "context" in text.lower():
+                raise ContextOverflow(text[:500])
+            raise HttpStatusError(resp.status, text[:500])
+        return json.loads(raw)
 
     def complete(self, req: GeneratorRequest) -> str:
         body: dict[str, Any] = {
@@ -347,7 +424,7 @@ class LlmGateway:
             try:
                 with self._sem:
                     return fn()
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (ConnectionError, TimeoutError) as exc:
                 if attempt >= self.max_retries:
                     raise BackendUnavailable(str(exc)) from exc
                 time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
@@ -408,6 +485,11 @@ class LlmGateway:
             time.monotonic() - start, cached is not None,
         )
         return resp
+
+    def close(self) -> None:
+        """Release the backends' idle connections."""
+        self.generator.close()
+        self.scorer.close()
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

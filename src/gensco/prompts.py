@@ -7,7 +7,7 @@ byte-identical prompts.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -39,17 +39,13 @@ class ShotExample:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    template_id: str  # "answering" | "decomposition" | "stop_criterion" | "passage_scoring"
-    slot_digest: str
 
 
-def _template(name: str) -> str:
-    return resources.files("gensco.templates").joinpath(name).read_text(encoding="utf-8")
-
-
-def _slot_digest(*slots: object) -> str:
-    blob = json.dumps(slots, ensure_ascii=False, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+@functools.lru_cache(maxsize=None)
+def _instruction(name: str) -> str:
+    """A template file's text without its trailing newlines, read once per process."""
+    path = resources.files("gensco.templates").joinpath(name)
+    return path.read_text(encoding="utf-8").rstrip("\n")
 
 
 def load_shots(dataset: Dataset) -> tuple[ShotExample, ...]:
@@ -77,7 +73,7 @@ def render_answer_prompt(
     passages: Sequence[Passage],
     shots: Sequence[ShotExample] = (),
 ) -> RenderedPrompt:
-    instruction = _template("answer_instruction.txt").rstrip("\n")
+    instruction = _instruction("answer_instruction.txt")
     lines = []
     if shots:
         lines.append(instruction + " Here are a few examples:")
@@ -93,15 +89,7 @@ def render_answer_prompt(
     lines.append(f"Context: {concat_passages(passages)}")
     lines.append("Answer:")
     text = "\n".join(lines)
-    return RenderedPrompt(
-        text=text,
-        template_id="answering",
-        slot_digest=_slot_digest(
-            question,
-            [p.to_dict() for p in passages],
-            [(s.question, s.context, s.answer) for s in shots],
-        ),
-    )
+    return RenderedPrompt(text)
 
 
 def render_decomposition_prompt(
@@ -118,7 +106,7 @@ def render_decomposition_prompt(
             raise PromptError("history contains a blank sub-question")
         if passage is None:
             raise PromptError("history sub-question has no selected passage")
-    header = _template("decomposition_header.txt").rstrip("\n")
+    header = _instruction("decomposition_header.txt")
     lines = [header, ""]
     lines.append(f"Question: {question}")
     for i, (subq, passage) in enumerate(history, start=1):
@@ -126,13 +114,7 @@ def render_decomposition_prompt(
         lines.append(f"Subcontext {i}: {concat_passages([passage])}")
     lines.append(f"Subquestion {len(history) + 1}:")
     text = "\n".join(lines)
-    return RenderedPrompt(
-        text=text,
-        template_id="decomposition",
-        slot_digest=_slot_digest(
-            question, [(sq, p.to_dict()) for sq, p in history]
-        ),
-    )
+    return RenderedPrompt(text)
 
 
 def render_stop_prompt(
@@ -142,7 +124,7 @@ def render_stop_prompt(
     """Zero-shot prompt whose continuation likelihood drives the stopping test."""
     if not passages or not subquestions:
         raise PromptError("stopping criterion needs at least one passage and sub-question")
-    instruction = _template("stop_instruction.txt").rstrip("\n")
+    instruction = _instruction("stop_instruction.txt")
     text = "\n".join(
         [
             instruction,
@@ -151,11 +133,7 @@ def render_stop_prompt(
             "Question:",
         ]
     )
-    return RenderedPrompt(
-        text=text,
-        template_id="stop_criterion",
-        slot_digest=_slot_digest([p.to_dict() for p in passages], list(subquestions)),
-    )
+    return RenderedPrompt(text)
 
 
 def render_scoring_prompt(passages: Sequence[Passage]) -> RenderedPrompt:
@@ -163,7 +141,7 @@ def render_scoring_prompt(passages: Sequence[Passage]) -> RenderedPrompt:
     of the supplied sub-question is read back, the generated text is ignored."""
     if not passages:
         raise PromptError("scoring prompt needs at least one passage")
-    instruction = _template("scoring_instruction.txt").rstrip("\n")
+    instruction = _instruction("scoring_instruction.txt")
     text = "\n".join(
         [
             instruction,
@@ -171,8 +149,4 @@ def render_scoring_prompt(passages: Sequence[Passage]) -> RenderedPrompt:
             "Question:",
         ]
     )
-    return RenderedPrompt(
-        text=text,
-        template_id="passage_scoring",
-        slot_digest=_slot_digest([p.to_dict() for p in passages]),
-    )
+    return RenderedPrompt(text)

@@ -312,6 +312,24 @@ class TestCommandLine:
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
         assert result.exit_code == 2
 
+    def test_unknown_score_sign_exits_2_before_any_llm_call(self, tmp_path):
+        cfg = make_run_config(tmp_path, 2, score_sign="max")
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2
+        assert "score_sign" in result.output
+        assert not (run_dir / "traces.jsonl").exists()
+
+    def test_malformed_backend_url_exits_2(self, tmp_path):
+        cfg = make_run_config(tmp_path, 2, backend="http", generator_model="g",
+                              scorer_model="s", generator_url="localhost:8000",
+                              scorer_url="http://localhost:8001")
+        config_path = self.write_config(tmp_path, cfg)
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
+        assert result.exit_code == 2
+        assert "localhost:8000" in result.output
+
     def test_missing_dataset_file_exits_2(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)
         cfg["dataset_path"] = str(tmp_path / "nope.json")

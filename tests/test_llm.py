@@ -1,13 +1,18 @@
+import json
 import math
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
 from gensco.llm import (
     BackendUnavailable,
+    ContextOverflow,
     GeneratorRequest,
     HttpBackend,
+    HttpStatusError,
     LlmGateway,
     LogprobsUnsupported,
     ScorerRequest,
@@ -124,7 +129,7 @@ class FlakyBackend:
     def complete(self, req):
         self.calls += 1
         if self.calls <= self.fail_times:
-            raise requests.ConnectionError("boom")
+            raise ConnectionError("boom")
         return "ok"
 
     def token_logprobs(self, req):
@@ -146,54 +151,226 @@ class TestRetries:
         assert backend.calls == 3
 
 
-class StubSession:
-    def __init__(self, payload, status=200):
-        self.payload = payload
-        self.status = status
-        self.last_body = None
+class StubServer(ThreadingHTTPServer):
+    """Loopback /completions stub on 127.0.0.1.
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.last_body = json
-        resp = requests.Response()
-        resp.status_code = self.status
-        resp._content = __import__("json").dumps(self.payload).encode()
-        return resp
+    ``reply(body)`` returns the (status, payload) for each POST. Every
+    request is recorded with its path, headers, JSON body and client port,
+    so a test can count the TCP connections it came on. With
+    ``close_after_reply`` set to "announced" or "silently" the server
+    closes each connection after one response, with or without a
+    ``Connection: close`` header; the silent close is what a server's
+    keep-alive timeout does.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, reply, close_after_reply=None):
+        self.reply = reply
+        self.close_after_reply = close_after_reply
+        self.requests = []
+        self.closed = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.backends = []
+        super().__init__(("127.0.0.1", 0), StubHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+        self.thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        self.thread.start()
+
+    def backend(self, **kwargs):
+        backend = HttpBackend(self.url, "m", **kwargs)
+        self.backends.append(backend)
+        return backend
+
+    def connections(self):
+        return len({port for _, _, _, port in self.requests})
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def handle_error(self, request, client_address):
+        pass  # the client gave up on a delayed reply
+
+    def stop(self):
+        self.release.set()
+        for backend in self.backends:
+            backend.close()
+        self.shutdown()
+        self.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body
+    # would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append((self.path, self.headers, body, self.client_address[1]))
+        status, payload = self.server.reply(body)
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if self.server.close_after_reply == "announced":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.close_after_reply is not None
+
+
+@pytest.fixture
+def serve():
+    servers = []
+
+    def start(reply, **kwargs):
+        server = StubServer(reply, **kwargs)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def completion(text):
+    return 200, {"choices": [{"text": text}]}
+
+
+def echo_prompt(body):
+    return completion(body["prompt"])
 
 
 class TestHttpBackend:
-    def test_completion_text_extracted(self):
-        session = StubSession({"choices": [{"text": " Paris"}]})
-        backend = HttpBackend("http://example/v1", "m", api_key="k", session=session)
+    def test_completion_text_extracted(self, serve):
+        server = serve(lambda body: completion(" Paris"))
+        backend = server.backend(api_key="k")
         assert backend.complete(GeneratorRequest(prompt="q")) == " Paris"
-        assert session.last_body["max_tokens"] == 64
+        path, _, body, _ = server.requests[0]
+        assert path == "/v1/completions"
+        assert body["max_tokens"] == 64
 
-    def test_echoed_logprobs_sliced_to_continuation(self):
+    def test_echoed_logprobs_sliced_to_continuation(self, serve):
         prompt = "Context: x\nQuestion:"
         continuation = " who?"
         offsets = [0, 8, 19, 20, 24]
         logprobs = [None, -0.5, -0.7, -0.2, -0.4]
-        session = StubSession(
-            {
-                "choices": [
-                    {
-                        "text": "",
-                        "logprobs": {
-                            "token_logprobs": logprobs,
-                            "text_offset": offsets,
-                        },
-                    }
-                ]
-            }
-        )
-        backend = HttpBackend("http://example/v1", "m", api_key="k", session=session)
+        payload = {
+            "choices": [
+                {
+                    "text": "",
+                    "logprobs": {"token_logprobs": logprobs, "text_offset": offsets},
+                }
+            ]
+        }
+        backend = serve(lambda body: (200, payload)).backend(api_key="k")
         got = backend.token_logprobs(ScorerRequest(prompt, continuation))
         assert got == [-0.2, -0.4]
 
-    def test_missing_logprobs_raises(self):
-        session = StubSession({"choices": [{"text": ""}]})
-        backend = HttpBackend("http://example/v1", "m", api_key="k", session=session)
+    def test_missing_logprobs_raises(self, serve):
+        backend = serve(lambda body: completion("")).backend(api_key="k")
         with pytest.raises(LogprobsUnsupported):
             backend.token_logprobs(ScorerRequest("p", " c"))
+
+    def test_sequential_requests_share_one_connection(self, serve):
+        server = serve(echo_prompt)
+        backend = server.backend()
+        for i in range(5):
+            assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
+        assert len(server.requests) == 5
+        assert server.connections() == 1
+
+    @pytest.mark.parametrize("close", ["silently", "announced"])
+    def test_connection_closed_by_server_is_replaced_without_retry(self, serve, close):
+        server = serve(echo_prompt, close_after_reply=close)
+        backend = server.backend()
+        for i in range(3):
+            # Called without the gateway: a stale connection would raise here.
+            assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
+            assert server.closed.acquire(timeout=5)
+        assert server.connections() == 3
+
+    def test_concurrent_threads_get_their_own_responses(self, serve):
+        server = serve(echo_prompt)
+        backend = server.backend()
+        threads_n, per_thread = 4, 25
+        wrong, done = [], []
+
+        def worker(t):
+            for i in range(per_thread):
+                prompt = f"thread {t} request {i}"
+                got = backend.complete(GeneratorRequest(prompt=prompt))
+                if got != prompt:
+                    wrong.append((prompt, got))
+            done.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == list(range(threads_n))
+        assert wrong == []
+        assert len(server.requests) == threads_n * per_thread
+        assert server.connections() <= threads_n
+
+    def test_error_status_raises_named_error_without_retry(self, serve):
+        server = serve(lambda body: (500, {"error": "boom"}))
+        gw = gateway_for(server.backend())
+        with pytest.raises(HttpStatusError) as info:
+            gw.generate(GeneratorRequest(prompt="p"))
+        assert info.value.status == 500
+        assert len(server.requests) == 1
+
+    def test_context_length_400_raises_context_overflow(self, serve):
+        server = serve(lambda body: (400, {"error": "maximum context length exceeded"}))
+        gw = gateway_for(server.backend())
+        with pytest.raises(ContextOverflow):
+            gw.score_continuation(ScorerRequest("p", " c"))
+        assert len(server.requests) == 1
+
+    def test_socket_timeout_retried_then_backend_unavailable(self, serve):
+        server = None
+
+        def stall(body):
+            server.release.wait(10)
+            return completion("late")
+
+        server = serve(stall)
+        gw = gateway_for(server.backend(timeout=0.2))
+        with pytest.raises(BackendUnavailable) as info:
+            gw.generate(GeneratorRequest(prompt="p"))
+        assert isinstance(info.value.__cause__, TimeoutError)
+        assert len(server.requests) == 3
+
+    def test_authorization_header_only_with_api_key(self, serve, monkeypatch):
+        monkeypatch.delenv("GENSCO_API_KEY", raising=False)
+        server = serve(echo_prompt)
+        server.backend(api_key="secret").complete(GeneratorRequest(prompt="a"))
+        server.backend().complete(GeneratorRequest(prompt="b"))
+        (_, with_key, _, _), (_, without_key, _, _) = server.requests
+        assert with_key["Authorization"] == "Bearer secret"
+        assert "Authorization" not in without_key
+
+    @pytest.mark.parametrize("url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1"])
+    def test_malformed_base_url_rejected(self, url):
+        with pytest.raises(ValueError):
+            HttpBackend(url, "m")
 
 
 class TestDeterminism:
