@@ -9,10 +9,10 @@ scripted backend for deterministic tests.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import select
+import socket
 import ssl
 import tempfile
 import threading
@@ -197,15 +197,120 @@ def _readable(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+# Limits on what a response may send before its body, as in http.client.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ConnectionError("response line longer than 65536 bytes")
+    return line
+
+
+def _read_exactly(rfile, n: int) -> bytes:
+    data = rfile.read(n)
+    if len(data) != n:
+        raise ConnectionError(f"response body ended after {len(data)} of {n} bytes")
+    return data
+
+
+def _read_head(rfile) -> tuple[bytes, int, dict[bytes, bytes]]:
+    """HTTP version, status and lower-cased headers of the next final
+    (non-1xx) response."""
+    while True:
+        line = _read_line(rfile)
+        if not line:
+            raise ConnectionError("connection closed before a response")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not version.startswith(b"HTTP/") or not code.isdigit() or rest[3:4].strip():
+            raise ConnectionError(f"malformed status line {line[:100]!r}")
+        headers: dict[bytes, bytes] = {}
+        while True:
+            line = _read_line(rfile)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.partition(b":")
+            if not colon or not name.strip():
+                raise ConnectionError(f"malformed header line {line[:100]!r}")
+            if len(headers) == _MAX_HEADERS:
+                raise ConnectionError(f"more than {_MAX_HEADERS} response headers")
+            headers[name.strip().lower()] = value.strip()
+        status = int(code)
+        if not 100 <= status < 200:
+            return version, status, headers
+
+
+def _read_chunked(rfile) -> bytes:
+    parts = []
+    while True:
+        line = _read_line(rfile)
+        try:
+            size = int(line.split(b";", 1)[0], 16)
+        except ValueError:
+            raise ConnectionError(f"malformed chunk size {line[:100]!r}") from None
+        if size == 0:
+            break
+        parts.append(_read_exactly(rfile, size))
+        if _read_line(rfile) not in (b"\r\n", b"\n"):
+            raise ConnectionError("chunk data not followed by a line end")
+    while _read_line(rfile) not in (b"\r\n", b"\n", b""):
+        pass  # trailer fields
+    return b"".join(parts)
+
+
+def _read_response(rfile) -> tuple[int, bytes, bool]:
+    """Status, body and whether the connection may carry another request.
+
+    The body is delimited by ``Content-Length``, by ``chunked`` transfer
+    coding, or else by the server closing the connection. Anything
+    malformed raises the builtin ``ConnectionError``.
+    """
+    version, status, headers = _read_head(rfile)
+    keep_alive = version == b"HTTP/1.1" and b"close" not in headers.get(
+        b"connection", b""
+    ).lower()
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower().endswith(b"chunked"):
+        body = _read_chunked(rfile)
+    elif b"content-length" in headers:
+        length = headers[b"content-length"]
+        if not length.isdigit():
+            raise ConnectionError(f"malformed Content-Length {length[:100]!r}")
+        body = _read_exactly(rfile, int(length))
+    else:
+        body, keep_alive = rfile.read(), False
+    return status, body, keep_alive
+
+
+class _Connection:
+    """A connected socket and the buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class HttpBackend:
     """OpenAI-compatible /completions client with echoed-logprobs scoring.
 
-    Connections are kept alive: idle ones wait in a LIFO pool shared by
-    all threads, so a request made from a fresh worker thread still
-    reuses one, and the pool never holds more connections than were
-    ever in flight at once. A pooled connection the server has closed
-    is dropped before reuse. Transport failures surface as the builtin
-    ``ConnectionError`` or ``TimeoutError``, which the gateway retries.
+    Each request is one HTTP/1.1 POST written with a single ``sendall``
+    on a keep-alive connection. Idle connections wait in a LIFO pool
+    shared by all threads, so a request made from a fresh worker thread
+    still reuses one, and the pool never holds more connections than
+    were ever in flight at once. A pooled connection the server has
+    closed is dropped before reuse. Transport failures, malformed
+    responses included, surface as the builtin ``ConnectionError`` or
+    ``TimeoutError``, which the gateway retries.
     """
 
     def __init__(
@@ -223,26 +328,50 @@ class HttpBackend:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"backend URL must be http(s)://host[:port][/path]: {base_url!r}")
-        self._host, self._port = url.hostname, url.port
-        self._path = url.path + "/completions"
+        path = url.path + "/completions"
+        if any(c <= " " or c == "\x7f" for c in path):
+            raise ValueError(f"backend URL path has whitespace or control characters: {base_url!r}")
+        if self.api_key and any(c in self.api_key for c in "\r\n\0"):
+            raise ValueError("API key has a line break or NUL character")
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
-        self._idle: list[http.client.HTTPConnection] = []
+        default_port = 443 if self._tls is not None else 80
+        self._host = url.hostname
+        self._port = url.port or default_port
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        if self._port != default_port:
+            host = f"{host}:{self._port}"
+        head = (
+            f"POST {path} HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            "Accept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\n"
+        )
+        if self.api_key:
+            head += f"Authorization: Bearer {self.api_key}\r\n"
+        self._head = (head + "Content-Length: ").encode("utf-8")
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _pooled(self) -> Optional[_Connection]:
         while True:
             with self._idle_lock:
                 if not self._idle:
-                    break
+                    return None
                 conn = self._idle.pop()
             if not _readable(conn.sock):
                 return conn
             conn.close()
-        if self._tls is not None:
-            return http.client.HTTPSConnection(
-                self._host, self._port, timeout=self.timeout, context=self._tls
-            )
-        return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection((self._host, self._port), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+            return _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise
 
     def close(self) -> None:
         """Close the idle connections; the backend stays usable."""
@@ -252,31 +381,31 @@ class HttpBackend:
             conn.close()
 
     def _post(self, body: dict[str, Any]) -> dict[str, Any]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        conn = self._connection()
+        data = json.dumps(body).encode("utf-8")
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
+        conn = self._pooled()
         try:
-            conn.request("POST", self._path, json.dumps(body).encode("utf-8"), headers)
-            resp = conn.getresponse()
-            raw = resp.read()
-        except (http.client.HTTPException, OSError) as exc:
-            # Name-resolution and TLS failures are connection failures too.
-            conn.close()
-            if isinstance(exc, (ConnectionError, TimeoutError)):
-                raise
-            raise ConnectionError(f"POST {self.base_url}/completions: {exc!r}") from exc
-        except BaseException:
-            conn.close()
+            if conn is None:
+                conn = self._connect()
+            conn.sock.sendall(request)
+            status, raw, keep_alive = _read_response(conn.rfile)
+        except BaseException as exc:
+            if conn is not None:
+                conn.close()
+            if isinstance(exc, OSError) and not isinstance(exc, (ConnectionError, TimeoutError)):
+                # Name-resolution and TLS failures are connection failures too.
+                raise ConnectionError(f"POST {self.base_url}/completions: {exc!r}") from exc
             raise
-        if not resp.will_close:  # else http.client has closed it already
+        if keep_alive:
             with self._idle_lock:
                 self._idle.append(conn)
-        if not 200 <= resp.status < 300:
+        else:
+            conn.close()
+        if not 200 <= status < 300:
             text = raw.decode("utf-8", errors="replace")
-            if resp.status == 400 and "context" in text.lower():
+            if status == 400 and "context" in text.lower():
                 raise ContextOverflow(text[:500])
-            raise HttpStatusError(resp.status, text[:500])
+            raise HttpStatusError(status, text[:500])
         return json.loads(raw)
 
     def complete(self, req: GeneratorRequest) -> str:
@@ -313,15 +442,21 @@ class HttpBackend:
         logprobs = lp["token_logprobs"]
         if offsets is None:
             raise LogprobsUnsupported("backend returned logprobs without text offsets")
+        # The continuation must be covered by whole tokens, each with a
+        # logprob: a dropped token would change the mean NLL's denominator.
+        # Only whitespace may precede its first token (tokenizers that
+        # skip whitespace start it after the leading space).
         cut = len(req.prompt)
-        tail = [
-            logp
-            for off, logp in zip(offsets, logprobs)
-            if off >= cut and logp is not None
-        ]
-        if not tail:
-            raise LogprobsUnsupported("no continuation tokens covered by logprobs")
-        return tail
+        tail = [(off, logp) for off, logp in zip(offsets, logprobs) if off >= cut]
+        if not tail or full[cut:tail[0][0]].strip():
+            raise LogprobsUnsupported(
+                f"no token starts at the continuation's offset {cut}: a token "
+                "straddles the prompt/continuation boundary"
+            )
+        for off, logp in tail:
+            if not isinstance(logp, (int, float)):
+                raise LogprobsUnsupported(f"no logprob for the token at offset {off}")
+        return [logp for _, logp in tail]
 
 
 class ResponseCache:

@@ -24,7 +24,7 @@ from .models import (
     validate_instance,
 )
 from .prompts import ShotExample, render_answer_prompt, render_stop_prompt
-from .scorer import MIN_NLL, score_level
+from .scorer import MIN_NLL, map_in_order, score_level
 
 # Search depth caps per dataset: bounded by the maximum supporting-passage
 # count (or provided context size) of each benchmark.
@@ -95,7 +95,8 @@ def should_stop(
     question given the decomposition with and without the candidate,
     conditioning both sides on the passages selected so far; it only
     applies from level 2 (both sides defined) and stops on a strict
-    increase.
+    increase. Both sides are always scored, concurrently when
+    ``cfg.scorer_concurrency`` is 2 or more.
     """
     if candidate.terminal:
         return StopReason.FIN_KEYWORD
@@ -103,9 +104,12 @@ def should_stop(
         return StopReason.REPEATED_SUBQUESTION
     if cfg.variant is Variant.STOP and candidate.level >= 2 and selected:
         prior = [sq.text for sq, _ in state.history]
-        without = _stop_side_nll(gateway, state.question, selected, prior)
-        with_candidate = _stop_side_nll(
-            gateway, state.question, selected, prior + [candidate.text]
+        without, with_candidate = map_in_order(
+            lambda subquestions: _stop_side_nll(
+                gateway, state.question, selected, subquestions
+            ),
+            [prior, prior + [candidate.text]],
+            cfg.scorer_concurrency,
         )
         if with_candidate > without:
             return StopReason.LIKELIHOOD_STOP

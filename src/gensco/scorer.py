@@ -5,9 +5,10 @@ candidate wins (argmin, ties to the lowest passage index)."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .llm import LlmGateway, ScorerRequest
 from .models import Passage, ScoredCandidate
@@ -15,6 +16,13 @@ from .prompts import render_scoring_prompt
 
 MIN_NLL = "min_nll"
 MAX_NLL = "max_nll"
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+# Each calling thread keeps one scorer pool for its whole life, so no
+# thread starts per level; (executor class, workers, executor).
+_pools = threading.local()
 
 
 @dataclass(frozen=True)
@@ -24,9 +32,45 @@ class LevelSelection:
     chosen: ScoredCandidate
 
 
-def better_than(a: ScoredCandidate, b: ScoredCandidate) -> bool:
-    """Strict total order: lower score wins, then lower passage index."""
-    return (a.score, a.passage_index) < (b.score, b.passage_index)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    held = getattr(_pools, "held", None)
+    # The class is looked up on every call, so a pool made before the
+    # module's ThreadPoolExecutor was swapped (by a tracer) is replaced.
+    if held is None or held[0] is not ThreadPoolExecutor or held[1] != workers:
+        if held is not None:
+            held[2].shutdown(wait=False)
+        held = _pools.held = (
+            ThreadPoolExecutor,
+            workers,
+            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gensco-scorer"),
+        )
+    return held[2]
+
+
+def map_in_order(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[R]:
+    """``fn`` over ``items``, results in item order.
+
+    With ``concurrency`` of 2 or more the calls run on the calling
+    thread's long-lived scorer pool of that many workers, so at most
+    ``concurrency`` are in flight. The first failure in item order is
+    raised once the calls in flight have finished; calls not yet started
+    by then are dropped. No call outlives this function.
+    """
+    if concurrency < 2 or len(items) < 2:
+        return [fn(item) for item in items]
+    pool = _pool(concurrency)
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # After a failure (or an interrupt) start no more calls, and let
+        # those in flight finish.
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    # Calls start in item order, so any cancelled one comes after the
+    # first failure and is never read.
+    return [future.result() for future in futures]
 
 
 def select_best(
@@ -48,9 +92,10 @@ def score_level(
 ) -> LevelSelection:
     """Score every candidate continuation of the greedy prefix.
 
-    Issues exactly one scorer call per candidate; results are merged in
-    passage-index order regardless of completion order, and any single
-    failure aborts the whole level (no partial argmin).
+    Issues exactly one scorer call per candidate, at most ``concurrency``
+    at once; results are merged in passage-index order regardless of
+    completion order, and any single failure aborts the whole level (no
+    partial argmin) once the level's other calls have finished.
     """
     if not candidates:
         raise ValueError("score_level needs at least one candidate")
@@ -70,11 +115,6 @@ def score_level(
             )
         return ScoredCandidate(level=level, passage_index=passage.index, score=resp.mean_nll)
 
-    if concurrency > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            scored = list(pool.map(score_one, ordered))
-    else:
-        scored = [score_one(p) for p in ordered]
-
+    scored = map_in_order(score_one, ordered, concurrency)
     chosen = select_best(scored, score_sign)
     return LevelSelection(level=level, candidates=tuple(scored), chosen=chosen)

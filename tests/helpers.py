@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 
 from gensco.llm import LlmGateway, ScriptedBackend
@@ -124,3 +126,48 @@ def build_synthetic_script(
             backend, inst, cfg, synthetic_plan(inst, n_levels), shot_bank
         )
     return backend
+
+
+class InFlight:
+    """Counts the calls in flight through the functions it wraps.
+
+    A call that returns is held open ``hold`` seconds first, so calls
+    that may overlap do; a call that raises ends at once.
+    """
+
+    def __init__(self, hold: float = 0.005) -> None:
+        self.hold = hold
+        self.now = 0
+        self.peak = 0
+        self.started = 0
+        self.finished = 0
+        self.threads: set = set()
+        self._lock = threading.Lock()
+
+    def wrap(self, fn):
+        def wrapped(*args, **kwargs):
+            with self._lock:
+                self.now += 1
+                self.started += 1
+                self.peak = max(self.peak, self.now)
+                self.threads.add(threading.current_thread())
+            try:
+                result = fn(*args, **kwargs)
+                time.sleep(self.hold)
+                return result
+            finally:
+                with self._lock:
+                    self.now -= 1
+                    self.finished += 1
+
+        return wrapped
+
+
+def in_thread(fn):
+    """Run ``fn`` on a fresh thread (with its own scorer pool); its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and out, "worker thread failed or hung"
+    return out[0]

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from gensco.models import Dataset, Variant
 from gensco.pipeline import PipelineConfig
 from gensco.prompts import load_shots, render_answer_prompt
 
-from helpers import build_synthetic_script, write_synthetic_dataset
+from helpers import InFlight, build_synthetic_script, write_synthetic_dataset
 
 
 def make_run_config(tmp_path, n_instances, variant=Variant.MAX, **extra):
@@ -80,6 +82,25 @@ class TestRunBatch:
             assert read_bytes(tmp_path / "serial", name) == read_bytes(
                 tmp_path / "parallel", name
             )
+
+    def test_scorer_calls_in_flight_bounded_per_instance(self, tmp_path, monkeypatch):
+        cfg = make_run_config(
+            tmp_path, 6, variant=Variant.STOP, concurrency=2, scorer_concurrency=2
+        )
+        flight = InFlight(hold=0.002)
+        monkeypatch.setattr(
+            ScriptedBackend, "token_logprobs", flight.wrap(ScriptedBackend.token_logprobs)
+        )
+        threads_before = threading.active_count()
+        assert cli.run_batch(cfg, tmp_path / "run") == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert flight.finished == sum(manifest["llm_calls"]["scorer_calls"].values())
+        assert flight.peak <= 4
+        # The scorer pools end with the run's worker threads.
+        deadline = time.monotonic() + 5
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
 
     def test_resume_after_interruption_is_byte_identical(self, tmp_path):
         cfg = make_run_config(tmp_path, 50)

@@ -154,7 +154,8 @@ class TestRetries:
 class StubServer(ThreadingHTTPServer):
     """Loopback /completions stub on 127.0.0.1.
 
-    ``reply(body)`` returns the (status, payload) for each POST. Every
+    ``reply(body)`` returns the (status, payload) for each POST, or the
+    raw bytes of a whole response, which are written as they are. Every
     request is recorded with its path, headers, JSON body and client port,
     so a test can count the TCP connections it came on. With
     ``close_after_reply`` set to "announced" or "silently" the server
@@ -216,7 +217,12 @@ class StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.requests.append((self.path, self.headers, body, self.client_address[1]))
-        status, payload = self.server.reply(body)
+        reply = self.server.reply(body)
+        self.close_connection = self.server.close_after_reply is not None
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            return
+        status, payload = reply
         data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -225,7 +231,6 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
-        self.close_connection = self.server.close_after_reply is not None
 
 
 @pytest.fixture
@@ -248,6 +253,15 @@ def completion(text):
 
 def echo_prompt(body):
     return completion(body["prompt"])
+
+
+def raw_reply(head, body=b""):
+    """A raw response: the status line and header lines, then ``body``."""
+    return "".join(line + "\r\n" for line in head).encode() + b"\r\n" + body
+
+
+def completion_bytes(text):
+    return json.dumps(completion(text)[1]).encode()
 
 
 class TestHttpBackend:
@@ -275,6 +289,32 @@ class TestHttpBackend:
         backend = serve(lambda body: (200, payload)).backend(api_key="k")
         got = backend.token_logprobs(ScorerRequest(prompt, continuation))
         assert got == [-0.2, -0.4]
+
+    @pytest.mark.parametrize(
+        "offsets, logprobs, offset",
+        [
+            ([0, 8, 12], [None, -0.5, -0.2], 9),  # token at 8 straddles the cut
+            ([0, 9, 13], [None, -0.3, None], 13),  # no logprob inside the continuation
+        ],
+    )
+    def test_partial_continuation_coverage_raises(self, serve, offsets, logprobs, offset):
+        payload = {
+            "choices": [
+                {"text": "", "logprobs": {"token_logprobs": logprobs, "text_offset": offsets}}
+            ]
+        }
+        backend = serve(lambda body: (200, payload)).backend()
+        with pytest.raises(LogprobsUnsupported, match=f"offset {offset}"):
+            backend.token_logprobs(ScorerRequest("Question:", " who?"))
+
+    def test_whitespace_before_first_continuation_token_accepted(self, serve):
+        payload = {
+            "choices": [
+                {"text": "", "logprobs": {"token_logprobs": [None, -0.7], "text_offset": [0, 10]}}
+            ]
+        }
+        backend = serve(lambda body: (200, payload)).backend()
+        assert backend.token_logprobs(ScorerRequest("Question:", " who?")) == [-0.7]
 
     def test_missing_logprobs_raises(self, serve):
         backend = serve(lambda body: completion("")).backend(api_key="k")
@@ -367,10 +407,94 @@ class TestHttpBackend:
         assert with_key["Authorization"] == "Bearer secret"
         assert "Authorization" not in without_key
 
-    @pytest.mark.parametrize("url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1"])
+    def test_chunked_reply_keeps_connection_in_step(self, serve):
+        def chunked(body):
+            data = completion_bytes(body["prompt"])
+            chunks = b"".join(
+                b"%x\r\n%s\r\n" % (len(data[i:i + 7]), data[i:i + 7])
+                for i in range(0, len(data), 7)
+            )
+            return raw_reply(
+                ["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"], chunks + b"0\r\n\r\n"
+            )
+
+        server = serve(chunked)
+        backend = server.backend()
+        for i in range(3):
+            assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
+        assert server.connections() == 1
+
+    def test_reply_without_length_read_until_close(self, serve):
+        server = serve(
+            lambda body: raw_reply(["HTTP/1.1 200 OK"], completion_bytes(body["prompt"])),
+            close_after_reply="silently",
+        )
+        backend = server.backend()
+        for i in range(2):
+            assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
+        assert server.connections() == 2
+
+    def test_http_1_0_reply_connection_not_pooled(self, serve):
+        def reply(body):
+            data = completion_bytes(body["prompt"])
+            return raw_reply(["HTTP/1.0 200 OK", f"Content-Length: {len(data)}"], data)
+
+        server = serve(reply)  # keeps the connection open all the same
+        backend = server.backend()
+        for i in range(2):
+            assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
+        assert server.connections() == 2
+
+    def test_malformed_status_line_retried_then_backend_unavailable(self, serve):
+        server = serve(lambda body: b"HTPT/1.1 200 OK\r\n\r\n")
+        gw = gateway_for(server.backend())
+        with pytest.raises(BackendUnavailable) as info:
+            gw.generate(GeneratorRequest(prompt="p"))
+        assert isinstance(info.value.__cause__, ConnectionError)
+        assert len(server.requests) == 3
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            (raw_reply(["HTTP/1.1 200 OK", "X-Big: " + "a" * 65536]), "longer than 65536"),
+            (raw_reply(["HTTP/1.1 200 OK"] + [f"X-{i}: v" for i in range(101)]), "more than 100"),
+            (raw_reply(["HTTP/1.1 200 OK", "no colon here"]), "malformed header"),
+            (raw_reply(["HTTP/1.1 200 OK", "Content-Length: 10"], b"short"), "5 of 10"),
+        ],
+        ids=["long-line", "101-headers", "no-colon", "short-body"],
+    )
+    def test_malformed_response_raises_connection_error(self, serve, response, message):
+        backend = serve(lambda body: response, close_after_reply="silently").backend()
+        with pytest.raises(ConnectionError, match=message):
+            backend.complete(GeneratorRequest(prompt="p"))
+
+    def test_request_headers(self, serve):
+        server = serve(echo_prompt)
+        server.backend().complete(GeneratorRequest(prompt="p"))
+        _, headers, _, _ = server.requests[0]
+        assert headers["Host"] == f"127.0.0.1:{server.server_address[1]}"
+        assert headers["Accept-Encoding"] == "identity"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_redirect_not_followed(self, serve):
+        server = serve(lambda body: raw_reply(
+            ["HTTP/1.1 307 Temporary Redirect", "Location: /elsewhere", "Content-Length: 0"]
+        ))
+        with pytest.raises(HttpStatusError) as info:
+            gateway_for(server.backend()).generate(GeneratorRequest(prompt="p"))
+        assert info.value.status == 307
+        assert len(server.requests) == 1
+
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host/v 1"]
+    )
     def test_malformed_base_url_rejected(self, url):
         with pytest.raises(ValueError):
             HttpBackend(url, "m")
+
+    def test_api_key_with_line_break_rejected(self):
+        with pytest.raises(ValueError):
+            HttpBackend("http://host/v1", "m", api_key="k\r\nX-Injected: 1")
 
 
 class TestDeterminism:

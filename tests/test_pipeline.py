@@ -1,3 +1,7 @@
+import threading
+
+import pytest
+
 from gensco.decomposition import DecompositionState
 from gensco.llm import ScorerRequest, ScriptedBackend
 from gensco.models import Dataset, StopReason, SubQuestion, Variant, replay_trace
@@ -9,6 +13,8 @@ from helpers import (
     TRACE_ANSWER,
     TRACE_SCORES_LEVEL_1,
     TRACE_SUBQ_1,
+    InFlight,
+    in_thread,
     scripted_gateway,
     trace_instance,
     trace_plan,
@@ -47,6 +53,22 @@ class TestWorkedTrace:
         assert stats["scorer_calls"]["relevance"] == 20
         assert stats["scorer_calls"]["stop"] == 2
 
+    def test_scorer_pool_matches_sequential_and_keeps_thread_count(self):
+        sequential, sequential_gateway = run_trace_example()
+
+        def instances():
+            return [
+                (run_trace_example(scorer_concurrency=2), threading.active_count())
+                for _ in range(5)
+            ]
+
+        runs = in_thread(instances)
+        for (result, gateway), _ in runs:
+            assert result == sequential
+            assert gateway.stats() == sequential_gateway.stats()
+        counts = [count for _, count in runs]
+        assert max(counts[1:]) <= counts[0]
+
 
 class TestStoppingRules:
     def stop_state(self):
@@ -73,13 +95,15 @@ class TestStoppingRules:
         )
         return scripted_gateway(backend)
 
-    def check(self, without, with_c):
+    def check(self, without, with_c, scorer_concurrency=1, flight=None):
         inst, state, selected = self.stop_state()
         candidate = SubQuestion(2, "What is the place of birth of Thea Sharrock?")
         gateway = self.scripted_stop_pair(
             inst, selected, [TRACE_SUBQ_1], candidate.text, without, with_c
         )
-        cfg = PipelineConfig(variant=Variant.STOP)
+        if flight is not None:
+            gateway.scorer.token_logprobs = flight.wrap(gateway.scorer.token_logprobs)
+        cfg = PipelineConfig(variant=Variant.STOP, scorer_concurrency=scorer_concurrency)
         return should_stop(state, selected, candidate, cfg, gateway)
 
     def test_strictly_increasing_nll_stops(self):
@@ -90,6 +114,19 @@ class TestStoppingRules:
 
     def test_decreasing_nll_continues(self):
         assert self.check(1.8, 1.5) is None
+
+    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
+    @pytest.mark.parametrize(
+        "without, with_c, expected",
+        [(1.5, 1.8, StopReason.LIKELIHOOD_STOP), (1.8, 1.5, None)],
+    )
+    def test_stop_pair_scored_concurrently_with_two_scorer_workers(
+        self, scorer_concurrency, without, with_c, expected
+    ):
+        flight = InFlight(hold=0.02)
+        assert self.check(without, with_c, scorer_concurrency, flight) is expected
+        assert flight.finished == 2
+        assert flight.peak == scorer_concurrency
 
     def test_fin_keyword_stop(self):
         inst, state, selected = self.stop_state()

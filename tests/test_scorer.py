@@ -1,16 +1,21 @@
+import threading
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
-from gensco.llm import ScorerRequest, ScriptedBackend
+from gensco.llm import ScorerRequest, ScriptedBackend, ScriptMiss
 from gensco.models import Passage, ScoredCandidate
 from gensco.prompts import render_scoring_prompt
-from gensco.scorer import MAX_NLL, better_than, score_level, select_best
+from gensco.scorer import MAX_NLL, score_level, select_best
 
 from helpers import (
     TRACE_SCORES_LEVEL_1,
     TRACE_SCORES_LEVEL_2,
     TRACE_SUBQ_1,
     TRACE_SUBQ_2,
+    InFlight,
+    in_thread,
     scripted_gateway,
     trace_instance,
 )
@@ -27,15 +32,18 @@ def backend_with_scores(prefix, candidates, target, scores):
     return backend
 
 
-class TestBetterThan:
+class TestSelectBest:
     def test_lower_score_wins(self):
-        assert better_than(ScoredCandidate(1, 3, 0.2), ScoredCandidate(1, 1, 0.9))
+        best = select_best([ScoredCandidate(1, 3, 0.2), ScoredCandidate(1, 1, 0.9)])
+        assert best.passage_index == 3
 
     def test_tie_lower_index_wins(self):
-        assert better_than(ScoredCandidate(1, 1, 0.5), ScoredCandidate(1, 2, 0.5))
+        best = select_best([ScoredCandidate(1, 1, 0.5), ScoredCandidate(1, 2, 0.5)])
+        assert best.passage_index == 1
 
     def test_tie_higher_index_loses(self):
-        assert not better_than(ScoredCandidate(1, 2, 0.5), ScoredCandidate(1, 1, 0.5))
+        best = select_best([ScoredCandidate(1, 2, 0.5), ScoredCandidate(1, 1, 0.5)])
+        assert best.passage_index == 1
 
 
 class TestScoreLevel:
@@ -92,11 +100,57 @@ class TestScoreLevel:
         assert concurrent == sequential
         assert [c.passage_index for c in concurrent.candidates] == list(range(1, 11))
 
+    def test_at_most_concurrency_calls_in_flight(self):
+        inst = trace_instance()
+        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
+        flight = InFlight()
+        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+        score_level(
+            scripted_gateway(backend), [], inst.passages, TRACE_SUBQ_1, level=1,
+            concurrency=2,
+        )
+        assert flight.peak == 2
+        assert flight.finished == 10
+
+    def test_pool_threads_live_across_levels(self):
+        inst = trace_instance()
+        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
+        flight = InFlight(hold=0.0)
+        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+
+        def levels():
+            counts = []
+            for _ in range(20):
+                gateway = scripted_gateway(backend)  # fresh cache: every call runs
+                score_level(gateway, [], inst.passages, TRACE_SUBQ_1, level=1, concurrency=2)
+                counts.append(threading.active_count())
+            return counts
+
+        counts = in_thread(levels)
+        assert max(counts[1:]) <= counts[0]
+        assert flight.finished == 200
+        assert len(flight.threads) <= 2  # the same workers served every level
+
+    def test_failure_raised_after_in_flight_calls_finish(self):
+        candidates = tuple(Passage(i, "", f"body {i}") for i in range(1, 7))
+        scores = {i: 0.1 * i for i in range(2, 7)}
+        # Passage 1 is not scripted: its call fails at once, while the
+        # other worker's call is held open.
+        backend = backend_with_scores([], candidates[1:], "q?", scores)
+        flight = InFlight(hold=0.1)
+        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+        with pytest.raises(ScriptMiss):
+            score_level(
+                scripted_gateway(backend), [], candidates, "q?", level=1, concurrency=2
+            )
+        started = flight.started
+        assert flight.finished == started < len(candidates)
+        time.sleep(0.15)
+        assert flight.started == started
+
     def test_failed_candidate_aborts_level(self):
         candidates = (Passage(1, "", "a"), Passage(2, "", "b"))
         backend = backend_with_scores([], candidates[:1], "q?", {1: 0.5})
-        from gensco.llm import ScriptMiss
-
         with pytest.raises(ScriptMiss):
             score_level(scripted_gateway(backend), [], candidates, "q?", level=1)
 
