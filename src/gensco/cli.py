@@ -27,15 +27,21 @@ from .llm import HttpBackend, LlmGateway, ScriptedBackend
 from .models import (
     AnswerRecord,
     Dataset,
-    GeneratorParams,
     MultiHopInstance,
     Variant,
     append_jsonl,
     read_jsonl,
 )
-from .llm import GeneratorRequest
-from .pipeline import DEFAULT_MAX_LEVELS, DEFAULT_SHOTS, PipelineConfig, run_instance
-from .prompts import load_shots, load_shots_file, render_answer_prompt
+from .pipeline import (
+    DEFAULT_MAX_LEVELS,
+    DEFAULT_SHOTS,
+    PipelineConfig,
+    answer_step,
+    drive,
+    run_instance,
+    serve,
+)
+from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
 BASELINE_METHODS = ("bm25", "precomputed")
@@ -91,6 +97,14 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
+    """The loop's config; baselines read only its answer-step fields."""
+    answer_fields = dict(
+        shots=int(cfg.get("shots", DEFAULT_SHOTS[dataset])),
+        temperature=float(cfg.get("temperature", 0.0)),
+        max_answer_tokens=int(cfg.get("max_answer_tokens", 64)),
+    )
+    if cfg["variant"] in BASELINE_METHODS:
+        return PipelineConfig(**answer_fields)
     try:
         variant = Variant(cfg["variant"])
     except ValueError as exc:
@@ -103,13 +117,12 @@ def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
     return PipelineConfig(
         variant=variant,
         max_levels=int(cfg.get("max_levels", DEFAULT_MAX_LEVELS[dataset])),
-        shots=int(cfg.get("shots", DEFAULT_SHOTS[dataset])),
-        temperature=float(cfg.get("temperature", 0.0)),
         dedupe_pool=bool(cfg.get("dedupe_pool", False)),
         score_sign=score_sign,
         shuffle=bool(cfg.get("shuffle", False)),
         shuffle_seed=int(cfg.get("shuffle_seed", 0)),
         scorer_concurrency=int(cfg.get("scorer_concurrency", 1)),
+        **answer_fields,
     )
 
 
@@ -134,27 +147,16 @@ def _baseline_selection(
 def _run_baseline_instance(
     inst: MultiHopInstance,
     cfg: dict[str, Any],
+    pipe_cfg: PipelineConfig,
     gateway: LlmGateway,
     shot_bank,
     rankings: Optional[dict[str, list[int]]],
 ) -> tuple[dict[str, Any], AnswerRecord]:
     selected = _baseline_selection(inst, cfg, rankings)
-    shots = int(cfg.get("shots", DEFAULT_SHOTS[inst.dataset]))
-    temperature = float(cfg.get("temperature", 0.0))
-    prompt = render_answer_prompt(
-        inst.question,
-        [inst.passage_by_index(i) for i in selected],
-        tuple(shot_bank)[:shots],
+    record = drive(
+        answer_step(inst, selected, pipe_cfg, shot_bank, gateway.generator.backend_id),
+        lambda request: serve(gateway, request),
     )
-    answer = gateway.generate(
-        GeneratorRequest(
-            prompt=prompt.text,
-            temperature=temperature,
-            max_output_tokens=int(cfg.get("max_answer_tokens", 64)),
-            stop_sequences=("\n",),
-        ),
-        purpose="answer",
-    ).strip()
     trace = {
         "instance_id": inst.id,
         "variant": cfg["variant"],
@@ -162,16 +164,6 @@ def _run_baseline_instance(
         "stop_reason": None,
         "selected_sequence": selected,
     }
-    record = AnswerRecord(
-        instance_id=inst.id,
-        predicted_answer=answer,
-        context_order=tuple(selected),
-        generator_params=GeneratorParams(
-            model_id=gateway.generator.backend_id,
-            temperature=temperature,
-            shots=shots,
-        ),
-    )
     return trace, record
 
 
@@ -198,7 +190,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         if not cfg.get("rankings_file"):
             raise ConfigError("precomputed variant requires rankings_file")
         rankings = baselines.load_rankings(cfg["rankings_file"])
-    pipe_cfg = None if is_baseline else _pipeline_config(cfg, dataset)
+    pipe_cfg = _pipeline_config(cfg, dataset)
 
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
@@ -215,7 +207,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         try:
             if is_baseline:
                 trace_dict, record = _run_baseline_instance(
-                    inst, cfg, gateway, shot_bank, rankings
+                    inst, cfg, pipe_cfg, gateway, shot_bank, rankings
                 )
             else:
                 trace, record = run_instance(inst, pipe_cfg, gateway, shot_bank)
@@ -418,12 +410,9 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
                     }
                 )
         if subset_sizes:
-            import random
-
-            shuffled = list(rows)
-            random.Random(seed).shuffle(shuffled)
-            for size in subset_sizes:
-                subset = shuffled[:size]
+            # Oversize sizes take every row.
+            sizes = [min(size, len(rows)) for size in subset_sizes]
+            for subset in datasets.subsample(rows, sizes, seed):
                 if not subset:
                     continue
                 n = len(subset)
@@ -473,7 +462,6 @@ def main() -> None:
 @click.option("--dataset", default=None)
 @click.option("--variant", default=None)
 @click.option("--limit", default=None, type=int)
-@click.option("--seed", default=None, type=int)
 @click.option("--concurrency", default=None, type=int)
 @click.option("--cache-dir", default=None, type=click.Path())
 @click.option("--backend-generator-url", "generator_url", default=None)

@@ -12,9 +12,11 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 from .models import Dataset, MultiHopInstance, Passage, validate_instance
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -34,7 +36,6 @@ class DatasetConfig:
     dataset: Dataset
     path: str
     limit: Optional[int] = None
-    split_seed: Optional[int] = None
 
 
 def _require(record: dict, field: str, where: str):
@@ -150,17 +151,13 @@ def load(cfg: DatasetConfig) -> list[MultiHopInstance]:
     return instances
 
 
-def subsample(
-    instances: Sequence[MultiHopInstance],
-    sizes: Sequence[int],
-    seed: int,
-) -> list[list[MultiHopInstance]]:
+def subsample(items: Sequence[T], sizes: Sequence[int], seed: int) -> list[list[T]]:
     """Deterministic nested subsets: one seeded shuffle, prefixes per size."""
     for size in sizes:
-        if size > len(instances):
+        if size > len(items):
             raise SizeTooLarge(
-                f"subset size {size} exceeds the {len(instances)} available instances"
+                f"subset size {size} exceeds the {len(items)} available instances"
             )
-    shuffled = list(instances)
+    shuffled = list(items)
     random.Random(seed).shuffle(shuffled)
     return [shuffled[:size] for size in sizes]

@@ -1,12 +1,9 @@
-"""Sub-question generation and termination signals."""
+"""Sub-question parsing and repeat detection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .llm import GeneratorRequest, LlmGateway
-from .models import Passage, SubQuestion
-from .prompts import FIN_KEYWORD, render_decomposition_prompt
+from .models import SubQuestion
+from .prompts import FIN_KEYWORD
 
 
 def normalize_subquestion(text: str) -> str:
@@ -14,50 +11,12 @@ def normalize_subquestion(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-@dataclass
-class DecompositionState:
-    question: str
-    history: list[tuple[SubQuestion, Passage]] = field(default_factory=list)
-    seen_normalized: set[str] = field(default_factory=set)
-
-    def record(self, subq: SubQuestion, passage: Passage) -> None:
-        self.history.append((subq, passage))
-        self.seen_normalized.add(normalize_subquestion(subq.text))
-
-
-def next_subquestion(
-    state: DecompositionState,
-    gateway: LlmGateway,
-    temperature: float = 0.0,
-    max_output_tokens: int = 96,
-) -> SubQuestion:
-    """Ask the Generator for the next sub-question given the history so far.
+def parse_subquestion(raw: str, level: int) -> SubQuestion:
+    """The Generator's decomposition completion as the sub-question of ``level``.
 
     The completion is cut at the first line break so a single call can
     never smuggle in several sub-questions; a blank completion or one
     containing the end-of-decomposition keyword is terminal.
     """
-    prompt = render_decomposition_prompt(
-        state.question, [(sq.text, p) for sq, p in state.history]
-    )
-    raw = gateway.generate(
-        GeneratorRequest(
-            prompt=prompt.text,
-            temperature=temperature,
-            max_output_tokens=max_output_tokens,
-            stop_sequences=("\n",),
-        ),
-        purpose="decomposition",
-    )
     text = raw.split("\n", 1)[0].strip()
-    level = len(state.history) + 1
-    if FIN_KEYWORD in text or not text:
-        return SubQuestion(level=level, text=text, terminal=True)
-    return SubQuestion(level=level, text=text, terminal=False)
-
-
-def is_repeat(state: DecompositionState, candidate: SubQuestion) -> bool:
-    """True when the candidate was already generated for this instance."""
-    if candidate.terminal:
-        raise ValueError("repeat check is undefined for terminal sub-questions")
-    return normalize_subquestion(candidate.text) in state.seen_normalized
+    return SubQuestion(level=level, text=text, terminal=FIN_KEYWORD in text or not text)

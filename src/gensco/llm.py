@@ -96,16 +96,6 @@ class ScorerResponse:
         return cls(token_logprobs=tuple(d["token_logprobs"]), mean_nll=d["mean_nll"])
 
 
-@dataclass(frozen=True)
-class LlmExchange:
-    role: str  # "generator" | "scorer"
-    request: dict[str, Any]
-    response: Any
-    cache_key: str
-    latency: float
-    from_cache: bool
-
-
 def _digest(payload: dict[str, Any]) -> str:
     blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -528,7 +518,6 @@ class LlmGateway:
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
         max_in_flight: int = 8,
-        record_exchanges: bool = False,
     ) -> None:
         self.generator = generator
         self.scorer = scorer
@@ -537,8 +526,6 @@ class LlmGateway:
         self.retry_base_delay = retry_base_delay
         self._sem = threading.Semaphore(max_in_flight)
         self._lock = threading.Lock()
-        self.record_exchanges = record_exchanges
-        self.exchanges: list[LlmExchange] = []
         self.generator_calls: dict[str, int] = {}
         self.scorer_calls: dict[str, int] = {}
         self.cache_hits = 0
@@ -564,24 +551,12 @@ class LlmGateway:
                     raise BackendUnavailable(str(exc)) from exc
                 time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
 
-    def _record(
-        self, role: str, request: dict[str, Any], response: Any, key: str,
-        latency: float, from_cache: bool,
-    ) -> None:
-        if not self.record_exchanges:
-            return
-        with self._lock:
-            self.exchanges.append(
-                LlmExchange(role, request, response, key, latency, from_cache)
-            )
-
     def generate(self, req: GeneratorRequest, purpose: str = "answer") -> str:
         if not req.prompt:
             raise ValueError("generator prompt must be non-empty")
         key = _digest(
             {"backend": self.generator.backend_id, "role": "generator", **req.payload()}
         )
-        start = time.monotonic()
         cached = self.cache.get(key)
         if cached is not None:
             self._count(self.generator_calls, purpose, hit=True)
@@ -591,10 +566,6 @@ class LlmGateway:
             text = _truncate_at_stop(raw, req.stop_sequences)
             self.cache.put(key, {"text": text})
             self._count(self.generator_calls, purpose, hit=False)
-        self._record(
-            "generator", req.payload(), text, key,
-            time.monotonic() - start, cached is not None,
-        )
         return text
 
     def score_continuation(
@@ -605,7 +576,6 @@ class LlmGateway:
         key = _digest(
             {"backend": self.scorer.backend_id, "role": "scorer", **req.payload()}
         )
-        start = time.monotonic()
         cached = self.cache.get(key)
         if cached is not None:
             self._count(self.scorer_calls, purpose, hit=True)
@@ -615,10 +585,6 @@ class LlmGateway:
             resp = ScorerResponse.from_logprobs(logprobs)
             self.cache.put(key, resp.to_dict())
             self._count(self.scorer_calls, purpose, hit=False)
-        self._record(
-            "scorer", req.payload(), resp.to_dict(), key,
-            time.monotonic() - start, cached is not None,
-        )
         return resp
 
     def close(self) -> None:

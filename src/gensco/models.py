@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 
 class Dataset(str, Enum):
@@ -286,12 +286,6 @@ def replay_trace(trace: SelectionTrace) -> bool:
         if best.passage_index != lv.chosen_index:
             return False
     return True
-
-
-def write_jsonl(path, records: Iterable[dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def append_jsonl(fh, record: dict[str, Any]) -> None:

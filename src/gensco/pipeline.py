@@ -1,14 +1,20 @@
 """Greedy selection loop: decompose, stop-check, score, then one final
-answer-generation call per instance."""
+answer-generation call per instance.
+
+The loop is a generator that builds every prompt itself and yields its
+LLM requests; its caller answers them (``run_instance`` through the
+gateway), so the loop's rules exist once whatever serves the calls.
+"""
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Generator, Sequence, Union
 
 from .baselines import shuffle_sequence
-from .decomposition import DecompositionState, is_repeat, next_subquestion
+from .decomposition import normalize_subquestion, parse_subquestion
 from .llm import GeneratorRequest, LlmGateway, ScorerRequest
 from .models import (
     AnswerRecord,
@@ -16,6 +22,7 @@ from .models import (
     GeneratorParams,
     MultiHopInstance,
     Passage,
+    ScoredCandidate,
     SelectionTrace,
     StopReason,
     SubQuestion,
@@ -23,8 +30,14 @@ from .models import (
     Variant,
     validate_instance,
 )
-from .prompts import ShotExample, render_answer_prompt, render_stop_prompt
-from .scorer import MIN_NLL, map_in_order, score_level
+from .prompts import (
+    ShotExample,
+    render_answer_prompt,
+    render_decomposition_prompt,
+    render_scoring_prompt,
+    render_stop_prompt,
+)
+from .scorer import MIN_NLL, map_in_order, select_best
 
 # Search depth caps per dataset: bounded by the maximum supporting-passage
 # count (or provided context size) of each benchmark.
@@ -68,56 +81,187 @@ class PipelineConfig:
         return cls(**fields)
 
 
-def _stop_side_nll(
-    gateway: LlmGateway,
-    question: str,
-    passages: Sequence[Passage],
-    subquestions: Sequence[str],
-) -> float:
-    prompt = render_stop_prompt(passages, subquestions)
-    resp = gateway.score_continuation(
-        ScorerRequest(prompt=prompt.text, continuation=" " + question),
-        purpose="stop",
-    )
-    return resp.mean_nll
+@dataclass(frozen=True)
+class Generate:
+    """A Generator call; the loop receives the completion."""
+
+    purpose: str  # "decomposition" | "answer"
+    level: int  # 0 for the answer call
+    request: GeneratorRequest
 
 
-def should_stop(
-    state: DecompositionState,
-    selected: Sequence[Passage],
-    candidate: SubQuestion,
-    cfg: PipelineConfig,
-    gateway: LlmGateway,
-) -> Optional[StopReason]:
-    """Pre-selection stopping signals for the freshly generated sub-question.
+@dataclass(frozen=True)
+class Score:
+    """Scorer calls; the loop receives their mean NLLs in request order.
 
-    The likelihood test compares the scorer's mean NLL of the original
-    question given the decomposition with and without the candidate,
-    conditioning both sides on the passages selected so far; it only
-    applies from level 2 (both sides defined) and stops on a strict
-    increase. Both sides are always scored, concurrently when
-    ``cfg.scorer_concurrency`` is 2 or more.
+    ``passages`` holds the candidate of each relevance request (empty for
+    the stop pair, whose requests are without and with the candidate).
     """
-    if candidate.terminal:
-        return StopReason.FIN_KEYWORD
-    if cfg.variant is not Variant.NO_QD and is_repeat(state, candidate):
-        return StopReason.REPEATED_SUBQUESTION
-    if cfg.variant is Variant.STOP and candidate.level >= 2 and selected:
-        prior = [sq.text for sq, _ in state.history]
-        without, with_candidate = map_in_order(
-            lambda subquestions: _stop_side_nll(
-                gateway, state.question, selected, subquestions
+
+    purpose: str  # "relevance" | "stop"
+    level: int
+    requests: tuple[ScorerRequest, ...]
+    passages: tuple[Passage, ...] = ()
+
+
+Request = Union[Generate, Score]
+Loop = Generator[Request, Any, Any]
+
+
+def answer_step(
+    inst: MultiHopInstance,
+    selected_sequence: Sequence[int],
+    cfg: PipelineConfig,
+    shot_bank: Sequence[ShotExample],
+    model_id: str,
+) -> Loop:
+    """Order the context (shuffled for the ablation), then make the one
+    answer call; returns the AnswerRecord. Issued even for an empty
+    selection."""
+    context_order, permutation = tuple(selected_sequence), None
+    if cfg.shuffle and len(context_order) >= 2:
+        seed = cfg.shuffle_seed ^ zlib.crc32(inst.id.encode("utf-8"))
+        context_order, permutation = shuffle_sequence(context_order, seed)
+    prompt = render_answer_prompt(
+        inst.question,
+        [inst.passage_by_index(i) for i in context_order],
+        tuple(shot_bank)[: cfg.shots],
+    )
+    answer = yield Generate(
+        "answer",
+        0,
+        GeneratorRequest(prompt.text, cfg.temperature, cfg.max_answer_tokens, ("\n",)),
+    )
+    return AnswerRecord(
+        instance_id=inst.id,
+        predicted_answer=answer.strip(),
+        context_order=context_order,
+        generator_params=GeneratorParams(
+            model_id=model_id, temperature=cfg.temperature, shots=cfg.shots
+        ),
+        permutation=permutation,
+    )
+
+
+def greedy_loop(
+    inst: MultiHopInstance,
+    cfg: PipelineConfig,
+    shot_bank: Sequence[ShotExample],
+    model_id: str,
+) -> Loop:
+    """The greedy loop on one instance; returns (trace, answer record).
+
+    Per level: obtain the sub-question (the original question itself for
+    the no-decomposition variant) and check the stopping signals, then
+    score every candidate appended to the greedy prefix and keep the best
+    (``select_best``). The likelihood test (stop variant, from level 2)
+    scores the original question given the decomposition without and
+    with the candidate, both conditioned on the passages selected so
+    far, and stops on a strict increase.
+    """
+    validate_instance(inst)
+    levels: list[TraceLevel] = []
+    selected: list[Passage] = []
+    seen: set[str] = set()
+    stop_reason = StopReason.MAX_LEVELS
+    passages = sorted(inst.passages, key=lambda p: p.index)
+
+    for level in range(1, cfg.max_levels + 1):
+        asked = [lv.sub_question.text for lv in levels]
+        if cfg.variant is Variant.NO_QD:
+            subq = SubQuestion(level=level, text=inst.question)
+        else:
+            prompt = render_decomposition_prompt(inst.question, list(zip(asked, selected)))
+            raw = yield Generate(
+                "decomposition",
+                level,
+                GeneratorRequest(
+                    prompt.text, cfg.temperature, cfg.max_subquestion_tokens, ("\n",)
+                ),
+            )
+            subq = parse_subquestion(raw, level)
+            if subq.terminal:
+                stop_reason = StopReason.FIN_KEYWORD
+                break
+            if normalize_subquestion(subq.text) in seen:
+                stop_reason = StopReason.REPEATED_SUBQUESTION
+                break
+        if cfg.variant is Variant.STOP and selected:
+            without, with_candidate = yield Score(
+                "stop",
+                level,
+                tuple(
+                    ScorerRequest(render_stop_prompt(selected, sqs).text, " " + inst.question)
+                    for sqs in (asked, asked + [subq.text])
+                ),
+            )
+            if with_candidate > without:
+                stop_reason = StopReason.LIKELIHOOD_STOP
+                break
+
+        chosen_indices = {p.index for p in selected}
+        pool = [p for p in passages if not (cfg.dedupe_pool and p.index in chosen_indices)]
+        if not pool:  # dedupe_pool has taken every passage
+            break
+        scores = yield Score(
+            "relevance",
+            level,
+            tuple(
+                ScorerRequest(render_scoring_prompt(selected + [p]).text, " " + subq.text)
+                for p in pool
             ),
-            [prior, prior + [candidate.text]],
-            cfg.scorer_concurrency,
+            tuple(pool),
         )
-        if with_candidate > without:
-            return StopReason.LIKELIHOOD_STOP
-    return None
+        candidates = tuple(
+            ScoredCandidate(level=level, passage_index=p.index, score=score)
+            for p, score in zip(pool, scores)
+        )
+        for c in candidates:
+            if not math.isfinite(c.score):
+                raise ValueError(f"non-finite score {c.score!r} for passage {c.passage_index}")
+        chosen = select_best(candidates, cfg.score_sign).passage_index
+        if cfg.variant is Variant.NO_QD and chosen in chosen_indices:
+            # Re-selection signals exhaustion; the repeated passage is not
+            # appended to the selection.
+            stop_reason = StopReason.REPEATED_PASSAGE
+            break
+        levels.append(TraceLevel(sub_question=subq, candidates=candidates, chosen_index=chosen))
+        selected.append(inst.passage_by_index(chosen))
+        seen.add(normalize_subquestion(subq.text))
+
+    trace = SelectionTrace(
+        instance_id=inst.id,
+        variant=cfg.variant,
+        levels=tuple(levels),
+        stop_reason=stop_reason,
+        selected_sequence=tuple(p.index for p in selected),
+    )
+    record = yield from answer_step(inst, trace.selected_sequence, cfg, shot_bank, model_id)
+    return trace, record
 
 
-def _shuffle_seed_for(instance_id: str, seed: int) -> int:
-    return seed ^ zlib.crc32(instance_id.encode("utf-8"))
+def drive(loop: Loop, answer: Callable[[Request], Any]) -> Any:
+    """Run ``loop`` to its return value, sending back ``answer(request)``
+    for each request it yields."""
+    reply = None
+    while True:
+        try:
+            request = loop.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = answer(request)
+
+
+def serve(gateway: LlmGateway, request: Request, scorer_concurrency: int = 1) -> Any:
+    """Answer one request through the gateway; a Score's calls run at most
+    ``scorer_concurrency`` at once and reply in request order."""
+    if isinstance(request, Generate):
+        return gateway.generate(request.request, purpose=request.purpose)
+    return map_in_order(
+        lambda req: gateway.score_continuation(req, purpose=request.purpose).mean_nll,
+        request.requests,
+        scorer_concurrency,
+    )
 
 
 def run_instance(
@@ -126,106 +270,6 @@ def run_instance(
     gateway: LlmGateway,
     shot_bank: Sequence[ShotExample] = (),
 ) -> tuple[SelectionTrace, AnswerRecord]:
-    """Run the greedy loop on one instance and generate its answer.
-
-    Per level: obtain the sub-question (the original question itself for
-    the no-decomposition variant), evaluate the stopping signals, then
-    score all candidates and extend the greedy prefix. The answer prompt
-    is always issued, even when the loop stopped with an empty selection.
-    """
-    validate_instance(inst)
-    state = DecompositionState(question=inst.question)
-    levels: list[TraceLevel] = []
-    selected: list[Passage] = []
-    stop_reason: Optional[StopReason] = None
-
-    for level in range(1, cfg.max_levels + 1):
-        if cfg.variant is Variant.NO_QD:
-            candidate_q = SubQuestion(level=level, text=inst.question, terminal=False)
-        else:
-            candidate_q = next_subquestion(
-                state, gateway, cfg.temperature, cfg.max_subquestion_tokens
-            )
-        stop_reason = should_stop(state, selected, candidate_q, cfg, gateway)
-        if stop_reason is not None:
-            break
-
-        pool = list(inst.passages)
-        if cfg.dedupe_pool:
-            chosen_indices = {p.index for p in selected}
-            pool = [p for p in pool if p.index not in chosen_indices]
-            if not pool:
-                stop_reason = StopReason.MAX_LEVELS
-                break
-        selection = score_level(
-            gateway,
-            selected,
-            pool,
-            candidate_q.text,
-            level,
-            concurrency=cfg.scorer_concurrency,
-            score_sign=cfg.score_sign,
-        )
-        if cfg.variant is Variant.NO_QD and any(
-            p.index == selection.chosen.passage_index for p in selected
-        ):
-            # Re-selection signals exhaustion; the repeated passage is not
-            # appended to the selection.
-            stop_reason = StopReason.REPEATED_PASSAGE
-            break
-
-        chosen_passage = inst.passage_by_index(selection.chosen.passage_index)
-        levels.append(
-            TraceLevel(
-                sub_question=candidate_q,
-                candidates=selection.candidates,
-                chosen_index=selection.chosen.passage_index,
-            )
-        )
-        selected.append(chosen_passage)
-        state.record(candidate_q, chosen_passage)
-    else:
-        stop_reason = StopReason.MAX_LEVELS
-
-    selected_sequence = tuple(p.index for p in selected)
-    trace = SelectionTrace(
-        instance_id=inst.id,
-        variant=cfg.variant,
-        levels=tuple(levels),
-        stop_reason=stop_reason,
-        selected_sequence=selected_sequence,
-    )
-
-    permutation: Optional[tuple[int, ...]] = None
-    context_order = selected_sequence
-    if cfg.shuffle and len(selected_sequence) >= 2:
-        context_order, permutation = shuffle_sequence(
-            selected_sequence, _shuffle_seed_for(inst.id, cfg.shuffle_seed)
-        )
-    context_passages = [inst.passage_by_index(i) for i in context_order]
-
-    prompt = render_answer_prompt(
-        inst.question, context_passages, tuple(shot_bank)[: cfg.shots]
-    )
-    answer = gateway.generate(
-        GeneratorRequest(
-            prompt=prompt.text,
-            temperature=cfg.temperature,
-            max_output_tokens=cfg.max_answer_tokens,
-            stop_sequences=("\n",),
-        ),
-        purpose="answer",
-    ).strip()
-
-    record = AnswerRecord(
-        instance_id=inst.id,
-        predicted_answer=answer,
-        context_order=context_order,
-        generator_params=GeneratorParams(
-            model_id=gateway.generator.backend_id,
-            temperature=cfg.temperature,
-            shots=cfg.shots,
-        ),
-        permutation=permutation,
-    )
-    return trace, record
+    """Run the greedy loop on one instance through the gateway."""
+    loop = greedy_loop(inst, cfg, shot_bank, gateway.generator.backend_id)
+    return drive(loop, lambda request: serve(gateway, request, cfg.scorer_concurrency))

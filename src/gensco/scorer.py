@@ -1,18 +1,14 @@
-"""Per-level candidate scoring: every passage is appended to the greedy
-prefix, the scorer's mean NLL of the target text is read, and the best
-candidate wins (argmin, ties to the lowest passage index)."""
+"""Candidate selection and scorer-call fan-out: the best candidate of a
+level wins (argmin mean NLL, ties to the lowest passage index), and a
+level's scorer calls run on a long-lived per-thread pool."""
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .llm import LlmGateway, ScorerRequest
-from .models import Passage, ScoredCandidate
-from .prompts import render_scoring_prompt
+from .models import ScoredCandidate
 
 MIN_NLL = "min_nll"
 MAX_NLL = "max_nll"
@@ -23,13 +19,6 @@ R = TypeVar("R")
 # Each calling thread keeps one scorer pool for its whole life, so no
 # thread starts per level; (executor class, workers, executor).
 _pools = threading.local()
-
-
-@dataclass(frozen=True)
-class LevelSelection:
-    level: int
-    candidates: tuple[ScoredCandidate, ...]
-    chosen: ScoredCandidate
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -80,41 +69,3 @@ def select_best(
         return min(candidates, key=lambda c: (-c.score, c.passage_index))
     return min(candidates, key=lambda c: (c.score, c.passage_index))
 
-
-def score_level(
-    gateway: LlmGateway,
-    prefix: Sequence[Passage],
-    candidates: Sequence[Passage],
-    target: str,
-    level: int,
-    concurrency: int = 1,
-    score_sign: str = MIN_NLL,
-) -> LevelSelection:
-    """Score every candidate continuation of the greedy prefix.
-
-    Issues exactly one scorer call per candidate, at most ``concurrency``
-    at once; results are merged in passage-index order regardless of
-    completion order, and any single failure aborts the whole level (no
-    partial argmin) once the level's other calls have finished.
-    """
-    if not candidates:
-        raise ValueError("score_level needs at least one candidate")
-    if not target.strip():
-        raise ValueError("score_level target must be non-empty")
-    ordered = sorted(candidates, key=lambda p: p.index)
-
-    def score_one(passage: Passage) -> ScoredCandidate:
-        prompt = render_scoring_prompt(list(prefix) + [passage])
-        resp = gateway.score_continuation(
-            ScorerRequest(prompt=prompt.text, continuation=" " + target),
-            purpose="relevance",
-        )
-        if not math.isfinite(resp.mean_nll):
-            raise ValueError(
-                f"non-finite score {resp.mean_nll!r} for passage {passage.index}"
-            )
-        return ScoredCandidate(level=level, passage_index=passage.index, score=resp.mean_nll)
-
-    scored = map_in_order(score_one, ordered, concurrency)
-    chosen = select_best(scored, score_sign)
-    return LevelSelection(level=level, candidates=tuple(scored), chosen=chosen)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from gensco.llm import LlmGateway, ScriptedBackend
 from gensco.models import Dataset, MultiHopInstance, Passage
-from gensco.pipeline import PipelineConfig
-from gensco.prompts import FIN_KEYWORD, load_shots
-from gensco.scripting import ScriptedPlan, build_instance_script
+from gensco.pipeline import Generate, PipelineConfig, drive, greedy_loop
+from gensco.prompts import FIN_KEYWORD, ShotExample, load_shots
 
 TRACE_QUESTION = (
     "What is the place of birth of the director of film The One And Only Ivan (Film)?"
@@ -41,6 +42,62 @@ TRACE_SCORES_LEVEL_2 = {
     1: -1.617, 2: -0.101, 3: -0.594, 4: -0.213, 5: -0.481,
     6: -0.207, 7: -0.104, 8: -1.164, 9: -0.347, 10: -0.328,
 }
+
+
+@dataclass
+class ScriptedPlan:
+    """What the backends should say for one instance.
+
+    subquestions: decomposition completion per level, in order (use
+    FIN_KEYWORD to end the decomposition).
+    level_scores: mean NLL per passage index for each level that reaches
+    passage selection.
+    stop_nlls: for the likelihood-stop variant, (without, with-candidate)
+    mean NLLs keyed by level.
+    """
+
+    subquestions: list[str]
+    level_scores: list[dict[int, float]]
+    answer: str
+    stop_nlls: dict[int, tuple[float, float]] = field(default_factory=dict)
+
+    def reply(self, request):
+        """The planned reply to one request of the greedy loop."""
+        if request.purpose == "answer":
+            return self.answer
+        if request.purpose == "decomposition":
+            return self.subquestions[request.level - 1]
+        if request.purpose == "stop":
+            return list(self.stop_nlls[request.level])
+        scores = self.level_scores[request.level - 1]
+        return [scores[p.index] for p in request.passages]
+
+
+def plan_requests(inst, cfg: PipelineConfig, plan: ScriptedPlan, shot_bank=()):
+    """Drive the loop from the plan alone: ((trace, record), [(request, reply)])."""
+    log = []
+
+    def reply(request):
+        log.append((request, plan.reply(request)))
+        return log[-1][1]
+
+    return drive(greedy_loop(inst, cfg, shot_bank, "scripted"), reply), log
+
+
+def build_instance_script(
+    backend: ScriptedBackend,
+    inst: MultiHopInstance,
+    cfg: PipelineConfig,
+    plan: ScriptedPlan,
+    shot_bank: Sequence[ShotExample] = (),
+) -> None:
+    """Register every request the loop makes for ``inst`` with its planned reply."""
+    for request, reply in plan_requests(inst, cfg, plan, shot_bank)[1]:
+        if isinstance(request, Generate):
+            backend.add_completion(request.request, reply)
+        else:
+            for req, nll in zip(request.requests, reply):
+                backend.add_logprobs(req, [-nll])
 
 
 def trace_instance() -> MultiHopInstance:

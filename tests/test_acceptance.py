@@ -14,17 +14,15 @@ import time
 from gensco import cli, metrics
 from gensco.baselines import Bm25Index, shuffle_sequence, tokenize
 from gensco.datasets import DatasetConfig, load
-from gensco.decomposition import DecompositionState
-from gensco.llm import ScorerRequest, ScriptedBackend
-from gensco.models import Dataset, Passage, StopReason, SubQuestion, Variant
-from gensco.pipeline import PipelineConfig, run_instance, should_stop
-from gensco.prompts import load_shots, render_answer_prompt, render_stop_prompt
-from gensco.scripting import build_instance_script
+from gensco.llm import ScriptedBackend
+from gensco.models import Dataset, Passage, StopReason, Variant
+from gensco.pipeline import PipelineConfig, run_instance
+from gensco.prompts import load_shots, render_answer_prompt
 
 from helpers import (
     TRACE_ANSWER,
     TRACE_BODIES,
-    TRACE_SUBQ_1,
+    build_instance_script,
     build_synthetic_script,
     scripted_gateway,
     trace_instance,
@@ -53,12 +51,12 @@ def criterion(name):
     return decorate
 
 
-def scripted_trace_run(variant=Variant.STOP, **overrides):
+def scripted_trace_run(variant=Variant.STOP, plan=None, **overrides):
     inst = trace_instance()
     cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, variant, **overrides)
     shots = load_shots(Dataset.TWO_WIKI)
     backend = ScriptedBackend()
-    build_instance_script(backend, inst, cfg, trace_plan(), shots)
+    build_instance_script(backend, inst, cfg, plan or trace_plan(), shots)
     return inst, cfg, shots, run_instance(inst, cfg, scripted_gateway(backend), shots)
 
 
@@ -82,29 +80,13 @@ def test_worked_trace_replication():
 @criterion("stopping criterion: strict NLL increase stops, ties and drops continue")
 def test_stopping_criterion_suite():
     def check(without, with_candidate):
-        inst = trace_instance()
-        p8 = inst.passage_by_index(8)
-        state = DecompositionState(question=inst.question)
-        state.record(SubQuestion(1, TRACE_SUBQ_1), p8)
-        candidate = SubQuestion(2, "What is the place of birth of Thea Sharrock?")
-        backend = ScriptedBackend()
-        backend.add_logprobs(
-            ScorerRequest(render_stop_prompt([p8], [TRACE_SUBQ_1]).text, " " + inst.question),
-            [-without],
-        )
-        backend.add_logprobs(
-            ScorerRequest(
-                render_stop_prompt([p8], [TRACE_SUBQ_1, candidate.text]).text,
-                " " + inst.question,
-            ),
-            [-with_candidate],
-        )
-        cfg = PipelineConfig(variant=Variant.STOP)
-        return should_stop(state, [p8], candidate, cfg, scripted_gateway(backend))
+        plan = trace_plan(stop_nlls={2: (without, with_candidate)})
+        _, _, _, (trace, _) = scripted_trace_run(plan=plan)
+        return trace.stop_reason, trace.selected_sequence
 
-    assert check(1.5, 1.8) is StopReason.LIKELIHOOD_STOP
-    assert check(1.5, 1.5) is None
-    assert check(1.8, 1.5) is None
+    assert check(1.5, 1.8) == (StopReason.LIKELIHOOD_STOP, (8,))
+    assert check(1.5, 1.5) == (StopReason.FIN_KEYWORD, (8, 1))
+    assert check(1.8, 1.5) == (StopReason.FIN_KEYWORD, (8, 1))
 
 
 @criterion("call budget: 1 answer, <= 4 decomposition, 15 relevance calls")

@@ -127,6 +127,15 @@ class TestRunBatch:
         assert manifest["llm_calls"]["scorer_calls"] == {}
         assert read_bytes(run_dir, "answers.jsonl") == before
 
+    def test_max_answer_tokens_reaches_the_answer_call(self, tmp_path):
+        cfg = make_run_config(tmp_path, 3, max_answer_tokens=7)
+        instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
+        pipe_cfg = PipelineConfig.for_dataset(
+            Dataset.SYNTHETIC, Variant.MAX, max_answer_tokens=7
+        )
+        build_synthetic_script(instances, pipe_cfg).to_file(cfg["script_file"])
+        assert cli.run_batch(cfg, tmp_path / "run") == 0
+
     def test_partial_script_records_failures(self, tmp_path):
         data_path = tmp_path / "synthetic.json"
         write_synthetic_dataset(data_path, 3)
@@ -320,6 +329,16 @@ class TestCommandLine:
         assert result.exit_code == 0, result.output
         assert len(read_bytes(run_dir, "traces.jsonl").splitlines()) == 2
 
+    def test_run_seed_option_is_a_usage_error(self, tmp_path):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 2))
+        run_dir = tmp_path / "r"
+        result = self.invoke(
+            "run", "--config", config_path, "--run-dir", str(run_dir), "--seed", "3"
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--seed" in result.output
+        assert not run_dir.exists()
+
     def test_missing_required_field_exits_2(self, tmp_path):
         config_path = self.write_config(tmp_path, {"dataset": "synthetic"})
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
@@ -369,8 +388,10 @@ class TestCommandLine:
         cli.evaluate_run(run_dir)
         out_dir = tmp_path / "plots"
         result = self.invoke(
-            "plotdata", str(run_dir), "--out-dir", str(out_dir), "--subset-sizes", "2"
+            "plotdata", str(run_dir), "--out-dir", str(out_dir), "--subset-sizes", "2,5"
         )
         assert result.exit_code == 0, result.output
         assert (out_dir / "scatter.csv").exists()
-        assert (out_dir / "subsets.csv").exists()
+        # A size over the run's 3 instances takes all of them.
+        subsets = (out_dir / "subsets.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in subsets[1:]] == ["2", "3"]

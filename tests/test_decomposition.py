@@ -1,111 +1,96 @@
-import pytest
-
-from gensco.decomposition import (
-    DecompositionState,
-    is_repeat,
-    next_subquestion,
-    normalize_subquestion,
-)
-from gensco.llm import GeneratorRequest, ScriptedBackend
-from gensco.models import Passage, SubQuestion
+from gensco.decomposition import normalize_subquestion, parse_subquestion
+from gensco.models import Dataset, StopReason, SubQuestion, Variant
+from gensco.pipeline import PipelineConfig
 from gensco.prompts import FIN_KEYWORD, render_decomposition_prompt
 
 from helpers import (
+    TRACE_SCORES_LEVEL_1,
     TRACE_SUBQ_1,
     TRACE_SUBQ_2,
-    scripted_gateway,
+    ScriptedPlan,
+    plan_requests,
     trace_instance,
+    trace_plan,
 )
 
 
-def script_completion(backend, question, history, completion):
-    prompt = render_decomposition_prompt(question, history)
-    backend.add_completion(
-        GeneratorRequest(
-            prompt=prompt.text,
-            temperature=0.0,
-            max_output_tokens=96,
-            stop_sequences=("\n",),
-        ),
-        completion,
-    )
+def decomposition_requests(plan, inst=None):
+    inst = inst or trace_instance()
+    cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.MAX)
+    (trace, _), log = plan_requests(inst, cfg, plan)
+    return trace, [r for r, _ in log if r.purpose == "decomposition"]
 
 
 class TestNextSubquestion:
     def test_first_level_from_worked_example(self):
         inst = trace_instance()
-        backend = ScriptedBackend()
-        script_completion(backend, inst.question, [], TRACE_SUBQ_1)
-        state = DecompositionState(question=inst.question)
-        subq = next_subquestion(state, scripted_gateway(backend))
-        assert subq == SubQuestion(level=1, text=TRACE_SUBQ_1, terminal=False)
+        _, requests = decomposition_requests(trace_plan(), inst)
+        assert requests[0].level == 1
+        assert requests[0].request.prompt == render_decomposition_prompt(inst.question, []).text
+        assert requests[0].request.max_output_tokens == 96
+        assert requests[0].request.stop_sequences == ("\n",)
+        assert parse_subquestion(TRACE_SUBQ_1, 1) == SubQuestion(1, TRACE_SUBQ_1, False)
 
     def test_second_level_conditions_on_history(self):
         inst = trace_instance()
+        _, requests = decomposition_requests(trace_plan(), inst)
         p8 = inst.passage_by_index(8)
-        backend = ScriptedBackend()
-        script_completion(backend, inst.question, [(TRACE_SUBQ_1, p8)], TRACE_SUBQ_2)
-        state = DecompositionState(question=inst.question)
-        state.record(SubQuestion(1, TRACE_SUBQ_1), p8)
-        subq = next_subquestion(state, scripted_gateway(backend))
-        assert subq.level == 2
-        assert subq.text == TRACE_SUBQ_2
+        assert requests[1].level == 2
+        assert requests[1].request.prompt == (
+            render_decomposition_prompt(inst.question, [(TRACE_SUBQ_1, p8)]).text
+        )
+        assert parse_subquestion(TRACE_SUBQ_2, 2).text == TRACE_SUBQ_2
 
     def test_fin_keyword_is_terminal(self):
-        backend = ScriptedBackend()
-        script_completion(backend, "Q?", [], FIN_KEYWORD)
-        subq = next_subquestion(DecompositionState("Q?"), scripted_gateway(backend))
+        subq = parse_subquestion(FIN_KEYWORD, 1)
         assert subq.terminal
         assert subq.text == FIN_KEYWORD
 
     def test_blank_completion_is_terminal(self):
-        backend = ScriptedBackend()
-        script_completion(backend, "Q?", [], "   ")
-        subq = next_subquestion(DecompositionState("Q?"), scripted_gateway(backend))
+        subq = parse_subquestion("   ", 1)
         assert subq.terminal and subq.text == ""
 
     def test_completion_cut_at_first_line_break(self):
-        backend = ScriptedBackend()
-        script_completion(backend, "Q?", [], "Sub one?")
-        subq = next_subquestion(DecompositionState("Q?"), scripted_gateway(backend))
-        assert subq.text == "Sub one?"
+        assert parse_subquestion(" Sub one?\nSub two?", 1) == SubQuestion(1, "Sub one?")
 
     def test_level_always_history_length_plus_one(self):
-        p = Passage(0, "", "body")
-        state = DecompositionState("Q?")
-        backend = ScriptedBackend()
-        for i in range(3):
-            script_completion(
-                backend, "Q?", [(sq.text, pp) for sq, pp in state.history], f"Sub {i}?"
-            )
-            subq = next_subquestion(state, scripted_gateway(backend))
-            assert subq.level == len(state.history) + 1
-            state.record(subq, p)
+        plan = ScriptedPlan(
+            subquestions=["Sub 1?", "Sub 2?", "Sub 3?", FIN_KEYWORD],
+            level_scores=[TRACE_SCORES_LEVEL_1] * 3,
+            answer="x",
+        )
+        trace, requests = decomposition_requests(plan)
+        assert [r.level for r in requests] == [1, 2, 3, 4]
+        assert [lv.sub_question.level for lv in trace.levels] == [1, 2, 3]
 
 
 class TestIsRepeat:
-    def state_with(self, *seen):
-        state = DecompositionState("Q?")
-        for i, text in enumerate(seen, start=1):
-            state.record(SubQuestion(i, text), Passage(i, "", "b"))
-        return state
+    """A sub-question repeats an earlier one when their normalized texts match."""
 
     def test_case_fold_repeat(self):
-        state = self.state_with("who directed x?")
-        assert is_repeat(state, SubQuestion(2, "Who directed X?"))
+        assert normalize_subquestion("who directed x?") == normalize_subquestion(
+            "Who directed X?"
+        )
 
     def test_distinct_text_not_repeat(self):
-        state = self.state_with("who wrote x?")
-        assert not is_repeat(state, SubQuestion(2, "Who directed X?"))
+        assert normalize_subquestion("who wrote x?") != normalize_subquestion(
+            "Who directed X?"
+        )
 
     def test_whitespace_collapsed(self):
-        state = self.state_with("who directed x?")
-        assert is_repeat(state, SubQuestion(2, "  Who  directed X?  "))
+        assert normalize_subquestion("who directed x?") == normalize_subquestion(
+            "  Who  directed X?  "
+        )
 
     def test_terminal_rejected(self):
-        state = self.state_with("a?")
-        with pytest.raises(ValueError):
-            is_repeat(state, SubQuestion(2, "", terminal=True))
+        # A terminal completion ends the decomposition before any repeat check.
+        plan = ScriptedPlan(
+            subquestions=[TRACE_SUBQ_1, f"{TRACE_SUBQ_1} {FIN_KEYWORD}"],
+            level_scores=[TRACE_SCORES_LEVEL_1],
+            answer="x",
+        )
+        trace, _ = decomposition_requests(plan)
+        assert trace.stop_reason is StopReason.FIN_KEYWORD
 
 
 def test_normalize_definition():

@@ -1,24 +1,66 @@
+import hashlib
 import threading
 
 import pytest
 
-from gensco.decomposition import DecompositionState
-from gensco.llm import ScorerRequest, ScriptedBackend
-from gensco.models import Dataset, StopReason, SubQuestion, Variant, replay_trace
-from gensco.pipeline import PipelineConfig, run_instance, should_stop
-from gensco.prompts import FIN_KEYWORD, load_shots, render_stop_prompt
-from gensco.scripting import ScriptedPlan, build_instance_script
+from gensco.llm import ScriptedBackend, generator_fingerprint, scorer_fingerprint
+from gensco.models import Dataset, StopReason, Variant, replay_trace
+from gensco.pipeline import Generate, PipelineConfig, run_instance
+from gensco.prompts import FIN_KEYWORD, load_shots
 
 from helpers import (
     TRACE_ANSWER,
     TRACE_SCORES_LEVEL_1,
     TRACE_SUBQ_1,
+    TRACE_SUBQ_2,
     InFlight,
+    ScriptedPlan,
+    build_instance_script,
     in_thread,
+    plan_requests,
     scripted_gateway,
     trace_instance,
     trace_plan,
 )
+
+# Every request of the worked trace (stop variant, 2Wiki defaults and
+# shots) in the order the loop makes it: purpose, level and the first 16
+# hex digits of its fingerprint. The max variant makes the same requests
+# without the stop pair. Recorded from build_instance_script as it was
+# before the loop became a generator.
+GOLDEN_STOP_REQUESTS = [
+    ("decomposition", 1, "c9f5daead11a581d"),
+    ("relevance", 1, "faf3457e2c644832"),
+    ("relevance", 1, "8cb7c5b7b5e5a454"),
+    ("relevance", 1, "e68e2a0c6ac5ae12"),
+    ("relevance", 1, "135106ad48163b9a"),
+    ("relevance", 1, "9631f8e87c2f6d96"),
+    ("relevance", 1, "0a1cd2a45c8204d3"),
+    ("relevance", 1, "9bff7861fbabf6ac"),
+    ("relevance", 1, "8175c8db14086976"),
+    ("relevance", 1, "f4f2cb1e670a8176"),
+    ("relevance", 1, "a802d7dfbfaf7f65"),
+    ("decomposition", 2, "dcdad318a836d2ed"),
+    ("stop", 2, "8a735956bc597e9c"),
+    ("stop", 2, "fb6e42d9b46c1cde"),
+    ("relevance", 2, "cfe4aab0f18b4549"),
+    ("relevance", 2, "72ef12e1d52071bb"),
+    ("relevance", 2, "c15584e3f52a16b8"),
+    ("relevance", 2, "5c63a831fb597b83"),
+    ("relevance", 2, "393a6e34d971e319"),
+    ("relevance", 2, "c57b2c74f68d1ed7"),
+    ("relevance", 2, "4adfaf94de1f616a"),
+    ("relevance", 2, "99d5744648a52113"),
+    ("relevance", 2, "e2af37afaae54993"),
+    ("relevance", 2, "fc54f02e9773b767"),
+    ("decomposition", 3, "f75bf0e510cc0ebc"),
+    ("answer", 0, "99a866d07552a6ef"),
+]
+# sha256 of ScriptedBackend.to_file for each variant's worked-trace script.
+GOLDEN_SCRIPT_SHA256 = {
+    Variant.STOP: "05847b565f02011443a9291c585e5fca3d7090421a262ba9b5e2ef4c4a10c851",
+    Variant.MAX: "a739647b1016199d0df2108c2cbd19054fa68a5a35828187027c4a27b3f3ffdc",
+}
 
 
 def run_trace_example(variant=Variant.STOP, plan=None, **cfg_overrides):
@@ -70,41 +112,55 @@ class TestWorkedTrace:
         assert max(counts[1:]) <= counts[0]
 
 
-class TestStoppingRules:
-    def stop_state(self):
-        inst = trace_instance()
-        p8 = inst.passage_by_index(8)
-        state = DecompositionState(question=inst.question)
-        state.record(SubQuestion(1, TRACE_SUBQ_1), p8)
-        return inst, state, [p8]
+class TestGoldenPrompts:
+    """Scripts are recorded from the loop itself, so a ScriptMiss cannot
+    expose drift in how it composes prompts; these pins do."""
 
-    def scripted_stop_pair(self, inst, selected, prior, candidate_text, without, with_c):
+    @pytest.mark.parametrize("variant", [Variant.STOP, Variant.MAX])
+    def test_worked_trace_requests_pinned(self, variant, tmp_path):
+        inst = trace_instance()
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, variant)
+        shots = load_shots(Dataset.TWO_WIKI)
+        _, log = plan_requests(inst, cfg, trace_plan(), shots)
+        seen = []
+        for request, _ in log:
+            if isinstance(request, Generate):
+                fingerprints = [generator_fingerprint(request.request)]
+            else:
+                fingerprints = [scorer_fingerprint(r) for r in request.requests]
+            seen += [(request.purpose, request.level, f[:16]) for f in fingerprints]
+        assert seen == [
+            r for r in GOLDEN_STOP_REQUESTS if variant is Variant.STOP or r[0] != "stop"
+        ]
         backend = ScriptedBackend()
-        backend.add_logprobs(
-            ScorerRequest(
-                render_stop_prompt(selected, prior).text, " " + inst.question
-            ),
-            [-without],
-        )
-        backend.add_logprobs(
-            ScorerRequest(
-                render_stop_prompt(selected, prior + [candidate_text]).text,
-                " " + inst.question,
-            ),
-            [-with_c],
-        )
-        return scripted_gateway(backend)
+        build_instance_script(backend, inst, cfg, trace_plan(), shots)
+        backend.to_file(tmp_path / "script.json")
+        digest = hashlib.sha256((tmp_path / "script.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SCRIPT_SHA256[variant]
+
+
+class TestStoppingRules:
+    """The stop tests, run on the worked trace under plans."""
 
     def check(self, without, with_c, scorer_concurrency=1, flight=None):
-        inst, state, selected = self.stop_state()
-        candidate = SubQuestion(2, "What is the place of birth of Thea Sharrock?")
-        gateway = self.scripted_stop_pair(
-            inst, selected, [TRACE_SUBQ_1], candidate.text, without, with_c
-        )
+        """The worked trace with a level-2 stop pair; its stop reason."""
+        plan = trace_plan(stop_nlls={2: (without, with_c)})
+        inst = trace_instance()
+        backend = ScriptedBackend()
+        build_instance_script(backend, inst, PipelineConfig(), plan)
         if flight is not None:
-            gateway.scorer.token_logprobs = flight.wrap(gateway.scorer.token_logprobs)
-        cfg = PipelineConfig(variant=Variant.STOP, scorer_concurrency=scorer_concurrency)
-        return should_stop(state, selected, candidate, cfg, gateway)
+            # Count only the stop pair: its continuation is the question.
+            plain, counted = backend.token_logprobs, flight.wrap(backend.token_logprobs)
+            backend.token_logprobs = lambda req: (
+                counted if req.continuation == " " + inst.question else plain
+            )(req)
+        cfg = PipelineConfig(scorer_concurrency=scorer_concurrency)
+        trace, _ = run_instance(inst, cfg, scripted_gateway(backend))
+        if trace.stop_reason is StopReason.LIKELIHOOD_STOP:
+            assert trace.selected_sequence == (8,)
+            return trace.stop_reason
+        assert (trace.selected_sequence, trace.stop_reason) == ((8, 1), StopReason.FIN_KEYWORD)
+        return None
 
     def test_strictly_increasing_nll_stops(self):
         assert self.check(1.5, 1.8) is StopReason.LIKELIHOOD_STOP
@@ -129,29 +185,24 @@ class TestStoppingRules:
         assert flight.peak == scorer_concurrency
 
     def test_fin_keyword_stop(self):
-        inst, state, selected = self.stop_state()
-        candidate = SubQuestion(2, FIN_KEYWORD, terminal=True)
-        cfg = PipelineConfig(variant=Variant.STOP)
-        reason = should_stop(
-            state, selected, candidate, cfg, scripted_gateway(ScriptedBackend())
-        )
-        assert reason is StopReason.FIN_KEYWORD
+        plan = ScriptedPlan([TRACE_SUBQ_1, FIN_KEYWORD], [TRACE_SCORES_LEVEL_1], "x")
+        (trace, _), log = plan_requests(trace_instance(), PipelineConfig(), plan)
+        assert (trace.selected_sequence, trace.stop_reason) == ((8,), StopReason.FIN_KEYWORD)
+        assert "stop" not in {r.purpose for r, _ in log}
 
     def test_repeated_subquestion_stop(self):
-        inst, state, selected = self.stop_state()
-        candidate = SubQuestion(2, TRACE_SUBQ_1.upper())
-        cfg = PipelineConfig(variant=Variant.MAX)
-        reason = should_stop(
-            state, selected, candidate, cfg, scripted_gateway(ScriptedBackend())
+        plan = ScriptedPlan(
+            [TRACE_SUBQ_1, TRACE_SUBQ_1.upper()], [TRACE_SCORES_LEVEL_1], "x"
         )
-        assert reason is StopReason.REPEATED_SUBQUESTION
+        cfg = PipelineConfig(variant=Variant.MAX)
+        (trace, _), _ = plan_requests(trace_instance(), cfg, plan)
+        assert trace.stop_reason is StopReason.REPEATED_SUBQUESTION
+        assert trace.selected_sequence == (8,)
 
     def test_level_one_likelihood_test_skipped(self):
-        state = DecompositionState(question="Q?")
-        candidate = SubQuestion(1, "Sub one?")
-        cfg = PipelineConfig(variant=Variant.STOP)
-        # No scripted stop responses exist: a level-1 likelihood call would miss.
-        assert should_stop(state, [], candidate, cfg, scripted_gateway(ScriptedBackend())) is None
+        (trace, _), log = plan_requests(trace_instance(), PipelineConfig(), trace_plan())
+        assert [r.level for r, _ in log if r.purpose == "stop"] == [2]
+        assert [lv.sub_question.text for lv in trace.levels] == [TRACE_SUBQ_1, TRACE_SUBQ_2]
 
 
 class TestVariants:

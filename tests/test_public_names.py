@@ -1,0 +1,61 @@
+"""Every public top-level name in src/gensco has a caller outside the tests.
+
+A name counts as used when a top-level statement other than its own
+definition, in src/gensco or bench/, mentions it (as a name, an
+attribute or an import). Click commands are called by click.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gensco").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+
+
+def mentioned(statement):
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def is_click_command(node):
+    return any(
+        ast.unparse(d).split("(", 1)[0].endswith((".command", ".group"))
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_") and not is_click_command(node):
+                yield name, node
+
+
+def test_every_public_name_has_a_non_test_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    statements = [
+        (statement, mentioned(statement)) for tree in trees.values() for statement in tree.body
+    ]
+    unused = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name, node in public_definitions(trees[path])
+        if not any(name in names for statement, names in statements if statement is not node)
+    ]
+    assert unused == []

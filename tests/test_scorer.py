@@ -4,32 +4,51 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from gensco.llm import ScorerRequest, ScriptedBackend, ScriptMiss
-from gensco.models import Passage, ScoredCandidate
+from gensco.llm import ScriptedBackend, ScriptMiss
+from gensco.models import MultiHopInstance, Passage, ScoredCandidate, StopReason, Variant
+from gensco.pipeline import PipelineConfig, Score, run_instance
 from gensco.prompts import render_scoring_prompt
-from gensco.scorer import MAX_NLL, score_level, select_best
+from gensco.scorer import MAX_NLL, map_in_order, select_best
 
 from helpers import (
     TRACE_SCORES_LEVEL_1,
-    TRACE_SCORES_LEVEL_2,
-    TRACE_SUBQ_1,
     TRACE_SUBQ_2,
     InFlight,
+    ScriptedPlan,
+    build_instance_script,
     in_thread,
+    plan_requests,
     scripted_gateway,
     trace_instance,
+    trace_plan,
 )
 
 
-def backend_with_scores(prefix, candidates, target, scores):
+def one_level_cfg(**overrides):
+    """One level of the no-decomposition variant: exactly one relevance Score."""
+    return PipelineConfig(variant=Variant.NO_QD, max_levels=1, **overrides)
+
+
+ONE_LEVEL = one_level_cfg()
+
+
+def instance(passages):
+    return MultiHopInstance("score-test", "q?", "a", tuple(passages))
+
+
+def one_level(passages, scores, cfg=ONE_LEVEL):
+    """The level-1 trace entry for a score table."""
+    plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
+    return plan_requests(instance(passages), cfg, plan)[0][0].levels[0]
+
+
+def one_level_gateway(inst, scores, flight=None):
     backend = ScriptedBackend()
-    for p in candidates:
-        prompt = render_scoring_prompt(list(prefix) + [p])
-        backend.add_logprobs(
-            ScorerRequest(prompt=prompt.text, continuation=" " + target),
-            [-scores[p.index]],
-        )
-    return backend
+    plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
+    build_instance_script(backend, inst, ONE_LEVEL, plan)
+    if flight is not None:
+        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+    return scripted_gateway(backend)
 
 
 class TestSelectBest:
@@ -47,82 +66,72 @@ class TestSelectBest:
 
 
 class TestScoreLevel:
+    """A level scores every candidate appended to the greedy prefix."""
+
     def test_worked_example_level_one_picks_passage_eight(self):
-        inst = trace_instance()
-        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
-        sel = score_level(
-            scripted_gateway(backend), [], inst.passages, TRACE_SUBQ_1, level=1
-        )
-        assert sel.chosen.passage_index == 8
-        assert sel.chosen.score == pytest.approx(-0.988)
-        assert len(sel.candidates) == 10
+        (trace, _), _ = plan_requests(trace_instance(), PipelineConfig(), trace_plan())
+        level = trace.levels[0]
+        assert level.chosen_index == 8
+        assert level.candidates[7].score == pytest.approx(-0.988)
+        assert len(level.candidates) == 10
 
     def test_worked_example_level_two_includes_prefix(self):
         inst = trace_instance()
+        (trace, _), log = plan_requests(inst, PipelineConfig(), trace_plan())
+        (request,) = [r for r, _ in log if r.purpose == "relevance" and r.level == 2]
         prefix = [inst.passage_by_index(8)]
-        backend = backend_with_scores(
-            prefix, inst.passages, TRACE_SUBQ_2, TRACE_SCORES_LEVEL_2
-        )
-        sel = score_level(
-            scripted_gateway(backend), prefix, inst.passages, TRACE_SUBQ_2, level=2
-        )
-        assert sel.chosen.passage_index == 1
+        assert [req.prompt for req in request.requests] == [
+            render_scoring_prompt(prefix + [p]).text for p in inst.passages
+        ]
+        assert {req.continuation for req in request.requests} == {" " + TRACE_SUBQ_2}
+        assert trace.levels[1].chosen_index == 1
 
     def test_tie_break_lowest_index(self):
-        candidates = (Passage(1, "", "a"), Passage(2, "", "b"))
-        backend = backend_with_scores([], candidates, "q?", {1: 0.5, 2: 0.5})
-        sel = score_level(scripted_gateway(backend), [], candidates, "q?", level=1)
-        assert sel.chosen.passage_index == 1
+        level = one_level([Passage(1, "", "a"), Passage(2, "", "b")], {1: 0.5, 2: 0.5})
+        assert level.chosen_index == 1
 
     def test_singleton(self):
-        candidates = (Passage(7, "", "only"),)
-        backend = backend_with_scores([], candidates, "q?", {7: 123.0})
-        sel = score_level(scripted_gateway(backend), [], candidates, "q?", level=1)
-        assert sel.chosen.passage_index == 7
+        level = one_level([Passage(7, "", "only")], {7: 123.0})
+        assert level.chosen_index == 7
 
     def test_exactly_k_scorer_calls(self):
         inst = trace_instance()
-        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
-        gw = scripted_gateway(backend)
-        score_level(gw, [], inst.passages, TRACE_SUBQ_1, level=1)
+        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1)
+        run_instance(inst, ONE_LEVEL, gw)
         assert gw.stats()["scorer_calls"] == {"relevance": 10}
 
     def test_concurrent_merge_is_index_ordered(self):
         inst = trace_instance()
-        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
-        sequential = score_level(
-            scripted_gateway(backend), [], inst.passages, TRACE_SUBQ_1, level=1
-        )
-        concurrent = score_level(
-            scripted_gateway(backend), [], inst.passages, TRACE_SUBQ_1, level=1,
-            concurrency=4,
+        shuffled = MultiHopInstance(inst.id, inst.question, "a", inst.passages[::-1])
+        gw = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
+        sequential = run_instance(shuffled, ONE_LEVEL, gw)
+        concurrent = run_instance(
+            shuffled,
+            one_level_cfg(scorer_concurrency=4),
+            one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1),
         )
         assert concurrent == sequential
-        assert [c.passage_index for c in concurrent.candidates] == list(range(1, 11))
+        candidates = concurrent[0].levels[0].candidates
+        assert [c.passage_index for c in candidates] == list(range(1, 11))
 
     def test_at_most_concurrency_calls_in_flight(self):
         inst = trace_instance()
-        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
         flight = InFlight()
-        backend.token_logprobs = flight.wrap(backend.token_logprobs)
-        score_level(
-            scripted_gateway(backend), [], inst.passages, TRACE_SUBQ_1, level=1,
-            concurrency=2,
-        )
+        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight)
+        run_instance(inst, one_level_cfg(scorer_concurrency=2), gw)
         assert flight.peak == 2
         assert flight.finished == 10
 
     def test_pool_threads_live_across_levels(self):
         inst = trace_instance()
-        backend = backend_with_scores([], inst.passages, TRACE_SUBQ_1, TRACE_SCORES_LEVEL_1)
         flight = InFlight(hold=0.0)
-        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+        cfg = one_level_cfg(scorer_concurrency=2)
 
         def levels():
             counts = []
             for _ in range(20):
-                gateway = scripted_gateway(backend)  # fresh cache: every call runs
-                score_level(gateway, [], inst.passages, TRACE_SUBQ_1, level=1, concurrency=2)
+                # A fresh gateway (and cache) each time: every call runs.
+                run_instance(inst, cfg, one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight))
                 counts.append(threading.active_count())
             return counts
 
@@ -132,47 +141,50 @@ class TestScoreLevel:
         assert len(flight.threads) <= 2  # the same workers served every level
 
     def test_failure_raised_after_in_flight_calls_finish(self):
-        candidates = tuple(Passage(i, "", f"body {i}") for i in range(1, 7))
-        scores = {i: 0.1 * i for i in range(2, 7)}
-        # Passage 1 is not scripted: its call fails at once, while the
-        # other worker's call is held open.
-        backend = backend_with_scores([], candidates[1:], "q?", scores)
+        # Item 1 fails at once, while the other worker's call is held open.
+        def call(i):
+            if i == 1:
+                raise ScriptMiss("no score for passage 1")
+            return i
+
         flight = InFlight(hold=0.1)
-        backend.token_logprobs = flight.wrap(backend.token_logprobs)
         with pytest.raises(ScriptMiss):
-            score_level(
-                scripted_gateway(backend), [], candidates, "q?", level=1, concurrency=2
-            )
+            map_in_order(flight.wrap(call), range(1, 7), 2)
         started = flight.started
-        assert flight.finished == started < len(candidates)
+        assert flight.finished == started < 6
         time.sleep(0.15)
         assert flight.started == started
 
     def test_failed_candidate_aborts_level(self):
-        candidates = (Passage(1, "", "a"), Passage(2, "", "b"))
-        backend = backend_with_scores([], candidates[:1], "q?", {1: 0.5})
+        scores = {1: 0.5, 2: 0.7}
+        gw = one_level_gateway(instance([Passage(1, "", "a"), Passage(2, "", "b")]), scores)
+        # Passage 3's scoring request was never scripted.
+        inst = instance([Passage(1, "", "a"), Passage(2, "", "b"), Passage(3, "", "c")])
         with pytest.raises(ScriptMiss):
-            score_level(scripted_gateway(backend), [], candidates, "q?", level=1)
+            run_instance(inst, ONE_LEVEL, gw)
+        assert gw.stats()["generator_calls"] == {}
 
     def test_max_nll_sign_flips_choice(self):
-        candidates = (Passage(1, "", "a"), Passage(2, "", "b"))
-        backend = backend_with_scores([], candidates, "q?", {1: 0.2, 2: 0.9})
-        sel = score_level(
-            scripted_gateway(backend), [], candidates, "q?", level=1,
-            score_sign=MAX_NLL,
-        )
-        assert sel.chosen.passage_index == 2
+        passages = [Passage(1, "", "a"), Passage(2, "", "b")]
+        level = one_level(passages, {1: 0.2, 2: 0.9}, one_level_cfg(score_sign=MAX_NLL))
+        assert level.chosen_index == 2
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            score_level(scripted_gateway(ScriptedBackend()), [], [], "q?", level=1)
+        # Once dedupe_pool has taken every passage, the loop stops instead
+        # of scoring an empty level.
+        cfg = PipelineConfig(variant=Variant.NO_QD, max_levels=3, dedupe_pool=True)
+        plan = ScriptedPlan(subquestions=[], level_scores=[{7: 1.0}], answer="x")
+        (trace, _), log = plan_requests(instance([Passage(7, "", "only")]), cfg, plan)
+        assert trace.selected_sequence == (7,)
+        assert trace.stop_reason is StopReason.MAX_LEVELS
+        assert [len(r.requests) for r, _ in log if isinstance(r, Score)] == [1]
 
     def test_blank_target_rejected(self):
-        with pytest.raises(ValueError):
-            score_level(
-                scripted_gateway(ScriptedBackend()), [], [Passage(0, "", "b")], " ",
-                level=1,
-            )
+        # A blank sub-question is terminal, so no level scores a blank target.
+        plan = ScriptedPlan(subquestions=["  "], level_scores=[], answer="x")
+        (trace, _), log = plan_requests(trace_instance(), PipelineConfig(), plan)
+        assert trace.stop_reason is StopReason.FIN_KEYWORD
+        assert not [r for r, _ in log if isinstance(r, Score)]
 
 
 @given(
