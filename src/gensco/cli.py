@@ -28,19 +28,12 @@ from .models import (
     AnswerRecord,
     Dataset,
     MultiHopInstance,
+    ValidationError,
     Variant,
     append_jsonl,
     read_jsonl,
 )
-from .pipeline import (
-    DEFAULT_MAX_LEVELS,
-    DEFAULT_SHOTS,
-    PipelineConfig,
-    answer_step,
-    drive,
-    run_instance,
-    serve,
-)
+from .pipeline import PipelineConfig, answer_step, drive, run_instance, serve
 from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
@@ -96,34 +89,39 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
     )
 
 
+def _score_sign(value: Any) -> str:
+    if value not in (MIN_NLL, MAX_NLL):
+        raise ConfigError(
+            f"unknown score_sign {value!r}; expected {MIN_NLL!r} or {MAX_NLL!r}"
+        )
+    return value
+
+
+# The optional config keys that set PipelineConfig fields, each with the
+# coercion (and check) its value gets; an absent key keeps the default.
+_ANSWER_KEYS = {"shots": int, "temperature": float, "max_answer_tokens": int}
+_LOOP_KEYS = {
+    "max_levels": int,
+    "dedupe_pool": bool,
+    "score_sign": _score_sign,
+    "shuffle": bool,
+    "shuffle_seed": int,
+    "scorer_concurrency": int,
+}
+
+
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
     """The loop's config; baselines read only its answer-step fields."""
-    answer_fields = dict(
-        shots=int(cfg.get("shots", DEFAULT_SHOTS[dataset])),
-        temperature=float(cfg.get("temperature", 0.0)),
-        max_answer_tokens=int(cfg.get("max_answer_tokens", 64)),
-    )
-    if cfg["variant"] in BASELINE_METHODS:
-        return PipelineConfig(**answer_fields)
-    try:
-        variant = Variant(cfg["variant"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown variant {cfg['variant']!r}") from exc
-    score_sign = cfg.get("score_sign", MIN_NLL)
-    if score_sign not in (MIN_NLL, MAX_NLL):
-        raise ConfigError(
-            f"unknown score_sign {score_sign!r}; expected {MIN_NLL!r} or {MAX_NLL!r}"
-        )
-    return PipelineConfig(
-        variant=variant,
-        max_levels=int(cfg.get("max_levels", DEFAULT_MAX_LEVELS[dataset])),
-        dedupe_pool=bool(cfg.get("dedupe_pool", False)),
-        score_sign=score_sign,
-        shuffle=bool(cfg.get("shuffle", False)),
-        shuffle_seed=int(cfg.get("shuffle_seed", 0)),
-        scorer_concurrency=int(cfg.get("scorer_concurrency", 1)),
-        **answer_fields,
-    )
+    keys = _ANSWER_KEYS
+    variant = Variant.STOP
+    if cfg["variant"] not in BASELINE_METHODS:
+        try:
+            variant = Variant(cfg["variant"])
+        except ValueError as exc:
+            raise ConfigError(f"unknown variant {cfg['variant']!r}") from exc
+        keys = {**_ANSWER_KEYS, **_LOOP_KEYS}
+    overrides = {key: coerce(cfg[key]) for key, coerce in keys.items() if key in cfg}
+    return PipelineConfig.for_dataset(dataset, variant, **overrides)
 
 
 def _baseline_selection(
@@ -274,7 +272,7 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
         }
         traces = {rec["instance_id"]: rec for rec in read_jsonl(traces_path)}
         answers = [AnswerRecord.from_dict(rec) for rec in read_jsonl(answers_path)]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CorruptTrace(str(exc)) from exc
     if not answers:
         raise CorruptTrace(f"{answers_path}: no answer records")
@@ -471,7 +469,13 @@ def cmd_run(config_path, run_dir, **overrides) -> None:
     try:
         cfg = load_config(config_path, overrides)
         code = run_batch(cfg, run_dir)
-    except (ConfigError, datasets.ParseError, datasets.SchemaError) as exc:
+    except (
+        ConfigError,
+        datasets.ParseError,
+        datasets.SchemaError,
+        datasets.SizeTooLarge,
+        ValidationError,
+    ) as exc:
         click.echo(f"fatal: {exc}", err=True)
         sys.exit(2)
     sys.exit(code)

@@ -1,16 +1,23 @@
 """Shared data types for questions, passages, traces and answers.
 
-All types are immutable after construction and serialize to/from plain
-dicts (lower_snake_case keys) so every artifact file is a JSON-lines
-stream of these records.
+All types are immutable after construction. Every ``Record`` serializes
+to and from a plain dict keyed by its field names, so every artifact file
+is a JSON-lines stream of these records.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
+
+# Selection rules: a level's best candidate has the lowest (paper) or highest mean NLL.
+MIN_NLL = "min_nll"
+MAX_NLL = "max_nll"
+R = TypeVar("R", bound="Record")
 
 
 class Dataset(str, Enum):
@@ -50,24 +57,72 @@ class BlankQuestion(ValidationError):
     pass
 
 
+def _codec(hint) -> tuple[Any, Any]:
+    """(encode, decode) between a field's value and its JSON form; both are
+    None for a value JSON holds as it is."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]: None stays None
+        encode, decode = _codec(args[0])
+        if encode is None:
+            return None, None
+        return (
+            lambda v: None if v is None else encode(v),
+            lambda v: None if v is None else decode(v),
+        )
+    if origin is tuple:
+        encode, decode = _codec(args[0])
+        if encode is None:
+            return list, tuple
+        return lambda v: [encode(x) for x in v], lambda v: tuple(decode(x) for x in v)
+    if origin is frozenset:
+        return sorted, frozenset
+    if issubclass(hint, Enum):
+        return operator.attrgetter("value"), hint
+    if issubclass(hint, Record):
+        return hint.to_dict, hint.from_dict
+    return None, None
+
+
+@functools.cache
+def _field_codecs(cls) -> tuple[tuple[str, Any, Any, bool], ...]:
+    """(name, encode, decode, optional) per field; an optional field
+    defaults to None and may be absent from a record."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_codec(hints[f.name]), f.default is None) for f in fields(cls))
+
+
+class Record:
+    """A frozen dataclass whose dict form is derived from its fields: an
+    enum is its value, a tuple a list, a frozenset a sorted list and a
+    nested record a dict. ``from_dict`` ignores keys that are not fields."""
+
+    def to_dict(self) -> dict[str, Any]:
+        out = self.__dict__.copy()  # frozen: it holds the fields and nothing else
+        for name, encode, _, _ in _field_codecs(type(self)):
+            if encode is not None:
+                out[name] = encode(out[name])
+        return out
+
+    @classmethod
+    def from_dict(cls: type[R], d: dict[str, Any]) -> R:
+        kwargs = {}
+        for name, _, decode, optional in _field_codecs(cls):
+            value = d.get(name) if optional else d[name]
+            kwargs[name] = value if decode is None else decode(value)
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class Passage:
+class Passage(Record):
     """One candidate context unit; identity is its position in the instance."""
 
     index: int
     title: str
     body: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"index": self.index, "title": self.title, "body": self.body}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Passage":
-        return cls(index=d["index"], title=d["title"], body=d["body"])
-
 
 @dataclass(frozen=True)
-class MultiHopInstance:
+class MultiHopInstance(Record):
     id: str
     question: str
     gold_answer: str
@@ -81,137 +136,48 @@ class MultiHopInstance:
                 return p
         raise KeyError(index)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "question": self.question,
-            "gold_answer": self.gold_answer,
-            "passages": [p.to_dict() for p in self.passages],
-            "supporting_indices": (
-                sorted(self.supporting_indices)
-                if self.supporting_indices is not None
-                else None
-            ),
-            "dataset": self.dataset.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "MultiHopInstance":
-        supports = d.get("supporting_indices")
-        return cls(
-            id=d["id"],
-            question=d["question"],
-            gold_answer=d["gold_answer"],
-            passages=tuple(Passage.from_dict(p) for p in d["passages"]),
-            supporting_indices=frozenset(supports) if supports is not None else None,
-            dataset=Dataset(d["dataset"]),
-        )
-
 
 @dataclass(frozen=True)
-class SubQuestion:
+class SubQuestion(Record):
     level: int
     text: str
     terminal: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"level": self.level, "text": self.text, "terminal": self.terminal}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SubQuestion":
-        return cls(level=d["level"], text=d["text"], terminal=d["terminal"])
-
 
 @dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(Record):
     """Score is mean per-token negative log-likelihood (nats/token); lower is better."""
 
     level: int
     passage_index: int
     score: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "level": self.level,
-            "passage_index": self.passage_index,
-            "score": self.score,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScoredCandidate":
-        return cls(level=d["level"], passage_index=d["passage_index"], score=d["score"])
-
 
 @dataclass(frozen=True)
-class TraceLevel:
+class TraceLevel(Record):
     sub_question: SubQuestion
     candidates: tuple[ScoredCandidate, ...]
     chosen_index: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sub_question": self.sub_question.to_dict(),
-            "candidates": [c.to_dict() for c in self.candidates],
-            "chosen_index": self.chosen_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TraceLevel":
-        return cls(
-            sub_question=SubQuestion.from_dict(d["sub_question"]),
-            candidates=tuple(ScoredCandidate.from_dict(c) for c in d["candidates"]),
-            chosen_index=d["chosen_index"],
-        )
-
 
 @dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(Record):
     instance_id: str
     variant: Variant
     levels: tuple[TraceLevel, ...]
     stop_reason: StopReason
     selected_sequence: tuple[int, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "instance_id": self.instance_id,
-            "variant": self.variant.value,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "stop_reason": self.stop_reason.value,
-            "selected_sequence": list(self.selected_sequence),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SelectionTrace":
-        return cls(
-            instance_id=d["instance_id"],
-            variant=Variant(d["variant"]),
-            levels=tuple(TraceLevel.from_dict(lv) for lv in d["levels"]),
-            stop_reason=StopReason(d["stop_reason"]),
-            selected_sequence=tuple(d["selected_sequence"]),
-        )
-
 
 @dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(Record):
     model_id: str
     temperature: float
     shots: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model_id": self.model_id,
-            "temperature": self.temperature,
-            "shots": self.shots,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GeneratorParams":
-        return cls(model_id=d["model_id"], temperature=d["temperature"], shots=d["shots"])
-
 
 @dataclass(frozen=True)
-class AnswerRecord:
+class AnswerRecord(Record):
     """Final answer plus the passage order actually placed in the prompt.
 
     ``permutation`` is recorded only when a shuffle ablation reordered the
@@ -223,26 +189,6 @@ class AnswerRecord:
     context_order: tuple[int, ...]
     generator_params: GeneratorParams
     permutation: Optional[tuple[int, ...]] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "instance_id": self.instance_id,
-            "predicted_answer": self.predicted_answer,
-            "context_order": list(self.context_order),
-            "generator_params": self.generator_params.to_dict(),
-            "permutation": list(self.permutation) if self.permutation is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "AnswerRecord":
-        perm = d.get("permutation")
-        return cls(
-            instance_id=d["instance_id"],
-            predicted_answer=d["predicted_answer"],
-            context_order=tuple(d["context_order"]),
-            generator_params=GeneratorParams.from_dict(d["generator_params"]),
-            permutation=tuple(perm) if perm is not None else None,
-        )
 
 
 def validate_instance(inst: MultiHopInstance) -> MultiHopInstance:
@@ -271,21 +217,19 @@ def validate_instance(inst: MultiHopInstance) -> MultiHopInstance:
     return inst
 
 
-def replay_trace(trace: SelectionTrace) -> bool:
+def replay_trace(trace: SelectionTrace, score_sign: str = MIN_NLL) -> bool:
     """Re-derive each level's choice from its stored candidates.
 
-    True iff every chosen_index is the per-level score argmin (ties broken
-    by lowest passage index) and selected_sequence mirrors the levels.
+    True iff every chosen_index is the level's best candidate under
+    ``score_sign`` (``scorer.select_best``) and selected_sequence mirrors
+    the levels.
     """
-    if len(trace.selected_sequence) != len(trace.levels):
-        return False
-    for lv, selected in zip(trace.levels, trace.selected_sequence):
-        if lv.chosen_index != selected:
-            return False
-        best = min(lv.candidates, key=lambda c: (c.score, c.passage_index))
-        if best.passage_index != lv.chosen_index:
-            return False
-    return True
+    from .scorer import select_best  # scorer imports this module
+
+    return len(trace.selected_sequence) == len(trace.levels) and all(
+        lv.chosen_index == selected == select_best(lv.candidates, score_sign).passage_index
+        for lv, selected in zip(trace.levels, trace.selected_sequence)
+    )
 
 
 def append_jsonl(fh, record: dict[str, Any]) -> None:

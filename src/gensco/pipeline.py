@@ -55,6 +55,9 @@ DEFAULT_SHOTS = {
     Dataset.SYNTHETIC: 2,
 }
 
+# Token cap of one decomposition completion: one sub-question line.
+MAX_SUBQUESTION_TOKENS = 96
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -68,7 +71,6 @@ class PipelineConfig:
     shuffle_seed: int = 0
     scorer_concurrency: int = 1
     max_answer_tokens: int = 64
-    max_subquestion_tokens: int = 96
 
     @classmethod
     def for_dataset(cls, dataset: Dataset, variant: Variant, **overrides) -> "PipelineConfig":
@@ -176,7 +178,7 @@ def greedy_loop(
                 "decomposition",
                 level,
                 GeneratorRequest(
-                    prompt.text, cfg.temperature, cfg.max_subquestion_tokens, ("\n",)
+                    prompt.text, cfg.temperature, MAX_SUBQUESTION_TOKENS, ("\n",)
                 ),
             )
             subq = parse_subquestion(raw, level)

@@ -8,10 +8,7 @@ import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
-from .models import ScoredCandidate
-
-MIN_NLL = "min_nll"
-MAX_NLL = "max_nll"
+from .models import MAX_NLL, MIN_NLL, ScoredCandidate
 
 T = TypeVar("T")
 R = TypeVar("R")

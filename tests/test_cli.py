@@ -14,7 +14,12 @@ from gensco.models import Dataset, Variant
 from gensco.pipeline import PipelineConfig
 from gensco.prompts import load_shots, render_answer_prompt
 
-from helpers import InFlight, build_synthetic_script, write_synthetic_dataset
+from helpers import (
+    InFlight,
+    build_synthetic_script,
+    synthetic_record,
+    write_synthetic_dataset,
+)
 
 
 def make_run_config(tmp_path, n_instances, variant=Variant.MAX, **extra):
@@ -258,6 +263,33 @@ class TestEvaluateRun:
         with pytest.raises(cli.CorruptTrace):
             cli.evaluate_run(run_dir)
 
+    @pytest.mark.parametrize(
+        "line",
+        [lambda rec: {**rec, "context_order": None}, lambda rec: list(rec)],
+        ids=["null-context-order", "list-line"],
+    )
+    def test_malformed_answer_record_exits_2(self, tmp_path, line):
+        run_dir = self.finished_run(tmp_path)
+        answers = run_dir / "answers.jsonl"
+        first = json.loads(answers.read_text().splitlines()[0])
+        with open(answers, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line(first)) + "\n")
+        with pytest.raises(cli.CorruptTrace):
+            cli.evaluate_run(run_dir)
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2
+        assert "fatal" in result.output
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_no_optional_keys_gives_the_dataset_defaults(self, dataset, variant):
+        cfg = {"dataset": dataset.value, "dataset_path": "unused", "variant": variant.value}
+        assert cli._pipeline_config(cfg, dataset) == PipelineConfig.for_dataset(
+            dataset, variant
+        )
+
 
 class TestPlotData:
     def test_tables(self, tmp_path):
@@ -376,6 +408,28 @@ class TestCommandLine:
         config_path = self.write_config(tmp_path, cfg)
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
         assert result.exit_code == 2
+
+    def test_limit_above_dataset_size_exits_2(self, tmp_path):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 10))
+        run_dir = tmp_path / "r"
+        result = self.invoke(
+            "run", "--config", config_path, "--run-dir", str(run_dir), "--limit", "50"
+        )
+        assert result.exit_code == 2
+        assert "fatal" in result.output and "limit 50" in result.output
+        assert not (run_dir / "traces.jsonl").exists()
+
+    def test_blank_question_exits_2_before_any_llm_call(self, tmp_path):
+        cfg = make_run_config(tmp_path, 3)
+        records = [synthetic_record(i) for i in range(3)]
+        records[1]["question"] = "   "
+        Path(cfg["dataset_path"]).write_text(json.dumps(records), encoding="utf-8")
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2
+        assert "fatal" in result.output and "blank question" in result.output
+        assert not (run_dir / "traces.jsonl").exists()
 
     def test_eval_on_empty_dir_exits_2(self, tmp_path):
         result = self.invoke("eval", str(tmp_path))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from gensco.models import (
     GeneratorParams,
     MultiHopInstance,
     Passage,
+    Record,
     ScoredCandidate,
     SelectionTrace,
     StopReason,
@@ -126,6 +129,97 @@ class TestSerialization:
         assert tuple(
             Passage.from_dict(p.to_dict()) for p in passages
         ) == passages
+
+
+def sample_answer(permutation=(1, 0)):
+    return AnswerRecord(
+        instance_id="x1",
+        predicted_answer="London",
+        context_order=(8, 1),
+        generator_params=GeneratorParams("scripted", 0.0, 2),
+        permutation=permutation,
+    )
+
+
+RECORD_SAMPLES = {
+    type(sample): sample
+    for sample in (
+        Passage(3, "Title", "Body text."),
+        make_instance(supporting_indices=frozenset({0})),
+        SubQuestion(2, "FIN", terminal=True),
+        ScoredCandidate(1, 4, 0.25),
+        sample_trace().levels[0],
+        sample_trace(),
+        GeneratorParams("scripted", 0.7, 4),
+        sample_answer(),
+    )
+}
+
+
+class TestFileForm:
+    """The dict form each record is written as, key for key."""
+
+    def test_instance_with_and_without_supports(self):
+        # A set iterates {1, 8} as 8, 1: the file holds them sorted.
+        passages = tuple(Passage(i, f"T{i}", f"Body {i}.") for i in (8, 1))
+        inst = make_instance(passages=passages, supporting_indices=frozenset({1, 8}))
+        expected = {
+            "id": "x1",
+            "question": "Who directed the film?",
+            "gold_answer": "Somebody",
+            "passages": [
+                {"index": 8, "title": "T8", "body": "Body 8."},
+                {"index": 1, "title": "T1", "body": "Body 1."},
+            ],
+            "supporting_indices": [1, 8],
+            "dataset": "synthetic",
+        }
+        assert inst.to_dict() == expected
+        no_supports = make_instance(passages=passages, supporting_indices=None)
+        assert no_supports.to_dict() == {**expected, "supporting_indices": None}
+
+    def test_trace(self):
+        assert sample_trace().to_dict() == {
+            "instance_id": "x1",
+            "variant": "gensco-stop",
+            "levels": [
+                {
+                    "sub_question": {"level": 1, "text": "Who directed it?", "terminal": False},
+                    "candidates": [
+                        {"level": 1, "passage_index": 0, "score": 0.4},
+                        {"level": 1, "passage_index": 1, "score": 0.2},
+                    ],
+                    "chosen_index": 1,
+                }
+            ],
+            "stop_reason": "fin_keyword",
+            "selected_sequence": [1],
+        }
+
+    def test_answer_with_and_without_permutation(self):
+        expected = {
+            "instance_id": "x1",
+            "predicted_answer": "London",
+            "context_order": [8, 1],
+            "generator_params": {"model_id": "scripted", "temperature": 0.0, "shots": 2},
+            "permutation": [1, 0],
+        }
+        assert sample_answer().to_dict() == expected
+        assert sample_answer(None).to_dict() == {**expected, "permutation": None}
+
+    @pytest.mark.parametrize("cls", Record.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_every_record_round_trips_through_json(self, cls):
+        assert cls in RECORD_SAMPLES, f"no sample for {cls.__name__}"
+        sample = RECORD_SAMPLES[cls]
+        assert cls.from_dict(json.loads(json.dumps(sample.to_dict()))) == sample
+
+    def test_absent_optional_and_extra_keys(self):
+        d = {**sample_answer().to_dict(), "extra": 1}
+        del d["permutation"]
+        assert AnswerRecord.from_dict(d) == sample_answer(None)
+        del d["context_order"]
+        with pytest.raises(KeyError):
+            AnswerRecord.from_dict(d)
 
 
 class TestReplayTrace:

@@ -7,6 +7,7 @@ from gensco.llm import ScriptedBackend, generator_fingerprint, scorer_fingerprin
 from gensco.models import Dataset, StopReason, Variant, replay_trace
 from gensco.pipeline import Generate, PipelineConfig, run_instance
 from gensco.prompts import FIN_KEYWORD, load_shots
+from gensco.scorer import MAX_NLL, MIN_NLL
 
 from helpers import (
     TRACE_ANSWER,
@@ -81,6 +82,11 @@ class TestWorkedTrace:
         assert record.predicted_answer == TRACE_ANSWER
         assert trace.stop_reason is StopReason.FIN_KEYWORD
         assert replay_trace(trace)
+
+    def test_max_nll_trace_replays_under_its_own_rule(self):
+        (trace, _), _ = run_trace_example(score_sign=MAX_NLL)
+        assert replay_trace(trace, MAX_NLL)
+        assert not replay_trace(trace, MIN_NLL)
 
     def test_max_variant_matches_on_same_script(self):
         (trace, record), _ = run_trace_example(variant=Variant.MAX)
