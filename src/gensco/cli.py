@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import click
 import yaml
@@ -56,21 +56,87 @@ def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    for required in ("dataset", "dataset_path", "variant"):
-        if required not in cfg:
-            raise ConfigError(f"missing config field {required!r}")
     return cfg
 
 
+class _Key(NamedTuple):
+    expected: str
+    accepts: Callable[[Any], bool]
+    required: bool = False
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(minimum: Optional[int] = None) -> _Key:
+    if minimum is None:
+        return _Key("an integer", _is_int)
+    return _Key(f"an integer >= {minimum}", lambda v: _is_int(v) and v >= minimum)
+
+
+def _one_of(*choices: str, required: bool = False) -> _Key:
+    return _Key(f"one of {', '.join(map(repr, choices))}", lambda v: v in choices, required)
+
+
+_TEXT = _Key("a string", lambda v: isinstance(v, str))
+_FLOAT = _Key("a number", lambda v: _is_int(v) or isinstance(v, float))
+_BOOL = _Key("true or false", lambda v: isinstance(v, bool))
+
+# Every config key gensco reads, with the check its value must pass.
+_CONFIG_KEYS = {
+    "dataset": _one_of(*(d.value for d in Dataset), required=True),
+    "dataset_path": _TEXT._replace(required=True),
+    "variant": _one_of(*(v.value for v in Variant), *BASELINE_METHODS, required=True),
+    "backend": _one_of("http", "scripted"),
+    "script_file": _TEXT,
+    "generator_url": _TEXT,
+    "generator_model": _TEXT,
+    "scorer_url": _TEXT,
+    "scorer_model": _TEXT,
+    "cache_dir": _TEXT,
+    "shot_bank": _TEXT,
+    "rankings_file": _TEXT,
+    "limit": _int(1),
+    "concurrency": _int(1),
+    "scorer_concurrency": _int(1),
+    "max_levels": _int(1),
+    "max_answer_tokens": _int(1),
+    "top_k": _int(1),
+    "shots": _int(0),
+    "shuffle_seed": _int(),
+    "temperature": _FLOAT,
+    "bm25_k1": _FLOAT,
+    "bm25_b": _FLOAT,
+    "dedupe_pool": _BOOL,
+    "shuffle": _BOOL,
+    "score_sign": _one_of(MIN_NLL, MAX_NLL),
+}
+
+
+def _check_config(cfg: dict[str, Any]) -> dict[str, Any]:
+    """``cfg`` with its numbers as floats where a float is expected; a
+    ConfigError names the first unknown, missing or invalid key."""
+    for key, value in cfg.items():
+        spec = _CONFIG_KEYS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if not spec.accepts(value):
+            raise ConfigError(f"config key {key!r} must be {spec.expected}, got {value!r}")
+    for key, spec in _CONFIG_KEYS.items():
+        if spec.required and key not in cfg:
+            raise ConfigError(f"missing config field {key!r}")
+    return {k: float(v) if _CONFIG_KEYS[k] is _FLOAT else v for k, v in cfg.items()}
+
+
 def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
-    backend_kind = cfg.get("backend", "http")
-    if backend_kind == "scripted":
+    if cfg.get("backend", "http") == "scripted":
         script_file = cfg.get("script_file")
         if not script_file:
             raise ConfigError("scripted backend requires script_file")
         backend = ScriptedBackend.from_file(script_file)
         generator = scorer = backend
-    elif backend_kind == "http":
+    else:
         for field in ("generator_url", "generator_model", "scorer_url", "scorer_model"):
             if not cfg.get(field):
                 raise ConfigError(f"http backend requires {field!r}")
@@ -79,35 +145,15 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError(f"unknown backend kind {backend_kind!r}")
-    return LlmGateway(
-        generator,
-        scorer,
-        cache_dir=cfg.get("cache_dir"),
-        max_in_flight=int(cfg.get("max_in_flight", 8)),
-    )
+    return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"))
 
 
-def _score_sign(value: Any) -> str:
-    if value not in (MIN_NLL, MAX_NLL):
-        raise ConfigError(
-            f"unknown score_sign {value!r}; expected {MIN_NLL!r} or {MAX_NLL!r}"
-        )
-    return value
-
-
-# The optional config keys that set PipelineConfig fields, each with the
-# coercion (and check) its value gets; an absent key keeps the default.
-_ANSWER_KEYS = {"shots": int, "temperature": float, "max_answer_tokens": int}
-_LOOP_KEYS = {
-    "max_levels": int,
-    "dedupe_pool": bool,
-    "score_sign": _score_sign,
-    "shuffle": bool,
-    "shuffle_seed": int,
-    "scorer_concurrency": int,
-}
+# The optional config keys that set PipelineConfig fields; an absent key
+# keeps the default.
+_ANSWER_KEYS = ("shots", "temperature", "max_answer_tokens")
+_LOOP_KEYS = (
+    "max_levels", "dedupe_pool", "score_sign", "shuffle", "shuffle_seed", "scorer_concurrency"
+)
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
@@ -115,25 +161,22 @@ def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
     keys = _ANSWER_KEYS
     variant = Variant.STOP
     if cfg["variant"] not in BASELINE_METHODS:
-        try:
-            variant = Variant(cfg["variant"])
-        except ValueError as exc:
-            raise ConfigError(f"unknown variant {cfg['variant']!r}") from exc
-        keys = {**_ANSWER_KEYS, **_LOOP_KEYS}
-    overrides = {key: coerce(cfg[key]) for key, coerce in keys.items() if key in cfg}
+        variant = Variant(cfg["variant"])
+        keys += _LOOP_KEYS
+    overrides = {key: cfg[key] for key in keys if key in cfg}
     return PipelineConfig.for_dataset(dataset, variant, **overrides)
 
 
 def _baseline_selection(
     inst: MultiHopInstance, cfg: dict[str, Any], rankings: Optional[dict[str, list[int]]]
 ) -> list[int]:
-    k = int(cfg.get("top_k", 5))
+    k = cfg.get("top_k", 5)
     if cfg["variant"] == "bm25":
         ranked = baselines.bm25_rank(
             inst.question,
             inst.passages,
-            k1=float(cfg.get("bm25_k1", 1.2)),
-            b=float(cfg.get("bm25_b", 0.75)),
+            k1=cfg.get("bm25_k1", 1.2),
+            b=cfg.get("bm25_b", 0.75),
         )
         return [p.index for p in baselines.top_k(ranked, k)]
     assert rankings is not None
@@ -167,7 +210,10 @@ def _run_baseline_instance(
 
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
     """Execute (or resume) one run; returns the process exit code."""
+    cfg = _check_config(cfg)
     run_dir = Path(run_dir)
+    manifest_path = run_dir / "manifest.json"
+    invocations = _previous_invocations(manifest_path)
     run_dir.mkdir(parents=True, exist_ok=True)
     dataset = Dataset(cfg["dataset"])
     dataset_path = Path(cfg["dataset_path"])
@@ -215,7 +261,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
             return inst, None, None, f"{type(exc).__name__}: {exc}"
 
     failures = 0
-    concurrency = max(1, int(cfg.get("concurrency", 1)))
+    concurrency = cfg.get("concurrency", 1)
     with closing(gateway), open(traces_path, "a", encoding="utf-8") as tf, open(
         answers_path, "a", encoding="utf-8"
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
@@ -235,6 +281,13 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     if failures == 0 and failures_path.stat().st_size == 0:
         failures_path.unlink()
 
+    invocation = {
+        "started": started,
+        "finished": time.time(),
+        "instances_skipped": len(instances) - len(todo),
+        "instances_failed": failures,
+        "llm_calls": gateway.stats(),
+    }
     manifest = {
         "run_id": run_dir.name,
         "config": cfg,
@@ -243,17 +296,24 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
             "generator": gateway.generator.backend_id,
             "scorer": gateway.scorer.backend_id,
         },
-        "started": started,
-        "finished": time.time(),
         "instances_total": len(instances),
-        "instances_skipped": len(instances) - len(todo),
-        "instances_failed": failures,
-        "llm_calls": gateway.stats(),
+        **invocation,
+        "invocations": invocations + [invocation],
     }
-    (run_dir / "manifest.json").write_text(
+    manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return 1 if failures else 0
+
+
+def _previous_invocations(manifest_path: Path) -> list[dict[str, Any]]:
+    """The invocations listed by the run's earlier manifest, if any."""
+    if not manifest_path.exists():
+        return []
+    try:
+        return json.loads(manifest_path.read_text(encoding="utf-8")).get("invocations", [])
+    except (ValueError, AttributeError) as exc:
+        raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
 
 
 def evaluate_run(run_dir) -> metrics.EvalReport:
@@ -285,15 +345,19 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
             raise CorruptTrace(
                 f"answer for {answer.instance_id!r} has no matching instance/trace"
             )
+        try:
+            passages = [inst.passage_by_index(i).body for i in answer.context_order]
+            selected = trace["selected_sequence"]
+        except KeyError as exc:
+            raise CorruptTrace(
+                f"records of {answer.instance_id!r} name an absent passage or field {exc}"
+            ) from exc
         am = metrics.answer_metrics(answer.predicted_answer, inst.gold_answer)
-        passages = [inst.passage_by_index(i).body for i in answer.context_order]
         kp = metrics.k_precision(answer.predicted_answer, passages)
         retrieval = None
         supporting_count = None
         if inst.supporting_indices is not None:
-            retrieval = metrics.retrieval_metrics(
-                trace["selected_sequence"], set(inst.supporting_indices)
-            )
+            retrieval = metrics.retrieval_metrics(selected, set(inst.supporting_indices))
             supporting_count = len(inst.supporting_indices)
         rows.append(
             metrics.InstanceEval(
@@ -471,6 +535,7 @@ def cmd_run(config_path, run_dir, **overrides) -> None:
         code = run_batch(cfg, run_dir)
     except (
         ConfigError,
+        CorruptTrace,
         datasets.ParseError,
         datasets.SchemaError,
         datasets.SizeTooLarge,

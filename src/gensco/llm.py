@@ -9,6 +9,7 @@ scripted backend for deterministic tests.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import select
@@ -18,6 +19,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -51,6 +53,16 @@ class ScriptMiss(GatewayError):
     """A scripted backend saw a request it has no canned response for."""
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _fingerprint(role: str, payload: dict[str, Any]) -> str:
+    """A request's one identity: the scripted backend's lookup key, and the
+    source of its cache key. Each request computes it once and keeps it."""
+    return _sha256(json.dumps({"role": role, **payload}, ensure_ascii=False, sort_keys=True))
+
+
 @dataclass(frozen=True)
 class GeneratorRequest:
     prompt: str
@@ -66,6 +78,10 @@ class GeneratorRequest:
             "stop_sequences": list(self.stop_sequences),
         }
 
+    @cached_property
+    def fingerprint(self) -> str:
+        return _fingerprint("generator", self.payload())
+
 
 @dataclass(frozen=True)
 class ScorerRequest:
@@ -74,6 +90,10 @@ class ScorerRequest:
 
     def payload(self) -> dict[str, Any]:
         return {"prompt": self.prompt, "continuation": self.continuation}
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return _fingerprint("scorer", self.payload())
 
 
 @dataclass(frozen=True)
@@ -94,19 +114,6 @@ class ScorerResponse:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScorerResponse":
         return cls(token_logprobs=tuple(d["token_logprobs"]), mean_nll=d["mean_nll"])
-
-
-def _digest(payload: dict[str, Any]) -> str:
-    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def generator_fingerprint(req: GeneratorRequest) -> str:
-    return _digest({"role": "generator", **req.payload()})
-
-
-def scorer_fingerprint(req: ScorerRequest) -> str:
-    return _digest({"role": "scorer", **req.payload()})
 
 
 class Backend(Protocol):
@@ -132,13 +139,13 @@ class ScriptedBackend:
         self._logprobs: dict[str, list[float]] = {}
 
     def add_completion(self, req: GeneratorRequest, completion: str) -> None:
-        self._completions[generator_fingerprint(req)] = completion
+        self._completions[req.fingerprint] = completion
 
     def add_logprobs(self, req: ScorerRequest, logprobs: Sequence[float]) -> None:
-        self._logprobs[scorer_fingerprint(req)] = list(logprobs)
+        self._logprobs[req.fingerprint] = list(logprobs)
 
     def complete(self, req: GeneratorRequest) -> str:
-        key = generator_fingerprint(req)
+        key = req.fingerprint
         if key not in self._completions:
             raise ScriptMiss(
                 f"no scripted completion for prompt starting "
@@ -147,7 +154,7 @@ class ScriptedBackend:
         return self._completions[key]
 
     def token_logprobs(self, req: ScorerRequest) -> list[float]:
-        key = scorer_fingerprint(req)
+        key = req.fingerprint
         if key not in self._logprobs:
             raise ScriptMiss(
                 f"no scripted logprobs for continuation {req.continuation!r} "
@@ -507,7 +514,6 @@ class LlmGateway:
 
     Call counters are bucketed by purpose ("decomposition", "answer",
     "relevance", "stop") so a run manifest can audit the call budget.
-    A semaphore bounds concurrent calls to external backends.
     """
 
     def __init__(
@@ -517,75 +523,58 @@ class LlmGateway:
         cache_dir=None,
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
-        max_in_flight: int = 8,
     ) -> None:
         self.generator = generator
         self.scorer = scorer
         self.cache = ResponseCache(cache_dir) if cache_dir else _MemoryCache()
         self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
-        self._sem = threading.Semaphore(max_in_flight)
         self._lock = threading.Lock()
         self.generator_calls: dict[str, int] = {}
         self.scorer_calls: dict[str, int] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _count(self, table: dict[str, int], purpose: str, hit: bool) -> None:
+    def _cached(self, calls: dict[str, int], purpose: str, backend: Backend, req, fetch):
+        """The cached value of ``req`` on ``backend``. A miss calls ``fetch``,
+        retrying transport failures, and stores what it returns."""
+        key = _sha256(f"{backend.backend_id}\0{req.fingerprint}")
+        value = self.cache.get(key)
+        hit = value is not None
+        if not hit:
+            for attempt in itertools.count(1):
+                try:
+                    value = fetch()
+                    break
+                except (ConnectionError, TimeoutError) as exc:
+                    if attempt >= self.max_retries:
+                        raise BackendUnavailable(str(exc)) from exc
+                    time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
+            self.cache.put(key, value)
         with self._lock:
-            table[purpose] = table.get(purpose, 0) + 1
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-
-    def _with_retries(self, fn):
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                with self._sem:
-                    return fn()
-            except (ConnectionError, TimeoutError) as exc:
-                if attempt >= self.max_retries:
-                    raise BackendUnavailable(str(exc)) from exc
-                time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
+            calls[purpose] = calls.get(purpose, 0) + 1
+            self.cache_hits += hit
+            self.cache_misses += not hit
+        return value
 
     def generate(self, req: GeneratorRequest, purpose: str = "answer") -> str:
         if not req.prompt:
             raise ValueError("generator prompt must be non-empty")
-        key = _digest(
-            {"backend": self.generator.backend_id, "role": "generator", **req.payload()}
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._count(self.generator_calls, purpose, hit=True)
-            text = cached["text"]
-        else:
-            raw = self._with_retries(lambda: self.generator.complete(req))
-            text = _truncate_at_stop(raw, req.stop_sequences)
-            self.cache.put(key, {"text": text})
-            self._count(self.generator_calls, purpose, hit=False)
-        return text
 
-    def score_continuation(
-        self, req: ScorerRequest, purpose: str = "relevance"
-    ) -> ScorerResponse:
+        def fetch():
+            return {"text": _truncate_at_stop(self.generator.complete(req), req.stop_sequences)}
+
+        return self._cached(self.generator_calls, purpose, self.generator, req, fetch)["text"]
+
+    def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> ScorerResponse:
         if not req.continuation:
             raise ValueError("scorer continuation must be non-empty")
-        key = _digest(
-            {"backend": self.scorer.backend_id, "role": "scorer", **req.payload()}
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._count(self.scorer_calls, purpose, hit=True)
-            resp = ScorerResponse.from_dict(cached)
-        else:
-            logprobs = self._with_retries(lambda: self.scorer.token_logprobs(req))
-            resp = ScorerResponse.from_logprobs(logprobs)
-            self.cache.put(key, resp.to_dict())
-            self._count(self.scorer_calls, purpose, hit=False)
-        return resp
+
+        def fetch():
+            return ScorerResponse.from_logprobs(self.scorer.token_logprobs(req)).to_dict()
+
+        cached = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)
+        return ScorerResponse.from_dict(cached)
 
     def close(self) -> None:
         """Release the backends' idle connections."""

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,23 @@ class TestRunBatch:
         cli.run_batch(cfg, fresh)
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(resumed, name) == read_bytes(fresh, name)
+
+    def test_manifest_lists_every_invocation(self, tmp_path):
+        cfg = make_run_config(tmp_path, 6, variant=Variant.STOP)
+        resumed = tmp_path / "resumed"
+        assert cli.run_batch({**cfg, "limit": 2}, resumed) == 0
+        assert cli.run_batch(cfg, resumed) == 0
+        manifest = json.loads((resumed / "manifest.json").read_text())
+        first, last = manifest["invocations"]
+        assert (first["instances_skipped"], last["instances_skipped"]) == (0, 2)
+        for key in ("started", "finished", "instances_skipped", "instances_failed", "llm_calls"):
+            assert manifest[key] == last[key]
+        fresh = tmp_path / "fresh"
+        cli.run_batch(cfg, fresh)
+        (uninterrupted,) = json.loads((fresh / "manifest.json").read_text())["invocations"]
+        for table in ("generator_calls", "scorer_calls"):
+            summed = Counter(first["llm_calls"][table]) + Counter(last["llm_calls"][table])
+            assert summed == uninterrupted["llm_calls"][table]
 
     def test_rerun_of_finished_run_makes_no_llm_calls(self, tmp_path):
         cfg = make_run_config(tmp_path, 4)
@@ -265,8 +283,12 @@ class TestEvaluateRun:
 
     @pytest.mark.parametrize(
         "line",
-        [lambda rec: {**rec, "context_order": None}, lambda rec: list(rec)],
-        ids=["null-context-order", "list-line"],
+        [
+            lambda rec: {**rec, "context_order": None},
+            lambda rec: list(rec),
+            lambda rec: {**rec, "context_order": [99]},
+        ],
+        ids=["null-context-order", "list-line", "missing-passage"],
     )
     def test_malformed_answer_record_exits_2(self, tmp_path, line):
         run_dir = self.finished_run(tmp_path)
@@ -274,6 +296,20 @@ class TestEvaluateRun:
         first = json.loads(answers.read_text().splitlines()[0])
         with open(answers, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line(first)) + "\n")
+        with pytest.raises(cli.CorruptTrace):
+            cli.evaluate_run(run_dir)
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2
+        assert "fatal" in result.output
+
+
+    def test_trace_without_selected_sequence_exits_2(self, tmp_path):
+        run_dir = self.finished_run(tmp_path)
+        traces = run_dir / "traces.jsonl"
+        lines = traces.read_text().splitlines()
+        first = json.loads(lines[0])
+        del first["selected_sequence"]
+        traces.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
         with pytest.raises(cli.CorruptTrace):
             cli.evaluate_run(run_dir)
         result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
@@ -289,6 +325,12 @@ class TestPipelineConfig:
         assert cli._pipeline_config(cfg, dataset) == PipelineConfig.for_dataset(
             dataset, variant
         )
+
+    def test_integer_for_a_float_key_becomes_a_float(self):
+        # An int temperature would change the generator requests' fingerprints.
+        cfg = {"dataset": "synthetic", "dataset_path": "unused", "variant": "gensco-max"}
+        checked = cli._check_config({**cfg, "temperature": 0})
+        assert checked["temperature"] == 0.0 and isinstance(checked["temperature"], float)
 
 
 class TestPlotData:
@@ -376,6 +418,38 @@ class TestCommandLine:
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
         assert result.exit_code == 2
         assert "fatal" in result.output
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("scorer_concurency", 2),
+            ("max_in_flight", 4),
+            ("shots", "two"),
+            ("shots", 2.5),
+            ("dedupe_pool", "no"),
+            ("limit", -1),
+            ("limit", 0),
+            ("concurrency", 0),
+        ],
+    )
+    def test_invalid_config_value_exits_2_before_the_run(self, tmp_path, key, value):
+        cfg = make_run_config(tmp_path, 3, **{key: value})
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and repr(key) in result.output
+        assert not run_dir.exists()
+
+    def test_unreadable_manifest_exits_2_before_any_llm_call(self, tmp_path):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 2))
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text("{broken")
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2
+        assert "fatal" in result.output and "manifest.json" in result.output
+        assert not (run_dir / "traces.jsonl").exists()
 
     def test_unknown_variant_exits_2(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)

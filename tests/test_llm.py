@@ -108,6 +108,52 @@ class TestCache:
         assert gw2.generate(req) == "out"
         assert gw2.stats()["cache_hits"] == 1
 
+    def test_disk_cache_misses_under_another_backend_id(self, tmp_path):
+        req = GeneratorRequest(prompt="p")
+        first = ScriptedBackend(backend_id="model-a")
+        first.add_completion(req, "from a")
+        assert gateway_for(first, cache_dir=tmp_path).generate(req) == "from a"
+        second = ScriptedBackend(backend_id="model-b")
+        second.add_completion(req, "from b")
+        gw = gateway_for(second, cache_dir=tmp_path)
+        assert gw.generate(req) == "from b"
+        assert (gw.stats()["cache_hits"], gw.stats()["cache_misses"]) == (0, 1)
+
+    def test_cache_key_pinned(self, tmp_path):
+        # The key is sha256(backend_id + "\0" + fingerprint); changing it
+        # makes every existing disk cache miss, so it changes only on purpose.
+        backend = ScriptedBackend()
+        req = GeneratorRequest(prompt="p")
+        backend.add_completion(req, "out")
+        gateway_for(backend, cache_dir=tmp_path).generate(req)
+        assert [path.stem for path in tmp_path.rglob("*.json")] == [
+            "2d2c95366b0d357de2d3aeb0d207747ea62dbe033386122705e1b96db8917774"
+        ]
+
+    def test_each_request_serialized_once(self, monkeypatch):
+        n = 5
+        generated = [GeneratorRequest(prompt=f"g{i}") for i in range(n)]
+        scored = [ScorerRequest(prompt=f"s{i}", continuation=" c") for i in range(n)]
+        backend = ScriptedBackend()
+        for greq, sreq in zip(generated, scored):
+            backend.add_completion(greq, "out")
+            backend.add_logprobs(sreq, [-1.0])
+        payloads = []
+        for cls in (GeneratorRequest, ScorerRequest):
+
+            def counted(req, original=cls.payload):
+                payloads.append(req)
+                return original(req)
+
+            monkeypatch.setattr(cls, "payload", counted)
+        gw = gateway_for(backend)
+        # Equal but fresh requests, as the loop builds them.
+        for i in range(n):
+            gw.generate(GeneratorRequest(prompt=f"g{i}"))
+            gw.score_continuation(ScorerRequest(prompt=f"s{i}", continuation=" c"))
+        assert len(payloads) == 2 * n
+        assert gw.stats()["cache_misses"] == 2 * n
+
     def test_counters_by_purpose(self):
         backend = ScriptedBackend()
         req = GeneratorRequest(prompt="p")

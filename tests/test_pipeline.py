@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from gensco.llm import ScriptedBackend, generator_fingerprint, scorer_fingerprint
+from gensco.llm import ScriptedBackend
 from gensco.models import Dataset, StopReason, Variant, replay_trace
 from gensco.pipeline import Generate, PipelineConfig, run_instance
 from gensco.prompts import FIN_KEYWORD, load_shots
@@ -131,9 +131,9 @@ class TestGoldenPrompts:
         seen = []
         for request, _ in log:
             if isinstance(request, Generate):
-                fingerprints = [generator_fingerprint(request.request)]
+                fingerprints = [request.request.fingerprint]
             else:
-                fingerprints = [scorer_fingerprint(r) for r in request.requests]
+                fingerprints = [r.fingerprint for r in request.requests]
             seen += [(request.purpose, request.level, f[:16]) for f in fingerprints]
         assert seen == [
             r for r in GOLDEN_STOP_REQUESTS if variant is Variant.STOP or r[0] != "stop"
