@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import click
 import yaml
@@ -28,6 +30,7 @@ from .models import (
     AnswerRecord,
     Dataset,
     MultiHopInstance,
+    SelectionTrace,
     ValidationError,
     Variant,
     append_jsonl,
@@ -37,7 +40,8 @@ from .pipeline import PipelineConfig, answer_step, drive, run_instance, serve
 from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
-BASELINE_METHODS = ("bm25", "precomputed")
+_GENSCO = frozenset({Variant.MAX, Variant.STOP, Variant.NO_QD})
+_BASELINES = frozenset({Variant.BM25, Variant.PRECOMPUTED})
 
 
 class ConfigError(ValueError):
@@ -62,7 +66,9 @@ def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
 class _Key(NamedTuple):
     expected: str
     accepts: Callable[[Any], bool]
-    required: bool = False
+    required: bool = False  # by the variants and backend that read it
+    variants: frozenset[Variant] = frozenset(Variant)  # the variants that read it
+    backend: Optional[str] = None  # the backend that reads it; None: both
 
 
 def _is_int(value: Any) -> bool:
@@ -83,63 +89,80 @@ _TEXT = _Key("a string", lambda v: isinstance(v, str))
 _FLOAT = _Key("a number", lambda v: _is_int(v) or isinstance(v, float))
 _BOOL = _Key("true or false", lambda v: isinstance(v, bool))
 
-# Every config key gensco reads, with the check its value must pass.
+# Every config key gensco reads, with the check its value must pass and
+# the variants and backend that read it. The PipelineConfig fields that
+# answer_step reads (shots, temperature, max_answer_tokens, shuffle,
+# shuffle_seed) apply to every variant, the loop's own to GenSco's only.
 _CONFIG_KEYS = {
     "dataset": _one_of(*(d.value for d in Dataset), required=True),
     "dataset_path": _TEXT._replace(required=True),
-    "variant": _one_of(*(v.value for v in Variant), *BASELINE_METHODS, required=True),
+    "variant": _one_of(*(v.value for v in Variant), required=True),
     "backend": _one_of("http", "scripted"),
-    "script_file": _TEXT,
-    "generator_url": _TEXT,
-    "generator_model": _TEXT,
-    "scorer_url": _TEXT,
-    "scorer_model": _TEXT,
+    "script_file": _TEXT._replace(required=True, backend="scripted"),
+    "generator_url": _TEXT._replace(required=True, backend="http"),
+    "generator_model": _TEXT._replace(required=True, backend="http"),
+    "scorer_url": _TEXT._replace(required=True, backend="http"),
+    "scorer_model": _TEXT._replace(required=True, backend="http"),
     "cache_dir": _TEXT,
     "shot_bank": _TEXT,
-    "rankings_file": _TEXT,
+    "rankings_file": _TEXT._replace(required=True, variants=frozenset({Variant.PRECOMPUTED})),
     "limit": _int(1),
     "concurrency": _int(1),
-    "scorer_concurrency": _int(1),
-    "max_levels": _int(1),
+    "scorer_concurrency": _int(1)._replace(variants=_GENSCO),
+    "max_levels": _int(1)._replace(variants=_GENSCO),
     "max_answer_tokens": _int(1),
-    "top_k": _int(1),
+    "top_k": _int(1)._replace(variants=_BASELINES),
     "shots": _int(0),
     "shuffle_seed": _int(),
     "temperature": _FLOAT,
-    "bm25_k1": _FLOAT,
-    "bm25_b": _FLOAT,
-    "dedupe_pool": _BOOL,
+    "bm25_k1": _FLOAT._replace(variants=frozenset({Variant.BM25})),
+    "bm25_b": _FLOAT._replace(variants=frozenset({Variant.BM25})),
+    "dedupe_pool": _BOOL._replace(variants=_GENSCO),
     "shuffle": _BOOL,
-    "score_sign": _one_of(MIN_NLL, MAX_NLL),
+    "score_sign": _one_of(MIN_NLL, MAX_NLL)._replace(variants=_GENSCO),
 }
 
 
 def _check_config(cfg: dict[str, Any]) -> dict[str, Any]:
     """``cfg`` with its numbers as floats where a float is expected; a
-    ConfigError names the first unknown, missing or invalid key."""
+    ConfigError names the first unknown or invalid key, the first key the
+    config's variant or backend does not read, or the first missing key
+    they need."""
     for key, value in cfg.items():
         spec = _CONFIG_KEYS.get(key)
         if spec is None:
             raise ConfigError(f"unknown config key {key!r}")
         if not spec.accepts(value):
             raise ConfigError(f"config key {key!r} must be {spec.expected}, got {value!r}")
+    variant = Variant(cfg["variant"]) if "variant" in cfg else None
+    backend = cfg.get("backend", "http")
     for key, spec in _CONFIG_KEYS.items():
-        if spec.required and key not in cfg:
+        read = spec.backend in (None, backend) and (variant is None or variant in spec.variants)
+        if key in cfg and not read:
+            raise ConfigError(
+                f"config key {key!r} is not read by variant {cfg.get('variant')!r}"
+                f" with backend {backend!r}"
+            )
+        if read and spec.required and key not in cfg:
             raise ConfigError(f"missing config field {key!r}")
-    return {k: float(v) if _CONFIG_KEYS[k] is _FLOAT else v for k, v in cfg.items()}
+    as_float = _FLOAT.accepts  # _replace keeps the check, so it marks every number key
+    return {k: float(v) if _CONFIG_KEYS[k].accepts is as_float else v for k, v in cfg.items()}
+
+
+def _load_file(key: str, path: str, loader: Callable[[str], Any]) -> Any:
+    """``loader(path)`` for the file that config key ``key`` names; an
+    unreadable or misshapen file is a ConfigError."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: cannot load {path!r}: {exc}") from exc
 
 
 def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
     if cfg.get("backend", "http") == "scripted":
-        script_file = cfg.get("script_file")
-        if not script_file:
-            raise ConfigError("scripted backend requires script_file")
-        backend = ScriptedBackend.from_file(script_file)
-        generator = scorer = backend
+        script = cfg["script_file"]
+        generator = scorer = _load_file("script_file", script, ScriptedBackend.from_file)
     else:
-        for field in ("generator_url", "generator_model", "scorer_url", "scorer_model"):
-            if not cfg.get(field):
-                raise ConfigError(f"http backend requires {field!r}")
         try:
             generator = HttpBackend(cfg["generator_url"], cfg["generator_model"])
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
@@ -148,41 +171,11 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
     return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"))
 
 
-# The optional config keys that set PipelineConfig fields; an absent key
-# keeps the default.
-_ANSWER_KEYS = ("shots", "temperature", "max_answer_tokens")
-_LOOP_KEYS = (
-    "max_levels", "dedupe_pool", "score_sign", "shuffle", "shuffle_seed", "scorer_concurrency"
-)
-
-
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
-    """The loop's config; baselines read only its answer-step fields."""
-    keys = _ANSWER_KEYS
-    variant = Variant.STOP
-    if cfg["variant"] not in BASELINE_METHODS:
-        variant = Variant(cfg["variant"])
-        keys += _LOOP_KEYS
-    overrides = {key: cfg[key] for key in keys if key in cfg}
-    return PipelineConfig.for_dataset(dataset, variant, **overrides)
-
-
-def _baseline_selection(
-    inst: MultiHopInstance, cfg: dict[str, Any], rankings: Optional[dict[str, list[int]]]
-) -> list[int]:
-    k = cfg.get("top_k", 5)
-    if cfg["variant"] == "bm25":
-        ranked = baselines.bm25_rank(
-            inst.question,
-            inst.passages,
-            k1=cfg.get("bm25_k1", 1.2),
-            b=cfg.get("bm25_b", 0.75),
-        )
-        return [p.index for p in baselines.top_k(ranked, k)]
-    assert rankings is not None
-    if inst.id not in rankings:
-        raise ConfigError(f"no precomputed ranking for instance {inst.id!r}")
-    return rankings[inst.id][:k]
+    """The run's PipelineConfig: each field the config sets, the dataset's
+    defaults for the rest."""
+    present = {f.name: cfg[f.name] for f in fields(PipelineConfig) if f.name in cfg}
+    return PipelineConfig.for_dataset(dataset, **{**present, "variant": Variant(cfg["variant"])})
 
 
 def _run_baseline_instance(
@@ -192,20 +185,42 @@ def _run_baseline_instance(
     gateway: LlmGateway,
     shot_bank,
     rankings: Optional[dict[str, list[int]]],
-) -> tuple[dict[str, Any], AnswerRecord]:
-    selected = _baseline_selection(inst, cfg, rankings)
+) -> tuple[SelectionTrace, AnswerRecord]:
+    """The top_k passages by BM25 or by the precomputed ranking, then the answer call."""
+    k = cfg.get("top_k", 5)
+    if pipe_cfg.variant is Variant.BM25:
+        ranked = baselines.bm25_rank(
+            inst.question,
+            inst.passages,
+            k1=cfg.get("bm25_k1", 1.2),
+            b=cfg.get("bm25_b", 0.75),
+        )
+        selected = tuple(p.index for p in baselines.top_k(ranked, k))
+    elif inst.id in rankings:
+        selected = tuple(rankings[inst.id][:k])
+    else:
+        raise ConfigError(f"no precomputed ranking for instance {inst.id!r}")
     record = drive(
         answer_step(inst, selected, pipe_cfg, shot_bank, gateway.generator.backend_id),
         lambda request: serve(gateway, request),
     )
-    trace = {
-        "instance_id": inst.id,
-        "variant": cfg["variant"],
-        "levels": [],
-        "stop_reason": None,
-        "selected_sequence": selected,
-    }
-    return trace, record
+    return SelectionTrace(inst.id, pipe_cfg.variant, (), None, selected), record
+
+
+def _cut_to_whole_instances(paths: Sequence[Path]) -> int:
+    """Cut the run files to their first N lines, N the fewest whole
+    (newline-ended) lines any of them holds, and return N: a run killed
+    between or inside its appends keeps the instances every file holds
+    whole. A file that is N lines long already is not written."""
+    contents = [path.read_bytes() if path.exists() else b"" for path in paths]
+    n = min(data.count(b"\n") for data in contents)
+    for path, data in zip(paths, contents):
+        end = 0
+        for _ in range(n):
+            end = data.index(b"\n", end) + 1
+        if end < len(data):
+            os.truncate(path, end)
+    return n
 
 
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
@@ -222,26 +237,23 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
             dataset=dataset, path=str(dataset_path), limit=cfg.get("limit")
         )
     )
-    if cfg.get("shot_bank"):
-        shot_bank = load_shots_file(cfg["shot_bank"])
+    if "shot_bank" in cfg:
+        shot_bank = _load_file("shot_bank", cfg["shot_bank"], load_shots_file)
     else:
         shot_bank = load_shots(dataset)
-    gateway = _build_gateway(cfg)
-
-    is_baseline = cfg["variant"] in BASELINE_METHODS
     rankings = None
-    if cfg["variant"] == "precomputed":
-        if not cfg.get("rankings_file"):
-            raise ConfigError("precomputed variant requires rankings_file")
-        rankings = baselines.load_rankings(cfg["rankings_file"])
+    if "rankings_file" in cfg:
+        rankings = _load_file("rankings_file", cfg["rankings_file"], baselines.load_rankings)
+    gateway = _build_gateway(cfg)
     pipe_cfg = _pipeline_config(cfg, dataset)
+    is_baseline = pipe_cfg.variant in _BASELINES
 
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
     instances_path = run_dir / "instances.jsonl"
     failures_path = run_dir / "failures.jsonl"
     done: set[str] = set()
-    if traces_path.exists():
+    if _cut_to_whole_instances((instances_path, traces_path, answers_path)):
         done = {rec["instance_id"] for rec in read_jsonl(traces_path)}
     todo = [inst for inst in instances if inst.id not in done]
 
@@ -250,13 +262,12 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     def process(inst: MultiHopInstance):
         try:
             if is_baseline:
-                trace_dict, record = _run_baseline_instance(
+                trace, record = _run_baseline_instance(
                     inst, cfg, pipe_cfg, gateway, shot_bank, rankings
                 )
             else:
                 trace, record = run_instance(inst, pipe_cfg, gateway, shot_bank)
-                trace_dict = trace.to_dict()
-            return inst, trace_dict, record.to_dict(), None
+            return inst, trace.to_dict(), record.to_dict(), None
         except Exception as exc:  # noqa: BLE001 - batch isolation boundary
             return inst, None, None, f"{type(exc).__name__}: {exc}"
 
@@ -560,16 +571,27 @@ def cmd_eval(run_dir) -> None:
     sys.exit(0)
 
 
+def _subset_sizes(ctx, param, value: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(s) for s in value.split(",") if s.strip())
+        if all(size >= 1 for size in sizes):
+            return sizes
+    except ValueError:
+        pass
+    raise click.BadParameter(f"{value!r} is not a comma-separated list of positive integers")
+
+
 @main.command("plotdata")
 @click.argument("run_dirs", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--subset-sizes", default="", help="comma-separated subset sizes")
+@click.option(
+    "--subset-sizes", default="", callback=_subset_sizes, help="comma-separated subset sizes"
+)
 @click.option("--seed", default=0, type=int)
 def cmd_plotdata(run_dirs, out_dir, subset_sizes, seed) -> None:
     """Emit scatter/histogram/subset tables for evaluated runs."""
-    sizes = tuple(int(s) for s in subset_sizes.split(",") if s.strip())
     try:
-        emit_plotdata(run_dirs, out_dir, sizes, seed)
+        emit_plotdata(run_dirs, out_dir, subset_sizes, seed)
     except CorruptTrace as exc:
         click.echo(f"fatal: {exc}", err=True)
         sys.exit(2)

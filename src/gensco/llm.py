@@ -177,10 +177,14 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
+        """A backend written by ``to_file``; ValueError for another file."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        backend = cls(backend_id=payload.get("backend_id", "scripted"))
-        backend._completions = dict(payload["completions"])
-        backend._logprobs = {k: list(v) for k, v in payload["logprobs"].items()}
+        try:
+            backend = cls(backend_id=payload.get("backend_id", "scripted"))
+            backend._completions = dict(payload["completions"])
+            backend._logprobs = {k: list(v) for k, v in payload["logprobs"].items()}
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: not a script file ({exc!r})") from exc
         return backend
 
 

@@ -31,6 +31,8 @@ class Variant(str, Enum):
     MAX = "gensco-max"
     STOP = "gensco-stop"
     NO_QD = "gensco-no-qd"
+    BM25 = "bm25"
+    PRECOMPUTED = "precomputed"
 
 
 class StopReason(str, Enum):
@@ -165,7 +167,7 @@ class SelectionTrace(Record):
     instance_id: str
     variant: Variant
     levels: tuple[TraceLevel, ...]
-    stop_reason: StopReason
+    stop_reason: Optional[StopReason]  # None for a baseline, which has no loop
     selected_sequence: tuple[int, ...]
 
 

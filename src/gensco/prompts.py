@@ -56,8 +56,14 @@ def load_shots(dataset: Dataset) -> tuple[ShotExample, ...]:
 
 
 def load_shots_file(path) -> tuple[ShotExample, ...]:
+    """A JSON list of shots with the ShotExample fields; ValueError for
+    another shape."""
     with open(path, encoding="utf-8") as fh:
-        return tuple(ShotExample(**d) for d in json.load(fh))
+        shots = json.load(fh)
+    try:
+        return tuple(ShotExample(**d) for d in shots)
+    except TypeError as exc:
+        raise ValueError(f"{path}: not a shot bank ({exc})") from exc
 
 
 def concat_passages(passages: Sequence[Passage]) -> str:

@@ -12,7 +12,7 @@ from gensco import baselines, cli, metrics
 from gensco.datasets import DatasetConfig, load
 from gensco.llm import GeneratorRequest, ScriptedBackend
 from gensco.models import Dataset, Variant
-from gensco.pipeline import PipelineConfig
+from gensco.pipeline import PipelineConfig, answer_step
 from gensco.prompts import load_shots, render_answer_prompt
 
 from helpers import (
@@ -121,6 +121,34 @@ class TestRunBatch:
         cli.run_batch(cfg, fresh)
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(resumed, name) == read_bytes(fresh, name)
+
+    @pytest.mark.parametrize("tail", ["empty", "half", "whole"])
+    @pytest.mark.parametrize("torn_file", [0, 1, 2])
+    @pytest.mark.parametrize("whole_instances", [0, 1, 2, 3])
+    def test_killed_run_resumes_to_the_uninterrupted_files(
+        self, tmp_path, whole_instances, torn_file, tail
+    ):
+        # A kill after ``whole_instances`` instances, while appending the
+        # next instance's record to file ``torn_file`` (the files are
+        # appended in this order, each record a line).
+        names = ("instances.jsonl", "traces.jsonl", "answers.jsonl")
+        cfg = make_run_config(tmp_path, 4, variant=Variant.STOP)
+        fresh = tmp_path / "fresh"
+        assert cli.run_batch(cfg, fresh) == 0
+        killed = tmp_path / "killed"
+        killed.mkdir()
+        for i, name in enumerate(names):
+            lines = read_bytes(fresh, name).splitlines(keepends=True)
+            kept = b"".join(lines[:whole_instances])
+            next_line = lines[whole_instances]
+            if i < torn_file or (i == torn_file and tail == "whole"):
+                kept += next_line
+            elif i == torn_file and tail == "half":
+                kept += next_line[: len(next_line) // 2]
+            (killed / name).write_bytes(kept)
+        assert cli.run_batch(cfg, killed) == 0
+        for name in names:
+            assert read_bytes(killed, name) == read_bytes(fresh, name), name
 
     def test_manifest_lists_every_invocation(self, tmp_path):
         cfg = make_run_config(tmp_path, 6, variant=Variant.STOP)
@@ -235,6 +263,54 @@ class TestBaselineRun:
         report = cli.evaluate_run(run_dir)
         assert report.count == 3
 
+    def bm25_run(self, tmp_path, n, **extra):
+        data_path = tmp_path / "synthetic.json"
+        write_synthetic_dataset(data_path, n)
+        instances = load(DatasetConfig(Dataset.SYNTHETIC, str(data_path)))
+        script_path = tmp_path / "script.json"
+        self.build_bm25_script(instances).to_file(script_path)
+        cfg = {
+            "dataset": "synthetic",
+            "dataset_path": str(data_path),
+            "variant": "bm25",
+            "top_k": 3,
+            "backend": "scripted",
+            "script_file": str(script_path),
+            **extra,
+        }
+        return instances, cfg
+
+    def test_bm25_trace_line_is_pinned(self, tmp_path):
+        _, cfg = self.bm25_run(tmp_path, 1)
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 0
+        assert read_bytes(run_dir, "traces.jsonl") == (
+            b'{"instance_id": "syn-000", "levels": [], "selected_sequence": [0, 1, 2], '
+            b'"stop_reason": null, "variant": "bm25"}\n'
+        )
+
+    def test_bm25_shuffle_writes_a_permutation(self, tmp_path):
+        instances, cfg = self.bm25_run(tmp_path, 3, shuffle=True, shuffle_seed=7)
+        pipe_cfg = PipelineConfig.for_dataset(
+            Dataset.SYNTHETIC, Variant.BM25, shuffle=True, shuffle_seed=7
+        )
+        backend = ScriptedBackend()
+        for inst in instances:
+            ranked = baselines.bm25_rank(inst.question, inst.passages)
+            selected = [p.index for p in baselines.top_k(ranked, 3)]
+            loop = answer_step(inst, selected, pipe_cfg, load_shots(Dataset.SYNTHETIC), "scripted")
+            backend.add_completion(next(loop).request, f"shuffled answer {inst.id}")
+        backend.to_file(cfg["script_file"])
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 0
+        traces = [json.loads(l) for l in read_bytes(run_dir, "traces.jsonl").splitlines()]
+        answers = [json.loads(l) for l in read_bytes(run_dir, "answers.jsonl").splitlines()]
+        assert len(answers) == 3
+        for trace, answer in zip(traces, answers):
+            assert answer["permutation"] is not None
+            selected = trace["selected_sequence"]
+            assert answer["context_order"] == [selected[i] for i in answer["permutation"]]
+
     def test_precomputed_requires_rankings_file(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)
         cfg["variant"] = "precomputed"
@@ -328,9 +404,26 @@ class TestPipelineConfig:
 
     def test_integer_for_a_float_key_becomes_a_float(self):
         # An int temperature would change the generator requests' fingerprints.
-        cfg = {"dataset": "synthetic", "dataset_path": "unused", "variant": "gensco-max"}
+        cfg = {
+            "dataset": "synthetic",
+            "dataset_path": "unused",
+            "variant": "gensco-max",
+            "backend": "scripted",
+            "script_file": "unused",
+        }
         checked = cli._check_config({**cfg, "temperature": 0})
         assert checked["temperature"] == 0.0 and isinstance(checked["temperature"], float)
+
+    def test_integer_for_a_bm25_float_key_becomes_a_float(self):
+        cfg = {
+            "dataset": "synthetic",
+            "dataset_path": "unused",
+            "variant": "bm25",
+            "backend": "scripted",
+            "script_file": "unused",
+        }
+        checked = cli._check_config({**cfg, "bm25_k1": 1})
+        assert checked["bm25_k1"] == 1.0 and isinstance(checked["bm25_k1"], float)
 
 
 class TestPlotData:
@@ -441,6 +534,105 @@ class TestCommandLine:
         assert "fatal" in result.output and repr(key) in result.output
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra,key",
+        [
+            ({"top_k": 3}, "top_k"),
+            ({"variant": "bm25", "dedupe_pool": True}, "dedupe_pool"),
+            ({"variant": "bm25", "scorer_concurrency": 2}, "scorer_concurrency"),
+            ({"variant": "bm25", "rankings_file": "ranks.jsonl"}, "rankings_file"),
+            (
+                {"variant": "precomputed", "rankings_file": "ranks.jsonl", "bm25_k1": 1.5},
+                "bm25_k1",
+            ),
+            ({"generator_url": "http://localhost:8000/v1"}, "generator_url"),
+            (
+                {
+                    "backend": "http",
+                    "generator_url": "http://localhost:8000/v1",
+                    "generator_model": "g",
+                    "scorer_url": "http://localhost:8001/v1",
+                    "scorer_model": "s",
+                },
+                "script_file",
+            ),
+        ],
+        ids=[
+            "top_k-on-gensco-max",
+            "dedupe_pool-on-bm25",
+            "scorer_concurrency-on-bm25",
+            "rankings_file-on-bm25",
+            "bm25_k1-on-precomputed",
+            "generator_url-on-scripted",
+            "script_file-on-http",
+        ],
+    )
+    def test_key_the_variant_or_backend_does_not_read_exits_2(self, tmp_path, extra, key):
+        cfg = {**make_run_config(tmp_path, 2), **extra}
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and repr(key) in result.output
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "extra,key",
+        [
+            ({"variant": "precomputed"}, "rankings_file"),
+            ({"script_file": None}, "script_file"),
+            (
+                {
+                    "backend": "http",
+                    "script_file": None,
+                    "generator_url": "http://localhost:8000/v1",
+                    "generator_model": "g",
+                    "scorer_url": "http://localhost:8001/v1",
+                },
+                "scorer_model",
+            ),
+        ],
+        ids=["precomputed-without-rankings_file", "scripted-without-script_file",
+             "http-without-scorer_model"],
+    )
+    def test_missing_key_the_variant_or_backend_needs_exits_2(self, tmp_path, extra, key):
+        cfg = {**make_run_config(tmp_path, 2), **extra}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and repr(key) in result.output
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key,content",
+        [
+            ("script_file", None),
+            ("script_file", "[]"),
+            ("shot_bank", None),
+            ("shot_bank", '[{"q": "Who?", "a": "Me"}]'),
+            ("rankings_file", None),
+        ],
+        ids=["missing-script", "list-script", "missing-shots", "misshapen-shots",
+             "missing-rankings"],
+    )
+    def test_unloadable_named_file_exits_2_before_any_llm_call(self, tmp_path, key, content):
+        cfg = make_run_config(tmp_path, 2)
+        if key == "rankings_file":
+            cfg["variant"] = "precomputed"
+        path = tmp_path / "named.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        cfg[key] = str(path)
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and repr(key) in result.output
+        assert str(path) in result.output
+        assert not (run_dir / "traces.jsonl").exists()
+
     def test_unreadable_manifest_exits_2_before_any_llm_call(self, tmp_path):
         config_path = self.write_config(tmp_path, make_run_config(tmp_path, 2))
         run_dir = tmp_path / "r"
@@ -471,6 +663,7 @@ class TestCommandLine:
         cfg = make_run_config(tmp_path, 2, backend="http", generator_model="g",
                               scorer_model="s", generator_url="localhost:8000",
                               scorer_url="http://localhost:8001")
+        del cfg["script_file"]
         config_path = self.write_config(tmp_path, cfg)
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
         assert result.exit_code == 2
@@ -523,3 +716,17 @@ class TestCommandLine:
         # A size over the run's 3 instances takes all of them.
         subsets = (out_dir / "subsets.csv").read_text().splitlines()
         assert [row.split(",")[1] for row in subsets[1:]] == ["2", "3"]
+
+    @pytest.mark.parametrize("sizes", ["2,-1", "a"])
+    def test_plotdata_subset_sizes_must_be_positive_integers(self, tmp_path, sizes):
+        cfg = make_run_config(tmp_path, 3)
+        run_dir = tmp_path / "run"
+        cli.run_batch(cfg, run_dir)
+        cli.evaluate_run(run_dir)
+        out_dir = tmp_path / "plots"
+        result = self.invoke(
+            "plotdata", str(run_dir), "--out-dir", str(out_dir), "--subset-sizes", sizes
+        )
+        assert result.exit_code == 2, result.output
+        assert "--subset-sizes" in result.output and "positive integers" in result.output
+        assert not out_dir.exists()
