@@ -36,12 +36,11 @@ from .models import (
     append_jsonl,
     read_jsonl,
 )
-from .pipeline import PipelineConfig, answer_step, drive, run_instance, serve
+from .pipeline import GENSCO_VARIANTS, PipelineConfig, answer_step, drive, run_instance, serve
 from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
-_GENSCO = frozenset({Variant.MAX, Variant.STOP, Variant.NO_QD})
-_BASELINES = frozenset({Variant.BM25, Variant.PRECOMPUTED})
+_BASELINES = frozenset(Variant) - GENSCO_VARIANTS
 
 
 class ConfigError(ValueError):
@@ -108,8 +107,8 @@ _CONFIG_KEYS = {
     "rankings_file": _TEXT._replace(required=True, variants=frozenset({Variant.PRECOMPUTED})),
     "limit": _int(1),
     "concurrency": _int(1),
-    "scorer_concurrency": _int(1)._replace(variants=_GENSCO),
-    "max_levels": _int(1)._replace(variants=_GENSCO),
+    "scorer_concurrency": _int(1)._replace(variants=GENSCO_VARIANTS),
+    "max_levels": _int(1)._replace(variants=GENSCO_VARIANTS),
     "max_answer_tokens": _int(1),
     "top_k": _int(1)._replace(variants=_BASELINES),
     "shots": _int(0),
@@ -117,9 +116,9 @@ _CONFIG_KEYS = {
     "temperature": _FLOAT,
     "bm25_k1": _FLOAT._replace(variants=frozenset({Variant.BM25})),
     "bm25_b": _FLOAT._replace(variants=frozenset({Variant.BM25})),
-    "dedupe_pool": _BOOL._replace(variants=_GENSCO),
+    "dedupe_pool": _BOOL._replace(variants=GENSCO_VARIANTS),
     "shuffle": _BOOL,
-    "score_sign": _one_of(MIN_NLL, MAX_NLL)._replace(variants=_GENSCO),
+    "score_sign": _one_of(MIN_NLL, MAX_NLL)._replace(variants=GENSCO_VARIANTS),
 }
 
 
@@ -168,7 +167,15 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"))
+    # One scorer pool for the run: at most concurrency x scorer_concurrency
+    # scorer calls in flight over all instances.
+    scorer_pool = None
+    if cfg.get("scorer_concurrency", 1) >= 2:
+        scorer_pool = ThreadPoolExecutor(
+            max_workers=cfg.get("concurrency", 1) * cfg["scorer_concurrency"],
+            thread_name_prefix="gensco-scorer",
+        )
+    return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"), scorer_pool=scorer_pool)
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
@@ -223,6 +230,19 @@ def _cut_to_whole_instances(paths: Sequence[Path]) -> int:
     return n
 
 
+def _done_instances(traces_path: Path) -> set[str]:
+    """The instance ids of the kept trace lines; a line that is not a trace
+    record is a CorruptTrace naming its file and line."""
+    done = set()
+    with open(traces_path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                done.add(json.loads(line)["instance_id"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptTrace(f"{traces_path}:{lineno}: not a trace record ({exc!r})") from exc
+    return done
+
+
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
     """Execute (or resume) one run; returns the process exit code."""
     cfg = _check_config(cfg)
@@ -246,7 +266,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         rankings = _load_file("rankings_file", cfg["rankings_file"], baselines.load_rankings)
     gateway = _build_gateway(cfg)
     pipe_cfg = _pipeline_config(cfg, dataset)
-    is_baseline = pipe_cfg.variant in _BASELINES
+    is_baseline = pipe_cfg.variant not in GENSCO_VARIANTS
 
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
@@ -254,7 +274,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     failures_path = run_dir / "failures.jsonl"
     done: set[str] = set()
     if _cut_to_whole_instances((instances_path, traces_path, answers_path)):
-        done = {rec["instance_id"] for rec in read_jsonl(traces_path)}
+        done = _done_instances(traces_path)
     todo = [inst for inst in instances if inst.id not in done]
 
     started = time.time()

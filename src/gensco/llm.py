@@ -18,6 +18,7 @@ import ssl
 import tempfile
 import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION, Executor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -518,6 +519,8 @@ class LlmGateway:
 
     Call counters are bucketed by purpose ("decomposition", "answer",
     "relevance", "stop") so a run manifest can audit the call budget.
+    ``scorer_pool``, when given, runs the calls of ``score_many``
+    concurrently; the gateway owns it and shuts it down on ``close``.
     """
 
     def __init__(
@@ -527,9 +530,11 @@ class LlmGateway:
         cache_dir=None,
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
+        scorer_pool: Optional[Executor] = None,
     ) -> None:
         self.generator = generator
         self.scorer = scorer
+        self.scorer_pool = scorer_pool
         self.cache = ResponseCache(cache_dir) if cache_dir else _MemoryCache()
         self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
@@ -580,8 +585,38 @@ class LlmGateway:
         cached = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)
         return ScorerResponse.from_dict(cached)
 
+    def score_many(self, requests: Sequence[ScorerRequest], purpose: str) -> list[float]:
+        """The mean NLL of each request, in request order.
+
+        With a scorer pool the calls run on it, at most its workers at
+        once. The first failure in request order is raised once the calls
+        in flight have finished; calls not yet started by then are
+        dropped. No call outlives this method.
+        """
+
+        def score(req: ScorerRequest) -> float:
+            return self.score_continuation(req, purpose=purpose).mean_nll
+
+        if self.scorer_pool is None or len(requests) < 2:
+            return [score(req) for req in requests]
+        futures = [self.scorer_pool.submit(score, req) for req in requests]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # After a failure (or an interrupt) start no more calls, and let
+            # those in flight finish.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+        # The pool starts calls in submission order, so any cancelled one
+        # comes after the first failure and is never read.
+        return [future.result() for future in futures]
+
     def close(self) -> None:
-        """Release the backends' idle connections."""
+        """Wait for the scorer pool's calls and stop its workers, then
+        release the backends' idle connections."""
+        if self.scorer_pool is not None:
+            self.scorer_pool.shutdown()
         self.generator.close()
         self.scorer.close()
 

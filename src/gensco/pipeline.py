@@ -37,7 +37,7 @@ from .prompts import (
     render_scoring_prompt,
     render_stop_prompt,
 )
-from .scorer import MIN_NLL, map_in_order, select_best
+from .scorer import MIN_NLL, select_best
 
 # Search depth caps per dataset: bounded by the maximum supporting-passage
 # count (or provided context size) of each benchmark.
@@ -58,6 +58,9 @@ DEFAULT_SHOTS = {
 # Token cap of one decomposition completion: one sub-question line.
 MAX_SUBQUESTION_TOKENS = 96
 
+# The variants greedy_loop runs; the others are retrieval baselines.
+GENSCO_VARIANTS = frozenset({Variant.MAX, Variant.STOP, Variant.NO_QD})
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -69,7 +72,6 @@ class PipelineConfig:
     score_sign: str = MIN_NLL
     shuffle: bool = False
     shuffle_seed: int = 0
-    scorer_concurrency: int = 1
     max_answer_tokens: int = 64
 
     @classmethod
@@ -161,6 +163,8 @@ def greedy_loop(
     with the candidate, both conditioned on the passages selected so
     far, and stops on a strict increase.
     """
+    if cfg.variant not in GENSCO_VARIANTS:
+        raise ValueError(f"greedy_loop does not run the baseline variant {cfg.variant.value!r}")
     validate_instance(inst)
     levels: list[TraceLevel] = []
     selected: list[Passage] = []
@@ -254,16 +258,12 @@ def drive(loop: Loop, answer: Callable[[Request], Any]) -> Any:
         reply = answer(request)
 
 
-def serve(gateway: LlmGateway, request: Request, scorer_concurrency: int = 1) -> Any:
-    """Answer one request through the gateway; a Score's calls run at most
-    ``scorer_concurrency`` at once and reply in request order."""
+def serve(gateway: LlmGateway, request: Request) -> Any:
+    """Answer one request through the gateway: a Generate's completion, or
+    a Score's mean NLLs in request order."""
     if isinstance(request, Generate):
         return gateway.generate(request.request, purpose=request.purpose)
-    return map_in_order(
-        lambda req: gateway.score_continuation(req, purpose=request.purpose).mean_nll,
-        request.requests,
-        scorer_concurrency,
-    )
+    return gateway.score_many(request.requests, request.purpose)
 
 
 def run_instance(
@@ -274,4 +274,4 @@ def run_instance(
 ) -> tuple[SelectionTrace, AnswerRecord]:
     """Run the greedy loop on one instance through the gateway."""
     loop = greedy_loop(inst, cfg, shot_bank, gateway.generator.backend_id)
-    return drive(loop, lambda request: serve(gateway, request, cfg.scorer_concurrency))
+    return drive(loop, lambda request: serve(gateway, request))

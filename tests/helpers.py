@@ -218,13 +218,3 @@ class InFlight:
                     self.finished += 1
 
         return wrapped
-
-
-def in_thread(fn):
-    """Run ``fn`` on a fresh thread (with its own scorer pool); its result."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and out, "worker thread failed or hung"
-    return out[0]

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from collections import Counter
@@ -107,6 +108,39 @@ class TestRunBatch:
         while threading.active_count() > threads_before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= threads_before
+
+    def test_shared_scorer_pool_under_stress_matches_the_serial_run(self, tmp_path):
+        # 4 instance threads and 16 scorer workers on one pool, with thread
+        # switches forced as often as the interpreter allows: a lost counter
+        # update or a reply out of request order shows in the files or counts.
+        # A lost update is rare per run, so the stressed run is repeated.
+        cfg = make_run_config(tmp_path, 8, variant=Variant.STOP)
+        assert cli.run_batch(cfg, tmp_path / "serial") == 0
+        stressed = {**cfg, "concurrency": 4, "scorer_concurrency": 4}
+        rounds = 25
+        codes = []
+
+        def runs():
+            for r in range(rounds):
+                codes.append(cli.run_batch(stressed, tmp_path / f"stress-{r}"))
+
+        worker = threading.Thread(target=runs, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and codes == [0] * rounds
+        serial = json.loads(read_bytes(tmp_path / "serial", "manifest.json"))["llm_calls"]
+        for r in range(rounds):
+            run = tmp_path / f"stress-{r}"
+            for name in ("traces.jsonl", "answers.jsonl"):
+                assert read_bytes(run, name) == read_bytes(tmp_path / "serial", name)
+            calls = json.loads(read_bytes(run, "manifest.json"))["llm_calls"]
+            assert calls["scorer_calls"] == serial["scorer_calls"]
+            assert calls["cache_misses"] == serial["cache_misses"]
 
     def test_resume_after_interruption_is_byte_identical(self, tmp_path):
         cfg = make_run_config(tmp_path, 50)
@@ -642,6 +676,27 @@ class TestCommandLine:
         assert result.exit_code == 2
         assert "fatal" in result.output and "manifest.json" in result.output
         assert not (run_dir / "traces.jsonl").exists()
+
+    @pytest.mark.parametrize("line", ["{broken", "{}"], ids=["broken-json", "no-instance-id"])
+    def test_corrupt_trace_line_on_resume_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch, line
+    ):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 4))
+        run_dir = tmp_path / "r"
+        run = ("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert self.invoke(*run, "--limit", "3").exit_code == 0
+        traces = run_dir / "traces.jsonl"
+        lines = traces.read_text().splitlines()
+        lines[1] = line
+        traces.write_text("\n".join(lines) + "\n")
+        calls = []
+        for name in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, name, lambda backend, req: calls.append(req))
+        result = self.invoke(*run)
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and f"{traces}:2" in result.output
+        assert not calls
+        assert traces.read_text().splitlines() == lines
 
     def test_unknown_variant_exits_2(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)

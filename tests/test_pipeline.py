@@ -1,11 +1,13 @@
 import hashlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 
 from gensco.llm import ScriptedBackend
 from gensco.models import Dataset, StopReason, Variant, replay_trace
-from gensco.pipeline import Generate, PipelineConfig, run_instance
+from gensco.pipeline import Generate, PipelineConfig, greedy_loop, run_instance
 from gensco.prompts import FIN_KEYWORD, load_shots
 from gensco.scorer import MAX_NLL, MIN_NLL
 
@@ -17,7 +19,6 @@ from helpers import (
     InFlight,
     ScriptedPlan,
     build_instance_script,
-    in_thread,
     plan_requests,
     scripted_gateway,
     trace_instance,
@@ -64,13 +65,13 @@ GOLDEN_SCRIPT_SHA256 = {
 }
 
 
-def run_trace_example(variant=Variant.STOP, plan=None, **cfg_overrides):
+def run_trace_example(variant=Variant.STOP, plan=None, gateway=None, **cfg_overrides):
+    """The worked trace through ``gateway`` (by default a fresh scripted one)."""
     inst = trace_instance()
     cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, variant, **cfg_overrides)
     shots = load_shots(Dataset.TWO_WIKI)
-    backend = ScriptedBackend()
-    build_instance_script(backend, inst, cfg, plan or trace_plan(), shots)
-    gateway = scripted_gateway(backend)
+    gateway = gateway or scripted_gateway(ScriptedBackend())
+    build_instance_script(gateway.scorer, inst, cfg, plan or trace_plan(), shots)
     return run_instance(inst, cfg, gateway, shots), gateway
 
 
@@ -102,18 +103,19 @@ class TestWorkedTrace:
         assert stats["scorer_calls"]["stop"] == 2
 
     def test_scorer_pool_matches_sequential_and_keeps_thread_count(self):
-        sequential, sequential_gateway = run_trace_example()
-
-        def instances():
-            return [
-                (run_trace_example(scorer_concurrency=2), threading.active_count())
-                for _ in range(5)
-            ]
-
-        runs = in_thread(instances)
-        for (result, gateway), _ in runs:
+        # Five runs through one gateway with a 2-worker scorer pool, and the
+        # same five through one without a pool.
+        sequential_gateway = scripted_gateway(ScriptedBackend())
+        pool = ThreadPoolExecutor(2)
+        runs = []
+        with closing(scripted_gateway(ScriptedBackend(), scorer_pool=pool)) as gateway:
+            for _ in range(5):
+                sequential, _ = run_trace_example(gateway=sequential_gateway)
+                result, _ = run_trace_example(gateway=gateway)
+                runs.append((result, threading.active_count()))
+        for result, _ in runs:
             assert result == sequential
-            assert gateway.stats() == sequential_gateway.stats()
+        assert gateway.stats() == sequential_gateway.stats()
         counts = [count for _, count in runs]
         assert max(counts[1:]) <= counts[0]
 
@@ -148,8 +150,9 @@ class TestGoldenPrompts:
 class TestStoppingRules:
     """The stop tests, run on the worked trace under plans."""
 
-    def check(self, without, with_c, scorer_concurrency=1, flight=None):
-        """The worked trace with a level-2 stop pair; its stop reason."""
+    def check(self, without, with_c, workers=1, flight=None):
+        """The worked trace with a level-2 stop pair, through a gateway with
+        a scorer pool of ``workers`` (none at 1); its stop reason."""
         plan = trace_plan(stop_nlls={2: (without, with_c)})
         inst = trace_instance()
         backend = ScriptedBackend()
@@ -160,8 +163,9 @@ class TestStoppingRules:
             backend.token_logprobs = lambda req: (
                 counted if req.continuation == " " + inst.question else plain
             )(req)
-        cfg = PipelineConfig(scorer_concurrency=scorer_concurrency)
-        trace, _ = run_instance(inst, cfg, scripted_gateway(backend))
+        pool = ThreadPoolExecutor(workers) if workers >= 2 else None
+        with closing(scripted_gateway(backend, scorer_pool=pool)) as gateway:
+            trace, _ = run_instance(inst, PipelineConfig(), gateway)
         if trace.stop_reason is StopReason.LIKELIHOOD_STOP:
             assert trace.selected_sequence == (8,)
             return trace.stop_reason
@@ -177,18 +181,18 @@ class TestStoppingRules:
     def test_decreasing_nll_continues(self):
         assert self.check(1.8, 1.5) is None
 
-    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "without, with_c, expected",
         [(1.5, 1.8, StopReason.LIKELIHOOD_STOP), (1.8, 1.5, None)],
     )
     def test_stop_pair_scored_concurrently_with_two_scorer_workers(
-        self, scorer_concurrency, without, with_c, expected
+        self, workers, without, with_c, expected
     ):
         flight = InFlight(hold=0.02)
-        assert self.check(without, with_c, scorer_concurrency, flight) is expected
+        assert self.check(without, with_c, workers, flight) is expected
         assert flight.finished == 2
-        assert flight.peak == scorer_concurrency
+        assert flight.peak == workers
 
     def test_fin_keyword_stop(self):
         plan = ScriptedPlan([TRACE_SUBQ_1, FIN_KEYWORD], [TRACE_SCORES_LEVEL_1], "x")
@@ -212,6 +216,12 @@ class TestStoppingRules:
 
 
 class TestVariants:
+    @pytest.mark.parametrize("variant", [Variant.BM25, Variant.PRECOMPUTED])
+    def test_baseline_variant_rejected_before_any_request(self, variant):
+        loop = greedy_loop(trace_instance(), PipelineConfig(variant=variant), (), "scripted")
+        with pytest.raises(ValueError, match=variant.value):
+            next(loop)
+
     def test_max_levels_one_stops_with_one_passage(self):
         plan = trace_plan()
         (trace, record), _ = run_trace_example(max_levels=1, plan=plan)

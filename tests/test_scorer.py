@@ -1,14 +1,16 @@
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gensco.llm import ScriptedBackend, ScriptMiss
+from gensco.llm import ScorerRequest, ScriptedBackend, ScriptMiss
 from gensco.models import MultiHopInstance, Passage, ScoredCandidate, StopReason, Variant
 from gensco.pipeline import PipelineConfig, Score, run_instance
 from gensco.prompts import render_scoring_prompt
-from gensco.scorer import MAX_NLL, map_in_order, select_best
+from gensco.scorer import MAX_NLL, select_best
 
 from helpers import (
     TRACE_SCORES_LEVEL_1,
@@ -16,7 +18,6 @@ from helpers import (
     InFlight,
     ScriptedPlan,
     build_instance_script,
-    in_thread,
     plan_requests,
     scripted_gateway,
     trace_instance,
@@ -42,13 +43,16 @@ def one_level(passages, scores, cfg=ONE_LEVEL):
     return plan_requests(instance(passages), cfg, plan)[0][0].levels[0]
 
 
-def one_level_gateway(inst, scores, flight=None):
+def one_level_gateway(inst, scores, flight=None, workers=1):
+    """A gateway scripted for one level of ``inst``; with ``workers`` of 2
+    or more it has a scorer pool of that many workers."""
     backend = ScriptedBackend()
     plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
     build_instance_script(backend, inst, ONE_LEVEL, plan)
     if flight is not None:
         backend.token_logprobs = flight.wrap(backend.token_logprobs)
-    return scripted_gateway(backend)
+    pool = ThreadPoolExecutor(workers) if workers >= 2 else None
+    return scripted_gateway(backend, scorer_pool=pool)
 
 
 class TestSelectBest:
@@ -105,11 +109,8 @@ class TestScoreLevel:
         shuffled = MultiHopInstance(inst.id, inst.question, "a", inst.passages[::-1])
         gw = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
         sequential = run_instance(shuffled, ONE_LEVEL, gw)
-        concurrent = run_instance(
-            shuffled,
-            one_level_cfg(scorer_concurrency=4),
-            one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1),
-        )
+        with closing(one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1, workers=4)) as pooled:
+            concurrent = run_instance(shuffled, ONE_LEVEL, pooled)
         assert concurrent == sequential
         candidates = concurrent[0].levels[0].candidates
         assert [c.passage_index for c in candidates] == list(range(1, 11))
@@ -117,43 +118,49 @@ class TestScoreLevel:
     def test_at_most_concurrency_calls_in_flight(self):
         inst = trace_instance()
         flight = InFlight()
-        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight)
-        run_instance(inst, one_level_cfg(scorer_concurrency=2), gw)
+        with closing(one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2)) as gw:
+            run_instance(inst, ONE_LEVEL, gw)
         assert flight.peak == 2
         assert flight.finished == 10
 
     def test_pool_threads_live_across_levels(self):
         inst = trace_instance()
         flight = InFlight(hold=0.0)
-        cfg = one_level_cfg(scorer_concurrency=2)
-
-        def levels():
-            counts = []
+        counts = []
+        with closing(one_level_gateway(inst, TRACE_SCORES_LEVEL_1, workers=2)) as gw:
+            # Counted at the gateway, so calls the cache answers count too.
+            gw.score_continuation = flight.wrap(gw.score_continuation)
             for _ in range(20):
-                # A fresh gateway (and cache) each time: every call runs.
-                run_instance(inst, cfg, one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight))
+                run_instance(inst, ONE_LEVEL, gw)
                 counts.append(threading.active_count())
-            return counts
-
-        counts = in_thread(levels)
         assert max(counts[1:]) <= counts[0]
         assert flight.finished == 200
         assert len(flight.threads) <= 2  # the same workers served every level
 
-    def test_failure_raised_after_in_flight_calls_finish(self):
-        # Item 1 fails at once, while the other worker's call is held open.
-        def call(i):
-            if i == 1:
-                raise ScriptMiss("no score for passage 1")
-            return i
+    def test_pool_threads_end_with_the_gateway(self):
+        inst = trace_instance()
+        flight = InFlight(hold=0.0)
+        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2)
+        run_instance(inst, ONE_LEVEL, gw)
+        gw.close()
+        assert flight.finished == 10 and flight.threads
+        assert not any(thread.is_alive() for thread in flight.threads)
 
+    def test_failure_raised_after_in_flight_calls_finish(self):
+        # Request 1 fails at once, while the other worker's call is held open.
+        requests = [ScorerRequest(f"passage {i}", " q") for i in range(1, 7)]
+        backend = ScriptedBackend()
+        for req in requests[1:]:
+            backend.add_logprobs(req, [-1.0])
         flight = InFlight(hold=0.1)
-        with pytest.raises(ScriptMiss):
-            map_in_order(flight.wrap(call), range(1, 7), 2)
-        started = flight.started
-        assert flight.finished == started < 6
-        time.sleep(0.15)
-        assert flight.started == started
+        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+        with closing(scripted_gateway(backend, scorer_pool=ThreadPoolExecutor(2))) as gw:
+            with pytest.raises(ScriptMiss):
+                gw.score_many(requests, "relevance")
+            started = flight.started
+            assert flight.finished == started < 6
+            time.sleep(0.15)
+            assert flight.started == started
 
     def test_failed_candidate_aborts_level(self):
         scores = {1: 0.5, 2: 0.7}
