@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import select
 import socket
@@ -19,8 +20,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, Executor, wait
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -39,11 +39,26 @@ class ContextOverflow(GatewayError):
 
 
 class HttpStatusError(GatewayError):
-    """Backend answered with a non-2xx status; never retried."""
+    """Backend answered with a non-2xx status; never retried unless it is
+    a ``BackendBusy``."""
 
     def __init__(self, status: int, body: str) -> None:
         super().__init__(f"HTTP {status}: {body}")
         self.status = status
+
+
+class BackendBusy(HttpStatusError):
+    """Backend answered 429 or 503. The gateway retries it, waiting for
+    ``retry_after`` seconds when the reply had a numeric Retry-After."""
+
+    def __init__(self, status: int, body: str, retry_after: Optional[int]) -> None:
+        super().__init__(status, body)
+        self.retry_after = retry_after
+
+
+class MalformedResponse(GatewayError):
+    """Backend answered 2xx with a body that is not a completions reply;
+    never retried."""
 
 
 class LogprobsUnsupported(GatewayError):
@@ -58,43 +73,55 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _fingerprint(role: str, payload: dict[str, Any]) -> str:
-    """A request's one identity: the scripted backend's lookup key, and the
-    source of its cache key. Each request computes it once and keeps it."""
-    return _sha256(json.dumps({"role": role, **payload}, ensure_ascii=False, sort_keys=True))
+# The C function json.dumps(..., ensure_ascii=False) writes every str with.
+_json_str = json.encoder.encode_basestring
 
 
+def _json(value: Any) -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=False, sort_keys=True)``
+    writes it. A str, an int or a finite float is written without building
+    an encoder."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False, sort_keys=True)
+
+
+# A request's ``fingerprint`` is its one identity: the scripted backend's
+# lookup key and, after the backend id, its cache key. It is the sha256 of
+# json.dumps({"role": role, **fields}, ensure_ascii=False, sort_keys=True),
+# assembled from its fragments in sorted-key order and computed once, when
+# the request is built.
 @dataclass(frozen=True)
 class GeneratorRequest:
     prompt: str
     temperature: float = 0.0
     max_output_tokens: int = 64
     stop_sequences: tuple[str, ...] = ()
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
-    def payload(self) -> dict[str, Any]:
-        return {
-            "prompt": self.prompt,
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-            "stop_sequences": list(self.stop_sequences),
-        }
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return _fingerprint("generator", self.payload())
+    def __post_init__(self) -> None:
+        stops = ", ".join(map(_json, self.stop_sequences))
+        object.__setattr__(self, "fingerprint", _sha256(
+            f'{{"max_output_tokens": {_json(self.max_output_tokens)}, '
+            f'"prompt": {_json(self.prompt)}, "role": "generator", '
+            f'"stop_sequences": [{stops}], "temperature": {_json(self.temperature)}}}'
+        ))
 
 
 @dataclass(frozen=True)
 class ScorerRequest:
     prompt: str
     continuation: str
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
-    def payload(self) -> dict[str, Any]:
-        return {"prompt": self.prompt, "continuation": self.continuation}
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return _fingerprint("scorer", self.payload())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fingerprint", _sha256(
+            f'{{"continuation": {_json(self.continuation)}, '
+            f'"prompt": {_json(self.prompt)}, "role": "scorer"}}'
+        ))
 
 
 @dataclass(frozen=True)
@@ -263,8 +290,9 @@ def _read_chunked(rfile) -> bytes:
     return b"".join(parts)
 
 
-def _read_response(rfile) -> tuple[int, bytes, bool]:
-    """Status, body and whether the connection may carry another request.
+def _read_response(rfile) -> tuple[int, dict[bytes, bytes], bytes, bool]:
+    """Status, headers, body and whether the connection may carry another
+    request.
 
     The body is delimited by ``Content-Length``, by ``chunked`` transfer
     coding, or else by the server closing the connection. Anything
@@ -285,7 +313,13 @@ def _read_response(rfile) -> tuple[int, bytes, bool]:
         body = _read_exactly(rfile, int(length))
     else:
         body, keep_alive = rfile.read(), False
-    return status, body, keep_alive
+    return status, headers, body, keep_alive
+
+
+# Statuses that mean "try again later"; every other non-2xx is final.
+_BUSY_STATUSES = (429, 503)
+# The longest wait a Retry-After header can ask for before a retry.
+_MAX_RETRY_AFTER_S = 30
 
 
 class _Connection:
@@ -383,6 +417,7 @@ class HttpBackend:
             conn.close()
 
     def _post(self, body: dict[str, Any]) -> dict[str, Any]:
+        """The first choice of the reply to one POST of ``body``."""
         data = json.dumps(body).encode("utf-8")
         request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
         conn = self._pooled()
@@ -390,7 +425,7 @@ class HttpBackend:
             if conn is None:
                 conn = self._connect()
             conn.sock.sendall(request)
-            status, raw, keep_alive = _read_response(conn.rfile)
+            status, headers, raw, keep_alive = _read_response(conn.rfile)
         except BaseException as exc:
             if conn is not None:
                 conn.close()
@@ -405,10 +440,26 @@ class HttpBackend:
             conn.close()
         if not 200 <= status < 300:
             text = raw.decode("utf-8", errors="replace")
+            if status in _BUSY_STATUSES:
+                retry_after = headers.get(b"retry-after", b"")
+                raise BackendBusy(
+                    status, text[:500], int(retry_after) if retry_after.isdigit() else None
+                )
             if status == 400 and "context" in text.lower():
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
-        return json.loads(raw)
+        try:
+            data = json.loads(raw)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise MalformedResponse(
+                f"backend {self.backend_id} replied with a body that is not JSON ({exc})"
+            ) from None
+        choices = data.get("choices") if isinstance(data, dict) else None
+        if not isinstance(choices, list) or not choices or not isinstance(choices[0], dict):
+            raise MalformedResponse(
+                f"backend {self.backend_id} replied without a choice: {raw[:200]!r}"
+            )
+        return choices[0]
 
     def complete(self, req: GeneratorRequest) -> str:
         body: dict[str, Any] = {
@@ -419,8 +470,10 @@ class HttpBackend:
         }
         if req.stop_sequences:
             body["stop"] = list(req.stop_sequences)
-        data = self._post(body)
-        return data["choices"][0]["text"]
+        text = self._post(body).get("text")
+        if not isinstance(text, str):
+            raise MalformedResponse(f"backend {self.backend_id} replied with a choice without text")
+        return text
 
     def token_logprobs(self, req: ScorerRequest) -> list[float]:
         # Echo the full prompt+continuation and read back per-token
@@ -434,8 +487,11 @@ class HttpBackend:
             "logprobs": 0,
             "temperature": 0.0,
         }
-        data = self._post(body)
-        lp = data["choices"][0].get("logprobs")
+        lp = self._post(body).get("logprobs")
+        if lp is not None and not isinstance(lp, dict):
+            raise MalformedResponse(
+                f"backend {self.backend_id} replied with logprobs that are not an object"
+            )
         if not lp or lp.get("token_logprobs") is None:
             raise LogprobsUnsupported(
                 f"backend {self.backend_id} returned no token logprobs"
@@ -444,6 +500,12 @@ class HttpBackend:
         logprobs = lp["token_logprobs"]
         if offsets is None:
             raise LogprobsUnsupported("backend returned logprobs without text offsets")
+        lists = isinstance(logprobs, list) and isinstance(offsets, list)
+        if not lists or len(logprobs) != len(offsets):
+            raise MalformedResponse(
+                f"backend {self.backend_id} replied with token_logprobs and text_offset "
+                "that are not lists of one length"
+            )
         # The continuation must be covered by whole tokens, each with a
         # logprob: a dropped token would change the mean NLL's denominator.
         # Only whitespace may precede its first token (tokenizers that
@@ -462,7 +524,8 @@ class HttpBackend:
 
 
 class ResponseCache:
-    """Content-addressed on-disk store keyed by request digest."""
+    """Content-addressed on-disk store: one JSON file per key, named by the
+    key's sha256."""
 
     def __init__(self, cache_dir) -> None:
         self.cache_dir = Path(cache_dir)
@@ -470,7 +533,8 @@ class ResponseCache:
         self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
+        digest = _sha256(key)
+        return self.cache_dir / digest[:2] / f"{digest}.json"
 
     def get(self, key: str) -> Optional[Any]:
         path = self._path(key)
@@ -546,8 +610,9 @@ class LlmGateway:
 
     def _cached(self, calls: dict[str, int], purpose: str, backend: Backend, req, fetch):
         """The cached value of ``req`` on ``backend``. A miss calls ``fetch``,
-        retrying transport failures, and stores what it returns."""
-        key = _sha256(f"{backend.backend_id}\0{req.fingerprint}")
+        retrying transport failures and busy replies, and stores what it
+        returns."""
+        key = backend.backend_id + "\0" + req.fingerprint
         value = self.cache.get(key)
         hit = value is not None
         if not hit:
@@ -555,10 +620,13 @@ class LlmGateway:
                 try:
                     value = fetch()
                     break
-                except (ConnectionError, TimeoutError) as exc:
+                except (ConnectionError, TimeoutError, BackendBusy) as exc:
                     if attempt >= self.max_retries:
                         raise BackendUnavailable(str(exc)) from exc
-                    time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
+                    if isinstance(exc, BackendBusy) and exc.retry_after is not None:
+                        time.sleep(min(exc.retry_after, _MAX_RETRY_AFTER_S))
+                    else:
+                        time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
             self.cache.put(key, value)
         with self._lock:
             calls[purpose] = calls.get(purpose, 0) + 1

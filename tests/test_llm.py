@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gensco import llm
 from gensco.llm import (
     BackendUnavailable,
     ContextOverflow,
@@ -15,6 +18,7 @@ from gensco.llm import (
     HttpStatusError,
     LlmGateway,
     LogprobsUnsupported,
+    MalformedResponse,
     ScorerRequest,
     ScorerResponse,
     ScriptedBackend,
@@ -130,29 +134,32 @@ class TestCache:
             "2d2c95366b0d357de2d3aeb0d207747ea62dbe033386122705e1b96db8917774"
         ]
 
-    def test_each_request_serialized_once(self, monkeypatch):
+    def test_each_request_hashed_once(self, monkeypatch):
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counted(data=b""):
+            hashed.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(llm.hashlib, "sha256", counted)
         n = 5
         generated = [GeneratorRequest(prompt=f"g{i}") for i in range(n)]
         scored = [ScorerRequest(prompt=f"s{i}", continuation=" c") for i in range(n)]
+        # Building a request serializes and hashes it, once.
+        assert len(hashed) == 2 * n
         backend = ScriptedBackend()
         for greq, sreq in zip(generated, scored):
             backend.add_completion(greq, "out")
             backend.add_logprobs(sreq, [-1.0])
-        payloads = []
-        for cls in (GeneratorRequest, ScorerRequest):
-
-            def counted(req, original=cls.payload):
-                payloads.append(req)
-                return original(req)
-
-            monkeypatch.setattr(cls, "payload", counted)
         gw = gateway_for(backend)
-        # Equal but fresh requests, as the loop builds them.
-        for i in range(n):
-            gw.generate(GeneratorRequest(prompt=f"g{i}"))
-            gw.score_continuation(ScorerRequest(prompt=f"s{i}", continuation=" c"))
-        assert len(payloads) == 2 * n
-        assert gw.stats()["cache_misses"] == 2 * n
+        for _ in range(2):  # a miss, then a hit
+            for greq, sreq in zip(generated, scored):
+                gw.generate(greq)
+                gw.score_continuation(sreq)
+        # Scripted lookups and memory-cache calls hash nothing more.
+        assert len(hashed) == 2 * n
+        assert (gw.stats()["cache_misses"], gw.stats()["cache_hits"]) == (2 * n, 2 * n)
 
     def test_counters_by_purpose(self):
         backend = ScriptedBackend()
@@ -163,6 +170,58 @@ class TestCache:
         gw.generate(req, purpose="answer")
         stats = gw.stats()
         assert stats["generator_calls"] == {"decomposition": 1, "answer": 1}
+
+
+def reference_fingerprint(role, fields):
+    """The fingerprint as the whole-dict json.dumps writes it."""
+    canonical = json.dumps({"role": role, **fields}, ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII and non-BMP
+# characters, but no lone surrogates, which UTF-8 cannot encode.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+# json.dumps writes 0 and 0.0, and True and 1, differently.
+TEMPERATURE = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+)
+
+
+class TestFingerprint:
+    @given(TEXT, TEMPERATURE, st.integers(min_value=0, max_value=10**6),
+           st.lists(TEXT, max_size=3))
+    def test_generator_fingerprint_hashes_the_json_dumps_text(
+        self, prompt, temperature, max_output_tokens, stops
+    ):
+        req = GeneratorRequest(prompt, temperature, max_output_tokens, tuple(stops))
+        assert req.fingerprint == reference_fingerprint("generator", {
+            "prompt": prompt,
+            "temperature": temperature,
+            "max_output_tokens": max_output_tokens,
+            "stop_sequences": stops,
+        })
+
+    @given(TEXT, TEXT)
+    def test_scorer_fingerprint_hashes_the_json_dumps_text(self, prompt, continuation):
+        req = ScorerRequest(prompt, continuation)
+        assert req.fingerprint == reference_fingerprint(
+            "scorer", {"prompt": prompt, "continuation": continuation}
+        )
+
+    def test_disk_cache_file_named_by_sha256_of_backend_id_and_fingerprint(self, tmp_path):
+        names = []
+        for backend_id in ("scripted", "http:https://host/v1:modèle"):
+            backend = ScriptedBackend(backend_id=backend_id)
+            req = ScorerRequest("Passage: Zürich\n\"Q\"", " 𝄞 who?")
+            backend.add_logprobs(req, [-1.0])
+            gateway_for(backend, cache_dir=tmp_path).score_continuation(req)
+            key = f"{backend_id}\0{req.fingerprint}"
+            names.append(hashlib.sha256(key.encode("utf-8")).hexdigest())
+        assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*.json")) == sorted(
+            Path(name[:2], f"{name}.json") for name in names
+        )
 
 
 class FlakyBackend:
@@ -422,6 +481,66 @@ class TestHttpBackend:
             gw.generate(GeneratorRequest(prompt="p"))
         assert info.value.status == 500
         assert len(server.requests) == 1
+
+    @pytest.mark.parametrize(
+        "reply, call, message",
+        [
+            (raw_reply(["HTTP/1.1 200 OK", "Content-Length: 8"], b"not json"), "complete",
+             "not JSON"),
+            ((200, {"error": "model overloaded"}), "complete", "without a choice"),
+            ((200, {"choices": []}), "token_logprobs", "without a choice"),
+            ((200, {"choices": [{"index": 0}]}), "complete", "without text"),
+            ((200, {"choices": [{"text": "", "logprobs": [-0.5]}]}), "token_logprobs",
+             "not an object"),
+            ((200, {"choices": [{"text": "", "logprobs": {
+                "token_logprobs": [None, -0.5], "text_offset": [0]}}]}), "token_logprobs",
+             "not lists of one length"),
+        ],
+        ids=["not-json", "error-object", "no-choices", "no-text", "logprobs-list",
+             "offsets-short"],
+    )
+    def test_malformed_2xx_reply_raises_named_error_without_retry(
+        self, serve, reply, call, message
+    ):
+        server = serve(lambda body: reply)
+        gw = gateway_for(server.backend())
+        with pytest.raises(MalformedResponse, match=message) as info:
+            if call == "complete":
+                gw.generate(GeneratorRequest(prompt="p"))
+            else:
+                gw.score_continuation(ScorerRequest("p", " c"))
+        assert f"backend http:{server.url}:m" in str(info.value)
+        assert len(server.requests) == 1
+
+    def test_429_then_200_succeeds_on_the_second_post(self, serve):
+        replies = iter([(429, {"error": "slow down"}), completion("ok")])
+        server = serve(lambda body: next(replies))
+        assert gateway_for(server.backend()).generate(GeneratorRequest(prompt="p")) == "ok"
+        assert len(server.requests) == 2
+
+    def test_503_three_times_raises_backend_unavailable(self, serve):
+        server = serve(lambda body: (503, {"error": "down"}))
+        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+            gateway_for(server.backend()).generate(GeneratorRequest(prompt="p"))
+        assert len(server.requests) == 3
+
+    @pytest.mark.parametrize(
+        "retry_after, wait",
+        [("0", 0), ("7", 7), ("3600", llm._MAX_RETRY_AFTER_S), (None, 60.0),
+         ("Wed, 21 Oct 2015 07:28:00 GMT", 60.0)],
+        ids=["zero", "seconds", "capped", "absent", "http-date"],
+    )
+    def test_busy_reply_waits_for_numeric_retry_after(self, serve, monkeypatch, retry_after, wait):
+        waits = []
+        monkeypatch.setattr(llm.time, "sleep", waits.append)
+        head = ["HTTP/1.1 503 Service Unavailable", "Content-Length: 0"]
+        if retry_after is not None:
+            head.append(f"Retry-After: {retry_after}")
+        replies = iter([raw_reply(head), completion("ok")])
+        server = serve(lambda body: next(replies))
+        gw = gateway_for(server.backend(), retry_base_delay=60.0)
+        assert gw.generate(GeneratorRequest(prompt="p")) == "ok"
+        assert waits == [wait]
 
     def test_context_length_400_raises_context_overflow(self, serve):
         server = serve(lambda body: (400, {"error": "maximum context length exceeded"}))
