@@ -58,6 +58,8 @@ class Bm25Index:
 
     def score(self, query_terms: Sequence[str], position: int) -> float:
         tf = self.term_freqs[position]
+        if not tf:
+            return 0.0  # no terms to match; when no passage has any, avg_length is 0
         length = self.lengths[position]
         norm = self.k1 * (1 - self.b + self.b * length / self.avg_length)
         total = 0.0

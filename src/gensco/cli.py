@@ -383,22 +383,14 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
             raise CorruptTrace(
                 f"records of {answer.instance_id!r} name an absent passage or field {exc}"
             ) from exc
-        am = metrics.answer_metrics(answer.predicted_answer, inst.gold_answer)
-        kp = metrics.k_precision(answer.predicted_answer, passages)
-        retrieval = None
-        supporting_count = None
-        if inst.supporting_indices is not None:
-            retrieval = metrics.retrieval_metrics(selected, set(inst.supporting_indices))
-            supporting_count = len(inst.supporting_indices)
-        rows.append(
-            metrics.InstanceEval(
-                instance_id=answer.instance_id,
-                answer=am,
-                k_precision=kp,
-                retrieval=retrieval,
-                supporting_count=supporting_count,
-            )
-        )
+        rows.append(metrics.evaluate_instance(
+            answer.instance_id,
+            answer.predicted_answer,
+            inst.gold_answer,
+            passages,
+            selected,
+            inst.supporting_indices,
+        ))
 
     report = metrics.aggregate(rows)
     payload = {
@@ -409,56 +401,16 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
             str(k): {str(d): n for d, n in sorted(v.items())}
             for k, v in sorted(report.delta_hops_hist.items())
         },
-        "per_instance": [_row_dict(r) for r in rows],
+        "per_instance": [vars(r) for r in rows],
     }
     (run_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     with open(run_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(metrics.InstanceEval)])
         writer.writeheader()
-        for r in rows:
-            writer.writerow(_row_dict(r))
+        writer.writerows(map(vars, rows))
     return report
-
-
-_CSV_FIELDS = [
-    "instance_id",
-    "em",
-    "f1",
-    "precision",
-    "recall",
-    "k_precision",
-    "retrieval_precision",
-    "retrieval_recall",
-    "retrieval_f1",
-    "delta_hops",
-    "supporting_count",
-]
-
-
-def _row_dict(r: metrics.InstanceEval) -> dict[str, Any]:
-    row: dict[str, Any] = {
-        "instance_id": r.instance_id,
-        "em": r.answer.em,
-        "f1": r.answer.f1,
-        "precision": r.answer.precision,
-        "recall": r.answer.recall,
-        "k_precision": r.k_precision,
-        "retrieval_precision": None,
-        "retrieval_recall": None,
-        "retrieval_f1": None,
-        "delta_hops": None,
-        "supporting_count": r.supporting_count,
-    }
-    if r.retrieval is not None:
-        row.update(
-            retrieval_precision=r.retrieval.precision,
-            retrieval_recall=r.retrieval.recall,
-            retrieval_f1=r.retrieval.f1,
-            delta_hops=r.retrieval.delta_hops,
-        )
-    return row
 
 
 def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
@@ -475,9 +427,9 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
             raise CorruptTrace(f"{report_path}: run not evaluated yet")
         report = json.loads(report_path.read_text(encoding="utf-8"))
         run_id = run_dir.name
-        rows = report["per_instance"]
-        kp = [r["k_precision"] for r in rows]
-        f1 = [r["f1"] for r in rows]
+        rows = [metrics.InstanceEval(**r) for r in report["per_instance"]]
+        kp = [r.k_precision for r in rows]
+        f1 = [r.f1 for r in rows]
         try:
             r_value = metrics.pearson(kp, f1) if len(rows) >= 2 else ""
         except metrics.DegenerateVariance:
@@ -486,9 +438,9 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
             scatter_rows.append(
                 {
                     "run_id": run_id,
-                    "instance_id": r["instance_id"],
-                    "k_precision": r["k_precision"],
-                    "f1": r["f1"],
+                    "instance_id": r.instance_id,
+                    "k_precision": r.k_precision,
+                    "f1": r.f1,
                     "pearson": r_value,
                 }
             )
@@ -509,16 +461,11 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
                 if not subset:
                     continue
                 n = len(subset)
-                subset_rows.append(
-                    {
-                        "run_id": run_id,
-                        "size": n,
-                        "em": 100.0 * sum(r["em"] for r in subset) / n,
-                        "f1": 100.0 * sum(r["f1"] for r in subset) / n,
-                        "precision": 100.0 * sum(r["precision"] for r in subset) / n,
-                        "recall": 100.0 * sum(r["recall"] for r in subset) / n,
-                    }
-                )
+                means = {
+                    name: 100.0 * sum(getattr(r, name) for r in subset) / n
+                    for name in metrics.ANSWER_FIELDS
+                }
+                subset_rows.append({"run_id": run_id, "size": n, **means})
 
     def write_csv(name, fieldnames, rows):
         with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
@@ -539,7 +486,7 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
     if subset_sizes:
         write_csv(
             "subsets.csv",
-            ["run_id", "size", "em", "f1", "precision", "recall"],
+            ["run_id", "size", *metrics.ANSWER_FIELDS],
             subset_rows,
         )
 

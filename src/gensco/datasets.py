@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, TypeVar
+from typing import Any, Optional, Sequence, TypeVar
 
 from .models import Dataset, MultiHopInstance, Passage, validate_instance
 
@@ -38,35 +38,52 @@ class DatasetConfig:
     limit: Optional[int] = None
 
 
-def _require(record: dict, field: str, where: str):
+def _require(record: Any, field: str, where: str, kind: type = str):
+    """``record[field]``; a SchemaError unless ``record`` is an object that
+    holds a ``kind`` there."""
+    if not isinstance(record, dict):
+        raise SchemaError(f"{where}: not an object")
     if field not in record:
         raise SchemaError(f"{where}: missing field {field!r}")
-    return record[field]
+    value = record[field]
+    if not isinstance(value, kind):
+        raise SchemaError(
+            f"{where}: field {field!r} must be {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
 
 
 def _instance_from_wiki_record(
     record: dict, dataset: Dataset, where: str
 ) -> MultiHopInstance:
-    context = _require(record, "context", where)
+    context = _require(record, "context", where, list)
     supporting = record.get("supporting_facts")
     passages = []
     titles = []
     for pos, entry in enumerate(context):
+        # [title, sentences], the sentences a list of strings or one string.
         try:
-            title, sentences = entry
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: malformed context entry {pos}") from exc
-        body = "".join(sentences) if isinstance(sentences, list) else str(sentences)
+            title, sentences = entry if isinstance(entry, list) else None
+            body = sentences if isinstance(sentences, str) else "".join(sentences)
+            if not (isinstance(title, str) and isinstance(sentences, (str, list))):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise SchemaError(f"{where}: malformed context entry {pos}") from None
         passages.append(Passage(index=pos, title=title, body=body))
         titles.append(title)
     supports: Optional[frozenset[int]] = None
     if supporting is not None:
+        # [title, sentence id] facts; only the title is read.
+        if not isinstance(supporting, list) or not all(
+            isinstance(fact, list) and fact and isinstance(fact[0], str) for fact in supporting
+        ):
+            raise SchemaError(f"{where}: field 'supporting_facts' must be a list of [title, ...]")
         support_titles = {fact[0] for fact in supporting}
         supports = frozenset(
             i for i, title in enumerate(titles) if title in support_titles
         )
     return MultiHopInstance(
-        id=str(_require(record, "_id", where)),
+        id=str(_require(record, "_id", where, object)),
         question=_require(record, "question", where),
         gold_answer=_require(record, "answer", where),
         passages=tuple(passages),
@@ -100,21 +117,18 @@ def _load_musique(path: Path) -> list[MultiHopInstance]:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}")
             where = f"{path}:{lineno}"
-            instance_id = str(_require(record, "id", where))
+            instance_id = str(_require(record, "id", where, object))
             # Only the 2-hop slice of the dev set is evaluated.
             if not instance_id.startswith("2hop"):
                 continue
-            paragraphs = _require(record, "paragraphs", where)
+            paragraphs = _require(record, "paragraphs", where, list)
             passages = []
             supports = set()
             for pos, para in enumerate(paragraphs):
-                passages.append(
-                    Passage(
-                        index=pos,
-                        title=para.get("title", ""),
-                        body=_require(para, "paragraph_text", where),
-                    )
-                )
+                at = f"{where}: paragraph {pos}"
+                body = _require(para, "paragraph_text", at)
+                title = _require(para, "title", at) if "title" in para else ""
+                passages.append(Passage(index=pos, title=title, body=body))
                 if para.get("is_supporting"):
                     supports.add(pos)
             instances.append(

@@ -124,26 +124,6 @@ class ScorerRequest:
         ))
 
 
-@dataclass(frozen=True)
-class ScorerResponse:
-    token_logprobs: tuple[float, ...]
-    mean_nll: float
-
-    @classmethod
-    def from_logprobs(cls, logprobs: Sequence[float]) -> "ScorerResponse":
-        if not logprobs:
-            raise ValueError("scorer response must cover at least one token")
-        mean_nll = -sum(logprobs) / len(logprobs)
-        return cls(token_logprobs=tuple(logprobs), mean_nll=mean_nll)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"token_logprobs": list(self.token_logprobs), "mean_nll": self.mean_nll}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScorerResponse":
-        return cls(token_logprobs=tuple(d["token_logprobs"]), mean_nll=d["mean_nll"])
-
-
 class Backend(Protocol):
     backend_id: str
 
@@ -318,6 +298,9 @@ def _read_response(rfile) -> tuple[int, dict[bytes, bytes], bytes, bool]:
 
 # Statuses that mean "try again later"; every other non-2xx is final.
 _BUSY_STATUSES = (429, 503)
+# What a 400 body holds when the prompt is over the context limit: OpenAI's
+# error code, and the message that OpenAI and vLLM both send.
+_CONTEXT_OVERFLOW_MARKS = ('"context_length_exceeded"', "maximum context length")
 # The longest wait a Retry-After header can ask for before a retry.
 _MAX_RETRY_AFTER_S = 30
 
@@ -445,7 +428,7 @@ class HttpBackend:
                 raise BackendBusy(
                     status, text[:500], int(retry_after) if retry_after.isdigit() else None
                 )
-            if status == 400 and "context" in text.lower():
+            if status == 400 and any(m in text.lower() for m in _CONTEXT_OVERFLOW_MARKS):
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
         try:
@@ -643,15 +626,19 @@ class LlmGateway:
 
         return self._cached(self.generator_calls, purpose, self.generator, req, fetch)["text"]
 
-    def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> ScorerResponse:
+    def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> float:
+        """The mean NLL of the continuation's tokens. The cache entry also
+        keeps the per-token logprobs."""
         if not req.continuation:
             raise ValueError("scorer continuation must be non-empty")
 
         def fetch():
-            return ScorerResponse.from_logprobs(self.scorer.token_logprobs(req)).to_dict()
+            logprobs = self.scorer.token_logprobs(req)
+            if not logprobs:
+                raise ValueError("scorer response must cover at least one token")
+            return {"token_logprobs": logprobs, "mean_nll": -sum(logprobs) / len(logprobs)}
 
-        cached = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)
-        return ScorerResponse.from_dict(cached)
+        return self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)["mean_nll"]
 
     def score_many(self, requests: Sequence[ScorerRequest], purpose: str) -> list[float]:
         """The mean NLL of each request, in request order.
@@ -661,13 +648,10 @@ class LlmGateway:
         in flight have finished; calls not yet started by then are
         dropped. No call outlives this method.
         """
-
-        def score(req: ScorerRequest) -> float:
-            return self.score_continuation(req, purpose=purpose).mean_nll
-
         if self.scorer_pool is None or len(requests) < 2:
-            return [score(req) for req in requests]
-        futures = [self.scorer_pool.submit(score, req) for req in requests]
+            return [self.score_continuation(req, purpose) for req in requests]
+        submit = self.scorer_pool.submit
+        futures = [submit(self.score_continuation, req, purpose) for req in requests]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:

@@ -37,10 +37,20 @@ class RetrievalMetrics:
 
 @dataclass(frozen=True)
 class InstanceEval:
+    """One row of a run's report. ``vars(row)`` is its ``per_instance``
+    object in report.json, and the field order gives report.csv's columns.
+    The retrieval fields are None for an instance without supporting labels."""
+
     instance_id: str
-    answer: AnswerMetrics
+    em: int
+    f1: float
+    precision: float
+    recall: float
     k_precision: float
-    retrieval: Optional[RetrievalMetrics] = None
+    retrieval_precision: Optional[float] = None
+    retrieval_recall: Optional[float] = None
+    retrieval_f1: Optional[float] = None
+    delta_hops: Optional[int] = None
     supporting_count: Optional[int] = None
 
 
@@ -133,33 +143,49 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return statistics.correlation(xs, ys)
 
 
+def evaluate_instance(
+    instance_id: str,
+    predicted: str,
+    gold: str,
+    passages: Sequence[str],
+    selected_sequence: Sequence[int],
+    supporting_indices: Optional[frozenset[int]],
+) -> InstanceEval:
+    """The report row of one answered instance."""
+    am = answer_metrics(predicted, gold)
+    row = (instance_id, am.em, am.f1, am.precision, am.recall, k_precision(predicted, passages))
+    if supporting_indices is None:
+        return InstanceEval(*row)
+    rm = retrieval_metrics(selected_sequence, supporting_indices)
+    return InstanceEval(
+        *row, rm.precision, rm.recall, rm.f1, rm.delta_hops, len(supporting_indices)
+    )
+
+
+# The row fields a report averages, each over the rows where it is not None.
+ANSWER_FIELDS = ("em", "f1", "precision", "recall")
+MEAN_FIELDS = ANSWER_FIELDS + (
+    "k_precision", "retrieval_precision", "retrieval_recall", "retrieval_f1"
+)
+
+
 def aggregate(records: Sequence[InstanceEval]) -> EvalReport:
     if not records:
         raise ValueError("cannot aggregate an empty record list")
-    n = len(records)
-    means = {
-        "em": sum(r.answer.em for r in records) / n,
-        "f1": sum(r.answer.f1 for r in records) / n,
-        "precision": sum(r.answer.precision for r in records) / n,
-        "recall": sum(r.answer.recall for r in records) / n,
-        "k_precision": sum(r.k_precision for r in records) / n,
-    }
-    with_retrieval = [r for r in records if r.retrieval is not None]
-    if with_retrieval:
-        m = len(with_retrieval)
-        means["retrieval_precision"] = (
-            sum(r.retrieval.precision for r in with_retrieval) / m
-        )
-        means["retrieval_recall"] = sum(r.retrieval.recall for r in with_retrieval) / m
-        means["retrieval_f1"] = sum(r.retrieval.f1 for r in with_retrieval) / m
+    means: dict[str, float] = {}
+    for name in MEAN_FIELDS:
+        values = [v for v in (getattr(r, name) for r in records) if v is not None]
+        if values:
+            means[name] = sum(values) / len(values)
 
     hist: dict[int, dict[int, int]] = {}
-    for r in with_retrieval:
-        bucket = hist.setdefault(r.supporting_count or 0, {})
-        bucket[r.retrieval.delta_hops] = bucket.get(r.retrieval.delta_hops, 0) + 1
+    for r in records:
+        if r.delta_hops is not None:
+            bucket = hist.setdefault(r.supporting_count or 0, {})
+            bucket[r.delta_hops] = bucket.get(r.delta_hops, 0) + 1
 
     return EvalReport(
-        count=n,
+        count=len(records),
         means=means,
         percents={k: v * 100.0 for k, v in means.items()},
         delta_hops_hist=hist,

@@ -1,5 +1,5 @@
 """Candidate selection: the best candidate of a level wins (argmin mean
-NLL, ties to the lowest passage index)."""
+NLL, or argmax under max_nll; ties go to the lowest passage index)."""
 
 from __future__ import annotations
 

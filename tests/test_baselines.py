@@ -70,6 +70,15 @@ class TestBm25:
         ranked = bm25_rank("zzz qqq", passages)
         assert [p.index for p in ranked] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "question", ["Где родилась Теа Шаррок?", "Where was Thea born?"], ids=["ru", "en"]
+    )
+    def test_passages_without_ascii_terms_keep_index_order(self, question):
+        # The tokenizer keeps only [0-9a-z], so these passages have no terms
+        # and their average length is 0.
+        passages = self.passages(["Теа Шаррок родилась в Лондоне.", "Питер Левин — режиссёр."])
+        assert [p.index for p in bm25_rank(question, passages)] == [0, 1]
+
     def test_single_passage(self):
         passages = self.passages(["only document"])
         assert [p.index for p in bm25_rank("anything", passages)] == [0]

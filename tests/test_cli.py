@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,14 @@ class TestEvaluateRun:
         csv_lines = (run_dir / "report.csv").read_text().splitlines()
         assert len(csv_lines) == 5
         assert csv_lines[0].startswith("instance_id,em,f1")
+
+    def test_csv_columns_are_the_per_instance_keys(self, tmp_path):
+        run_dir = self.finished_run(tmp_path)
+        cli.evaluate_run(run_dir)
+        header = (run_dir / "report.csv").read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in fields(metrics.InstanceEval)]
+        payload = json.loads((run_dir / "report.json").read_text())
+        assert all(sorted(row) == sorted(header) for row in payload["per_instance"])
 
     def test_eval_is_deterministic(self, tmp_path):
         run_dir = self.finished_run(tmp_path)

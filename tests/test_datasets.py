@@ -111,6 +111,69 @@ class TestMusiqueLoader:
             load(DatasetConfig(Dataset.MUSIQUE, str(path)))
 
 
+def set_field(name, value):
+    return lambda record: record.__setitem__(name, value)
+
+
+def set_item(name, pos, value):
+    return lambda record: record[name].__setitem__(pos, value)
+
+
+@pytest.mark.parametrize(
+    "dataset, edit, named",
+    [
+        (Dataset.TWO_WIKI, set_field("supporting_facts", [5]), "'supporting_facts'"),
+        (Dataset.TWO_WIKI, set_field("supporting_facts", 5), "'supporting_facts'"),
+        (Dataset.TWO_WIKI, set_field("question", 5), "'question'"),
+        (Dataset.ADV_HOTPOT, set_field("answer", ["Answer"]), "'answer'"),
+        (Dataset.TWO_WIKI, set_item("context", 3, "ab"), "context entry 3"),
+        (Dataset.TWO_WIKI, set_item("context", 2, ["Title", ["One.", 2]]), "context entry 2"),
+        (Dataset.TWO_WIKI, set_field("context", {"Title": ["One."]}), "'context'"),
+        (Dataset.MUSIQUE, set_item("paragraphs", 0, "Paragraph text."), "paragraph 0"),
+        (Dataset.MUSIQUE, set_item("paragraphs", 1, {"paragraph_text": 7}), "'paragraph_text'"),
+        (Dataset.MUSIQUE, set_field("answer", ["Answer"]), "'answer'"),
+        (Dataset.MUSIQUE, set_field("question", None), "'question'"),
+    ],
+    ids=[
+        "fact-not-a-list",
+        "facts-not-a-list",
+        "question-not-a-string",
+        "hotpot-answer-a-list",
+        "context-entry-a-string",
+        "sentence-not-a-string",
+        "context-an-object",
+        "musique-paragraph-a-string",
+        "musique-paragraph-text-a-number",
+        "musique-answer-a-list",
+        "musique-question-null",
+    ],
+)
+def test_malformed_record_is_a_schema_error_naming_place_and_field(tmp_path, dataset, edit, named):
+    if dataset is Dataset.MUSIQUE:
+        record = json.loads(musique_line(1))
+        edit(record)
+        path = tmp_path / "data.jsonl"
+        path.write_text(musique_line(0) + "\n" + json.dumps(record) + "\n")
+        where = f"{path}:2"
+    else:
+        record = wiki_record(1)
+        edit(record)
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([wiki_record(0), record]))
+        where = f"{path}[1]"
+    with pytest.raises(SchemaError) as info:
+        load(DatasetConfig(dataset, str(path)))
+    assert str(info.value).startswith(f"{where}: ")
+    assert named in str(info.value)
+
+
+def test_record_that_is_not_an_object_is_a_schema_error(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps([wiki_record(0), 5]))
+    with pytest.raises(SchemaError, match=r"\[1\]: not an object"):
+        load(DatasetConfig(Dataset.TWO_WIKI, str(path)))
+
+
 class TestLimit:
     def test_limit_truncates(self, tmp_path):
         path = tmp_path / "syn.json"

@@ -20,7 +20,6 @@ from gensco.llm import (
     LogprobsUnsupported,
     MalformedResponse,
     ScorerRequest,
-    ScorerResponse,
     ScriptedBackend,
     ScriptMiss,
 )
@@ -67,16 +66,25 @@ class TestScriptedBackend:
         assert loaded.token_logprobs(sreq) == [-1.0, -3.0]
 
 
-class TestScorerResponse:
+def mean_nll(logprobs):
+    """The mean NLL the gateway returns for a scorer call the backend
+    answers with ``logprobs``."""
+    backend = ScriptedBackend()
+    req = ScorerRequest("p", " c")
+    backend.add_logprobs(req, logprobs)
+    return gateway_for(backend).score_continuation(req)
+
+
+class TestScoreContinuation:
     def test_mean_nll_arithmetic(self):
-        assert ScorerResponse.from_logprobs([-1.0, -3.0]).mean_nll == 2.0
+        assert mean_nll([-1.0, -3.0]) == 2.0
 
     def test_certainty_case(self):
-        assert ScorerResponse.from_logprobs([0.0]).mean_nll == 0.0
+        assert mean_nll([0.0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ScorerResponse.from_logprobs([])
+            mean_nll([])
 
     @given(
         st.lists(st.floats(min_value=-20, max_value=0), min_size=1, max_size=10),
@@ -84,8 +92,8 @@ class TestScorerResponse:
     )
     def test_uniform_nll_shift_moves_mean_exactly(self, logprobs, shift):
         # Scaling every token probability by c < 1 adds ln(1/c) to each NLL.
-        base = ScorerResponse.from_logprobs(logprobs).mean_nll
-        shifted = ScorerResponse.from_logprobs([lp - shift for lp in logprobs]).mean_nll
+        base = mean_nll(logprobs)
+        shifted = mean_nll([lp - shift for lp in logprobs])
         assert math.isclose(shifted, base + shift, rel_tol=0, abs_tol=1e-9)
 
 
@@ -549,6 +557,40 @@ class TestHttpBackend:
             gw.score_continuation(ScorerRequest("p", " c"))
         assert len(server.requests) == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"error": {
+                "message": "This model's maximum context length is 4097 tokens. However, "
+                           "your prompt resulted in 5000 tokens.",
+                "type": "invalid_request_error", "param": "prompt",
+                "code": "context_length_exceeded",
+            }},
+            {"error": {"message": "Prompt too long.", "code": "context_length_exceeded"}},
+            {"object": "error",
+             "message": "This model's maximum context length is 2048 tokens. However, you "
+                        "requested 2100 tokens (2100 in the messages, 0 in the completion).",
+             "type": "BadRequestError", "param": None, "code": 400},
+        ],
+        ids=["openai", "openai-code-only", "vllm"],
+    )
+    def test_openai_and_vllm_overflow_replies_raise_context_overflow(self, serve, payload):
+        server = serve(lambda body: (400, payload))
+        with pytest.raises(ContextOverflow):
+            gateway_for(server.backend()).score_continuation(ScorerRequest("p", " c"))
+        assert len(server.requests) == 1
+
+    def test_other_400_that_mentions_context_is_an_http_status_error(self, serve):
+        payload = {"error": {
+            "message": "echo is not supported for this model's context window",
+            "type": "invalid_request_error", "param": "echo", "code": "unsupported_value",
+        }}
+        server = serve(lambda body: (400, payload))
+        with pytest.raises(HttpStatusError) as info:
+            gateway_for(server.backend()).score_continuation(ScorerRequest("p", " c"))
+        assert type(info.value) is HttpStatusError and info.value.status == 400
+        assert len(server.requests) == 1
+
     def test_socket_timeout_retried_then_backend_unavailable(self, serve):
         server = None
 
@@ -668,4 +710,4 @@ class TestDeterminism:
         req = ScorerRequest(prompt="p", continuation=" tgt")
         backend.add_logprobs(req, [-0.25, -0.5])
         responses = [gateway_for(backend).score_continuation(req) for _ in range(3)]
-        assert len({r.to_dict().__repr__() for r in responses}) == 1
+        assert len({repr(r) for r in responses}) == 1

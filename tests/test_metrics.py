@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import string
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from gensco.metrics import (
     RetrievalMetrics,
     aggregate,
     answer_metrics,
+    evaluate_instance,
     k_precision,
     normalize_answer,
     pearson,
@@ -210,13 +212,8 @@ class TestPearson:
 
 def make_record(i, em, f1=None, kp=0.5, retrieval=None, supports=None):
     f1 = float(em) if f1 is None else f1
-    return InstanceEval(
-        instance_id=f"i{i}",
-        answer=AnswerMetrics(em=em, f1=f1, precision=f1, recall=f1),
-        k_precision=kp,
-        retrieval=retrieval,
-        supporting_count=supports,
-    )
+    labels = () if retrieval is None else (*astuple(retrieval), supports)
+    return InstanceEval(f"i{i}", em, f1, f1, f1, kp, *labels)
 
 
 class TestAggregate:
@@ -252,6 +249,47 @@ class TestAggregate:
         report = aggregate(records)
         assert report.delta_hops_hist == {2: {0: 1, 1: 1}, 1: {-1: 1}}
 
+    def test_retrieval_means_cover_only_labelled_rows(self):
+        records = [
+            make_record(0, 1, retrieval=RetrievalMetrics(1.0, 0.5, 0.75, 0), supports=2),
+            make_record(1, 0),
+            make_record(2, 0, retrieval=RetrievalMetrics(0.5, 0.0, 0.0, 1), supports=1),
+        ]
+        means = aggregate(records).means
+        assert means["em"] == 1 / 3
+        assert (means["retrieval_precision"], means["retrieval_recall"]) == (0.75, 0.25)
+        assert means["retrieval_f1"] == 0.375
+
+    def test_no_labels_no_retrieval_means(self):
+        report = aggregate([make_record(0, 1), make_record(1, 0)])
+        assert sorted(report.means) == ["em", "f1", "k_precision", "precision", "recall"]
+        assert report.delta_hops_hist == {}
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+
+class TestEvaluateInstance:
+    def test_row_without_labels(self):
+        row = evaluate_instance("x", "London", "London, England", ["born in London"], [1], None)
+        assert vars(row) == {
+            "instance_id": "x",
+            "em": 0,
+            "f1": pytest.approx(2 / 3),
+            "precision": 1.0,
+            "recall": 0.5,
+            "k_precision": 1.0,
+            "retrieval_precision": None,
+            "retrieval_recall": None,
+            "retrieval_f1": None,
+            "delta_hops": None,
+            "supporting_count": None,
+        }
+
+    def test_row_with_labels(self):
+        row = evaluate_instance("x", "Paris", "Paris", ["Rome"], [1, 2, 2], frozenset({2, 8, 9}))
+        assert (row.em, row.f1, row.k_precision) == (1, 1.0, 0.0)
+        assert (row.retrieval_precision, row.retrieval_recall) == (0.5, pytest.approx(1 / 3))
+        assert row.retrieval_f1 == pytest.approx(0.4)
+        assert (row.delta_hops, row.supporting_count) == (1, 3)

@@ -257,6 +257,21 @@ class TestVariants:
         assert all(lv.sub_question.text == inst.question for lv in trace.levels)
         assert gateway.stats()["generator_calls"] == {"answer": 1}
 
+    def test_no_qd_stops_when_an_earlier_passage_is_reselected(self):
+        # Passage 1, then 2, then 1 again: the repeat is of the first
+        # selection, not the last one.
+        table = {i: 1.0 for i in range(1, 11)}
+        plan = ScriptedPlan(
+            subquestions=[],
+            level_scores=[{**table, 1: 0.1}, {**table, 2: 0.1}, {**table, 1: 0.1}],
+            answer="x",
+        )
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.NO_QD, max_levels=4)
+        (trace, _), _ = plan_requests(trace_instance(), cfg, plan)
+        assert trace.stop_reason is StopReason.REPEATED_PASSAGE
+        assert trace.selected_sequence == (1, 2)
+        assert len(trace.levels) == 2
+
     def test_stop_variant_never_selects_more_than_max(self):
         # Same scripted decomposition; the stop variant's extra rule can
         # only shorten the selection.

@@ -68,6 +68,12 @@ class TestSelectBest:
         best = select_best([ScoredCandidate(1, 2, 0.5), ScoredCandidate(1, 1, 0.5)])
         assert best.passage_index == 1
 
+    @pytest.mark.parametrize("order", [(1, 2, 3), (3, 2, 1)], ids=["ascending", "descending"])
+    def test_max_nll_tie_goes_to_the_lowest_index(self, order):
+        scores = {1: 0.2, 2: 0.9, 3: 0.9}
+        candidates = [ScoredCandidate(1, i, scores[i]) for i in order]
+        assert select_best(candidates, MAX_NLL).passage_index == 2
+
 
 class TestScoreLevel:
     """A level scores every candidate appended to the greedy prefix."""
