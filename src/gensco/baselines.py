@@ -1,6 +1,6 @@
 """Locally reproducible baselines and ablations: Okapi BM25 ranking,
-top-k pass-through, precomputed-ranking ingestion, and the seeded
-shuffle used by the order-matters ablation."""
+precomputed-ranking ingestion, and the seeded shuffle used by the
+order-matters ablation."""
 
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ class Bm25Index:
     frequency monotonicity holds for every term)."""
 
     passages: tuple[Passage, ...]
-    k1: float = 1.2
-    b: float = 0.75
+    k1: float
+    b: float
     doc_freq: Counter = field(init=False)
     term_freqs: list[Counter] = field(init=False)
     lengths: list[int] = field(init=False)
@@ -71,28 +71,17 @@ class Bm25Index:
         return total
 
 
-def bm25_rank(
-    question: str,
-    passages: Sequence[Passage],
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> list[Passage]:
+def bm25_rank(question: str, passages: Sequence[Passage], k1: float, b: float) -> list[Passage]:
     """Passages by descending Okapi score; ties keep passage-index order."""
     if not passages:
         raise ValueError("bm25_rank needs at least one passage")
-    index = Bm25Index(tuple(passages), k1=k1, b=b)
+    index = Bm25Index(tuple(passages), k1, b)
     query_terms = tokenize(question)
     scored = [
         (index.score(query_terms, pos), p) for pos, p in enumerate(index.passages)
     ]
     scored.sort(key=lambda item: (-item[0], item[1].index))
     return [p for _, p in scored]
-
-
-def top_k(ranked: Sequence[Passage], k: int) -> list[Passage]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return list(ranked[:k])
 
 
 def shuffle_sequence(

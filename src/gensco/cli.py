@@ -30,17 +30,14 @@ from .models import (
     AnswerRecord,
     Dataset,
     MultiHopInstance,
-    SelectionTrace,
     ValidationError,
     Variant,
     append_jsonl,
     read_jsonl,
 )
-from .pipeline import GENSCO_VARIANTS, PipelineConfig, answer_step, drive, run_instance, serve
+from .pipeline import GENSCO_VARIANTS, PipelineConfig, run_instance
 from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
-
-_BASELINES = frozenset(Variant) - GENSCO_VARIANTS
 
 
 class ConfigError(ValueError):
@@ -53,7 +50,10 @@ class CorruptTrace(ValueError):
 
 def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh) or {}
+        try:
+            cfg = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     for key, value in overrides.items():
@@ -91,7 +91,8 @@ _BOOL = _Key("true or false", lambda v: isinstance(v, bool))
 # Every config key gensco reads, with the check its value must pass and
 # the variants and backend that read it. The PipelineConfig fields that
 # answer_step reads (shots, temperature, max_answer_tokens, shuffle,
-# shuffle_seed) apply to every variant, the loop's own to GenSco's only.
+# shuffle_seed) apply to every variant, greedy_loop's to GenSco's only and
+# ranked_loop's to the baselines.
 _CONFIG_KEYS = {
     "dataset": _one_of(*(d.value for d in Dataset), required=True),
     "dataset_path": _TEXT._replace(required=True),
@@ -110,7 +111,7 @@ _CONFIG_KEYS = {
     "scorer_concurrency": _int(1)._replace(variants=GENSCO_VARIANTS),
     "max_levels": _int(1)._replace(variants=GENSCO_VARIANTS),
     "max_answer_tokens": _int(1),
-    "top_k": _int(1)._replace(variants=_BASELINES),
+    "top_k": _int(1)._replace(variants=frozenset(Variant) - GENSCO_VARIANTS),
     "shots": _int(0),
     "shuffle_seed": _int(),
     "temperature": _FLOAT,
@@ -144,6 +145,8 @@ def _check_config(cfg: dict[str, Any]) -> dict[str, Any]:
             )
         if read and spec.required and key not in cfg:
             raise ConfigError(f"missing config field {key!r}")
+    if "shuffle_seed" in cfg and cfg.get("shuffle") is not True:
+        raise ConfigError("config key 'shuffle_seed' is read only with 'shuffle: true'")
     as_float = _FLOAT.accepts  # _replace keeps the check, so it marks every number key
     return {k: float(v) if _CONFIG_KEYS[k].accepts is as_float else v for k, v in cfg.items()}
 
@@ -183,35 +186,6 @@ def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
     defaults for the rest."""
     present = {f.name: cfg[f.name] for f in fields(PipelineConfig) if f.name in cfg}
     return PipelineConfig.for_dataset(dataset, **{**present, "variant": Variant(cfg["variant"])})
-
-
-def _run_baseline_instance(
-    inst: MultiHopInstance,
-    cfg: dict[str, Any],
-    pipe_cfg: PipelineConfig,
-    gateway: LlmGateway,
-    shot_bank,
-    rankings: Optional[dict[str, list[int]]],
-) -> tuple[SelectionTrace, AnswerRecord]:
-    """The top_k passages by BM25 or by the precomputed ranking, then the answer call."""
-    k = cfg.get("top_k", 5)
-    if pipe_cfg.variant is Variant.BM25:
-        ranked = baselines.bm25_rank(
-            inst.question,
-            inst.passages,
-            k1=cfg.get("bm25_k1", 1.2),
-            b=cfg.get("bm25_b", 0.75),
-        )
-        selected = tuple(p.index for p in baselines.top_k(ranked, k))
-    elif inst.id in rankings:
-        selected = tuple(rankings[inst.id][:k])
-    else:
-        raise ConfigError(f"no precomputed ranking for instance {inst.id!r}")
-    record = drive(
-        answer_step(inst, selected, pipe_cfg, shot_bank, gateway.generator.backend_id),
-        lambda request: serve(gateway, request),
-    )
-    return SelectionTrace(inst.id, pipe_cfg.variant, (), None, selected), record
 
 
 def _cut_to_whole_instances(paths: Sequence[Path]) -> int:
@@ -261,12 +235,23 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         shot_bank = _load_file("shot_bank", cfg["shot_bank"], load_shots_file)
     else:
         shot_bank = load_shots(dataset)
-    rankings = None
-    if "rankings_file" in cfg:
-        rankings = _load_file("rankings_file", cfg["rankings_file"], baselines.load_rankings)
-    gateway = _build_gateway(cfg)
     pipe_cfg = _pipeline_config(cfg, dataset)
-    is_baseline = pipe_cfg.variant not in GENSCO_VARIANTS
+    rankings = {}
+    if "rankings_file" in cfg:
+        path = cfg["rankings_file"]
+        rankings = _load_file("rankings_file", path, baselines.load_rankings)
+        for inst in instances:
+            if inst.id not in rankings:
+                raise ConfigError(
+                    f"config key 'rankings_file': {path!r} has no ranking for {inst.id!r}"
+                )
+            head = rankings[inst.id][: pipe_cfg.top_k]
+            if len({p.index for p in inst.passages}.intersection(head)) < len(head):
+                raise ConfigError(
+                    f"config key 'rankings_file': {path!r} ranks an absent or repeated passage"
+                    f" in the first {pipe_cfg.top_k} of {inst.id!r}: {head}"
+                )
+    gateway = _build_gateway(cfg)
 
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
@@ -281,12 +266,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
 
     def process(inst: MultiHopInstance):
         try:
-            if is_baseline:
-                trace, record = _run_baseline_instance(
-                    inst, cfg, pipe_cfg, gateway, shot_bank, rankings
-                )
-            else:
-                trace, record = run_instance(inst, pipe_cfg, gateway, shot_bank)
+            trace, record = run_instance(inst, pipe_cfg, gateway, shot_bank, rankings.get(inst.id))
             return inst, trace.to_dict(), record.to_dict(), None
         except Exception as exc:  # noqa: BLE001 - batch isolation boundary
             return inst, None, None, f"{type(exc).__name__}: {exc}"
@@ -378,11 +358,22 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
             )
         try:
             passages = [inst.passage_by_index(i).body for i in answer.context_order]
-            selected = trace["selected_sequence"]
         except KeyError as exc:
             raise CorruptTrace(
-                f"records of {answer.instance_id!r} name an absent passage or field {exc}"
+                f"{answers_path}: the context_order of {answer.instance_id!r}"
+                f" names an absent passage {exc}"
             ) from exc
+        selected = trace.get("selected_sequence")
+        if not isinstance(selected, list) or not all(map(_is_int, selected)):
+            raise CorruptTrace(
+                f"{traces_path}: the selected_sequence of {answer.instance_id!r}"
+                f" is not a list of integers: {selected!r}"
+            )
+        if not isinstance(answer.predicted_answer, str):
+            raise CorruptTrace(
+                f"{answers_path}: the predicted_answer of {answer.instance_id!r}"
+                f" is not a string: {answer.predicted_answer!r}"
+            )
         rows.append(metrics.evaluate_instance(
             answer.instance_id,
             answer.predicted_answer,
@@ -425,9 +416,13 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
         report_path = run_dir / "report.json"
         if not report_path.exists():
             raise CorruptTrace(f"{report_path}: run not evaluated yet")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        try:
+            report = json.loads(report_path.read_text(encoding="utf-8"))
+            rows = [metrics.InstanceEval(**r) for r in report["per_instance"]]
+            hist = report["delta_hops_hist"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptTrace(f"{report_path}: not a report ({exc!r})") from exc
         run_id = run_dir.name
-        rows = [metrics.InstanceEval(**r) for r in report["per_instance"]]
         kp = [r.k_precision for r in rows]
         f1 = [r.f1 for r in rows]
         try:
@@ -444,7 +439,7 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
                     "pearson": r_value,
                 }
             )
-        for support, buckets in report["delta_hops_hist"].items():
+        for support, buckets in hist.items():
             for delta, n in buckets.items():
                 hist_rows.append(
                     {

@@ -1,9 +1,9 @@
 """Greedy selection loop: decompose, stop-check, score, then one final
-answer-generation call per instance.
+answer-generation call per instance (the baselines make only that call).
 
-The loop is a generator that builds every prompt itself and yields its
-LLM requests; its caller answers them (``run_instance`` through the
-gateway), so the loop's rules exist once whatever serves the calls.
+The loops are generators that build every prompt themselves and yield
+their LLM requests; the caller answers them (``run_instance`` through the
+gateway), so the loops' rules exist once whatever serves the calls.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Sequence, Union
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
-from .baselines import shuffle_sequence
+from .baselines import bm25_rank, shuffle_sequence
 from .decomposition import normalize_subquestion, parse_subquestion
 from .llm import GeneratorRequest, LlmGateway, ScorerRequest
 from .models import (
@@ -73,6 +73,9 @@ class PipelineConfig:
     shuffle: bool = False
     shuffle_seed: int = 0
     max_answer_tokens: int = 64
+    top_k: int = 5
+    bm25_k1: float = 1.2
+    bm25_b: float = 0.75
 
     @classmethod
     def for_dataset(cls, dataset: Dataset, variant: Variant, **overrides) -> "PipelineConfig":
@@ -246,6 +249,36 @@ def greedy_loop(
     return trace, record
 
 
+def ranked_loop(
+    inst: MultiHopInstance,
+    cfg: PipelineConfig,
+    shot_bank: Sequence[ShotExample],
+    model_id: str,
+    ranking: Optional[Sequence[int]],
+) -> Loop:
+    """A baseline on one instance: the first ``top_k`` passages by BM25 or of
+    the precomputed ``ranking``, then the answer call; returns (trace, record)."""
+    if cfg.variant is Variant.BM25:
+        ranked = bm25_rank(inst.question, inst.passages, cfg.bm25_k1, cfg.bm25_b)
+        ranking = [p.index for p in ranked]
+    selected = tuple(ranking[: cfg.top_k])
+    record = yield from answer_step(inst, selected, cfg, shot_bank, model_id)
+    return SelectionTrace(inst.id, cfg.variant, (), None, selected), record
+
+
+def instance_loop(
+    inst: MultiHopInstance,
+    cfg: PipelineConfig,
+    shot_bank: Sequence[ShotExample],
+    model_id: str,
+    ranking: Optional[Sequence[int]] = None,
+) -> Loop:
+    """``greedy_loop`` for a GenSco variant, ``ranked_loop`` for a baseline."""
+    if cfg.variant in GENSCO_VARIANTS:
+        return greedy_loop(inst, cfg, shot_bank, model_id)
+    return ranked_loop(inst, cfg, shot_bank, model_id, ranking)
+
+
 def drive(loop: Loop, answer: Callable[[Request], Any]) -> Any:
     """Run ``loop`` to its return value, sending back ``answer(request)``
     for each request it yields."""
@@ -271,7 +304,8 @@ def run_instance(
     cfg: PipelineConfig,
     gateway: LlmGateway,
     shot_bank: Sequence[ShotExample] = (),
+    ranking: Optional[Sequence[int]] = None,
 ) -> tuple[SelectionTrace, AnswerRecord]:
-    """Run the greedy loop on one instance through the gateway."""
-    loop = greedy_loop(inst, cfg, shot_bank, gateway.generator.backend_id)
+    """Run the loop of ``cfg.variant`` on one instance through the gateway."""
+    loop = instance_loop(inst, cfg, shot_bank, gateway.generator.backend_id, ranking)
     return drive(loop, lambda request: serve(gateway, request))

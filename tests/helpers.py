@@ -11,7 +11,7 @@ from typing import Sequence
 
 from gensco.llm import LlmGateway, ScriptedBackend
 from gensco.models import Dataset, MultiHopInstance, Passage
-from gensco.pipeline import Generate, PipelineConfig, drive, greedy_loop
+from gensco.pipeline import Generate, PipelineConfig, drive, instance_loop
 from gensco.prompts import FIN_KEYWORD, ShotExample, load_shots
 
 TRACE_QUESTION = (
@@ -62,7 +62,8 @@ class ScriptedPlan:
     stop_nlls: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def reply(self, request):
-        """The planned reply to one request of the greedy loop."""
+        """The planned reply to one request of the loop (a baseline's loop
+        makes only the answer request)."""
         if request.purpose == "answer":
             return self.answer
         if request.purpose == "decomposition":
@@ -73,15 +74,16 @@ class ScriptedPlan:
         return [scores[p.index] for p in request.passages]
 
 
-def plan_requests(inst, cfg: PipelineConfig, plan: ScriptedPlan, shot_bank=()):
-    """Drive the loop from the plan alone: ((trace, record), [(request, reply)])."""
+def plan_requests(inst, cfg: PipelineConfig, plan: ScriptedPlan, shot_bank=(), ranking=None):
+    """Drive the variant's loop from the plan alone: ((trace, record),
+    [(request, reply)])."""
     log = []
 
     def reply(request):
         log.append((request, plan.reply(request)))
         return log[-1][1]
 
-    return drive(greedy_loop(inst, cfg, shot_bank, "scripted"), reply), log
+    return drive(instance_loop(inst, cfg, shot_bank, "scripted", ranking), reply), log
 
 
 def build_instance_script(
@@ -90,9 +92,10 @@ def build_instance_script(
     cfg: PipelineConfig,
     plan: ScriptedPlan,
     shot_bank: Sequence[ShotExample] = (),
+    ranking=None,
 ) -> None:
     """Register every request the loop makes for ``inst`` with its planned reply."""
-    for request, reply in plan_requests(inst, cfg, plan, shot_bank)[1]:
+    for request, reply in plan_requests(inst, cfg, plan, shot_bank, ranking)[1]:
         if isinstance(request, Generate):
             backend.add_completion(request.request, reply)
         else:

@@ -177,7 +177,7 @@ def test_k_precision_properties():
 @criterion("BM25 matches hand-computed Okapi scores; tf-monotonicity over 1000 trials")
 def test_bm25_correctness():
     passages = tuple(Passage(i, "", body) for i, body in enumerate(FIXTURE_DOCS))
-    index = Bm25Index(passages)
+    index = Bm25Index(passages, 1.2, 0.75)
     for query in ("quick fox", "dog", "brown honey fish", "the lazy dog sat"):
         expected = oracle_bm25(query, FIXTURE_DOCS)
         for pos in range(len(FIXTURE_DOCS)):
@@ -195,10 +195,10 @@ def test_bm25_correctness():
         boosted = list(docs)
         boosted[0] = docs[0] + (" " + term) * rng.randint(1, 5)
         before = Bm25Index(
-            tuple(Passage(i, "", d) for i, d in enumerate(docs))
+            tuple(Passage(i, "", d) for i, d in enumerate(docs)), 1.2, 0.75
         ).score([term], 0)
         after = Bm25Index(
-            tuple(Passage(i, "", d) for i, d in enumerate(boosted))
+            tuple(Passage(i, "", d) for i, d in enumerate(boosted)), 1.2, 0.75
         ).score([term], 0)
         assert after >= before - 1e-12
 

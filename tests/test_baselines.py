@@ -5,14 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gensco.baselines import (
-    Bm25Index,
-    bm25_rank,
-    load_rankings,
-    shuffle_sequence,
-    tokenize,
-    top_k,
-)
+from gensco.baselines import Bm25Index, bm25_rank, load_rankings, shuffle_sequence, tokenize
 from gensco.models import Passage
 
 from helpers import trace_instance
@@ -53,7 +46,7 @@ class TestBm25:
 
     def test_matches_oracle_on_fixture(self):
         passages = self.passages(FIXTURE_DOCS)
-        index = Bm25Index(passages)
+        index = Bm25Index(passages, 1.2, 0.75)
         for query in ("quick fox", "dog", "brown honey fox", "the lazy dog sat"):
             expected = oracle_bm25(query, FIXTURE_DOCS)
             got = [index.score(tokenize(query), pos) for pos in range(len(passages))]
@@ -61,13 +54,13 @@ class TestBm25:
 
     def test_trace_corpus_query_ranks_film_passage_over_footballer(self):
         inst = trace_instance()
-        ranked = bm25_rank("director Ivan film", inst.passages)
+        ranked = bm25_rank("director Ivan film", inst.passages, 1.2, 0.75)
         order = [p.index for p in ranked]
         assert order.index(8) < order.index(4)
 
     def test_no_shared_terms_keeps_index_order(self):
         passages = self.passages(FIXTURE_DOCS)
-        ranked = bm25_rank("zzz qqq", passages)
+        ranked = bm25_rank("zzz qqq", passages, 1.2, 0.75)
         assert [p.index for p in ranked] == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize(
@@ -77,15 +70,15 @@ class TestBm25:
         # The tokenizer keeps only [0-9a-z], so these passages have no terms
         # and their average length is 0.
         passages = self.passages(["Теа Шаррок родилась в Лондоне.", "Питер Левин — режиссёр."])
-        assert [p.index for p in bm25_rank(question, passages)] == [0, 1]
+        assert [p.index for p in bm25_rank(question, passages, 1.2, 0.75)] == [0, 1]
 
     def test_single_passage(self):
         passages = self.passages(["only document"])
-        assert [p.index for p in bm25_rank("anything", passages)] == [0]
+        assert [p.index for p in bm25_rank("anything", passages, 1.2, 0.75)] == [0]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            bm25_rank("q", [])
+            bm25_rank("q", [], 1.2, 0.75)
 
     @settings(max_examples=200)
     @given(
@@ -103,32 +96,14 @@ class TestBm25:
         boosted = list(docs)
         boosted[0] = docs[0] + (" " + term) * extra
         base = oracle_bm25(term, docs)
-        index_base = Bm25Index(tuple(Passage(i, "", d) for i, d in enumerate(docs)))
+        index_base = Bm25Index(tuple(Passage(i, "", d) for i, d in enumerate(docs)), 1.2, 0.75)
         got_base = index_base.score([term], 0)
         assert got_base == pytest.approx(base[0], abs=1e-9)
         # Only compare when document lengths stay comparable via the index.
         index_boosted = Bm25Index(
-            tuple(Passage(i, "", d) for i, d in enumerate(boosted))
+            tuple(Passage(i, "", d) for i, d in enumerate(boosted)), 1.2, 0.75
         )
         assert index_boosted.score([term], 0) >= got_base - 1e-12
-
-
-class TestTopK:
-    def test_top5_of_ten(self):
-        passages = tuple(Passage(i, "", f"doc {i}") for i in range(10))
-        assert len(top_k(passages, 5)) == 5
-
-    def test_top2_of_four(self):
-        passages = tuple(Passage(i, "", f"doc {i}") for i in range(4))
-        assert [p.index for p in top_k(passages, 2)] == [0, 1]
-
-    def test_clamps_to_available(self):
-        passages = tuple(Passage(i, "", f"doc {i}") for i in range(3))
-        assert len(top_k(passages, 5)) == 3
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            top_k((), 0)
 
 
 class TestShuffleSequence:

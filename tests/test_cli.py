@@ -12,13 +12,15 @@ from click.testing import CliRunner
 
 from gensco import baselines, cli, metrics
 from gensco.datasets import DatasetConfig, load
-from gensco.llm import GeneratorRequest, ScriptedBackend
+from gensco.llm import ScriptedBackend
 from gensco.models import Dataset, Variant
-from gensco.pipeline import PipelineConfig, answer_step
-from gensco.prompts import load_shots, render_answer_prompt
+from gensco.pipeline import PipelineConfig
+from gensco.prompts import load_shots
 
 from helpers import (
     InFlight,
+    ScriptedPlan,
+    build_instance_script,
     build_synthetic_script,
     synthetic_record,
     write_synthetic_dataset,
@@ -248,72 +250,58 @@ class TestRunBatch:
         assert len(read_bytes(run_dir, "answers.jsonl").splitlines()) == 2
 
 
-class TestBaselineRun:
-    def build_bm25_script(self, instances, top_k=3):
-        backend = ScriptedBackend()
-        shots = load_shots(Dataset.SYNTHETIC)
-        for inst in instances:
-            ranked = baselines.bm25_rank(inst.question, inst.passages)
-            chosen = [p.index for p in baselines.top_k(ranked, top_k)]
-            prompt = render_answer_prompt(
-                inst.question,
-                [inst.passage_by_index(i) for i in chosen],
-                tuple(shots)[:2],
-            )
-            backend.add_completion(
-                GeneratorRequest(
-                    prompt=prompt.text,
-                    temperature=0.0,
-                    max_output_tokens=64,
-                    stop_sequences=("\n",),
-                ),
-                f"baseline answer {inst.id}",
-            )
-        return backend
+def write_rankings(path, rankings):
+    Path(path).write_text(
+        "".join(json.dumps({"instance_id": i, "ranking": r}) + "\n" for i, r in rankings.items())
+    )
 
-    def test_bm25_selection_recorded(self, tmp_path):
+
+class TestBaselineRun:
+    def baseline_run(self, tmp_path, n, variant, rankings=None, **extra):
+        """Instances and a top_k 3 config of ``variant``, with a script
+        recorded by driving the variant's loop with a plan."""
         data_path = tmp_path / "synthetic.json"
-        write_synthetic_dataset(data_path, 3)
+        write_synthetic_dataset(data_path, n)
         instances = load(DatasetConfig(Dataset.SYNTHETIC, str(data_path)))
-        script_path = tmp_path / "script.json"
-        self.build_bm25_script(instances).to_file(script_path)
         cfg = {
             "dataset": "synthetic",
             "dataset_path": str(data_path),
-            "variant": "bm25",
+            "variant": variant.value,
             "top_k": 3,
             "backend": "scripted",
-            "script_file": str(script_path),
+            "script_file": str(tmp_path / "script.json"),
+            **extra,
         }
+        if rankings is not None:
+            cfg["rankings_file"] = str(tmp_path / "rankings.jsonl")
+            write_rankings(cfg["rankings_file"], rankings)
+        pipe_cfg = cli._pipeline_config(cli._check_config(cfg), Dataset.SYNTHETIC)
+        backend = ScriptedBackend()
+        for inst in instances:
+            plan = ScriptedPlan([], [], f"baseline answer {inst.id}")
+            ranking = rankings and rankings[inst.id]
+            build_instance_script(
+                backend, inst, pipe_cfg, plan, load_shots(Dataset.SYNTHETIC), ranking
+            )
+        backend.to_file(cfg["script_file"])
+        return instances, cfg
+
+    def bm25_run(self, tmp_path, n, **extra):
+        return self.baseline_run(tmp_path, n, Variant.BM25, **extra)
+
+    def test_bm25_selection_recorded(self, tmp_path):
+        instances, cfg = self.bm25_run(tmp_path, 3)
         run_dir = tmp_path / "run"
         assert cli.run_batch(cfg, run_dir) == 0
         traces = [
             json.loads(l) for l in (run_dir / "traces.jsonl").read_text().splitlines()
         ]
         for inst, trace in zip(instances, traces):
-            ranked = baselines.bm25_rank(inst.question, inst.passages)
-            expected = [p.index for p in baselines.top_k(ranked, 3)]
-            assert trace["selected_sequence"] == expected
+            ranked = baselines.bm25_rank(inst.question, inst.passages, 1.2, 0.75)
+            assert trace["selected_sequence"] == [p.index for p in ranked[:3]]
             assert trace["levels"] == []
         report = cli.evaluate_run(run_dir)
         assert report.count == 3
-
-    def bm25_run(self, tmp_path, n, **extra):
-        data_path = tmp_path / "synthetic.json"
-        write_synthetic_dataset(data_path, n)
-        instances = load(DatasetConfig(Dataset.SYNTHETIC, str(data_path)))
-        script_path = tmp_path / "script.json"
-        self.build_bm25_script(instances).to_file(script_path)
-        cfg = {
-            "dataset": "synthetic",
-            "dataset_path": str(data_path),
-            "variant": "bm25",
-            "top_k": 3,
-            "backend": "scripted",
-            "script_file": str(script_path),
-            **extra,
-        }
-        return instances, cfg
 
     def test_bm25_trace_line_is_pinned(self, tmp_path):
         _, cfg = self.bm25_run(tmp_path, 1)
@@ -325,17 +313,7 @@ class TestBaselineRun:
         )
 
     def test_bm25_shuffle_writes_a_permutation(self, tmp_path):
-        instances, cfg = self.bm25_run(tmp_path, 3, shuffle=True, shuffle_seed=7)
-        pipe_cfg = PipelineConfig.for_dataset(
-            Dataset.SYNTHETIC, Variant.BM25, shuffle=True, shuffle_seed=7
-        )
-        backend = ScriptedBackend()
-        for inst in instances:
-            ranked = baselines.bm25_rank(inst.question, inst.passages)
-            selected = [p.index for p in baselines.top_k(ranked, 3)]
-            loop = answer_step(inst, selected, pipe_cfg, load_shots(Dataset.SYNTHETIC), "scripted")
-            backend.add_completion(next(loop).request, f"shuffled answer {inst.id}")
-        backend.to_file(cfg["script_file"])
+        _, cfg = self.bm25_run(tmp_path, 3, shuffle=True, shuffle_seed=7)
         run_dir = tmp_path / "run"
         assert cli.run_batch(cfg, run_dir) == 0
         traces = [json.loads(l) for l in read_bytes(run_dir, "traces.jsonl").splitlines()]
@@ -346,11 +324,48 @@ class TestBaselineRun:
             selected = trace["selected_sequence"]
             assert answer["context_order"] == [selected[i] for i in answer["permutation"]]
 
+    def test_precomputed_run_answers_on_the_first_top_k(self, tmp_path):
+        # Entries past the first top_k are neither checked nor used.
+        rankings = {"syn-000": [4, 2, 0, 1], "syn-001": [1, 3, 0, 1, 99]}
+        _, cfg = self.baseline_run(tmp_path, 2, Variant.PRECOMPUTED, rankings)
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 0
+        traces = [json.loads(l) for l in read_bytes(run_dir, "traces.jsonl").splitlines()]
+        answers = [json.loads(l) for l in read_bytes(run_dir, "answers.jsonl").splitlines()]
+        assert [t["selected_sequence"] for t in traces] == [[4, 2, 0], [1, 3, 0]]
+        assert [a["predicted_answer"] for a in answers] == [
+            "baseline answer syn-000",
+            "baseline answer syn-001",
+        ]
+
     def test_precomputed_requires_rankings_file(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)
         cfg["variant"] = "precomputed"
         with pytest.raises(cli.ConfigError):
             cli.run_batch(cfg, tmp_path / "run")
+
+    @pytest.mark.parametrize(
+        "ranking",
+        [None, [0, 9, 1], [2, 4, 2]],
+        ids=["missing-instance", "absent-passage", "repeated-passage"],
+    )
+    def test_bad_ranking_exits_2_before_any_llm_call(self, tmp_path, ranking):
+        rankings = {"syn-000": [0, 1, 2], "syn-001": [4, 3, 2]}
+        _, cfg = self.baseline_run(tmp_path, 2, Variant.PRECOMPUTED, rankings)
+        del rankings["syn-001"]
+        if ranking is not None:
+            rankings["syn-001"] = ranking
+        write_rankings(cfg["rankings_file"], rankings)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(cfg))
+        run_dir = tmp_path / "run"
+        result = CliRunner().invoke(
+            cli.main, ["run", "--config", str(config_path), "--run-dir", str(run_dir)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and "'rankings_file'" in result.output
+        assert cfg["rankings_file"] in result.output and "'syn-001'" in result.output
+        assert not (run_dir / "answers.jsonl").exists()
 
 
 class TestEvaluateRun:
@@ -421,6 +436,29 @@ class TestEvaluateRun:
         assert result.exit_code == 2
         assert "fatal" in result.output
 
+
+    @pytest.mark.parametrize(
+        "name,field,value",
+        [
+            ("traces.jsonl", "selected_sequence", 5),
+            ("traces.jsonl", "selected_sequence", ["0"]),
+            ("answers.jsonl", "predicted_answer", 5),
+        ],
+        ids=["int-sequence", "string-in-sequence", "int-answer"],
+    )
+    def test_field_of_the_wrong_type_exits_2(self, tmp_path, name, field, value):
+        run_dir = self.finished_run(tmp_path)
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[0])
+        first[field] = value
+        path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        with pytest.raises(cli.CorruptTrace):
+            cli.evaluate_run(run_dir)
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and str(path) in result.output
+        assert f"{first['instance_id']!r}" in result.output
 
     def test_trace_without_selected_sequence_exits_2(self, tmp_path):
         run_dir = self.finished_run(tmp_path)
@@ -510,6 +548,33 @@ class TestPlotData:
             cli.emit_plotdata([run_dir], tmp_path / "plots")
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda report: "{",
+            lambda report: {**report, "per_instance": [{"instance_id": "syn-000"}]},
+            lambda report: {**report, "per_instance": [{**report["per_instance"][0], "x": 1}]},
+            lambda report: {k: v for k, v in report.items() if k != "delta_hops_hist"},
+        ],
+        ids=["truncated", "row-missing-keys", "row-with-an-unknown-key", "no-histogram"],
+    )
+    def test_unreadable_report_exits_2(self, tmp_path, edit):
+        cfg = make_run_config(tmp_path, 2)
+        run_dir = tmp_path / "run"
+        cli.run_batch(cfg, run_dir)
+        cli.evaluate_run(run_dir)
+        path = run_dir / "report.json"
+        report = edit(json.loads(path.read_text()))
+        path.write_text(report if isinstance(report, str) else json.dumps(report))
+        with pytest.raises(cli.CorruptTrace):
+            cli.emit_plotdata([run_dir], tmp_path / "plots")
+        result = CliRunner().invoke(
+            cli.main, ["plotdata", str(run_dir), "--out-dir", str(tmp_path / "plots")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and str(path) in result.output
+
+
 class TestCommandLine:
     def invoke(self, *args):
         return CliRunner().invoke(cli.main, list(args))
@@ -549,6 +614,15 @@ class TestCommandLine:
         assert "No such option" in result.output and "--seed" in result.output
         assert not run_dir.exists()
 
+    def test_config_that_is_not_yaml_exits_2(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("dataset: [unclosed\n")
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", str(path), "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and str(path) in result.output
+        assert not run_dir.exists()
+
     def test_missing_required_field_exits_2(self, tmp_path):
         config_path = self.write_config(tmp_path, {"dataset": "synthetic"})
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
@@ -556,20 +630,36 @@ class TestCommandLine:
         assert "fatal" in result.output
 
     @pytest.mark.parametrize(
-        "key,value",
+        "key,value,extra",
         [
-            ("scorer_concurency", 2),
-            ("max_in_flight", 4),
-            ("shots", "two"),
-            ("shots", 2.5),
-            ("dedupe_pool", "no"),
-            ("limit", -1),
-            ("limit", 0),
-            ("concurrency", 0),
+            ("scorer_concurency", 2, {}),
+            ("max_in_flight", 4, {}),
+            ("shots", "two", {}),
+            ("shots", 2.5, {}),
+            ("dedupe_pool", "no", {}),
+            ("limit", -1, {}),
+            ("limit", 0, {}),
+            ("concurrency", 0, {}),
+            ("top_k", 0, {"variant": Variant.BM25}),
+            ("shuffle_seed", 3, {}),
+            ("shuffle_seed", 3, {"shuffle": False}),
+        ],
+        ids=[
+            "scorer_concurency-2",
+            "max_in_flight-4",
+            "shots-two",
+            "shots-2.5",
+            "dedupe_pool-no",
+            "limit--1",
+            "limit-0",
+            "concurrency-0",
+            "top_k-0-on-bm25",
+            "shuffle_seed-without-shuffle",
+            "shuffle_seed-with-shuffle-false",
         ],
     )
-    def test_invalid_config_value_exits_2_before_the_run(self, tmp_path, key, value):
-        cfg = make_run_config(tmp_path, 3, **{key: value})
+    def test_invalid_config_value_exits_2_before_the_run(self, tmp_path, key, value, extra):
+        cfg = make_run_config(tmp_path, 3, **{key: value}, **extra)
         config_path = self.write_config(tmp_path, cfg)
         run_dir = tmp_path / "r"
         result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))

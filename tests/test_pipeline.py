@@ -5,6 +5,7 @@ from contextlib import closing
 
 import pytest
 
+from gensco.baselines import bm25_rank
 from gensco.llm import ScriptedBackend
 from gensco.models import Dataset, StopReason, Variant, replay_trace
 from gensco.pipeline import Generate, PipelineConfig, greedy_loop, run_instance
@@ -297,6 +298,41 @@ class TestVariants:
         trace, _ = run_instance(inst, cfg, scripted_gateway(backend), ())
         # Passage 8 is pruned after selection, so level 2 picks the runner-up.
         assert trace.selected_sequence == (8, 5)
+
+
+class TestRankedLoop:
+    def run(self, cfg, ranking=None):
+        (trace, record), log = plan_requests(
+            trace_instance(), cfg, ScriptedPlan([], [], "London"), ranking=ranking
+        )
+        assert [request.purpose for request, _ in log] == ["answer"]
+        assert trace.levels == () and trace.stop_reason is None
+        assert record.context_order == trace.selected_sequence
+        return trace.selected_sequence
+
+    def test_bm25_keeps_its_first_top_k(self):
+        inst = trace_instance()
+        ranked = bm25_rank(inst.question, inst.passages, 1.2, 0.75)
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.BM25)
+        assert cfg.top_k == 5
+        assert self.run(cfg) == tuple(p.index for p in ranked[:5])
+
+    def test_precomputed_keeps_its_first_top_k(self):
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.PRECOMPUTED, top_k=2)
+        assert self.run(cfg, [3, 1, 4, 2]) == (3, 1)
+
+    def test_top_k_beyond_the_ranking_keeps_it_whole(self):
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.PRECOMPUTED, top_k=5)
+        assert self.run(cfg, [7, 2, 9]) == (7, 2, 9)
+
+    def test_bm25_reads_k1_and_b_from_the_config(self):
+        inst = trace_instance()
+        cfg = PipelineConfig.for_dataset(
+            Dataset.TWO_WIKI, Variant.BM25, top_k=10, bm25_k1=0.5, bm25_b=0.0
+        )
+        ranked = bm25_rank(inst.question, inst.passages, 0.5, 0.0)
+        assert ranked != bm25_rank(inst.question, inst.passages, 1.2, 0.75)
+        assert self.run(cfg) == tuple(p.index for p in ranked)
 
 
 class TestShuffleAblation:
