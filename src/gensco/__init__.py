@@ -10,7 +10,6 @@ from .models import (
     StopReason,
     SubQuestion,
     Variant,
-    validate_instance,
 )
 from .pipeline import PipelineConfig, run_instance
 
@@ -26,7 +25,6 @@ __all__ = [
     "SubQuestion",
     "Variant",
     "run_instance",
-    "validate_instance",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,6 @@ order-matters ablation."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -12,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .models import Passage
+from .models import Passage, Record, read_jsonl
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -103,18 +102,14 @@ def shuffle_sequence(
     return tuple(sequence[i] for i in perm), tuple(perm)
 
 
+@dataclass(frozen=True)
+class Ranking(Record):
+    """One line of a precomputed ranking file: passage indices, best first."""
+
+    instance_id: str
+    ranking: tuple[int, ...]
+
+
 def load_rankings(path) -> dict[str, list[int]]:
-    """Precomputed ranking file: one JSON object per line with
-    ``instance_id`` and an ordered ``ranking`` of passage indices."""
-    rankings: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                rankings[rec["instance_id"]] = [int(i) for i in rec["ranking"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad ranking record: {exc}") from exc
-    return rankings
+    """The rankings of a precomputed ranking file, one ``Ranking`` per line."""
+    return {r.instance_id: list(r.ranking) for r in read_jsonl(path, Ranking.from_dict)}

@@ -28,6 +28,7 @@ from . import baselines, datasets, metrics
 from .llm import HttpBackend, LlmGateway, ScriptedBackend
 from .models import (
     AnswerRecord,
+    CorruptTrace,
     Dataset,
     MultiHopInstance,
     ValidationError,
@@ -41,10 +42,6 @@ from .scorer import MAX_NLL, MIN_NLL
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class CorruptTrace(ValueError):
     pass
 
 
@@ -204,17 +201,11 @@ def _cut_to_whole_instances(paths: Sequence[Path]) -> int:
     return n
 
 
-def _done_instances(traces_path: Path) -> set[str]:
-    """The instance ids of the kept trace lines; a line that is not a trace
-    record is a CorruptTrace naming its file and line."""
-    done = set()
-    with open(traces_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                done.add(json.loads(line)["instance_id"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptTrace(f"{traces_path}:{lineno}: not a trace record ({exc!r})") from exc
-    return done
+def _trace_id(trace: dict[str, Any]) -> str:
+    """The instance id of a trace line; a TypeError unless it is a string."""
+    if type(trace["instance_id"]) is not str:
+        raise TypeError(f"instance_id {trace['instance_id']!r} is not a string")
+    return trace["instance_id"]
 
 
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
@@ -257,9 +248,10 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     answers_path = run_dir / "answers.jsonl"
     instances_path = run_dir / "instances.jsonl"
     failures_path = run_dir / "failures.jsonl"
-    done: set[str] = set()
-    if _cut_to_whole_instances((instances_path, traces_path, answers_path)):
-        done = _done_instances(traces_path)
+    whole = _cut_to_whole_instances((instances_path, traces_path, answers_path))
+    done = set(read_jsonl(traces_path, _trace_id)) if whole else set()
+    if len(done) != whole:  # a blank or repeated line
+        raise CorruptTrace(f"{traces_path}: {whole} lines hold {len(done)} instance ids")
     todo = [inst for inst in instances if inst.id not in done]
 
     started = time.time()
@@ -322,9 +314,12 @@ def _previous_invocations(manifest_path: Path) -> list[dict[str, Any]]:
     if not manifest_path.exists():
         return []
     try:
-        return json.loads(manifest_path.read_text(encoding="utf-8")).get("invocations", [])
+        invocations = json.loads(manifest_path.read_text(encoding="utf-8")).get("invocations", [])
     except (ValueError, AttributeError) as exc:
         raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
+    if type(invocations) is not list:
+        raise CorruptTrace(f"{manifest_path}: 'invocations' is not a list: {invocations!r}")
+    return invocations
 
 
 def evaluate_run(run_dir) -> metrics.EvalReport:
@@ -336,23 +331,18 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
     for path in (traces_path, answers_path, instances_path):
         if not path.exists():
             raise CorruptTrace(f"{path}: missing")
-    try:
-        instances = {
-            rec["id"]: MultiHopInstance.from_dict(rec)
-            for rec in read_jsonl(instances_path)
-        }
-        traces = {rec["instance_id"]: rec for rec in read_jsonl(traces_path)}
-        answers = [AnswerRecord.from_dict(rec) for rec in read_jsonl(answers_path)]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptTrace(str(exc)) from exc
+    instances = {
+        inst.id: inst for inst in read_jsonl(instances_path, MultiHopInstance.from_dict)
+    }
+    traced = set(read_jsonl(traces_path, _trace_id))
+    answers = list(read_jsonl(answers_path, AnswerRecord.from_dict))
     if not answers:
         raise CorruptTrace(f"{answers_path}: no answer records")
 
     rows: list[metrics.InstanceEval] = []
     for answer in answers:
         inst = instances.get(answer.instance_id)
-        trace = traces.get(answer.instance_id)
-        if inst is None or trace is None:
+        if inst is None or answer.instance_id not in traced:
             raise CorruptTrace(
                 f"answer for {answer.instance_id!r} has no matching instance/trace"
             )
@@ -363,23 +353,13 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
                 f"{answers_path}: the context_order of {answer.instance_id!r}"
                 f" names an absent passage {exc}"
             ) from exc
-        selected = trace.get("selected_sequence")
-        if not isinstance(selected, list) or not all(map(_is_int, selected)):
-            raise CorruptTrace(
-                f"{traces_path}: the selected_sequence of {answer.instance_id!r}"
-                f" is not a list of integers: {selected!r}"
-            )
-        if not isinstance(answer.predicted_answer, str):
-            raise CorruptTrace(
-                f"{answers_path}: the predicted_answer of {answer.instance_id!r}"
-                f" is not a string: {answer.predicted_answer!r}"
-            )
+        # The selection as a shuffle reordered it: retrieval reads only its set and length.
         rows.append(metrics.evaluate_instance(
             answer.instance_id,
             answer.predicted_answer,
             inst.gold_answer,
             passages,
-            selected,
+            answer.context_order,
             inst.supporting_indices,
         ))
 
@@ -420,7 +400,9 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
             report = json.loads(report_path.read_text(encoding="utf-8"))
             rows = [metrics.InstanceEval(**r) for r in report["per_instance"]]
             hist = report["delta_hops_hist"]
-        except (ValueError, KeyError, TypeError) as exc:
+            if not all(all(map(_is_int, buckets.values())) for buckets in hist.values()):
+                raise TypeError(f"delta_hops_hist holds a count that is not an integer: {hist}")
+        except (AttributeError, ValueError, KeyError, TypeError) as exc:
             raise CorruptTrace(f"{report_path}: not a report ({exc!r})") from exc
         run_id = run_dir.name
         kp = [r.k_precision for r in rows]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, TypeVar
 
-from .models import Dataset, MultiHopInstance, Passage, validate_instance
+from .models import Dataset, MultiHopInstance, Passage
 
 T = TypeVar("T")
 
@@ -100,7 +100,7 @@ def _load_wiki_style(path: Path, dataset: Dataset) -> list[MultiHopInstance]:
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a non-empty JSON array of instances")
     return [
-        validate_instance(_instance_from_wiki_record(rec, dataset, f"{path}[{i}]"))
+        _instance_from_wiki_record(rec, dataset, f"{path}[{i}]")
         for i, rec in enumerate(data)
     ]
 
@@ -132,15 +132,13 @@ def _load_musique(path: Path) -> list[MultiHopInstance]:
                 if para.get("is_supporting"):
                     supports.add(pos)
             instances.append(
-                validate_instance(
-                    MultiHopInstance(
-                        id=instance_id,
-                        question=_require(record, "question", where),
-                        gold_answer=_require(record, "answer", where),
-                        passages=tuple(passages),
-                        supporting_indices=frozenset(supports) if supports else None,
-                        dataset=Dataset.MUSIQUE,
-                    )
+                MultiHopInstance(
+                    id=instance_id,
+                    question=_require(record, "question", where),
+                    gold_answer=_require(record, "answer", where),
+                    passages=tuple(passages),
+                    supporting_indices=frozenset(supports) if supports else None,
+                    dataset=Dataset.MUSIQUE,
                 )
             )
     if not instances:

@@ -12,7 +12,9 @@ import json
 import operator
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Iterator, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Any, Callable, Iterator, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
+)
 
 # Selection rules: a level's best candidate has the lowest (paper) or highest mean NLL.
 MIN_NLL = "min_nll"
@@ -43,6 +45,10 @@ class StopReason(str, Enum):
     MAX_LEVELS = "max_levels"
 
 
+class CorruptTrace(ValueError):
+    """A run file does not hold the records it should."""
+
+
 class ValidationError(ValueError):
     """An instance violates a domain invariant."""
 
@@ -59,30 +65,41 @@ class BlankQuestion(ValidationError):
     pass
 
 
+def _expect(kinds: tuple[type, ...], convert=None):
+    """A decoder that takes only a JSON value whose type is one of ``kinds``
+    (exactly: a bool is no int), then ``convert`` of it."""
+
+    def decode(v):
+        if type(v) not in kinds:
+            raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {v!r}")
+        return v if convert is None else convert(v)
+
+    return decode
+
+
 def _codec(hint) -> tuple[Any, Any]:
-    """(encode, decode) between a field's value and its JSON form; both are
-    None for a value JSON holds as it is."""
+    """(encode, decode) between a field's value and its JSON form; encode is
+    None for a value JSON holds as it is, and decode rejects a wrong form."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:  # Optional[X]: None stays None
         encode, decode = _codec(args[0])
-        if encode is None:
-            return None, None
         return (
-            lambda v: None if v is None else encode(v),
+            encode and (lambda v: None if v is None else encode(v)),
             lambda v: None if v is None else decode(v),
         )
-    if origin is tuple:
+    if origin is tuple or origin is frozenset:
         encode, decode = _codec(args[0])
+        decode_list = _expect((list,), lambda v: origin(map(decode, v)))
+        if origin is frozenset:
+            return sorted, decode_list
         if encode is None:
-            return list, tuple
-        return lambda v: [encode(x) for x in v], lambda v: tuple(decode(x) for x in v)
-    if origin is frozenset:
-        return sorted, frozenset
+            return list, decode_list
+        return lambda v: [encode(x) for x in v], decode_list
     if issubclass(hint, Enum):
         return operator.attrgetter("value"), hint
     if issubclass(hint, Record):
         return hint.to_dict, hint.from_dict
-    return None, None
+    return None, _expect((int, float) if hint is float else (hint,))
 
 
 @functools.cache
@@ -96,7 +113,8 @@ def _field_codecs(cls) -> tuple[tuple[str, Any, Any, bool], ...]:
 class Record:
     """A frozen dataclass whose dict form is derived from its fields: an
     enum is its value, a tuple a list, a frozenset a sorted list and a
-    nested record a dict. ``from_dict`` ignores keys that are not fields."""
+    nested record a dict. ``from_dict`` ignores keys that are not fields and
+    raises a TypeError naming ``Class.field`` for a value of the wrong type."""
 
     def to_dict(self) -> dict[str, Any]:
         out = self.__dict__.copy()  # frozen: it holds the fields and nothing else
@@ -109,8 +127,10 @@ class Record:
     def from_dict(cls: type[R], d: dict[str, Any]) -> R:
         kwargs = {}
         for name, _, decode, optional in _field_codecs(cls):
-            value = d.get(name) if optional else d[name]
-            kwargs[name] = value if decode is None else decode(value)
+            try:
+                kwargs[name] = decode(d.get(name) if optional else d[name])
+            except (TypeError, ValueError) as exc:  # a ValueError: not an enum's value
+                raise TypeError(f"{cls.__name__}.{name}: {exc}") from exc
         return cls(**kwargs)
 
 
@@ -131,6 +151,30 @@ class MultiHopInstance(Record):
     passages: tuple[Passage, ...]
     supporting_indices: Optional[frozenset[int]] = None
     dataset: Dataset = Dataset.SYNTHETIC
+
+    def __post_init__(self) -> None:
+        """Check the domain invariants: every instance is valid once built."""
+        if not self.passages:
+            raise EmptyPassageSet(f"instance {self.id!r} has no candidate passages")
+        if not self.question.strip():
+            raise BlankQuestion(f"instance {self.id!r} has a blank question")
+        if not self.gold_answer.strip():
+            raise BlankQuestion(f"instance {self.id!r} has a blank gold answer")
+        indices = [p.index for p in self.passages]
+        if len(set(indices)) != len(indices):
+            raise ValidationError(f"instance {self.id!r} has duplicate passage indices")
+        for p in self.passages:
+            if not p.body.strip():
+                raise ValidationError(
+                    f"instance {self.id!r} passage {p.index} has an empty body"
+                )
+        if self.supporting_indices is not None:
+            dangling = set(self.supporting_indices) - set(indices)
+            if dangling:
+                raise DanglingSupportIndex(
+                    f"instance {self.id!r} supporting indices {sorted(dangling)} "
+                    f"do not refer to any passage"
+                )
 
     def passage_by_index(self, index: int) -> Passage:
         for p in self.passages:
@@ -193,32 +237,6 @@ class AnswerRecord(Record):
     permutation: Optional[tuple[int, ...]] = None
 
 
-def validate_instance(inst: MultiHopInstance) -> MultiHopInstance:
-    """Check domain invariants; returns the instance unchanged when valid."""
-    if not inst.passages:
-        raise EmptyPassageSet(f"instance {inst.id!r} has no candidate passages")
-    if not inst.question.strip():
-        raise BlankQuestion(f"instance {inst.id!r} has a blank question")
-    if not inst.gold_answer.strip():
-        raise BlankQuestion(f"instance {inst.id!r} has a blank gold answer")
-    indices = [p.index for p in inst.passages]
-    if len(set(indices)) != len(indices):
-        raise ValidationError(f"instance {inst.id!r} has duplicate passage indices")
-    for p in inst.passages:
-        if not p.body.strip():
-            raise ValidationError(
-                f"instance {inst.id!r} passage {p.index} has an empty body"
-            )
-    if inst.supporting_indices is not None:
-        dangling = set(inst.supporting_indices) - set(indices)
-        if dangling:
-            raise DanglingSupportIndex(
-                f"instance {inst.id!r} supporting indices {sorted(dangling)} "
-                f"do not refer to any passage"
-            )
-    return inst
-
-
 def replay_trace(trace: SelectionTrace, score_sign: str = MIN_NLL) -> bool:
     """Re-derive each level's choice from its stored candidates.
 
@@ -239,13 +257,15 @@ def append_jsonl(fh, record: dict[str, Any]) -> None:
     fh.flush()
 
 
-def read_jsonl(path) -> Iterator[dict[str, Any]]:
+def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> Iterator[Any]:
+    """``decode`` of each record of a JSON-lines file, skipping blank lines; a line
+    that is not JSON or that ``decode`` rejects is a CorruptTrace naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: corrupt record: {exc}") from exc
+                record = decode(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
+            yield record

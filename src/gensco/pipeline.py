@@ -28,7 +28,6 @@ from .models import (
     SubQuestion,
     TraceLevel,
     Variant,
-    validate_instance,
 )
 from .prompts import (
     ShotExample,
@@ -168,7 +167,6 @@ def greedy_loop(
     """
     if cfg.variant not in GENSCO_VARIANTS:
         raise ValueError(f"greedy_loop does not run the baseline variant {cfg.variant.value!r}")
-    validate_instance(inst)
     levels: list[TraceLevel] = []
     selected: list[Passage] = []
     seen: set[str] = set()

@@ -147,3 +147,20 @@ class TestPrecomputedRankings:
         path.write_text('{"instance_id": "a"}\n')
         with pytest.raises(ValueError, match=":1"):
             load_rankings(path)
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ('{"instance_id": "a", "ranking": [2.9, 0]}', "Ranking.ranking"),
+            ('{"instance_id": "a", "ranking": ["1"]}', "Ranking.ranking"),
+            ('{"instance_id": "a", "ranking": [true]}', "Ranking.ranking"),
+            ('{"instance_id": "a", "ranking": "021"}', "Ranking.ranking"),
+            ('{"instance_id": 7, "ranking": [1]}', "Ranking.instance_id"),
+        ],
+        ids=["float", "string", "bool", "string-ranking", "int-id"],
+    )
+    def test_mistyped_record_reports_line_and_field(self, tmp_path, line, field):
+        path = tmp_path / "rankings.jsonl"
+        path.write_text('{"instance_id": "b", "ranking": [0]}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f":2: .*{field}"):
+            load_rankings(path)

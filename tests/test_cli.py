@@ -324,6 +324,31 @@ class TestBaselineRun:
             selected = trace["selected_sequence"]
             assert answer["context_order"] == [selected[i] for i in answer["permutation"]]
 
+    def test_retrieval_metrics_of_a_shuffled_run_are_those_of_the_selection(self, tmp_path):
+        # A shuffle permutes the answer's context_order; the report scores
+        # the selection the trace records.
+        _, cfg = self.bm25_run(tmp_path, 6, shuffle=True, shuffle_seed=3)
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 0
+        cli.evaluate_run(run_dir)
+        records = [
+            [json.loads(line) for line in read_bytes(run_dir, name).splitlines()]
+            for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl")
+        ]
+        assert any(a["context_order"] != t["selected_sequence"] for _, t, a in zip(*records))
+        expected = [
+            vars(metrics.evaluate_instance(
+                a["instance_id"],
+                a["predicted_answer"],
+                inst["gold_answer"],
+                [inst["passages"][i]["body"] for i in a["context_order"]],
+                t["selected_sequence"],
+                frozenset(inst["supporting_indices"]),
+            ))
+            for inst, t, a in zip(*records)
+        ]
+        assert json.loads(read_bytes(run_dir, "report.json"))["per_instance"] == expected
+
     def test_precomputed_run_answers_on_the_first_top_k(self, tmp_path):
         # Entries past the first top_k are neither checked nor used.
         rankings = {"syn-000": [4, 2, 0, 1], "syn-001": [1, 3, 0, 1, 99]}
@@ -438,15 +463,25 @@ class TestEvaluateRun:
 
 
     @pytest.mark.parametrize(
-        "name,field,value",
+        "name,field,value,named",
         [
-            ("traces.jsonl", "selected_sequence", 5),
-            ("traces.jsonl", "selected_sequence", ["0"]),
-            ("answers.jsonl", "predicted_answer", 5),
+            ("answers.jsonl", "predicted_answer", 5, "AnswerRecord.predicted_answer"),
+            ("answers.jsonl", "context_order", ["0"], "AnswerRecord.context_order"),
+            ("instances.jsonl", "gold_answer", 5, "MultiHopInstance.gold_answer"),
+            ("instances.jsonl", "supporting_indices", "0236", "MultiHopInstance.supporting_indices"),
+            ("instances.jsonl", "supporting_indices", [1.5], "MultiHopInstance.supporting_indices"),
+            ("instances.jsonl", "gold_answer", " ", "blank gold answer"),
         ],
-        ids=["int-sequence", "string-in-sequence", "int-answer"],
+        ids=[
+            "int-answer",
+            "string-in-context-order",
+            "int-gold-answer",
+            "string-supports",
+            "float-in-supports",
+            "blank-gold-answer",
+        ],
     )
-    def test_field_of_the_wrong_type_exits_2(self, tmp_path, name, field, value):
+    def test_field_of_the_wrong_type_exits_2(self, tmp_path, name, field, value, named):
         run_dir = self.finished_run(tmp_path)
         path = run_dir / name
         lines = path.read_text().splitlines()
@@ -457,22 +492,9 @@ class TestEvaluateRun:
             cli.evaluate_run(run_dir)
         result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
         assert result.exit_code == 2, result.output
-        assert "fatal" in result.output and str(path) in result.output
-        assert f"{first['instance_id']!r}" in result.output
-
-    def test_trace_without_selected_sequence_exits_2(self, tmp_path):
-        run_dir = self.finished_run(tmp_path)
-        traces = run_dir / "traces.jsonl"
-        lines = traces.read_text().splitlines()
-        first = json.loads(lines[0])
-        del first["selected_sequence"]
-        traces.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
-        with pytest.raises(cli.CorruptTrace):
-            cli.evaluate_run(run_dir)
-        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
-        assert result.exit_code == 2
-        assert "fatal" in result.output
-
+        assert "fatal" in result.output and f"{path}:1" in result.output
+        assert named in result.output
+        assert not (run_dir / "report.json").exists()
 
 class TestPipelineConfig:
     @pytest.mark.parametrize("dataset", list(Dataset))
@@ -555,8 +577,19 @@ class TestPlotData:
             lambda report: {**report, "per_instance": [{"instance_id": "syn-000"}]},
             lambda report: {**report, "per_instance": [{**report["per_instance"][0], "x": 1}]},
             lambda report: {k: v for k, v in report.items() if k != "delta_hops_hist"},
+            lambda report: {**report, "delta_hops_hist": []},
+            lambda report: {**report, "delta_hops_hist": {"2": [0]}},
+            lambda report: {**report, "delta_hops_hist": {"2": {"0": "1"}}},
         ],
-        ids=["truncated", "row-missing-keys", "row-with-an-unknown-key", "no-histogram"],
+        ids=[
+            "truncated",
+            "row-missing-keys",
+            "row-with-an-unknown-key",
+            "no-histogram",
+            "list-histogram",
+            "list-buckets",
+            "string-count",
+        ],
     )
     def test_unreadable_report_exits_2(self, tmp_path, edit):
         cfg = make_run_config(tmp_path, 2)
@@ -746,9 +779,14 @@ class TestCommandLine:
             ("shot_bank", None),
             ("shot_bank", '[{"q": "Who?", "a": "Me"}]'),
             ("rankings_file", None),
+            (
+                "rankings_file",
+                '{"instance_id": "syn-000", "ranking": [2.9, "1", false]}\n'
+                '{"instance_id": "syn-001", "ranking": [0, 1, 2]}\n',
+            ),
         ],
         ids=["missing-script", "list-script", "missing-shots", "misshapen-shots",
-             "missing-rankings"],
+             "missing-rankings", "mistyped-rankings"],
     )
     def test_unloadable_named_file_exits_2_before_any_llm_call(self, tmp_path, key, content):
         cfg = make_run_config(tmp_path, 2)
@@ -776,7 +814,46 @@ class TestCommandLine:
         assert "fatal" in result.output and "manifest.json" in result.output
         assert not (run_dir / "traces.jsonl").exists()
 
-    @pytest.mark.parametrize("line", ["{broken", "{}"], ids=["broken-json", "no-instance-id"])
+    def test_manifest_whose_invocations_are_not_a_list_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch
+    ):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 4))
+        run_dir = tmp_path / "r"
+        run = ("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert self.invoke(*run, "--limit", "3").exit_code == 0
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["invocations"] = {"a": 1}
+        manifest_path.write_text(json.dumps(manifest))
+        before = {name: read_bytes(run_dir, name) for name in ("traces.jsonl", "answers.jsonl")}
+        calls = []
+        for name in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, name, lambda backend, req: calls.append(req))
+        result = self.invoke(*run, "--limit", "4")
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and "'invocations'" in result.output
+        assert not calls
+        assert {name: read_bytes(run_dir, name) for name in before} == before
+
+    def test_blank_trace_line_on_resume_exits_2(self, tmp_path):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 4))
+        run_dir = tmp_path / "r"
+        run = ("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert self.invoke(*run, "--limit", "3").exit_code == 0
+        traces = run_dir / "traces.jsonl"
+        lines = traces.read_text().splitlines()
+        lines[1] = ""
+        traces.write_text("\n".join(lines) + "\n")
+        result = self.invoke(*run)
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and str(traces) in result.output
+        assert traces.read_text().splitlines() == lines
+
+    @pytest.mark.parametrize(
+        "line",
+        ["{broken", "{}", '{"instance_id": []}'],
+        ids=["broken-json", "no-instance-id", "list-instance-id"],
+    )
     def test_corrupt_trace_line_on_resume_exits_2_before_any_llm_call(
         self, tmp_path, monkeypatch, line
     ):

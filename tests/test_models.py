@@ -1,11 +1,14 @@
 import json
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gensco.baselines import Ranking
 from gensco.models import (
     AnswerRecord,
     BlankQuestion,
+    CorruptTrace,
     DanglingSupportIndex,
     Dataset,
     EmptyPassageSet,
@@ -19,8 +22,8 @@ from gensco.models import (
     SubQuestion,
     TraceLevel,
     Variant,
+    read_jsonl,
     replay_trace,
-    validate_instance,
 )
 
 from helpers import trace_instance
@@ -40,36 +43,34 @@ def make_instance(**overrides):
 
 
 class TestValidateInstance:
+    """Building a MultiHopInstance checks its invariants."""
+
     def test_valid_ten_passage_instance(self):
         inst = trace_instance()
-        assert validate_instance(inst) is inst
+        assert len(inst.passages) == 10
         assert inst.supporting_indices == {1, 8}
 
     def test_empty_passage_set(self):
         with pytest.raises(EmptyPassageSet):
-            validate_instance(make_instance(passages=(), supporting_indices=None))
+            make_instance(passages=(), supporting_indices=None)
 
     def test_dangling_support_index(self):
         passages = tuple(Passage(i, "", f"body {i}") for i in range(10))
         with pytest.raises(DanglingSupportIndex):
-            validate_instance(
-                make_instance(passages=passages, supporting_indices=frozenset({12}))
-            )
+            make_instance(passages=passages, supporting_indices=frozenset({12}))
 
     def test_blank_question(self):
         with pytest.raises(BlankQuestion):
-            validate_instance(make_instance(question="   "))
+            make_instance(question="   ")
 
     def test_blank_passage_body(self):
         with pytest.raises(ValueError):
-            validate_instance(
-                make_instance(passages=(Passage(0, "t", "  "),), supporting_indices=None)
-            )
+            make_instance(passages=(Passage(0, "t", "  "),), supporting_indices=None)
 
     def test_duplicate_passage_index(self):
         passages = (Passage(0, "", "a"), Passage(0, "", "b"))
         with pytest.raises(ValueError):
-            validate_instance(make_instance(passages=passages, supporting_indices=None))
+            make_instance(passages=passages, supporting_indices=None)
 
 
 def sample_trace():
@@ -152,8 +153,25 @@ RECORD_SAMPLES = {
         sample_trace(),
         GeneratorParams("scripted", 0.7, 4),
         sample_answer(),
+        Ranking("x1", (2, 0, 1)),
     )
 }
+
+
+def wrong_json_value(hint):
+    """A JSON value of the wrong type for a field annotated ``hint``."""
+    if get_origin(hint) is Union:
+        return wrong_json_value(get_args(hint)[0])
+    if get_origin(hint) in (tuple, frozenset):
+        return "01"  # a string for a list
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return [1]  # a list for an object
+    return {str: 5, int: True, float: "0.5", bool: 0}.get(hint, 5)  # an enum: a number
+
+
+FIELDS = [
+    (cls, name, hint) for cls in RECORD_SAMPLES for name, hint in get_type_hints(cls).items()
+]
 
 
 class TestFileForm:
@@ -220,6 +238,73 @@ class TestFileForm:
         del d["context_order"]
         with pytest.raises(KeyError):
             AnswerRecord.from_dict(d)
+
+
+class TestDecode:
+    """What ``from_dict`` accepts of a record read back from JSON."""
+
+    @pytest.mark.parametrize(
+        "cls,name,hint", FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name, _ in FIELDS]
+    )
+    def test_wrong_json_type_names_the_field(self, cls, name, hint):
+        d = {**RECORD_SAMPLES[cls].to_dict(), name: wrong_json_value(hint)}
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{name}: "):
+            cls.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "cls,name,value",
+        [
+            (AnswerRecord, "context_order", [True]),
+            (AnswerRecord, "context_order", ["8"]),
+            (MultiHopInstance, "supporting_indices", [1.5]),
+            (MultiHopInstance, "passages", [{"index": 0, "title": "T", "body": 5}]),
+            (SelectionTrace, "stop_reason", "no_such_reason"),
+        ],
+        ids=["bool-in-tuple", "string-in-tuple", "float-in-set", "nested-field", "unknown-enum"],
+    )
+    def test_wrong_element_names_the_field(self, cls, name, value):
+        d = {**RECORD_SAMPLES[cls].to_dict(), name: value}
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{name}: "):
+            cls.from_dict(d)
+
+    @pytest.mark.parametrize("d", [[], "x1", 5, None], ids=["list", "string", "number", "null"])
+    def test_record_that_is_not_an_object(self, d):
+        with pytest.raises(TypeError):
+            AnswerRecord.from_dict(d)
+
+    def test_int_for_a_float_round_trips(self):
+        d = {"model_id": "scripted", "temperature": 0, "shots": 2}
+        assert GeneratorParams.from_dict(d).to_dict() == d
+        assert ScoredCandidate.from_dict({"level": 1, "passage_index": 4, "score": 1}).score == 1
+
+    def test_instance_read_back_checks_its_invariants(self):
+        d = {**RECORD_SAMPLES[MultiHopInstance].to_dict(), "supporting_indices": [3]}
+        with pytest.raises(DanglingSupportIndex):
+            MultiHopInstance.from_dict(d)
+
+
+class TestReadJsonl:
+    def test_skips_blank_lines_and_decodes(self, tmp_path):
+        path = tmp_path / "answers.jsonl"
+        line = json.dumps(sample_answer().to_dict())
+        path.write_text(f"\n{line}\n  \n{line}\n")
+        assert list(read_jsonl(path, AnswerRecord.from_dict)) == [sample_answer()] * 2
+        assert list(read_jsonl(path)) == [sample_answer().to_dict()] * 2
+
+    @pytest.mark.parametrize(
+        "bad,named",
+        [
+            ("{broken", "JSONDecodeError"),
+            ("{}", "KeyError.*instance_id"),
+            ('{"instance_id": 1}', "TypeError.*AnswerRecord.instance_id"),
+        ],
+        ids=["not-json", "missing-field", "wrong-type"],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, bad, named):
+        path = tmp_path / "answers.jsonl"
+        path.write_text(json.dumps(sample_answer().to_dict()) + "\n\n" + bad + "\n")
+        with pytest.raises(CorruptTrace, match=f"^{path}:3: .*{named}"):
+            list(read_jsonl(path, AnswerRecord.from_dict))
 
 
 class TestReplayTrace:
