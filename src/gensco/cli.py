@@ -82,7 +82,10 @@ def _one_of(*choices: str, required: bool = False) -> _Key:
 
 
 _TEXT = _Key("a string", lambda v: isinstance(v, str))
-_FLOAT = _Key("a number", lambda v: _is_int(v) or isinstance(v, float))
+_FLOAT = _Key(
+    "a finite number",
+    lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+)
 _BOOL = _Key("true or false", lambda v: isinstance(v, bool))
 
 # Every config key gensco reads, with the check its value must pass and
@@ -322,9 +325,8 @@ def _previous_invocations(manifest_path: Path) -> list[dict[str, Any]]:
     return invocations
 
 
-def evaluate_run(run_dir) -> metrics.EvalReport:
-    """Recompute the metric report for a finished run, offline."""
-    run_dir = Path(run_dir)
+def _eval_rows(run_dir: Path) -> list[metrics.InstanceEval]:
+    """The report row of each answer of a finished run, from its run files."""
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
     instances_path = run_dir / "instances.jsonl"
@@ -362,7 +364,13 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
             answer.context_order,
             inst.supporting_indices,
         ))
+    return rows
 
+
+def evaluate_run(run_dir) -> metrics.EvalReport:
+    """Recompute the metric report for a finished run, offline."""
+    run_dir = Path(run_dir)
+    rows = _eval_rows(run_dir)
     report = metrics.aggregate(rows)
     payload = {
         "count": report.count,
@@ -385,25 +393,20 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
 
 
 def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
-    """Write scatter, delta-hops histogram and subset tables for the runs."""
+    """Write scatter, delta-hops histogram and subset tables for finished runs."""
+    run_dirs = [Path(run_dir) for run_dir in run_dirs]
+    named: dict[str, Path] = {}
+    for run_dir in run_dirs:  # the tables tell runs apart by name alone
+        first = named.setdefault(run_dir.name, run_dir)
+        if first is not run_dir:
+            raise CorruptTrace(f"{first} and {run_dir}: two runs named {run_dir.name!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scatter_rows = []
     hist_rows = []
     subset_rows = []
     for run_dir in run_dirs:
-        run_dir = Path(run_dir)
-        report_path = run_dir / "report.json"
-        if not report_path.exists():
-            raise CorruptTrace(f"{report_path}: run not evaluated yet")
-        try:
-            report = json.loads(report_path.read_text(encoding="utf-8"))
-            rows = [metrics.InstanceEval(**r) for r in report["per_instance"]]
-            hist = report["delta_hops_hist"]
-            if not all(all(map(_is_int, buckets.values())) for buckets in hist.values()):
-                raise TypeError(f"delta_hops_hist holds a count that is not an integer: {hist}")
-        except (AttributeError, ValueError, KeyError, TypeError) as exc:
-            raise CorruptTrace(f"{report_path}: not a report ({exc!r})") from exc
+        rows = _eval_rows(run_dir)
         run_id = run_dir.name
         kp = [r.k_precision for r in rows]
         f1 = [r.f1 for r in rows]
@@ -421,28 +424,25 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
                     "pearson": r_value,
                 }
             )
-        for support, buckets in hist.items():
-            for delta, n in buckets.items():
+        hist = metrics.aggregate(rows).delta_hops_hist
+        # report.json's order: its keys sorted as strings, "11" before "2".
+        for support in sorted(hist, key=str):
+            for delta in sorted(hist[support], key=str):
                 hist_rows.append(
                     {
                         "run_id": run_id,
                         "supporting_count": support,
                         "delta_hops": delta,
-                        "count": n,
+                        "count": hist[support][delta],
                     }
                 )
-        if subset_sizes:
-            # Oversize sizes take every row.
-            sizes = [min(size, len(rows)) for size in subset_sizes]
-            for subset in datasets.subsample(rows, sizes, seed):
-                if not subset:
-                    continue
-                n = len(subset)
-                means = {
-                    name: 100.0 * sum(getattr(r, name) for r in subset) / n
-                    for name in metrics.ANSWER_FIELDS
-                }
-                subset_rows.append({"run_id": run_id, "size": n, **means})
+        for subset in datasets.subsample(rows, subset_sizes, seed):
+            n = len(subset)
+            means = {
+                name: 100.0 * sum(getattr(r, name) for r in subset) / n
+                for name in metrics.ANSWER_FIELDS
+            }
+            subset_rows.append({"run_id": run_id, "size": n, **means})
 
     def write_csv(name, fieldnames, rows):
         with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
@@ -533,7 +533,7 @@ def _subset_sizes(ctx, param, value: str) -> tuple[int, ...]:
 )
 @click.option("--seed", default=0, type=int)
 def cmd_plotdata(run_dirs, out_dir, subset_sizes, seed) -> None:
-    """Emit scatter/histogram/subset tables for evaluated runs."""
+    """Emit scatter/histogram/subset tables for finished runs."""
     try:
         emit_plotdata(run_dirs, out_dir, subset_sizes, seed)
     except CorruptTrace as exc:

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence, TypeVar
+from typing import Any, Iterator, Optional, Sequence, TypeVar
 
 from .models import Dataset, MultiHopInstance, Passage
 
@@ -92,21 +92,19 @@ def _instance_from_wiki_record(
     )
 
 
-def _load_wiki_style(path: Path, dataset: Dataset) -> list[MultiHopInstance]:
+def _load_wiki_style(path: Path, dataset: Dataset) -> Iterator[tuple[str, MultiHopInstance]]:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a non-empty JSON array of instances")
-    return [
-        _instance_from_wiki_record(rec, dataset, f"{path}[{i}]")
-        for i, rec in enumerate(data)
-    ]
+    for i, rec in enumerate(data):
+        where = f"{path}[{i}]"
+        yield where, _instance_from_wiki_record(rec, dataset, where)
 
 
-def _load_musique(path: Path) -> list[MultiHopInstance]:
-    instances = []
+def _load_musique(path: Path) -> Iterator[tuple[str, MultiHopInstance]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -131,19 +129,14 @@ def _load_musique(path: Path) -> list[MultiHopInstance]:
                 passages.append(Passage(index=pos, title=title, body=body))
                 if para.get("is_supporting"):
                     supports.add(pos)
-            instances.append(
-                MultiHopInstance(
-                    id=instance_id,
-                    question=_require(record, "question", where),
-                    gold_answer=_require(record, "answer", where),
-                    passages=tuple(passages),
-                    supporting_indices=frozenset(supports) if supports else None,
-                    dataset=Dataset.MUSIQUE,
-                )
+            yield where, MultiHopInstance(
+                id=instance_id,
+                question=_require(record, "question", where),
+                gold_answer=_require(record, "answer", where),
+                passages=tuple(passages),
+                supporting_indices=frozenset(supports) if supports else None,
+                dataset=Dataset.MUSIQUE,
             )
-    if not instances:
-        raise ParseError(f"{path}: no 2-hop instances found")
-    return instances
 
 
 def load(cfg: DatasetConfig) -> list[MultiHopInstance]:
@@ -151,9 +144,18 @@ def load(cfg: DatasetConfig) -> list[MultiHopInstance]:
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     if cfg.dataset is Dataset.MUSIQUE:
-        instances = _load_musique(path)
+        records = _load_musique(path)
     else:
-        instances = _load_wiki_style(path, cfg.dataset)
+        records = _load_wiki_style(path, cfg.dataset)
+    seen: dict[str, str] = {}  # instance id -> the record that holds it
+    instances = []
+    for where, inst in records:
+        first = seen.setdefault(inst.id, where)
+        if first != where:
+            raise SchemaError(f"{first} and {where}: repeated instance id {inst.id!r}")
+        instances.append(inst)
+    if not instances:  # only MuSiQue: a wiki-style file holds at least one record
+        raise ParseError(f"{path}: no 2-hop instances found")
     if cfg.limit is not None:
         if cfg.limit > len(instances):
             raise SizeTooLarge(
@@ -164,12 +166,8 @@ def load(cfg: DatasetConfig) -> list[MultiHopInstance]:
 
 
 def subsample(items: Sequence[T], sizes: Sequence[int], seed: int) -> list[list[T]]:
-    """Deterministic nested subsets: one seeded shuffle, prefixes per size."""
-    for size in sizes:
-        if size > len(items):
-            raise SizeTooLarge(
-                f"subset size {size} exceeds the {len(items)} available instances"
-            )
+    """Deterministic nested subsets: one seeded shuffle, prefixes per size;
+    a size above ``len(items)`` takes every item."""
     shuffled = list(items)
     random.Random(seed).shuffle(shuffled)
     return [shuffled[:size] for size in sizes]

@@ -13,16 +13,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .models import Dataset, Passage
+from .models import Dataset, Passage, Record
 
 FIN_KEYWORD = "<FIN></FIN>"
-
-_SHOT_FILES = {
-    Dataset.TWO_WIKI: "2wikimultihop.json",
-    Dataset.ADV_HOTPOT: "advhotpot.json",
-    Dataset.MUSIQUE: "musique.json",
-    Dataset.SYNTHETIC: "synthetic.json",
-}
 
 
 class PromptError(ValueError):
@@ -30,7 +23,7 @@ class PromptError(ValueError):
 
 
 @dataclass(frozen=True)
-class ShotExample:
+class ShotExample(Record):
     question: str
     context: str
     answer: str
@@ -49,21 +42,20 @@ def _instruction(name: str) -> str:
 
 
 def load_shots(dataset: Dataset) -> tuple[ShotExample, ...]:
-    raw = resources.files("gensco.shots").joinpath(_SHOT_FILES[dataset]).read_text(
-        encoding="utf-8"
-    )
-    return tuple(ShotExample(**d) for d in json.loads(raw))
+    """The shot bank packaged for ``dataset``."""
+    with resources.as_file(resources.files("gensco.shots") / f"{dataset.value}.json") as path:
+        return load_shots_file(path)
 
 
 def load_shots_file(path) -> tuple[ShotExample, ...]:
-    """A JSON list of shots with the ShotExample fields; ValueError for
+    """A JSON list of objects with the ShotExample fields; ValueError for
     another shape."""
     with open(path, encoding="utf-8") as fh:
         shots = json.load(fh)
     try:
-        return tuple(ShotExample(**d) for d in shots)
-    except TypeError as exc:
-        raise ValueError(f"{path}: not a shot bank ({exc})") from exc
+        return tuple(map(ShotExample.from_dict, shots))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a shot bank ({exc!r})") from exc
 
 
 def concat_passages(passages: Sequence[Passage]) -> str:

@@ -562,50 +562,45 @@ class TestPlotData:
         subsets = (out_dir / "subsets.csv").read_text().splitlines()
         assert len(subsets) == 1 + 2 * 2
 
-    def test_unevaluated_run_rejected(self, tmp_path):
-        cfg = make_run_config(tmp_path, 2)
+    def test_unevaluated_run_plots_like_an_evaluated_one(self, tmp_path):
+        cfg = make_run_config(tmp_path, 4)
         run_dir = tmp_path / "run"
         cli.run_batch(cfg, run_dir)
-        with pytest.raises(cli.CorruptTrace):
-            cli.emit_plotdata([run_dir], tmp_path / "plots")
-
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda report: "{",
-            lambda report: {**report, "per_instance": [{"instance_id": "syn-000"}]},
-            lambda report: {**report, "per_instance": [{**report["per_instance"][0], "x": 1}]},
-            lambda report: {k: v for k, v in report.items() if k != "delta_hops_hist"},
-            lambda report: {**report, "delta_hops_hist": []},
-            lambda report: {**report, "delta_hops_hist": {"2": [0]}},
-            lambda report: {**report, "delta_hops_hist": {"2": {"0": "1"}}},
-        ],
-        ids=[
-            "truncated",
-            "row-missing-keys",
-            "row-with-an-unknown-key",
-            "no-histogram",
-            "list-histogram",
-            "list-buckets",
-            "string-count",
-        ],
-    )
-    def test_unreadable_report_exits_2(self, tmp_path, edit):
-        cfg = make_run_config(tmp_path, 2)
-        run_dir = tmp_path / "run"
-        cli.run_batch(cfg, run_dir)
+        cli.emit_plotdata([run_dir], tmp_path / "before", subset_sizes=(2,), seed=1)
+        assert not (run_dir / "report.json").exists()
         cli.evaluate_run(run_dir)
-        path = run_dir / "report.json"
-        report = edit(json.loads(path.read_text()))
-        path.write_text(report if isinstance(report, str) else json.dumps(report))
-        with pytest.raises(cli.CorruptTrace):
-            cli.emit_plotdata([run_dir], tmp_path / "plots")
+        cli.emit_plotdata([run_dir], tmp_path / "after", subset_sizes=(2,), seed=1)
+        for name in ("scatter.csv", "delta_hops.csv", "subsets.csv"):
+            assert read_bytes(tmp_path / "before", name) == read_bytes(tmp_path / "after", name)
+
+    def test_corrupt_answer_line_exits_2(self, tmp_path):
+        cfg = make_run_config(tmp_path, 2)
+        run_dir = tmp_path / "run"
+        cli.run_batch(cfg, run_dir)
+        path = run_dir / "answers.jsonl"
+        path.write_text("{broken\n" + path.read_text().split("\n", 1)[1])
+        out_dir = tmp_path / "plots"
         result = CliRunner().invoke(
-            cli.main, ["plotdata", str(run_dir), "--out-dir", str(tmp_path / "plots")]
+            cli.main, ["plotdata", str(run_dir), "--out-dir", str(out_dir)]
         )
         assert result.exit_code == 2, result.output
-        assert "fatal" in result.output and str(path) in result.output
+        assert "fatal" in result.output and f"{path}:1" in result.output
+        assert list(out_dir.iterdir()) == []
+
+    def test_two_runs_with_one_name_exit_2(self, tmp_path):
+        cfg = make_run_config(tmp_path, 2)
+        run_a = tmp_path / "exp1" / "gensco-stop"
+        run_b = tmp_path / "exp2" / "gensco-stop"
+        cli.run_batch(cfg, run_a)
+        cli.run_batch(cfg, run_b)
+        out_dir = tmp_path / "plots"
+        result = CliRunner().invoke(
+            cli.main, ["plotdata", str(run_a), str(run_b), "--out-dir", str(out_dir)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output
+        assert str(run_a) in result.output and str(run_b) in result.output
+        assert not out_dir.exists()
 
 
 class TestCommandLine:
@@ -676,6 +671,11 @@ class TestCommandLine:
             ("top_k", 0, {"variant": Variant.BM25}),
             ("shuffle_seed", 3, {}),
             ("shuffle_seed", 3, {"shuffle": False}),
+            ("temperature", float("nan"), {}),
+            ("temperature", float("inf"), {}),
+            ("temperature", 10**400, {}),
+            ("bm25_k1", float("nan"), {"variant": Variant.BM25}),
+            ("bm25_b", float("-inf"), {"variant": Variant.BM25}),
         ],
         ids=[
             "scorer_concurency-2",
@@ -689,6 +689,11 @@ class TestCommandLine:
             "top_k-0-on-bm25",
             "shuffle_seed-without-shuffle",
             "shuffle_seed-with-shuffle-false",
+            "temperature-nan",
+            "temperature-inf",
+            "temperature-too-large-for-a-float",
+            "bm25_k1-nan",
+            "bm25_b--inf",
         ],
     )
     def test_invalid_config_value_exits_2_before_the_run(self, tmp_path, key, value, extra):
@@ -778,6 +783,7 @@ class TestCommandLine:
             ("script_file", "[]"),
             ("shot_bank", None),
             ("shot_bank", '[{"q": "Who?", "a": "Me"}]'),
+            ("shot_bank", '[{"question": 5, "context": ["c"], "answer": null}]'),
             ("rankings_file", None),
             (
                 "rankings_file",
@@ -786,6 +792,7 @@ class TestCommandLine:
             ),
         ],
         ids=["missing-script", "list-script", "missing-shots", "misshapen-shots",
+             "mistyped-shots",
              "missing-rankings", "mistyped-rankings"],
     )
     def test_unloadable_named_file_exits_2_before_any_llm_call(self, tmp_path, key, content):

@@ -174,6 +174,21 @@ def test_record_that_is_not_an_object_is_a_schema_error(tmp_path):
         load(DatasetConfig(Dataset.TWO_WIKI, str(path)))
 
 
+@pytest.mark.parametrize("dataset", [Dataset.TWO_WIKI, Dataset.MUSIQUE])
+def test_repeated_instance_id_is_a_schema_error(tmp_path, dataset):
+    path = tmp_path / "data"
+    if dataset is Dataset.MUSIQUE:
+        path.write_text("\n".join(musique_line(i) for i in (0, 1, 0)) + "\n")
+        first, second, instance_id = f"{path}:1", f"{path}:3", "2hop__0"
+    else:
+        path.write_text(json.dumps([wiki_record(i) for i in (0, 1, 0)]))
+        first, second, instance_id = f"{path}[0]", f"{path}[2]", "wiki-0"
+    with pytest.raises(SchemaError) as info:
+        load(DatasetConfig(dataset, str(path)))
+    message = str(info.value)
+    assert first in message and second in message and repr(instance_id) in message
+
+
 class TestLimit:
     def test_limit_truncates(self, tmp_path):
         path = tmp_path / "syn.json"
@@ -210,8 +225,3 @@ class TestSubsample:
         instances = self.load_instances(tmp_path)
         (empty,) = subsample(instances, [0], seed=1)
         assert empty == []
-
-    def test_size_too_large(self, tmp_path):
-        instances = self.load_instances(tmp_path, n=10)
-        with pytest.raises(SizeTooLarge):
-            subsample(instances, [11], seed=1)

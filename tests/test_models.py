@@ -25,6 +25,7 @@ from gensco.models import (
     read_jsonl,
     replay_trace,
 )
+from gensco.prompts import ShotExample
 
 from helpers import trace_instance
 
@@ -154,6 +155,7 @@ RECORD_SAMPLES = {
         GeneratorParams("scripted", 0.7, 4),
         sample_answer(),
         Ranking("x1", (2, 0, 1)),
+        ShotExample("Who?", "Context.", "Me"),
     )
 }
 
