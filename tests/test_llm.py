@@ -270,7 +270,8 @@ class StubServer(ThreadingHTTPServer):
     ``reply(body)`` returns the (status, payload) for each POST, or the
     raw bytes of a whole response, which are written as they are. Every
     request is recorded with its path, headers, JSON body and client port,
-    so a test can count the TCP connections it came on. With
+    so a test can count the TCP connections it came on, and its body's
+    bytes are kept in ``raw_bodies``. With
     ``close_after_reply`` set to "announced" or "silently" the server
     closes each connection after one response, with or without a
     ``Connection: close`` header; the silent close is what a server's
@@ -283,6 +284,7 @@ class StubServer(ThreadingHTTPServer):
         self.reply = reply
         self.close_after_reply = close_after_reply
         self.requests = []
+        self.raw_bodies = []
         self.closed = threading.Semaphore(0)
         self.release = threading.Event()
         self.backends = []
@@ -328,7 +330,9 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.loads(raw)
+        self.server.raw_bodies.append(raw)
         self.server.requests.append((self.path, self.headers, body, self.client_address[1]))
         reply = self.server.reply(body)
         self.close_connection = self.server.close_after_reply is not None
@@ -419,6 +423,61 @@ class TestHttpBackend:
         backend = serve(lambda body: (200, payload)).backend()
         with pytest.raises(LogprobsUnsupported, match=f"offset {offset}"):
             backend.token_logprobs(ScorerRequest("Question:", " who?"))
+
+    def test_echo_post_body_is_the_json_dumps_of_the_request(self, serve):
+        # The bytes on the wire, key order included, for any text: quotes,
+        # backslashes, control characters, DEL, non-ASCII and non-BMP.
+        cut = {}
+        server = serve(lambda body: (200, {"choices": [{"text": "", "logprobs": {
+            "token_logprobs": [-0.5], "text_offset": [cut["at"]]}}]}))
+
+        @given(model=st.sampled_from(["m", 'q"\\\x00\x7fé𝄞']), prompt=TEXT,
+               continuation=TEXT)
+        def check(model, prompt, continuation):
+            cut["at"] = len(prompt)
+            backend = HttpBackend(server.url, model)
+            try:
+                assert backend.token_logprobs(ScorerRequest(prompt, continuation)) == [-0.5]
+            finally:
+                backend.close()
+            assert server.raw_bodies[-1] == json.dumps({
+                "model": model,
+                "prompt": prompt + continuation,
+                "max_tokens": 0,
+                "echo": True,
+                "logprobs": 0,
+                "temperature": 0.0,
+            }).encode()
+
+        check()
+
+    def test_continuation_logprobs_decode_as_json_loads_decodes_them(self, serve):
+        # Each value equal by repr to what json.loads gives, subnormals,
+        # -0.0 and integers included, and the cache entry the same bytes.
+        reply = {}
+        server = serve(lambda body: (200, reply["payload"]))
+        backend = server.backend()
+
+        @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  st.integers(min_value=-(10**6), max_value=0)),
+                        min_size=1, max_size=12))
+        def check(logprobs):
+            reply["payload"] = {"choices": [{"text": "", "logprobs": {
+                "token_logprobs": [None, -1.25] + logprobs,
+                "text_offset": [0, 4] + [9 + i for i in range(len(logprobs))],
+            }}]}
+            expected = json.loads(json.dumps(logprobs))
+            gw = gateway_for(backend)
+            req = ScorerRequest("Question:", " who is it?")
+            gw.score_continuation(req)
+            entry = gw.cache.get(f"{backend.backend_id}\0{req.fingerprint}")
+            assert list(map(repr, entry["token_logprobs"])) == list(map(repr, expected))
+            assert json.dumps(entry, ensure_ascii=False, sort_keys=True) == json.dumps(
+                {"token_logprobs": expected, "mean_nll": -sum(expected) / len(expected)},
+                ensure_ascii=False, sort_keys=True,
+            )
+
+        check()
 
     def test_whitespace_before_first_continuation_token_accepted(self, serve):
         payload = {
