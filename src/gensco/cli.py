@@ -170,15 +170,13 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    # One scorer pool for the run: at most concurrency x scorer_concurrency
-    # scorer calls in flight over all instances.
-    scorer_pool = None
-    if cfg.get("scorer_concurrency", 1) >= 2:
-        scorer_pool = ThreadPoolExecutor(
-            max_workers=cfg.get("concurrency", 1) * cfg["scorer_concurrency"],
-            thread_name_prefix="gensco-scorer",
-        )
-    return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"), scorer_pool=scorer_pool)
+    return LlmGateway(
+        generator,
+        scorer,
+        cache_dir=cfg.get("cache_dir"),
+        scorer_concurrency=cfg.get("scorer_concurrency", 1),
+        concurrency=cfg.get("concurrency", 1),
+    )
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
@@ -209,6 +207,12 @@ def _trace_id(trace: dict[str, Any]) -> str:
     if type(trace["instance_id"]) is not str:
         raise TypeError(f"instance_id {trace['instance_id']!r} is not a string")
     return trace["instance_id"]
+
+
+def _run_id(run_dir) -> str:
+    """A run's name: its directory's, with "." and ".." resolved but a
+    symlink keeping its own name."""
+    return Path(os.path.abspath(run_dir)).name
 
 
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
@@ -295,7 +299,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         "llm_calls": gateway.stats(),
     }
     manifest = {
-        "run_id": run_dir.name,
+        "run_id": _run_id(run_dir),
         "config": cfg,
         "dataset_digest": hashlib.sha256(dataset_path.read_bytes()).hexdigest(),
         "backends": {
@@ -397,17 +401,17 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
     run_dirs = [Path(run_dir) for run_dir in run_dirs]
     named: dict[str, Path] = {}
     for run_dir in run_dirs:  # the tables tell runs apart by name alone
-        first = named.setdefault(run_dir.name, run_dir)
+        run_id = _run_id(run_dir)
+        first = named.setdefault(run_id, run_dir)
         if first is not run_dir:
-            raise CorruptTrace(f"{first} and {run_dir}: two runs named {run_dir.name!r}")
+            raise CorruptTrace(f"{first} and {run_dir}: two runs named {run_id!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scatter_rows = []
     hist_rows = []
     subset_rows = []
-    for run_dir in run_dirs:
+    for run_id, run_dir in named.items():
         rows = _eval_rows(run_dir)
-        run_id = run_dir.name
         kp = [r.k_precision for r in rows]
         f1 = [r.f1 for r in rows]
         try:

@@ -19,7 +19,7 @@ import ssl
 import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, Executor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
@@ -296,6 +296,12 @@ def _read_response(rfile) -> tuple[int, dict[bytes, bytes], bytes, bool]:
     return status, headers, body, keep_alive
 
 
+# Replies are decoded as json.loads decodes them, but a JSON number with a
+# fraction or an exponent is left as its bytes: only the continuation's
+# logprobs are ever turned into floats. No other JSON value decodes to bytes.
+_REPLY_DECODER = json.JSONDecoder(parse_float=str.encode)
+# An echo request's body after its prompt, as json.dumps writes it.
+_ECHO_TAIL = ', "max_tokens": 0, "echo": true, "logprobs": 0, "temperature": 0.0}'
 # Statuses that mean "try again later"; every other non-2xx is final.
 _BUSY_STATUSES = (429, 503)
 # What a 400 body holds when the prompt is over the context limit: OpenAI's
@@ -368,6 +374,8 @@ class HttpBackend:
         if self.api_key:
             head += f"Authorization: Bearer {self.api_key}\r\n"
         self._head = (head + "Content-Length: ").encode("utf-8")
+        # json.dumps of an echo request, written around its prompt.
+        self._echo_head = f'{{"model": {json.dumps(model)}, "prompt": '
         self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
 
@@ -399,9 +407,8 @@ class HttpBackend:
         for conn in idle:
             conn.close()
 
-    def _post(self, body: dict[str, Any]) -> dict[str, Any]:
-        """The first choice of the reply to one POST of ``body``."""
-        data = json.dumps(body).encode("utf-8")
+    def _post(self, data: bytes) -> dict[str, Any]:
+        """The first choice of the reply to one POST of the JSON ``data``."""
         request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
         conn = self._pooled()
         try:
@@ -432,7 +439,7 @@ class HttpBackend:
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
         try:
-            data = json.loads(raw)
+            data = _REPLY_DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
         except ValueError as exc:  # UnicodeDecodeError included
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with a body that is not JSON ({exc})"
@@ -453,7 +460,7 @@ class HttpBackend:
         }
         if req.stop_sequences:
             body["stop"] = list(req.stop_sequences)
-        text = self._post(body).get("text")
+        text = self._post(json.dumps(body).encode("utf-8")).get("text")
         if not isinstance(text, str):
             raise MalformedResponse(f"backend {self.backend_id} replied with a choice without text")
         return text
@@ -462,15 +469,8 @@ class HttpBackend:
         # Echo the full prompt+continuation and read back per-token
         # logprobs for the continuation span only.
         full = req.prompt + req.continuation
-        body = {
-            "model": self.model,
-            "prompt": full,
-            "max_tokens": 0,
-            "echo": True,
-            "logprobs": 0,
-            "temperature": 0.0,
-        }
-        lp = self._post(body).get("logprobs")
+        body = self._echo_head + json.encoder.encode_basestring_ascii(full) + _ECHO_TAIL
+        lp = self._post(body.encode("ascii")).get("logprobs")
         if lp is not None and not isinstance(lp, dict):
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with logprobs that are not an object"
@@ -489,21 +489,39 @@ class HttpBackend:
                 f"backend {self.backend_id} replied with token_logprobs and text_offset "
                 "that are not lists of one length"
             )
+        if not {int}.issuperset(map(type, offsets)):
+            raise MalformedResponse(
+                f"backend {self.backend_id} replied with a text_offset that is not integers"
+            )
+        # The continuation's tokens are those after the last token that
+        # starts before the cut; no earlier token may start at or after it.
+        cut = len(req.prompt)
+        start = len(offsets)
+        while start and offsets[start - 1] >= cut:
+            start -= 1
+        tail = offsets[start:]
+        if max(offsets[:start], default=cut - 1) >= cut or tail != sorted(tail):
+            raise MalformedResponse(
+                f"backend {self.backend_id} replied with a text_offset out of order"
+            )
         # The continuation must be covered by whole tokens, each with a
         # logprob: a dropped token would change the mean NLL's denominator.
         # Only whitespace may precede its first token (tokenizers that
         # skip whitespace start it after the leading space).
-        cut = len(req.prompt)
-        tail = [(off, logp) for off, logp in zip(offsets, logprobs) if off >= cut]
-        if not tail or full[cut:tail[0][0]].strip():
+        if not tail or full[cut:tail[0]].strip():
             raise LogprobsUnsupported(
                 f"no token starts at the continuation's offset {cut}: a token "
                 "straddles the prompt/continuation boundary"
             )
-        for off, logp in tail:
-            if not isinstance(logp, (int, float)):
+        values = []
+        for off, logp in zip(tail, logprobs[start:]):
+            kind = type(logp)
+            if kind is bytes:
+                logp = float(logp)
+            elif kind is not int and kind is not float:
                 raise LogprobsUnsupported(f"no logprob for the token at offset {off}")
-        return [logp for _, logp in tail]
+            values.append(logp)
+        return values
 
 
 class ResponseCache:
@@ -566,8 +584,11 @@ class LlmGateway:
 
     Call counters are bucketed by purpose ("decomposition", "answer",
     "relevance", "stop") so a run manifest can audit the call budget.
-    ``scorer_pool``, when given, runs the calls of ``score_many``
-    concurrently; the gateway owns it and shuts it down on ``close``.
+    With ``scorer_concurrency`` of 2 or more, ``score_many`` scores on its
+    caller's thread and on helper workers from a pool the gateway owns:
+    ``concurrency`` x (``scorer_concurrency`` - 1) workers, so that
+    ``concurrency`` callers make at most ``concurrency`` x
+    ``scorer_concurrency`` calls at once. The pool shuts down on ``close``.
     """
 
     def __init__(
@@ -577,11 +598,17 @@ class LlmGateway:
         cache_dir=None,
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
-        scorer_pool: Optional[Executor] = None,
+        scorer_concurrency: int = 1,
+        concurrency: int = 1,
     ) -> None:
         self.generator = generator
         self.scorer = scorer
-        self.scorer_pool = scorer_pool
+        self._helper_count = concurrency * (scorer_concurrency - 1)
+        self._helpers = None
+        if self._helper_count:
+            self._helpers = ThreadPoolExecutor(
+                self._helper_count, thread_name_prefix="gensco-scorer"
+            )
         self.cache = ResponseCache(cache_dir) if cache_dir else _MemoryCache()
         self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
@@ -643,32 +670,59 @@ class LlmGateway:
     def score_many(self, requests: Sequence[ScorerRequest], purpose: str) -> list[float]:
         """The mean NLL of each request, in request order.
 
-        With a scorer pool the calls run on it, at most its workers at
-        once. The first failure in request order is raised once the calls
-        in flight have finished; calls not yet started by then are
-        dropped. No call outlives this method.
+        The calling thread and the helper workers take the requests one at
+        a time, in order. A helper task is queued for each worker of the
+        pool (at most one fewer than the requests), so an instance uses the
+        workers the others leave idle; tasks still queued when the requests
+        run out are cancelled. After a failure or an interrupt no request
+        starts: helpers not yet started are cancelled and calls in flight
+        finish. Then the interrupt, or else the first failure in request
+        order, is raised. No call outlives this method.
         """
-        if self.scorer_pool is None or len(requests) < 2:
+        helpers = min(self._helper_count, len(requests) - 1)
+        if helpers < 1:
             return [self.score_continuation(req, purpose) for req in requests]
-        submit = self.scorer_pool.submit
-        futures = [submit(self.score_continuation, req, purpose) for req in requests]
+        jobs = enumerate(requests)
+        lock = threading.Lock()
+        results = [0.0] * len(requests)
+        failures: dict[int, Exception] = {}
+
+        def work() -> None:
+            nonlocal jobs
+            while True:
+                with lock:
+                    i, req = next(jobs, (0, None))
+                if req is None:
+                    return
+                try:
+                    results[i] = self.score_continuation(req, purpose)
+                except Exception as exc:
+                    with lock:
+                        failures[i] = exc
+                        jobs = iter(())
+                    return
+
+        futures = [self._helpers.submit(work) for _ in range(helpers)]
         try:
-            wait(futures, return_when=FIRST_EXCEPTION)
+            work()
         finally:
-            # After a failure (or an interrupt) start no more calls, and let
-            # those in flight finish.
+            with lock:  # after an interrupt, start no request
+                jobs = iter(())
             for future in futures:
                 future.cancel()
             wait(futures)
-        # The pool starts calls in submission order, so any cancelled one
-        # comes after the first failure and is never read.
-        return [future.result() for future in futures]
+        for future in futures:
+            if not future.cancelled():
+                future.result()  # raises what escaped a helper's work
+        if failures:
+            raise failures[min(failures)]
+        return results
 
     def close(self) -> None:
-        """Wait for the scorer pool's calls and stop its workers, then
-        release the backends' idle connections."""
-        if self.scorer_pool is not None:
-            self.scorer_pool.shutdown()
+        """Stop the scorer helper workers, then release the backends' idle
+        connections."""
+        if self._helpers is not None:
+            self._helpers.shutdown()
         self.generator.close()
         self.scorer.close()
 

@@ -77,6 +77,19 @@ class TestRunBatch:
         assert manifest["llm_calls"]["generator_calls"]["answer"] == 3
         assert len(manifest["dataset_digest"]) == 64
 
+    def test_run_dir_given_as_dot_or_a_link_keeps_its_name(self, tmp_path, monkeypatch):
+        cfg = make_run_config(tmp_path, 1)
+        run_dir = tmp_path / "exp1"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert cli.run_batch(cfg, ".") == 0
+        assert json.loads((run_dir / "manifest.json").read_text())["run_id"] == "exp1"
+        (tmp_path / "exp2").mkdir()
+        (tmp_path / "latest").symlink_to(tmp_path / "exp2")
+        assert cli.run_batch(cfg, tmp_path / "latest") == 0
+        manifest = json.loads((tmp_path / "exp2" / "manifest.json").read_text())
+        assert manifest["run_id"] == "latest"
+
     def test_deterministic_across_fresh_runs(self, tmp_path):
         cfg = make_run_config(tmp_path, 5)
         cli.run_batch(cfg, tmp_path / "a")
@@ -113,8 +126,9 @@ class TestRunBatch:
         assert threading.active_count() <= threads_before
 
     def test_shared_scorer_pool_under_stress_matches_the_serial_run(self, tmp_path):
-        # 4 instance threads and 16 scorer workers on one pool, with thread
-        # switches forced as often as the interpreter allows: a lost counter
+        # 4 instance threads, each scoring alongside helpers from one pool of
+        # 12 workers, with thread switches forced as often as the interpreter
+        # allows: a lost counter
         # update or a reply out of request order shows in the files or counts.
         # A lost update is rare per run, so the stressed run is repeated.
         cfg = make_run_config(tmp_path, 8, variant=Variant.STOP)
@@ -586,6 +600,19 @@ class TestPlotData:
         assert result.exit_code == 2, result.output
         assert "fatal" in result.output and f"{path}:1" in result.output
         assert list(out_dir.iterdir()) == []
+
+    def test_run_dir_given_as_dot_or_a_link_keeps_its_name(self, tmp_path, monkeypatch):
+        cfg = make_run_config(tmp_path, 3)
+        run_dir = tmp_path / "exp1"
+        cli.run_batch(cfg, run_dir)
+        (tmp_path / "latest").symlink_to(run_dir)
+        monkeypatch.chdir(run_dir)
+        for given, run_id in ((".", "exp1"), (tmp_path / "latest", "latest")):
+            out_dir = tmp_path / f"plots-{run_id}"
+            cli.emit_plotdata([given], out_dir, subset_sizes=(2,), seed=1)
+            for name in ("scatter.csv", "delta_hops.csv", "subsets.csv"):
+                rows = (out_dir / name).read_text().splitlines()[1:]
+                assert rows and {row.split(",")[0] for row in rows} == {run_id}
 
     def test_two_runs_with_one_name_exit_2(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)

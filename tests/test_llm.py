@@ -412,6 +412,7 @@ class TestHttpBackend:
         [
             ([0, 8, 12], [None, -0.5, -0.2], 9),  # token at 8 straddles the cut
             ([0, 9, 13], [None, -0.3, None], 13),  # no logprob inside the continuation
+            ([0, 9, 13], [None, True, -0.5], 9),  # a boolean is not a logprob
         ],
     )
     def test_partial_continuation_coverage_raises(self, serve, offsets, logprobs, offset):
@@ -562,9 +563,22 @@ class TestHttpBackend:
             ((200, {"choices": [{"text": "", "logprobs": {
                 "token_logprobs": [None, -0.5], "text_offset": [0]}}]}), "token_logprobs",
              "not lists of one length"),
+            *(
+                ((200, {"choices": [{"text": "", "logprobs": {
+                    "token_logprobs": [None] + [-0.5] * (len(offsets) - 1),
+                    "text_offset": offsets}}]}), "token_logprobs", message)
+                for offsets, message in [
+                    ([0, "1"], "not integers"),
+                    ([0, 1.0], "not integers"),
+                    ([0, True], "not integers"),
+                    ([0, 2, 0, 1], "out of order"),
+                    ([0, 1, 3, 2], "out of order"),
+                ]
+            ),
         ],
         ids=["not-json", "error-object", "no-choices", "no-text", "logprobs-list",
-             "offsets-short"],
+             "offsets-short", "offset-string", "offset-float", "offset-bool",
+             "offset-back-before-cut", "offset-back-after-cut"],
     )
     def test_malformed_2xx_reply_raises_named_error_without_retry(
         self, serve, reply, call, message

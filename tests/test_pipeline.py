@@ -1,6 +1,5 @@
 import hashlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import pytest
@@ -104,12 +103,11 @@ class TestWorkedTrace:
         assert stats["scorer_calls"]["stop"] == 2
 
     def test_scorer_pool_matches_sequential_and_keeps_thread_count(self):
-        # Five runs through one gateway with a 2-worker scorer pool, and the
-        # same five through one without a pool.
+        # Five runs through one gateway that scores two requests at once,
+        # and the same five through one that scores one at a time.
         sequential_gateway = scripted_gateway(ScriptedBackend())
-        pool = ThreadPoolExecutor(2)
         runs = []
-        with closing(scripted_gateway(ScriptedBackend(), scorer_pool=pool)) as gateway:
+        with closing(scripted_gateway(ScriptedBackend(), scorer_concurrency=2)) as gateway:
             for _ in range(5):
                 sequential, _ = run_trace_example(gateway=sequential_gateway)
                 result, _ = run_trace_example(gateway=gateway)
@@ -152,8 +150,8 @@ class TestStoppingRules:
     """The stop tests, run on the worked trace under plans."""
 
     def check(self, without, with_c, workers=1, flight=None):
-        """The worked trace with a level-2 stop pair, through a gateway with
-        a scorer pool of ``workers`` (none at 1); its stop reason."""
+        """The worked trace with a level-2 stop pair, through a gateway that
+        scores up to ``workers`` requests at once; its stop reason."""
         plan = trace_plan(stop_nlls={2: (without, with_c)})
         inst = trace_instance()
         backend = ScriptedBackend()
@@ -164,8 +162,7 @@ class TestStoppingRules:
             backend.token_logprobs = lambda req: (
                 counted if req.continuation == " " + inst.question else plain
             )(req)
-        pool = ThreadPoolExecutor(workers) if workers >= 2 else None
-        with closing(scripted_gateway(backend, scorer_pool=pool)) as gateway:
+        with closing(scripted_gateway(backend, scorer_concurrency=workers)) as gateway:
             trace, _ = run_instance(inst, PipelineConfig(), gateway)
         if trace.stop_reason is StopReason.LIKELIHOOD_STOP:
             assert trace.selected_sequence == (8,)

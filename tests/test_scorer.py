@@ -1,6 +1,5 @@
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import pytest
@@ -43,16 +42,15 @@ def one_level(passages, scores, cfg=ONE_LEVEL):
     return plan_requests(instance(passages), cfg, plan)[0][0].levels[0]
 
 
-def one_level_gateway(inst, scores, flight=None, workers=1):
-    """A gateway scripted for one level of ``inst``; with ``workers`` of 2
-    or more it has a scorer pool of that many workers."""
+def one_level_gateway(inst, scores, flight=None, workers=1, concurrency=1):
+    """A gateway scripted for one level of ``inst`` that scores up to
+    ``workers`` requests at once for each of ``concurrency`` instances."""
     backend = ScriptedBackend()
     plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
     build_instance_script(backend, inst, ONE_LEVEL, plan)
     if flight is not None:
         backend.token_logprobs = flight.wrap(backend.token_logprobs)
-    pool = ThreadPoolExecutor(workers) if workers >= 2 else None
-    return scripted_gateway(backend, scorer_pool=pool)
+    return scripted_gateway(backend, scorer_concurrency=workers, concurrency=concurrency)
 
 
 class TestSelectBest:
@@ -129,6 +127,17 @@ class TestScoreLevel:
         assert flight.peak == 2
         assert flight.finished == 10
 
+    def test_one_instance_takes_the_helpers_the_others_leave_idle(self):
+        # Helpers for two instances and one scoring: it scores on three threads.
+        inst = trace_instance()
+        flight = InFlight(hold=0.02)
+        with closing(
+            one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2, concurrency=2)
+        ) as gw:
+            run_instance(inst, ONE_LEVEL, gw)
+        assert flight.peak == 3
+        assert flight.finished == 10
+
     def test_pool_threads_live_across_levels(self):
         inst = trace_instance()
         flight = InFlight(hold=0.0)
@@ -145,12 +154,14 @@ class TestScoreLevel:
 
     def test_pool_threads_end_with_the_gateway(self):
         inst = trace_instance()
-        flight = InFlight(hold=0.0)
+        flight = InFlight()  # calls held long enough for a helper to take some
         gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2)
         run_instance(inst, ONE_LEVEL, gw)
         gw.close()
-        assert flight.finished == 10 and flight.threads
-        assert not any(thread.is_alive() for thread in flight.threads)
+        # The caller scores too; the helper workers end with the gateway.
+        helpers = flight.threads - {threading.current_thread()}
+        assert flight.finished == 10 and helpers
+        assert not any(thread.is_alive() for thread in helpers)
 
     def test_failure_raised_after_in_flight_calls_finish(self):
         # Request 1 fails at once, while the other worker's call is held open.
@@ -160,11 +171,33 @@ class TestScoreLevel:
             backend.add_logprobs(req, [-1.0])
         flight = InFlight(hold=0.1)
         backend.token_logprobs = flight.wrap(backend.token_logprobs)
-        with closing(scripted_gateway(backend, scorer_pool=ThreadPoolExecutor(2))) as gw:
+        with closing(scripted_gateway(backend, scorer_concurrency=2)) as gw:
             with pytest.raises(ScriptMiss):
                 gw.score_many(requests, "relevance")
             started = flight.started
             assert flight.finished == started < 6
+            time.sleep(0.15)
+            assert flight.started == started
+
+    def test_interrupt_of_the_caller_stops_new_requests_and_propagates(self):
+        requests = [ScorerRequest(f"passage {i}", " q") for i in range(1, 9)]
+        backend = ScriptedBackend()
+        for req in requests:
+            backend.add_logprobs(req, [-1.0])
+        scripted = backend.token_logprobs
+
+        def interrupted_on_the_caller(req):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            return scripted(req)
+
+        flight = InFlight(hold=0.1)
+        backend.token_logprobs = flight.wrap(interrupted_on_the_caller)
+        with closing(scripted_gateway(backend, scorer_concurrency=2)) as gw:
+            with pytest.raises(KeyboardInterrupt):
+                gw.score_many(requests, "relevance")
+            started = flight.started
+            assert flight.finished == started <= 3
             time.sleep(0.15)
             assert flight.started == started
 
