@@ -2,9 +2,9 @@
 finished runs offline, and emit plot-ready tables.
 
 Run directory layout: manifest.json, instances.jsonl, traces.jsonl,
-answers.jsonl, failures.jsonl (when instances failed), report.json and
-report.csv after evaluation. Exit codes: 0 ok, 1 instance failures,
-2 fatal.
+answers.jsonl, failures.jsonl (when the last invocation had failures),
+report.json and report.csv after evaluation. Exit codes: 0 ok,
+1 instance failures, 2 fatal.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import click
 import yaml
 
 from . import baselines, datasets, metrics
-from .llm import HttpBackend, LlmGateway, ScriptedBackend
+from .llm import HttpBackend, LlmGateway, ScriptedBackend, run_in_order
 from .models import (
     AnswerRecord,
     CorruptTrace,
@@ -272,23 +272,28 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
 
     failures = 0
     concurrency = cfg.get("concurrency", 1)
-    with closing(gateway), open(traces_path, "a", encoding="utf-8") as tf, open(
+    # The calling thread runs instances alongside concurrency - 1 helpers,
+    # and between its own instances it appends the records of every
+    # finished instance, in instance order. At 1 nothing is submitted, so
+    # the pool starts no thread. failures.jsonl lists this invocation's
+    # failures only.
+    pool = ThreadPoolExecutor(max(concurrency - 1, 1), thread_name_prefix="gensco-instance")
+    with closing(gateway), pool, open(traces_path, "a", encoding="utf-8") as tf, open(
         answers_path, "a", encoding="utf-8"
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
-        failures_path, "a", encoding="utf-8"
+        failures_path, "w", encoding="utf-8"
     ) as ff:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            # executor.map preserves submission order, so completed records
-            # land in the files in instance order regardless of timing.
-            for inst, trace_dict, answer_dict, error in pool.map(process, todo):
-                if error is not None:
-                    failures += 1
-                    append_jsonl(ff, {"instance_id": inst.id, "error": error})
-                    continue
-                append_jsonl(inf, inst.to_dict())
-                append_jsonl(tf, trace_dict)
-                append_jsonl(af, answer_dict)
-    if failures == 0 and failures_path.stat().st_size == 0:
+        for inst, trace_dict, answer_dict, error in run_in_order(
+            process, todo, pool, concurrency - 1
+        ):
+            if error is not None:
+                failures += 1
+                append_jsonl(ff, {"instance_id": inst.id, "error": error})
+                continue
+            append_jsonl(inf, inst.to_dict())
+            append_jsonl(tf, trace_dict)
+            append_jsonl(af, answer_dict)
+    if failures == 0:
         failures_path.unlink()
 
     invocation = {

@@ -8,6 +8,7 @@ scripted backend for deterministic tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 
@@ -570,6 +571,73 @@ class _MemoryCache:
             self._store[key] = value
 
 
+def run_in_order(
+    fn: Callable, items: Iterable, pool: Optional[ThreadPoolExecutor], helpers: int
+) -> Iterator:
+    """Yield ``fn(item)`` for each of ``items``, in item order.
+
+    The calling thread and ``helpers`` tasks queued on ``pool`` take the
+    items one at a time, in order; with no helpers the caller maps them
+    alone and ``pool`` may be None. Between its own items the caller
+    yields every result that is ready in order, and once the items run
+    out it waits for the helpers and yields the rest. After a failure or
+    an interrupt no item starts: helper tasks not yet started are
+    cancelled and calls in flight finish. Then the interrupt, or else the
+    first failure in item order, is raised. No call outlives the
+    generator once it is exhausted or closed.
+    """
+    if helpers < 1:
+        yield from map(fn, items)
+        return
+    jobs = enumerate(items)
+    lock = threading.Lock()
+    done: dict[int, tuple[bool, Any]] = {}  # index -> (failed, result or exception)
+    first = 0  # the index of the next result to yield
+
+    def step() -> bool:
+        """Run the next item, if one may start, and store its outcome."""
+        nonlocal jobs
+        with lock:
+            i, item = next(jobs, (-1, None))
+        if i < 0:
+            return False
+        try:
+            done[i] = False, fn(item)
+        except Exception as exc:
+            with lock:
+                done[i] = True, exc
+                jobs = iter(())
+        return True
+
+    def helper() -> None:
+        while step():
+            pass
+
+    def ready() -> Iterator:
+        nonlocal first
+        while first in done:
+            failed, value = done.pop(first)
+            if failed:
+                raise value
+            yield value
+            first += 1
+
+    futures = [pool.submit(helper) for _ in range(helpers)]
+    try:
+        while step():
+            yield from ready()
+    finally:
+        with lock:  # after an interrupt, a failure or a close, start no item
+            jobs = iter(())
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()  # raises what escaped a helper
+    yield from ready()
+
+
 def _truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
     cut = len(text)
     for stop in stop_sequences:
@@ -668,55 +736,14 @@ class LlmGateway:
         return self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)["mean_nll"]
 
     def score_many(self, requests: Sequence[ScorerRequest], purpose: str) -> list[float]:
-        """The mean NLL of each request, in request order.
-
-        The calling thread and the helper workers take the requests one at
-        a time, in order. A helper task is queued for each worker of the
-        pool (at most one fewer than the requests), so an instance uses the
-        workers the others leave idle; tasks still queued when the requests
-        run out are cancelled. After a failure or an interrupt no request
-        starts: helpers not yet started are cancelled and calls in flight
-        finish. Then the interrupt, or else the first failure in request
-        order, is raised. No call outlives this method.
-        """
+        """The mean NLL of each request, in request order, as
+        ``run_in_order`` scores them on the calling thread and on helpers.
+        A helper task is queued for each worker of the pool (at most one
+        fewer than the requests), so an instance uses the workers the
+        others leave idle."""
         helpers = min(self._helper_count, len(requests) - 1)
-        if helpers < 1:
-            return [self.score_continuation(req, purpose) for req in requests]
-        jobs = enumerate(requests)
-        lock = threading.Lock()
-        results = [0.0] * len(requests)
-        failures: dict[int, Exception] = {}
-
-        def work() -> None:
-            nonlocal jobs
-            while True:
-                with lock:
-                    i, req = next(jobs, (0, None))
-                if req is None:
-                    return
-                try:
-                    results[i] = self.score_continuation(req, purpose)
-                except Exception as exc:
-                    with lock:
-                        failures[i] = exc
-                        jobs = iter(())
-                    return
-
-        futures = [self._helpers.submit(work) for _ in range(helpers)]
-        try:
-            work()
-        finally:
-            with lock:  # after an interrupt, start no request
-                jobs = iter(())
-            for future in futures:
-                future.cancel()
-            wait(futures)
-        for future in futures:
-            if not future.cancelled():
-                future.result()  # raises what escaped a helper's work
-        if failures:
-            raise failures[min(failures)]
-        return results
+        score = functools.partial(self.score_continuation, purpose=purpose)
+        return list(run_in_order(score, requests, self._helpers, helpers))
 
     def close(self) -> None:
         """Stop the scorer helper workers, then release the backends' idle

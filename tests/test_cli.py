@@ -159,6 +159,119 @@ class TestRunBatch:
             assert calls["scorer_calls"] == serial["scorer_calls"]
             assert calls["cache_misses"] == serial["cache_misses"]
 
+    def test_concurrency_one_starts_no_thread(self, tmp_path, monkeypatch):
+        cfg = make_run_config(
+            tmp_path, 4, variant=Variant.STOP, concurrency=1, scorer_concurrency=1
+        )
+        assert cli.run_batch(cfg, tmp_path / "unpatched") == 0
+
+        def start(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert cli.run_batch(cfg, tmp_path / "caller") == 0
+        monkeypatch.undo()
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(tmp_path / "caller", name) == read_bytes(
+                tmp_path / "unpatched", name
+            )
+
+    def test_interrupt_on_the_caller_ends_the_batch_with_whole_instances(
+        self, tmp_path, monkeypatch
+    ):
+        names = ("instances.jsonl", "traces.jsonl", "answers.jsonl")
+        cfg = make_run_config(
+            tmp_path, 6, variant=Variant.STOP, concurrency=2, scorer_concurrency=2
+        )
+        fresh = tmp_path / "fresh"
+        assert cli.run_batch(cfg, fresh) == 0
+        caller = threading.current_thread()
+        helper_busy, interrupted = threading.Event(), threading.Event()
+        by_caller, by_helper, finished, late = [], [], [], []
+        run_instance = cli.run_instance
+
+        def interrupted_on_the_caller(inst, *args):
+            if interrupted.is_set():
+                late.append(inst.id)
+            if threading.current_thread() is caller:
+                by_caller.append(inst.id)
+                if len(by_caller) == 2:
+                    assert helper_busy.wait(5)
+                    interrupted.set()
+                    raise KeyboardInterrupt
+            else:
+                by_helper.append(inst.id)
+                helper_busy.set()
+                interrupted.wait(5)
+                time.sleep(0.1)  # still in flight when the interrupt is raised
+            result = run_instance(inst, *args)
+            finished.append(inst.id)
+            return result
+
+        monkeypatch.setattr(cli, "run_instance", interrupted_on_the_caller)
+        threads_before = set(threading.enumerate())
+        run_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_batch(cfg, run_dir)
+        alive = [t for t in threading.enumerate() if t not in threads_before and t.is_alive()]
+        for thread in alive:
+            thread.join(timeout=5)
+        assert alive == []
+        assert late == [] and len(by_caller) == 2 and len(by_helper) == 1
+        assert by_helper[0] in finished  # the helper's instance was waited for
+        lines = [read_bytes(run_dir, name).splitlines(keepends=True) for name in names]
+        assert len({len(kept) for kept in lines}) == 1
+        for name, kept in zip(names, lines):
+            assert kept == read_bytes(fresh, name).splitlines(keepends=True)[: len(kept)]
+        monkeypatch.undo()
+        assert cli.run_batch(cfg, run_dir) == 0
+        for name in names:
+            assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
+
+    def test_held_caller_instance_keeps_instance_order(self, tmp_path, monkeypatch):
+        cfg = make_run_config(tmp_path, 6, variant=Variant.STOP)
+        assert cli.run_batch(cfg, tmp_path / "serial") == 0
+        caller = threading.current_thread()
+        caller_started, helper_ahead = threading.Event(), threading.Event()
+        finished = []
+        run_instance = cli.run_instance
+
+        def held_on_the_caller(inst, *args):
+            if threading.current_thread() is caller:
+                # The caller's first instance ends after two of the helper's.
+                caller_started.set()
+                assert helper_ahead.wait(5)
+                finished.append(inst.id)
+            else:
+                assert caller_started.wait(5)
+                finished.append(inst.id)
+                if len(finished) == 2:
+                    helper_ahead.set()
+            return run_instance(inst, *args)
+
+        monkeypatch.setattr(cli, "run_instance", held_on_the_caller)
+        assert cli.run_batch({**cfg, "concurrency": 2}, tmp_path / "run") == 0
+        assert finished != sorted(finished)
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(tmp_path / "run", name) == read_bytes(tmp_path / "serial", name)
+
+    def test_failures_file_lists_only_this_invocations_failures(self, tmp_path):
+        cfg = make_run_config(tmp_path, 3)
+        full_script = read_bytes(tmp_path, "script.json")
+        instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
+        pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, Variant.MAX)
+        build_synthetic_script(instances[:2], pipe_cfg).to_file(cfg["script_file"])
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 1
+        assert cli.run_batch(cfg, run_dir) == 1  # the resume fails again
+        failures = [json.loads(l) for l in read_bytes(run_dir, "failures.jsonl").splitlines()]
+        assert [f["instance_id"] for f in failures] == ["syn-002"]
+        (tmp_path / "script.json").write_bytes(full_script)
+        assert cli.run_batch(cfg, run_dir) == 0
+        assert not (run_dir / "failures.jsonl").exists()
+        manifest = json.loads(read_bytes(run_dir, "manifest.json"))
+        assert [i["instances_failed"] for i in manifest["invocations"]] == [1, 1, 0]
+
     def test_resume_after_interruption_is_byte_identical(self, tmp_path):
         cfg = make_run_config(tmp_path, 50)
         resumed = tmp_path / "resumed"
