@@ -112,6 +112,23 @@ class GeneratorRequest:
         ))
 
 
+def _scorer_fingerprints(head: str, tails: Sequence[str], continuation: str) -> list[str]:
+    """The fingerprint of a scorer request with prompt ``head + tail`` and
+    ``continuation``, for each of ``tails``. The JSON up to the end of the
+    head is hashed once and each tail finishes a copy of that state: the
+    escaping of a str is per character, so the escaped head and the
+    escaped tail join into the escaped prompt."""
+    shared = hashlib.sha256(
+        f'{{"continuation": {_json(continuation)}, "prompt": {_json_str(head)[:-1]}'.encode()
+    )
+    fingerprints = []
+    for tail in tails:
+        state = shared.copy()
+        state.update(f'{_json_str(tail)[1:]}, "role": "scorer"}}'.encode())
+        fingerprints.append(state.hexdigest())
+    return fingerprints
+
+
 @dataclass(frozen=True)
 class ScorerRequest:
     prompt: str
@@ -119,10 +136,23 @@ class ScorerRequest:
     fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fingerprint", _sha256(
-            f'{{"continuation": {_json(self.continuation)}, '
-            f'"prompt": {_json(self.prompt)}, "role": "scorer"}}'
-        ))
+        (fingerprint,) = _scorer_fingerprints(self.prompt, ("",), self.continuation)
+        object.__setattr__(self, "fingerprint", fingerprint)
+
+    @classmethod
+    def sharing_head(
+        cls, head: str, tails: Sequence[str], continuation: str
+    ) -> tuple["ScorerRequest", ...]:
+        """The request of prompt ``head + tail`` for each of ``tails``, with the
+        head hashed once for all of them."""
+        requests = []
+        for tail, fingerprint in zip(tails, _scorer_fingerprints(head, tails, continuation)):
+            req = object.__new__(cls)
+            req.__dict__.update(
+                prompt=head + tail, continuation=continuation, fingerprint=fingerprint
+            )
+            requests.append(req)
+        return tuple(requests)
 
 
 class Backend(Protocol):
@@ -186,13 +216,27 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
-        """A backend written by ``to_file``; ValueError for another file."""
+        """A backend written by ``to_file``; ValueError for another file. A
+        script's backend id and completions are strs, and each logprobs
+        entry is a non-empty list of numbers with a finite sum, since the
+        gateway would fail on any other at its first call."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         try:
             backend = cls(backend_id=payload.get("backend_id", "scripted"))
-            backend._completions = dict(payload["completions"])
-            backend._logprobs = {k: list(v) for k, v in payload["logprobs"].items()}
-        except (AttributeError, KeyError, TypeError) as exc:
+            backend._completions = payload["completions"]
+            backend._logprobs = payload["logprobs"]
+            logprobs = backend._logprobs.values()
+            if type(backend.backend_id) is not str:
+                raise TypeError(f"backend_id {backend.backend_id!r} is not a string")
+            if not {str}.issuperset(map(type, backend._completions.values())):
+                raise TypeError("a completion is not a string")
+            if not {list}.issuperset(map(type, logprobs)) or not {int, float}.issuperset(
+                map(type, itertools.chain.from_iterable(logprobs))
+            ):
+                raise TypeError("a logprobs entry is not a list of numbers")
+            if not all(logprobs) or not all(map(math.isfinite, map(sum, logprobs))):
+                raise ValueError("a logprobs entry is empty or does not have a finite sum")
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: not a script file ({exc!r})") from exc
         return backend
 

@@ -33,7 +33,7 @@ from .prompts import (
     ShotExample,
     render_answer_prompt,
     render_decomposition_prompt,
-    render_scoring_prompt,
+    render_scoring_prompts,
     render_stop_prompt,
 )
 from .scorer import MIN_NLL, select_best
@@ -210,13 +210,11 @@ def greedy_loop(
         pool = [p for p in passages if not (cfg.dedupe_pool and p.index in chosen_indices)]
         if not pool:  # dedupe_pool has taken every passage
             break
+        head, tails = render_scoring_prompts(selected, pool)
         scores = yield Score(
             "relevance",
             level,
-            tuple(
-                ScorerRequest(render_scoring_prompt(selected + [p]).text, " " + subq.text)
-                for p in pool
-            ),
+            ScorerRequest.sharing_head(head, tails, " " + subq.text),
             tuple(pool),
         )
         candidates = tuple(

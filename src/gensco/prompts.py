@@ -58,12 +58,13 @@ def load_shots_file(path) -> tuple[ShotExample, ...]:
         raise ValueError(f"{path}: not a shot bank ({exc!r})") from exc
 
 
+def _piece(p: Passage) -> str:
+    return f"{p.title}: {p.body}" if p.title else p.body
+
+
 def concat_passages(passages: Sequence[Passage]) -> str:
     """Join passages into flowing prose: "title: body" pieces, single space."""
-    parts = []
-    for p in passages:
-        parts.append(f"{p.title}: {p.body}" if p.title else p.body)
-    return " ".join(parts)
+    return " ".join(map(_piece, passages))
 
 
 def render_answer_prompt(
@@ -134,17 +135,17 @@ def render_stop_prompt(
     return RenderedPrompt(text)
 
 
-def render_scoring_prompt(passages: Sequence[Passage]) -> RenderedPrompt:
-    """Zero-shot question-generation prompt; only the continuation likelihood
-    of the supplied sub-question is read back, the generated text is ignored."""
-    if not passages:
+def render_scoring_prompts(
+    prefix: Sequence[Passage], candidates: Sequence[Passage]
+) -> tuple[str, tuple[str, ...]]:
+    """Zero-shot question-generation prompts, one per candidate appended to
+    the greedy ``prefix``, as a shared head and one tail per candidate:
+    ``head + tail`` is the candidate's prompt. Only the continuation
+    likelihood of the supplied sub-question is read back, the generated
+    text is ignored."""
+    if not candidates:
         raise PromptError("scoring prompt needs at least one passage")
-    instruction = _instruction("scoring_instruction.txt")
-    text = "\n".join(
-        [
-            instruction,
-            f"Context: {concat_passages(passages)}",
-            "Question:",
-        ]
-    )
-    return RenderedPrompt(text)
+    head = _instruction("scoring_instruction.txt") + "\nContext: "
+    if prefix:
+        head += concat_passages(prefix) + " "
+    return head, tuple(_piece(p) + "\nQuestion:" for p in candidates)

@@ -951,6 +951,46 @@ class TestCommandLine:
         assert str(path) in result.output
         assert not (run_dir / "traces.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("backend_id", 5),
+            ("completions", 5),
+            ("logprobs", "ab"),
+            ("logprobs", {"k": 1}),
+            ("logprobs", [True, True]),
+            ("logprobs", [-0.5, None]),
+            ("logprobs", []),
+            ("logprobs", [-0.5, float("nan")]),
+        ],
+        ids=["numeric-backend-id", "numeric-completion", "string-logprobs",
+             "object-logprobs", "boolean-logprobs", "null-logprob", "empty-logprobs",
+             "nan-logprob"],
+    )
+    def test_misshapen_script_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        cfg = make_run_config(tmp_path, 2)
+        path = Path(cfg["script_file"])
+        script = json.loads(path.read_text(encoding="utf-8"))
+        if field == "backend_id":
+            script[field] = value
+        else:
+            first = sorted(script[field])[0]
+            script[field][first] = value
+        path.write_text(json.dumps(script), encoding="utf-8")
+        calls = []
+        for method in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, method, lambda self, req: calls.append(req))
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and "'script_file'" in result.output
+        assert str(path) in result.output
+        assert calls == []
+        assert not (run_dir / "traces.jsonl").exists()
+
     def test_unreadable_manifest_exits_2_before_any_llm_call(self, tmp_path):
         config_path = self.write_config(tmp_path, make_run_config(tmp_path, 2))
         run_dir = tmp_path / "r"

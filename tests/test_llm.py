@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gensco import llm
 from gensco.llm import (
@@ -189,6 +189,8 @@ def reference_fingerprint(role, fields):
 # Quotes, backslashes, control characters, DEL, non-ASCII and non-BMP
 # characters, but no lone surrogates, which UTF-8 cannot encode.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+# The same with lone surrogates too.
+SURROGATE_TEXT = st.text(st.characters(blacklist_categories=()))
 # json.dumps writes 0 and 0.0, and True and 1, differently.
 TEMPERATURE = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6),
@@ -216,6 +218,31 @@ class TestFingerprint:
         req = ScorerRequest(prompt, continuation)
         assert req.fingerprint == reference_fingerprint(
             "scorer", {"prompt": prompt, "continuation": continuation}
+        )
+
+    @given(TEXT, st.lists(TEXT, min_size=1, max_size=4), TEXT)
+    def test_shared_head_fingerprints_equal_the_whole_prompts(self, head, tails, continuation):
+        shared = ScorerRequest.sharing_head(head, tails, continuation)
+        whole = tuple(ScorerRequest(head + tail, continuation) for tail in tails)
+        assert shared == whole
+        assert [r.fingerprint for r in shared] == [r.fingerprint for r in whole] == [
+            reference_fingerprint("scorer", {"prompt": head + t, "continuation": continuation})
+            for t in tails
+        ]
+
+    @given(SURROGATE_TEXT, st.lists(SURROGATE_TEXT, min_size=1, max_size=3), TEXT)
+    @example("a\ud834", ["\udd1e"], " c")  # a surrogate pair split by the cut
+    @example("\udc00", ["t"], " c")
+    @example("h", ["t", "\ud800 t"], " c")
+    def test_shared_head_fails_like_the_whole_prompts(self, head, tails, continuation):
+        def outcome(build):
+            try:
+                return [r.fingerprint for r in build()]
+            except Exception as exc:
+                return type(exc)
+
+        assert outcome(lambda: ScorerRequest.sharing_head(head, tails, continuation)) == outcome(
+            lambda: [ScorerRequest(head + tail, continuation) for tail in tails]
         )
 
     def test_disk_cache_file_named_by_sha256_of_backend_id_and_fingerprint(self, tmp_path):

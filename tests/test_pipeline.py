@@ -5,10 +5,18 @@ from contextlib import closing
 import pytest
 
 from gensco.baselines import bm25_rank
-from gensco.llm import ScriptedBackend
-from gensco.models import Dataset, StopReason, Variant, replay_trace
-from gensco.pipeline import Generate, PipelineConfig, greedy_loop, run_instance
-from gensco.prompts import FIN_KEYWORD, load_shots
+from gensco import llm
+from gensco.llm import ScorerRequest, ScriptedBackend
+from gensco.models import (
+    Dataset,
+    MultiHopInstance,
+    Passage,
+    StopReason,
+    Variant,
+    replay_trace,
+)
+from gensco.pipeline import Generate, PipelineConfig, drive, greedy_loop, run_instance
+from gensco.prompts import FIN_KEYWORD, concat_passages, load_shots
 from gensco.scorer import MAX_NLL, MIN_NLL
 
 from helpers import (
@@ -364,3 +372,97 @@ class TestCallBudget:
         assert stats["generator_calls"]["decomposition"] <= 4
         assert stats["scorer_calls"]["relevance"] == 15
         assert len(trace.selected_sequence) == 3
+
+
+SCORING_INSTRUCTION = "Generate a question based on the context."
+# Per level, the lowest and the highest score go to different passages.
+LEVEL_SCORES = [
+    {1: 0.5, 2: 0.1, 3: 0.9, 4: 0.4, 5: 0.3},
+    {1: 0.2, 2: 0.6, 3: 0.5, 4: 0.7, 5: 0.8},
+    {1: 0.9, 2: 0.8, 3: 0.6, 4: 0.1, 5: 0.2},
+]
+
+
+def whole_scoring_prompt(passages):
+    """A relevance prompt rendered as one text, prefix and candidate together."""
+    return f"{SCORING_INSTRUCTION}\nContext: {concat_passages(passages)}\nQuestion:"
+
+
+def mixed_title_instance(body_chars=40):
+    """Five passages, the odd ones without a title, bodies of ``body_chars``
+    characters that differ from the first one."""
+    bodies = [(f"{letter} body. " * body_chars)[:body_chars] for letter in "ABCDE"]
+    passages = tuple(
+        Passage(i, "" if i % 2 else f"Title {i}", bodies[i - 1]) for i in range(1, 6)
+    )
+    return MultiHopInstance("relevance-levels", "q?", "a", passages)
+
+
+class TestRelevanceRequests:
+    """A level's relevance requests are built from one rendered and hashed
+    prefix, and equal the requests of each whole prompt."""
+
+    @pytest.mark.parametrize("score_sign", [MIN_NLL, MAX_NLL])
+    @pytest.mark.parametrize("dedupe_pool", [False, True], ids=["full-pool", "dedupe-pool"])
+    def test_each_level_equals_the_whole_prompt_requests(self, dedupe_pool, score_sign):
+        inst = mixed_title_instance()
+        cfg = PipelineConfig(
+            variant=Variant.MAX, max_levels=3, dedupe_pool=dedupe_pool, score_sign=score_sign
+        )
+        plan = ScriptedPlan(["s1?", "s2?", "s3?"], LEVEL_SCORES, "a")
+        (trace, _), log = plan_requests(inst, cfg, plan)
+        relevance = [request for request, _ in log if request.purpose == "relevance"]
+        assert [r.level for r in relevance] == [1, 2, 3]
+        assert [len(r.requests) for r in relevance] == ([5, 4, 3] if dedupe_pool else [5, 5, 5])
+        for request, level in zip(relevance, trace.levels):
+            selected = trace.selected_sequence[: request.level - 1]
+            prefix = [inst.passage_by_index(i) for i in selected]
+            expected = tuple(
+                ScorerRequest(whole_scoring_prompt(prefix + [p]), " " + level.sub_question.text)
+                for p in request.passages
+            )
+            assert request.requests == expected
+            assert [r.fingerprint for r in request.requests] == [r.fingerprint for r in expected]
+        assert len(set(trace.selected_sequence)) == 3
+
+    def test_a_levels_prefix_is_hashed_once(self, monkeypatch):
+        hashed = [0]
+        sha256 = hashlib.sha256
+
+        class Counted:
+            """A sha256 state that counts the bytes it is given."""
+
+            def __init__(self, state, data=b""):
+                self.state = state
+                self.update(data)
+
+            def update(self, data):
+                hashed[0] += len(data)
+                self.state.update(data)
+
+            def copy(self):
+                return Counted(self.state.copy())
+
+            def hexdigest(self):
+                return self.state.hexdigest()
+
+        monkeypatch.setattr(llm.hashlib, "sha256", lambda data=b"": Counted(sha256(), data))
+        inst = mixed_title_instance(body_chars=2000)
+        cfg = PipelineConfig(variant=Variant.MAX, max_levels=3)
+        plan = ScriptedPlan(["s1?", "s2?", "s3?"], LEVEL_SCORES, "a")
+        counts = []
+
+        def reply(request):
+            counts.append((request, hashed[0]))
+            return plan.reply(request)
+
+        trace, _ = drive(greedy_loop(inst, cfg, (), "scripted"), reply)
+        (i,) = [i for i, (r, _) in enumerate(counts) if r.purpose == "relevance" and r.level == 3]
+        (request, after), (_, before) = counts[i], counts[i - 1]
+        prefix = [inst.passage_by_index(j) for j in trace.selected_sequence[:2]]
+        head = f"{SCORING_INSTRUCTION}\nContext: {concat_passages(prefix)} "
+        tails = [f"{concat_passages([p])}\nQuestion:" for p in request.passages]
+        assert [r.prompt for r in request.requests] == [head + tail for tail in tails]
+        n = len(tails)
+        assert n >= 3 and len(head) > 4000
+        assert after - before < 2 * len(head) + sum(map(len, tails)) + n * 64

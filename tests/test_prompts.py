@@ -11,7 +11,7 @@ from gensco.prompts import (
     load_shots,
     render_answer_prompt,
     render_decomposition_prompt,
-    render_scoring_prompt,
+    render_scoring_prompts,
     render_stop_prompt,
 )
 
@@ -124,8 +124,8 @@ class TestScoringPrompt:
     def test_single_candidate_context(self):
         inst = trace_instance()
         p8 = inst.passage_by_index(8)
-        prompt = render_scoring_prompt([p8])
-        assert prompt.text == (
+        head, (tail,) = render_scoring_prompts([], [p8])
+        assert head + tail == (
             "Generate a question based on the context.\n"
             f"Context: {p8.body}\n"
             "Question:"
@@ -135,16 +135,30 @@ class TestScoringPrompt:
         inst = trace_instance()
         p8 = inst.passage_by_index(8)
         p1 = inst.passage_by_index(1)
-        prompt = render_scoring_prompt([p8, p1])
-        assert prompt.text.index(p8.body) < prompt.text.index(p1.body)
+        head, (tail,) = render_scoring_prompts([p8], [p1])
+        text = head + tail
+        assert text.index(p8.body) < text.index(p1.body)
 
     def test_empty_rejected(self):
         with pytest.raises(PromptError):
-            render_scoring_prompt([])
+            render_scoring_prompts([], [])
+        with pytest.raises(PromptError):
+            render_scoring_prompts([P1], [])
+
+    @pytest.mark.parametrize("prefix", [[], [P1], [P2, P1], [Passage(4, "", "")]],
+                             ids=["empty", "untitled", "titled-then-untitled", "blank"])
+    def test_head_plus_tail_is_the_whole_prompt(self, prefix):
+        candidates = [P2, P3, Passage(5, "", ""), Passage(6, "T", "")]
+        head, tails = render_scoring_prompts(prefix, candidates)
+        instruction = "Generate a question based on the context."
+        assert [head + tail for tail in tails] == [
+            f"{instruction}\nContext: {concat_passages(prefix + [p])}\nQuestion:"
+            for p in candidates
+        ]
 
 
 @given(st.text(min_size=1, max_size=40), st.text(min_size=1, max_size=40))
 def test_cross_process_stable_digest(question, body):
-    a = render_scoring_prompt([Passage(0, "", body)])
-    b = render_scoring_prompt([Passage(0, "", body)])
-    assert a.text == b.text
+    a = render_scoring_prompts([], [Passage(0, "", body)])
+    b = render_scoring_prompts([], [Passage(0, "", body)])
+    assert a == b

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from gensco.llm import ScorerRequest, ScriptedBackend, ScriptMiss
 from gensco.models import MultiHopInstance, Passage, ScoredCandidate, StopReason, Variant
 from gensco.pipeline import PipelineConfig, Score, run_instance
-from gensco.prompts import render_scoring_prompt
+from gensco.prompts import render_scoring_prompts
 from gensco.scorer import MAX_NLL, select_best
 
 from helpers import (
@@ -88,9 +88,8 @@ class TestScoreLevel:
         (trace, _), log = plan_requests(inst, PipelineConfig(), trace_plan())
         (request,) = [r for r, _ in log if r.purpose == "relevance" and r.level == 2]
         prefix = [inst.passage_by_index(8)]
-        assert [req.prompt for req in request.requests] == [
-            render_scoring_prompt(prefix + [p]).text for p in inst.passages
-        ]
+        head, tails = render_scoring_prompts(prefix, inst.passages)
+        assert [req.prompt for req in request.requests] == [head + tail for tail in tails]
         assert {req.continuation for req in request.requests} == {" " + TRACE_SUBQ_2}
         assert trace.levels[1].chosen_index == 1
 
