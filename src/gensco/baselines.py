@@ -44,9 +44,7 @@ class Bm25Index:
             self.term_freqs.append(tf)
             self.lengths.append(len(terms))
             self.doc_freq.update(tf.keys())
-        self.avg_length = (
-            sum(self.lengths) / len(self.lengths) if self.lengths else 0.0
-        )
+        self.avg_length = sum(self.lengths) / len(self.lengths)
 
     def idf(self, term: str) -> float:
         n = len(self.passages)
@@ -72,8 +70,6 @@ class Bm25Index:
 
 def bm25_rank(question: str, passages: Sequence[Passage], k1: float, b: float) -> list[Passage]:
     """Passages by descending Okapi score; ties keep passage-index order."""
-    if not passages:
-        raise ValueError("bm25_rank needs at least one passage")
     index = Bm25Index(tuple(passages), k1, b)
     query_terms = tokenize(question)
     scored = [
@@ -91,8 +87,6 @@ def shuffle_sequence(
     Returns (permuted sequence, permutation) where
     ``permuted[i] == sequence[permutation[i]]``.
     """
-    if not sequence:
-        raise ValueError("cannot shuffle an empty sequence")
     n = len(sequence)
     perm = list(range(n))
     if n >= 2:

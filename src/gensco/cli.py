@@ -234,6 +234,11 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     else:
         shot_bank = load_shots(dataset)
     pipe_cfg = _pipeline_config(cfg, dataset)
+    if pipe_cfg.shots > len(shot_bank):
+        raise ConfigError(
+            f"config key 'shots' asks for {pipe_cfg.shots} shots,"
+            f" but the shot bank holds {len(shot_bank)}"
+        )
     rankings = {}
     if "rankings_file" in cfg:
         path = cfg["rankings_file"]
@@ -271,20 +276,20 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
             return inst, None, None, f"{type(exc).__name__}: {exc}"
 
     failures = 0
-    concurrency = cfg.get("concurrency", 1)
     # The calling thread runs instances alongside concurrency - 1 helpers,
-    # and between its own instances it appends the records of every
-    # finished instance, in instance order. At 1 nothing is submitted, so
-    # the pool starts no thread. failures.jsonl lists this invocation's
-    # failures only.
-    pool = ThreadPoolExecutor(max(concurrency - 1, 1), thread_name_prefix="gensco-instance")
+    # no more than there are other instances to run, and between its own
+    # instances it appends the records of every finished instance, in
+    # instance order. With no helper nothing is submitted, so the pool
+    # starts no thread. failures.jsonl lists this invocation's failures only.
+    helpers = min(cfg.get("concurrency", 1) - 1, len(todo) - 1)
+    pool = ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="gensco-instance")
     with closing(gateway), pool, open(traces_path, "a", encoding="utf-8") as tf, open(
         answers_path, "a", encoding="utf-8"
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
         failures_path, "w", encoding="utf-8"
     ) as ff:
         for inst, trace_dict, answer_dict, error in run_in_order(
-            process, todo, pool, concurrency - 1
+            process, todo, pool, helpers
         ):
             if error is not None:
                 failures += 1

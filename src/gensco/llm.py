@@ -301,10 +301,10 @@ def _read_chunked(rfile) -> bytes:
     parts = []
     while True:
         line = _read_line(rfile)
-        try:
-            size = int(line.split(b";", 1)[0], 16)
-        except ValueError:
-            raise ConnectionError(f"malformed chunk size {line[:100]!r}") from None
+        size = line.split(b";", 1)[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):  # hex digits only
+            raise ConnectionError(f"malformed chunk size {line[:100]!r}")
+        size = int(size, 16)
         if size == 0:
             break
         parts.append(_read_exactly(rfile, size))
@@ -757,9 +757,6 @@ class LlmGateway:
         return value
 
     def generate(self, req: GeneratorRequest, purpose: str = "answer") -> str:
-        if not req.prompt:
-            raise ValueError("generator prompt must be non-empty")
-
         def fetch():
             return {"text": _truncate_at_stop(self.generator.complete(req), req.stop_sequences)}
 
@@ -767,17 +764,30 @@ class LlmGateway:
 
     def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> float:
         """The mean NLL of the continuation's tokens. The cache entry also
-        keeps the per-token logprobs."""
-        if not req.continuation:
-            raise ValueError("scorer continuation must be non-empty")
+        keeps the per-token logprobs. A score over no token, or one that is
+        not finite, raises MalformedResponse: it is never retried or cached,
+        and a cached one raises on a hit."""
 
         def fetch():
             logprobs = self.scorer.token_logprobs(req)
-            if not logprobs:
-                raise ValueError("scorer response must cover at least one token")
-            return {"token_logprobs": logprobs, "mean_nll": -sum(logprobs) / len(logprobs)}
+            try:
+                mean_nll = -sum(logprobs) / len(logprobs)
+            except (ZeroDivisionError, OverflowError):  # no token, or an int past float range
+                mean_nll = math.nan
+            return self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, req)
 
-        return self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)["mean_nll"]
+        entry = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)
+        return self._finite(entry, req)["mean_nll"]
+
+    def _finite(self, entry: dict[str, Any], req: ScorerRequest) -> dict[str, Any]:
+        """``entry`` if its mean NLL is finite; MalformedResponse otherwise."""
+        if not math.isfinite(entry["mean_nll"]):
+            raise MalformedResponse(
+                f"backend {self.scorer.backend_id} scored {req.continuation!r} with"
+                f" {len(entry['token_logprobs'])} token logprobs and a mean NLL of"
+                f" {entry['mean_nll']!r}: a score needs a token and must be finite"
+            )
+        return entry
 
     def score_many(self, requests: Sequence[ScorerRequest], purpose: str) -> list[float]:
         """The mean NLL of each request, in request order, as

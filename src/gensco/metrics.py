@@ -15,10 +15,6 @@ class DegenerateVariance(ValueError):
     pass
 
 
-class MissingSupports(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AnswerMetrics:
     em: int
@@ -112,11 +108,9 @@ def k_precision(predicted: str, passages: Sequence[str]) -> float:
 
 def retrieval_metrics(
     selected_sequence: Sequence[int],
-    supporting_indices: Optional[set[int]],
+    supporting_indices: set[int],
 ) -> RetrievalMetrics:
     """Set precision/recall/F1 over deduplicated selected indices."""
-    if supporting_indices is None:
-        raise MissingSupports("instance has no supporting-passage labels")
     selected = set(selected_sequence)
     supports = set(supporting_indices)
     hits = len(selected & supports)
@@ -170,8 +164,6 @@ MEAN_FIELDS = ANSWER_FIELDS + (
 
 
 def aggregate(records: Sequence[InstanceEval]) -> EvalReport:
-    if not records:
-        raise ValueError("cannot aggregate an empty record list")
     means: dict[str, float] = {}
     for name in MEAN_FIELDS:
         values = [v for v in (getattr(r, name) for r in records) if v is not None]

@@ -8,7 +8,6 @@ gateway), so the loops' rules exist once whatever serves the calls.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Sequence, Union
@@ -165,8 +164,6 @@ def greedy_loop(
     with the candidate, both conditioned on the passages selected so
     far, and stops on a strict increase.
     """
-    if cfg.variant not in GENSCO_VARIANTS:
-        raise ValueError(f"greedy_loop does not run the baseline variant {cfg.variant.value!r}")
     levels: list[TraceLevel] = []
     selected: list[Passage] = []
     seen: set[str] = set()
@@ -221,9 +218,6 @@ def greedy_loop(
             ScoredCandidate(level=level, passage_index=p.index, score=score)
             for p, score in zip(pool, scores)
         )
-        for c in candidates:
-            if not math.isfinite(c.score):
-                raise ValueError(f"non-finite score {c.score!r} for passage {c.passage_index}")
         chosen = select_best(candidates, cfg.score_sign).passage_index
         if cfg.variant is Variant.NO_QD and chosen in chosen_indices:
             # Re-selection signals exhaustion; the repeated passage is not

@@ -18,10 +18,6 @@ from .models import Dataset, Passage, Record
 FIN_KEYWORD = "<FIN></FIN>"
 
 
-class PromptError(ValueError):
-    """Template preconditions violated (empty passage list, misaligned history)."""
-
-
 @dataclass(frozen=True)
 class ShotExample(Record):
     question: str
@@ -100,11 +96,6 @@ def render_decomposition_prompt(
     ``history`` pairs each earlier sub-question with the passage selected
     for it; the pair being requested has no passage yet by construction.
     """
-    for subq, passage in history:
-        if not subq.strip():
-            raise PromptError("history contains a blank sub-question")
-        if passage is None:
-            raise PromptError("history sub-question has no selected passage")
     header = _instruction("decomposition_header.txt")
     lines = [header, ""]
     lines.append(f"Question: {question}")
@@ -121,8 +112,6 @@ def render_stop_prompt(
     subquestions: Sequence[str],
 ) -> RenderedPrompt:
     """Zero-shot prompt whose continuation likelihood drives the stopping test."""
-    if not passages or not subquestions:
-        raise PromptError("stopping criterion needs at least one passage and sub-question")
     instruction = _instruction("stop_instruction.txt")
     text = "\n".join(
         [
@@ -143,8 +132,6 @@ def render_scoring_prompts(
     ``head + tail`` is the candidate's prompt. Only the continuation
     likelihood of the supplied sub-question is read back, the generated
     text is ignored."""
-    if not candidates:
-        raise PromptError("scoring prompt needs at least one passage")
     head = _instruction("scoring_instruction.txt") + "\nContext: "
     if prefix:
         head += concat_passages(prefix) + " "

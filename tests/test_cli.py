@@ -176,6 +176,24 @@ class TestRunBatch:
                 tmp_path / "unpatched", name
             )
 
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_resume_with_at_most_one_instance_left_starts_no_thread(
+        self, tmp_path, monkeypatch, left
+    ):
+        cfg = make_run_config(tmp_path, 3, concurrency=4)
+        run_dir = tmp_path / "run"
+        assert cli.run_batch({**cfg, "limit": 3 - left}, run_dir) == 0
+
+        def start(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert cli.run_batch(cfg, run_dir) == 0
+        monkeypatch.undo()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["instances_skipped"] == 3 - left
+        assert len((run_dir / "traces.jsonl").read_text().splitlines()) == 3
+
     def test_interrupt_on_the_caller_ends_the_batch_with_whole_instances(
         self, tmp_path, monkeypatch
     ):
@@ -988,6 +1006,35 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert "fatal" in result.output and "'script_file'" in result.output
         assert str(path) in result.output
+        assert calls == []
+        assert not (run_dir / "traces.jsonl").exists()
+
+    @pytest.mark.parametrize("variant", [Variant.STOP, Variant.BM25])
+    @pytest.mark.parametrize(
+        "bank_size, shots",
+        [(None, 3), (1, 2), (1, None)],
+        ids=["packaged-bank", "shot_bank-file", "shot_bank-file-default-shots"],
+    )
+    def test_shots_beyond_the_shot_bank_exit_2_before_any_llm_call(
+        self, tmp_path, monkeypatch, variant, bank_size, shots
+    ):
+        cfg = make_run_config(tmp_path, 2, variant=variant)
+        if shots is not None:
+            cfg["shots"] = shots
+        if bank_size is not None:
+            bank = [vars(shot) for shot in load_shots(Dataset.SYNTHETIC)[:bank_size]]
+            cfg["shot_bank"] = str(tmp_path / "shots.json")
+            Path(cfg["shot_bank"]).write_text(json.dumps(bank), encoding="utf-8")
+        calls = []
+        for method in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, method, lambda self, req: calls.append(req))
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and "'shots'" in result.output
+        asked, held = shots or 2, bank_size or 2
+        assert f"{asked} shots" in result.output and f"holds {held}" in result.output
         assert calls == []
         assert not (run_dir / "traces.jsonl").exists()
 

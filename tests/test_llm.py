@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -83,7 +84,7 @@ class TestScoreContinuation:
         assert mean_nll([0.0]) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedResponse, match="backend scripted .* 0 token logprobs"):
             mean_nll([])
 
     @given(
@@ -119,6 +120,29 @@ class TestCache:
         gw2 = gateway_for(ScriptedBackend(), cache_dir=tmp_path)
         assert gw2.generate(req) == "out"
         assert gw2.stats()["cache_hits"] == 1
+
+    def test_non_finite_score_is_not_cached(self, tmp_path):
+        backend = ScriptedBackend()
+        req = ScorerRequest("p", " c")
+        backend.add_logprobs(req, [-0.5, math.nan])
+        gw = gateway_for(backend, cache_dir=tmp_path)
+        for _ in range(2):
+            with pytest.raises(MalformedResponse, match="must be finite"):
+                gw.score_continuation(req)
+        assert list(tmp_path.rglob("*.json")) == []
+        assert (gw.stats()["cache_hits"], gw.stats()["cache_misses"]) == (0, 0)
+
+    def test_cached_non_finite_score_raises_on_a_hit(self, tmp_path):
+        # The entry a gateway that did not check its scores wrote for a NaN
+        # logprob: json.dump writes NaN, and json.loads reads it back.
+        req = ScorerRequest("p", " c")
+        key = f"scripted\0{req.fingerprint}"
+        llm.ResponseCache(tmp_path).put(key, {"token_logprobs": [math.nan], "mean_nll": math.nan})
+        (path,) = tmp_path.rglob("*.json")
+        assert '"mean_nll": NaN' in path.read_text(encoding="utf-8")
+        gw = gateway_for(ScriptedBackend(), cache_dir=tmp_path)
+        with pytest.raises(MalformedResponse, match="backend scripted .* mean NLL of nan"):
+            gw.score_continuation(req)
 
     def test_disk_cache_misses_under_another_backend_id(self, tmp_path):
         req = GeneratorRequest(prompt="p")
@@ -486,9 +510,10 @@ class TestHttpBackend:
         server = serve(lambda body: (200, reply["payload"]))
         backend = server.backend()
 
+        # Only lists with a finite sum: an overflowing one is a malformed reply.
         @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                   st.integers(min_value=-(10**6), max_value=0)),
-                        min_size=1, max_size=12))
+                        min_size=1, max_size=12).filter(lambda lps: math.isfinite(sum(lps))))
         def check(logprobs):
             reply["payload"] = {"choices": [{"text": "", "logprobs": {
                 "token_logprobs": [None, -1.25] + logprobs,
@@ -602,10 +627,18 @@ class TestHttpBackend:
                     ([0, 1, 3, 2], "out of order"),
                 ]
             ),
+            *(
+                ((200, {"choices": [{"text": "", "logprobs": {
+                    "token_logprobs": [None] + logprobs,
+                    "text_offset": list(range(len(logprobs) + 1))}}]}), "token_logprobs",
+                 "must be finite")
+                for logprobs in ([-0.5, math.nan], [math.inf], [-math.inf], [-1e308, -1e308])
+            ),
         ],
         ids=["not-json", "error-object", "no-choices", "no-text", "logprobs-list",
              "offsets-short", "offset-string", "offset-float", "offset-bool",
-             "offset-back-before-cut", "offset-back-after-cut"],
+             "offset-back-before-cut", "offset-back-after-cut", "nan-logprob",
+             "infinity-logprob", "minus-infinity-logprob", "overflowing-sum"],
     )
     def test_malformed_2xx_reply_raises_named_error_without_retry(
         self, serve, reply, call, message
@@ -767,13 +800,43 @@ class TestHttpBackend:
             (raw_reply(["HTTP/1.1 200 OK"] + [f"X-{i}: v" for i in range(101)]), "more than 100"),
             (raw_reply(["HTTP/1.1 200 OK", "no colon here"]), "malformed header"),
             (raw_reply(["HTTP/1.1 200 OK", "Content-Length: 10"], b"short"), "5 of 10"),
+            *(
+                (raw_reply(["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
+                           size + b"\r\n" + completion_bytes("x") + b"\r\n0\r\n\r\n"),
+                 "malformed chunk size")
+                for size in (b"-1", b"+a", b"1_0", b"0x10")
+            ),
         ],
-        ids=["long-line", "101-headers", "no-colon", "short-body"],
+        ids=["long-line", "101-headers", "no-colon", "short-body", "chunk-size-negative",
+             "chunk-size-plus-sign", "chunk-size-underscore", "chunk-size-0x-prefix"],
     )
     def test_malformed_response_raises_connection_error(self, serve, response, message):
         backend = serve(lambda body: response, close_after_reply="silently").backend()
         with pytest.raises(ConnectionError, match=message):
             backend.complete(GeneratorRequest(prompt="p"))
+
+    def test_malformed_chunk_size_fails_at_once_on_a_kept_alive_connection(self, serve):
+        # A size of -1 read as "to the end" would wait for the server's
+        # close, which a kept-alive connection never sends.
+        data = completion_bytes("x")
+        backend = serve(lambda body: raw_reply(
+            ["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"], b"-1\r\n" + data + b"\r\n0\r\n\r\n"
+        )).backend(timeout=2)
+        started = time.monotonic()
+        with pytest.raises(ConnectionError, match="malformed chunk size"):
+            backend.complete(GeneratorRequest(prompt="p"))
+        assert time.monotonic() - started < 1
+
+    @pytest.mark.parametrize("size", [b"1a", b" 1A ", b"1a;name=value", b"1a ; name"],
+                             ids=["lower", "spaces-upper", "extension", "spaced-extension"])
+    def test_hex_chunk_size_with_spaces_and_extensions_read(self, serve, size):
+        data = completion_bytes("x")
+        backend = serve(lambda body: raw_reply(
+            ["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
+            size + b"\r\n" + data[:26] + b"\r\n" + b"%x\r\n" % (len(data) - 26)
+            + data[26:] + b"\r\n0\r\n\r\n",
+        )).backend()
+        assert backend.complete(GeneratorRequest(prompt="p")) == "x"
 
     def test_request_headers(self, serve):
         server = serve(echo_prompt)

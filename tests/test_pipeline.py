@@ -1,12 +1,16 @@
 import hashlib
+import math
 import threading
-from contextlib import closing
+from collections import Counter
+from contextlib import ExitStack, closing
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gensco.baselines import bm25_rank
-from gensco import llm
-from gensco.llm import ScorerRequest, ScriptedBackend
+from gensco import llm, pipeline
+from gensco.llm import MalformedResponse, ScorerRequest, ScriptedBackend
 from gensco.models import (
     Dataset,
     MultiHopInstance,
@@ -15,7 +19,14 @@ from gensco.models import (
     Variant,
     replay_trace,
 )
-from gensco.pipeline import Generate, PipelineConfig, drive, greedy_loop, run_instance
+from gensco.pipeline import (
+    GENSCO_VARIANTS,
+    Generate,
+    PipelineConfig,
+    drive,
+    greedy_loop,
+    run_instance,
+)
 from gensco.prompts import FIN_KEYWORD, concat_passages, load_shots
 from gensco.scorer import MAX_NLL, MIN_NLL
 
@@ -200,6 +211,20 @@ class TestStoppingRules:
         assert flight.finished == 2
         assert flight.peak == workers
 
+    @pytest.mark.parametrize("without, with_c", [(math.nan, 1.2), (1.5, math.nan)],
+                             ids=["without-nan", "with-candidate-nan"])
+    def test_stop_pair_with_a_nan_side_fails_the_instance(self, without, with_c):
+        # NaN > x and x > NaN are both false: unchecked, the test would
+        # never fire and the instance would go on to level 3.
+        with pytest.raises(MalformedResponse, match="mean NLL of nan"):
+            self.check(without, with_c)
+
+    def test_nan_relevance_score_fails_the_instance(self):
+        plan = trace_plan()
+        plan.level_scores = [{**TRACE_SCORES_LEVEL_1, 3: math.nan}, plan.level_scores[1]]
+        with pytest.raises(MalformedResponse, match="mean NLL of nan"):
+            run_trace_example(plan=plan)
+
     def test_fin_keyword_stop(self):
         plan = ScriptedPlan([TRACE_SUBQ_1, FIN_KEYWORD], [TRACE_SCORES_LEVEL_1], "x")
         (trace, _), log = plan_requests(trace_instance(), PipelineConfig(), plan)
@@ -222,12 +247,6 @@ class TestStoppingRules:
 
 
 class TestVariants:
-    @pytest.mark.parametrize("variant", [Variant.BM25, Variant.PRECOMPUTED])
-    def test_baseline_variant_rejected_before_any_request(self, variant):
-        loop = greedy_loop(trace_instance(), PipelineConfig(variant=variant), (), "scripted")
-        with pytest.raises(ValueError, match=variant.value):
-            next(loop)
-
     def test_max_levels_one_stops_with_one_passage(self):
         plan = trace_plan()
         (trace, record), _ = run_trace_example(max_levels=1, plan=plan)
@@ -466,3 +485,112 @@ class TestRelevanceRequests:
         n = len(tails)
         assert n >= 3 and len(head) > 4000
         assert after - before < 2 * len(head) + sum(map(len, tails)) + n * 64
+
+
+# What each function the loops call would have to reject, were its only
+# caller able to pass it: a blank or passage-less history line, a stop
+# prompt without passages or sub-questions, a level without candidates, a
+# shuffle of fewer than two passages (one would loop forever), BM25 over
+# no passage, and a baseline in the greedy loop.
+CALLER_GUARANTEES = {
+    "render_decomposition_prompt": lambda question, history: all(
+        subq.strip() and isinstance(passage, Passage) for subq, passage in history
+    ),
+    "render_stop_prompt": lambda passages, subquestions: bool(passages and subquestions),
+    "render_scoring_prompts": lambda prefix, candidates: bool(candidates),
+    "shuffle_sequence": lambda sequence, seed: len(sequence) >= 2,
+    "bm25_rank": lambda question, passages, k1, b: bool(passages),
+    "greedy_loop": lambda inst, cfg, *rest: cfg.variant in GENSCO_VARIANTS,
+}
+# Repeats that differ only in case and spacing, blank and multi-line
+# completions, and FIN alone and inside a line.
+SUBQUESTION_LINES = [
+    "Who?", "Where?", "who?", " WHO?  ", "What year?", "Where?\nWho?", "", "   ", "\nWho?",
+    FIN_KEYWORD, f"Who? {FIN_KEYWORD}",
+]
+
+
+@st.composite
+def drawn_runs(draw):
+    """An instance of 1-6 passages, a config of any variant and a plan for it."""
+    indices = draw(st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True))
+    passages = tuple(
+        Passage(i, draw(st.sampled_from(["", f"Title {i}"])), f"Body {i}.") for i in indices
+    )
+    inst = MultiHopInstance("drawn", "Where was it?", "here", passages)
+    variant = draw(st.sampled_from(list(Variant)))
+    max_levels = draw(st.integers(1, 7))
+    cfg = PipelineConfig(
+        variant=variant,
+        max_levels=max_levels,
+        shots=draw(st.integers(0, 2)),
+        dedupe_pool=draw(st.booleans()),
+        score_sign=draw(st.sampled_from([MIN_NLL, MAX_NLL])),
+        shuffle=draw(st.booleans()),
+        shuffle_seed=draw(st.integers(0, 2**32)),
+        top_k=draw(st.integers(1, 7)),
+    )
+    scores = st.sampled_from([0.1, 0.5, 0.5, 2.0])  # ties too
+    plan = ScriptedPlan(
+        subquestions=draw(st.lists(
+            st.sampled_from(SUBQUESTION_LINES), min_size=max_levels, max_size=max_levels
+        )),
+        level_scores=[
+            {i: draw(scores) for i in indices} for _ in range(max_levels)
+        ],
+        answer="a",
+        # Equal, increasing and decreasing pairs.
+        stop_nlls={
+            level: draw(st.sampled_from([(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]))
+            for level in range(2, max_levels + 1)
+        },
+    )
+    ranking = draw(st.permutations(indices)) if variant is Variant.PRECOMPUTED else None
+    return inst, cfg, plan, ranking
+
+
+class TestCallerGuarantees:
+    """The functions the loops call trust their inputs; these draws show
+    that the loops, their only callers, never pass one those functions
+    could not handle."""
+
+    def test_no_call_gets_an_input_its_only_caller_rules_out(self):
+        calls = Counter()
+
+        def guarded(name, holds):
+            real = getattr(pipeline, name)
+
+            def wrapped(*args):
+                assert holds(*args), f"{name}{args!r}"
+                calls[name] += 1
+                return real(*args)
+
+            return mock.patch.object(pipeline, name, wrapped)
+
+        shot_bank = load_shots(Dataset.SYNTHETIC)
+
+        # The worked trace reaches every renderer of the stop variant, and
+        # a shuffled BM25 run reaches the ranking and the shuffle.
+        @settings(max_examples=300, deadline=None)
+        @given(drawn_runs())
+        @example((trace_instance(), PipelineConfig(), trace_plan(), None))
+        @example((
+            trace_instance(),
+            PipelineConfig(variant=Variant.BM25, shuffle=True),
+            ScriptedPlan([], [], "a"),
+            None,
+        ))
+        def check(run):
+            inst, cfg, plan, ranking = run
+            with ExitStack() as stack:
+                for name, holds in CALLER_GUARANTEES.items():
+                    stack.enter_context(guarded(name, holds))
+                _, log = plan_requests(inst, cfg, plan, shot_bank, ranking)
+            for request, _ in log:
+                if isinstance(request, Generate):
+                    assert request.request.prompt
+                else:
+                    assert all(r.prompt and r.continuation for r in request.requests)
+
+        check()
+        assert set(calls) == set(CALLER_GUARANTEES)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from gensco.models import Dataset, Passage
 from gensco.prompts import (
     FIN_KEYWORD,
-    PromptError,
     concat_passages,
     load_shots,
     render_answer_prompt,
@@ -91,14 +90,6 @@ class TestDecompositionPrompt:
         assert "Subcontext 1: First passage body." in tail
         assert prompt.text.endswith("Subquestion 2:")
 
-    def test_blank_history_subquestion_rejected(self):
-        with pytest.raises(PromptError):
-            render_decomposition_prompt("Q?", [("  ", P1)])
-
-    def test_missing_history_passage_rejected(self):
-        with pytest.raises(PromptError):
-            render_decomposition_prompt("Q?", [("Sub one?", None)])
-
 
 class TestStopPrompt:
     def test_three_sections(self):
@@ -114,10 +105,6 @@ class TestStopPrompt:
         prompt = render_stop_prompt([P1, P2], ["s1?", "s2?", "s3?"])
         assert "Third passage body." not in prompt.text
         assert "Decomposition: s1? s2? s3?" in prompt.text
-
-    def test_undefined_without_history(self):
-        with pytest.raises(PromptError):
-            render_stop_prompt([], [])
 
 
 class TestScoringPrompt:
@@ -138,12 +125,6 @@ class TestScoringPrompt:
         head, (tail,) = render_scoring_prompts([p8], [p1])
         text = head + tail
         assert text.index(p8.body) < text.index(p1.body)
-
-    def test_empty_rejected(self):
-        with pytest.raises(PromptError):
-            render_scoring_prompts([], [])
-        with pytest.raises(PromptError):
-            render_scoring_prompts([P1], [])
 
     @pytest.mark.parametrize("prefix", [[], [P1], [P2, P1], [Passage(4, "", "")]],
                              ids=["empty", "untitled", "titled-then-untitled", "blank"])
