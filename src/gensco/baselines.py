@@ -8,7 +8,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .models import Passage, Record, read_jsonl
@@ -21,62 +21,35 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.casefold()) if t]
 
 
-@dataclass
-class Bm25Index:
-    """Okapi BM25 with the +1-smoothed idf (always non-negative, so term
-    frequency monotonicity holds for every term)."""
-
-    passages: tuple[Passage, ...]
-    k1: float
-    b: float
-    doc_freq: Counter = field(init=False)
-    term_freqs: list[Counter] = field(init=False)
-    lengths: list[int] = field(init=False)
-    avg_length: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.term_freqs = []
-        self.lengths = []
-        self.doc_freq = Counter()
-        for p in self.passages:
-            terms = tokenize(f"{p.title} {p.body}" if p.title else p.body)
-            tf = Counter(terms)
-            self.term_freqs.append(tf)
-            self.lengths.append(len(terms))
-            self.doc_freq.update(tf.keys())
-        self.avg_length = sum(self.lengths) / len(self.lengths)
-
-    def idf(self, term: str) -> float:
-        n = len(self.passages)
-        df = self.doc_freq.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-
-    def score(self, query_terms: Sequence[str], position: int) -> float:
-        tf = self.term_freqs[position]
-        if not tf:
-            return 0.0  # no terms to match; when no passage has any, avg_length is 0
-        length = self.lengths[position]
-        norm = self.k1 * (1 - self.b + self.b * length / self.avg_length)
+def bm25_scores(question: str, passages: Sequence[Passage], k1: float, b: float) -> list[float]:
+    """Okapi BM25 of each passage's title and body, with the +1-smoothed idf
+    (always non-negative, so term frequency monotonicity holds for every
+    term). A passage without terms scores 0.0."""
+    term_freqs = [Counter(tokenize(f"{p.title} {p.body}")) for p in passages]
+    lengths = [tf.total() for tf in term_freqs]
+    n = len(passages)
+    avg_length = sum(lengths) / n
+    doc_freq = Counter(term for tf in term_freqs for term in tf)
+    query_terms = tokenize(question)
+    scores = []
+    for tf, length in zip(term_freqs, lengths):
         total = 0.0
-        for term in query_terms:
-            f = tf.get(term, 0)
-            if f == 0:
-                continue
-            total += self.idf(term) * f * (self.k1 + 1) / (f + norm)
-        return total
+        if tf:  # when no passage has terms, avg_length is 0
+            norm = k1 * (1 - b + b * length / avg_length)
+            for term in query_terms:
+                f = tf[term]
+                if f:
+                    df = doc_freq[term]
+                    idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                    total += idf * f * (k1 + 1) / (f + norm)
+        scores.append(total)
+    return scores
 
 
 def bm25_rank(question: str, passages: Sequence[Passage], k1: float, b: float) -> list[Passage]:
     """Passages by descending Okapi score; ties keep passage-index order."""
-    index = Bm25Index(tuple(passages), k1, b)
-    query_terms = tokenize(question)
-    scored = [
-        (index.score(query_terms, pos), p) for pos, p in enumerate(index.passages)
-    ]
-    scored.sort(key=lambda item: (-item[0], item[1].index))
-    return [p for _, p in scored]
+    scored = zip(bm25_scores(question, passages, k1, b), passages)
+    return [p for _, p in sorted(scored, key=lambda item: (-item[0], item[1].index))]
 
 
 def shuffle_sequence(

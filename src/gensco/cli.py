@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -391,8 +391,7 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
         "means": report.means,
         "percents": report.percents,
         "delta_hops_hist": {
-            str(k): {str(d): n for d, n in sorted(v.items())}
-            for k, v in sorted(report.delta_hops_hist.items())
+            str(k): {str(d): n for d, n in v.items()} for k, v in report.delta_hops_hist.items()
         },
         "per_instance": [vars(r) for r in rows],
     }
@@ -417,69 +416,30 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
             raise CorruptTrace(f"{first} and {run_dir}: two runs named {run_id!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scatter_rows = []
-    hist_rows = []
-    subset_rows = []
+    scatter = [("run_id", "instance_id", "k_precision", "f1", "pearson")]
+    delta_hops = [("run_id", "supporting_count", "delta_hops", "count")]
+    subsets = [("run_id", "size", *metrics.ANSWER_FIELDS)]
     for run_id, run_dir in named.items():
         rows = _eval_rows(run_dir)
-        kp = [r.k_precision for r in rows]
-        f1 = [r.f1 for r in rows]
-        try:
-            r_value = metrics.pearson(kp, f1) if len(rows) >= 2 else ""
-        except metrics.DegenerateVariance:
-            r_value = ""
-        for r in rows:
-            scatter_rows.append(
-                {
-                    "run_id": run_id,
-                    "instance_id": r.instance_id,
-                    "k_precision": r.k_precision,
-                    "f1": r.f1,
-                    "pearson": r_value,
-                }
-            )
+        r_value = ""
+        if len(rows) >= 2:
+            with suppress(metrics.DegenerateVariance):
+                r_value = metrics.pearson([r.k_precision for r in rows], [r.f1 for r in rows])
+        scatter += [(run_id, r.instance_id, r.k_precision, r.f1, r_value) for r in rows]
         hist = metrics.aggregate(rows).delta_hops_hist
         # report.json's order: its keys sorted as strings, "11" before "2".
         for support in sorted(hist, key=str):
             for delta in sorted(hist[support], key=str):
-                hist_rows.append(
-                    {
-                        "run_id": run_id,
-                        "supporting_count": support,
-                        "delta_hops": delta,
-                        "count": hist[support][delta],
-                    }
-                )
+                delta_hops.append((run_id, support, delta, hist[support][delta]))
         for subset in datasets.subsample(rows, subset_sizes, seed):
-            n = len(subset)
-            means = {
-                name: 100.0 * sum(getattr(r, name) for r in subset) / n
-                for name in metrics.ANSWER_FIELDS
-            }
-            subset_rows.append({"run_id": run_id, "size": n, **means})
-
-    def write_csv(name, fieldnames, rows):
-        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-
-    write_csv(
-        "scatter.csv",
-        ["run_id", "instance_id", "k_precision", "f1", "pearson"],
-        scatter_rows,
-    )
-    write_csv(
-        "delta_hops.csv",
-        ["run_id", "supporting_count", "delta_hops", "count"],
-        hist_rows,
-    )
+            sums = [sum(getattr(r, name) for r in subset) for name in metrics.ANSWER_FIELDS]
+            subsets.append((run_id, len(subset), *(100.0 * s / len(subset) for s in sums)))
+    tables = {"scatter.csv": scatter, "delta_hops.csv": delta_hops}
     if subset_sizes:
-        write_csv(
-            "subsets.csv",
-            ["run_id", "size", *metrics.ANSWER_FIELDS],
-            subset_rows,
-        )
+        tables["subsets.csv"] = subsets
+    for name, table in tables.items():
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(table)
 
 
 @click.group()

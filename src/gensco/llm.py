@@ -17,6 +17,7 @@ import os
 import select
 import socket
 import ssl
+import sys
 import tempfile
 import threading
 import time
@@ -264,10 +265,14 @@ def _read_line(rfile) -> bytes:
 
 
 def _read_exactly(rfile, n: int) -> bytes:
-    data = rfile.read(n)
-    if len(data) != n:
-        raise ConnectionError(f"response body ended after {len(data)} of {n} bytes")
-    return data
+    # In pieces of at most 1 MiB: a size the peer never sends allocates only what arrives.
+    pieces, left = [], n
+    while left:
+        pieces.append(rfile.read(min(left, 1 << 20)))
+        if not pieces[-1]:
+            raise ConnectionError(f"response body ended after {n - left} of {n} bytes")
+        left -= len(pieces[-1])
+    return b"".join(pieces)
 
 
 def _read_head(rfile) -> tuple[bytes, int, dict[bytes, bytes]]:
@@ -354,6 +359,8 @@ _BUSY_STATUSES = (429, 503)
 _CONTEXT_OVERFLOW_MARKS = ('"context_length_exceeded"', "maximum context length")
 # The longest wait a Retry-After header can ask for before a retry.
 _MAX_RETRY_AFTER_S = 30
+# Tries of a request before a transport failure or busy reply is BackendUnavailable.
+_MAX_ATTEMPTS = 3
 
 
 class _Connection:
@@ -691,6 +698,20 @@ def _truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
     return text[:cut]
 
 
+# The entries the gateway caches, by exact type (so that a bool is not an
+# int): a cache hit must be one, since a disk cache is input from outside.
+def _is_completion(entry: Any) -> bool:
+    return type(entry) is dict and type(entry.get("text")) is str
+
+
+def _is_score(entry: Any) -> bool:
+    return (
+        type(entry) is dict
+        and type(entry.get("token_logprobs")) is list
+        and type(entry.get("mean_nll")) in (int, float)
+    )
+
+
 class LlmGateway:
     """Front door for all LLM traffic: caching, retries, counters.
 
@@ -708,7 +729,6 @@ class LlmGateway:
         generator: Backend,
         scorer: Backend,
         cache_dir=None,
-        max_retries: int = 3,
         retry_base_delay: float = 0.5,
         scorer_concurrency: int = 1,
         concurrency: int = 1,
@@ -722,7 +742,6 @@ class LlmGateway:
                 self._helper_count, thread_name_prefix="gensco-scorer"
             )
         self.cache = ResponseCache(cache_dir) if cache_dir else _MemoryCache()
-        self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
         self._lock = threading.Lock()
         self.generator_calls: dict[str, int] = {}
@@ -730,20 +749,26 @@ class LlmGateway:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _cached(self, calls: dict[str, int], purpose: str, backend: Backend, req, fetch):
-        """The cached value of ``req`` on ``backend``. A miss calls ``fetch``,
+    def _cached(self, calls: dict[str, int], purpose: str, backend: Backend, req, fetch, valid):
+        """The cached value of ``req`` on ``backend``. A hit that is not
+        ``valid`` raises MalformedResponse. A miss calls ``fetch``,
         retrying transport failures and busy replies, and stores what it
         returns."""
         key = backend.backend_id + "\0" + req.fingerprint
         value = self.cache.get(key)
         hit = value is not None
+        if hit and not valid(value):
+            raise MalformedResponse(
+                f"backend {backend.backend_id}: the cache holds {value!r} for this request,"
+                " not an entry of the shape the gateway writes"
+            )
         if not hit:
             for attempt in itertools.count(1):
                 try:
                     value = fetch()
                     break
                 except (ConnectionError, TimeoutError, BackendBusy) as exc:
-                    if attempt >= self.max_retries:
+                    if attempt >= _MAX_ATTEMPTS:
                         raise BackendUnavailable(str(exc)) from exc
                     if isinstance(exc, BackendBusy) and exc.retry_after is not None:
                         time.sleep(min(exc.retry_after, _MAX_RETRY_AFTER_S))
@@ -760,13 +785,15 @@ class LlmGateway:
         def fetch():
             return {"text": _truncate_at_stop(self.generator.complete(req), req.stop_sequences)}
 
-        return self._cached(self.generator_calls, purpose, self.generator, req, fetch)["text"]
+        return self._cached(
+            self.generator_calls, purpose, self.generator, req, fetch, _is_completion
+        )["text"]
 
     def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> float:
         """The mean NLL of the continuation's tokens. The cache entry also
         keeps the per-token logprobs. A score over no token, or one that is
         not finite, raises MalformedResponse: it is never retried or cached,
-        and a cached one raises on a hit."""
+        and a cached one raises on a hit, as does a hit of another shape."""
 
         def fetch():
             logprobs = self.scorer.token_logprobs(req)
@@ -776,12 +803,13 @@ class LlmGateway:
                 mean_nll = math.nan
             return self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, req)
 
-        entry = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch)
+        entry = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch, _is_score)
         return self._finite(entry, req)["mean_nll"]
 
     def _finite(self, entry: dict[str, Any], req: ScorerRequest) -> dict[str, Any]:
-        """``entry`` if its mean NLL is finite; MalformedResponse otherwise."""
-        if not math.isfinite(entry["mean_nll"]):
+        """``entry`` if its mean NLL is finite (not NaN, infinite or an int past
+        the float range); MalformedResponse otherwise."""
+        if not abs(entry["mean_nll"]) <= sys.float_info.max:
             raise MalformedResponse(
                 f"backend {self.scorer.backend_id} scored {req.continuation!r} with"
                 f" {len(entry['token_logprobs'])} token logprobs and a mean NLL of"

@@ -71,6 +71,10 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.split())
 
 
+def _f1(precision: float, recall: float) -> float:
+    return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+
+
 def answer_metrics(predicted: str, gold: str) -> AnswerMetrics:
     """Token-level multiset overlap of the normalized strings."""
     norm_pred = normalize_answer(predicted)
@@ -84,12 +88,7 @@ def answer_metrics(predicted: str, gold: str) -> AnswerMetrics:
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
-    f1 = (
-        0.0
-        if precision + recall == 0
-        else 2 * precision * recall / (precision + recall)
-    )
-    return AnswerMetrics(em=em, f1=f1, precision=precision, recall=recall)
+    return AnswerMetrics(em=em, f1=_f1(precision, recall), precision=precision, recall=recall)
 
 
 def k_precision(predicted: str, passages: Sequence[str]) -> float:
@@ -116,15 +115,10 @@ def retrieval_metrics(
     hits = len(selected & supports)
     precision = hits / len(selected) if selected else 0.0
     recall = hits / len(supports) if supports else 0.0
-    f1 = (
-        0.0
-        if precision + recall == 0
-        else 2 * precision * recall / (precision + recall)
-    )
     return RetrievalMetrics(
         precision=precision,
         recall=recall,
-        f1=f1,
+        f1=_f1(precision, recall),
         delta_hops=len(supports) - len(selected),
     )
 

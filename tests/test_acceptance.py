@@ -12,7 +12,7 @@ import random
 import time
 
 from gensco import cli, metrics
-from gensco.baselines import Bm25Index, shuffle_sequence, tokenize
+from gensco.baselines import bm25_scores, shuffle_sequence
 from gensco.datasets import DatasetConfig, load
 from gensco.llm import ScriptedBackend
 from gensco.models import Dataset, Passage, StopReason, Variant
@@ -177,12 +177,11 @@ def test_k_precision_properties():
 @criterion("BM25 matches hand-computed Okapi scores; tf-monotonicity over 1000 trials")
 def test_bm25_correctness():
     passages = tuple(Passage(i, "", body) for i, body in enumerate(FIXTURE_DOCS))
-    index = Bm25Index(passages, 1.2, 0.75)
     for query in ("quick fox", "dog", "brown honey fish", "the lazy dog sat"):
         expected = oracle_bm25(query, FIXTURE_DOCS)
         for pos in range(len(FIXTURE_DOCS)):
             assert math.isclose(
-                index.score(tokenize(query), pos), expected[pos], abs_tol=1e-9
+                bm25_scores(query, passages, 1.2, 0.75)[pos], expected[pos], abs_tol=1e-9
             )
     rng = random.Random(99)
     vocabulary = "abcdefgh"
@@ -194,12 +193,12 @@ def test_bm25_correctness():
         term = rng.choice(vocabulary)
         boosted = list(docs)
         boosted[0] = docs[0] + (" " + term) * rng.randint(1, 5)
-        before = Bm25Index(
-            tuple(Passage(i, "", d) for i, d in enumerate(docs)), 1.2, 0.75
-        ).score([term], 0)
-        after = Bm25Index(
-            tuple(Passage(i, "", d) for i, d in enumerate(boosted)), 1.2, 0.75
-        ).score([term], 0)
+        before = bm25_scores(
+            term, tuple(Passage(i, "", d) for i, d in enumerate(docs)), 1.2, 0.75
+        )[0]
+        after = bm25_scores(
+            term, tuple(Passage(i, "", d) for i, d in enumerate(boosted)), 1.2, 0.75
+        )[0]
         assert after >= before - 1e-12
 
 

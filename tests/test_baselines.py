@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gensco.baselines import Bm25Index, bm25_rank, load_rankings, shuffle_sequence, tokenize
+from gensco.baselines import bm25_rank, bm25_scores, load_rankings, shuffle_sequence
 from gensco.models import Passage
 
 from helpers import trace_instance
@@ -40,16 +40,25 @@ FIXTURE_DOCS = [
 ]
 
 
+# Words in mixed case; titles empty or not; term-less (Cyrillic-only) text.
+WORDS = st.sampled_from(["fox", "Fox", "DOG", "dog", "the", "Lazy", "bear", "HONEY", "1990"])
+ASCII_TEXT = st.lists(WORDS, min_size=1, max_size=8).map(" ".join)
+CYRILLIC_TEXT = st.sampled_from(["Теа Шаррок родилась в Лондоне.", "Питер Левин — режиссёр."])
+DOCUMENTS = st.tuples(
+    st.one_of(st.just(""), ASCII_TEXT, CYRILLIC_TEXT),
+    st.one_of(ASCII_TEXT, CYRILLIC_TEXT),
+)
+
+
 class TestBm25:
     def passages(self, docs):
         return tuple(Passage(i, "", body) for i, body in enumerate(docs))
 
     def test_matches_oracle_on_fixture(self):
         passages = self.passages(FIXTURE_DOCS)
-        index = Bm25Index(passages, 1.2, 0.75)
         for query in ("quick fox", "dog", "brown honey fox", "the lazy dog sat"):
             expected = oracle_bm25(query, FIXTURE_DOCS)
-            got = [index.score(tokenize(query), pos) for pos in range(len(passages))]
+            got = [bm25_scores(query, passages, 1.2, 0.75)[pos] for pos in range(len(passages))]
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_trace_corpus_query_ranks_film_passage_over_footballer(self):
@@ -92,14 +101,28 @@ class TestBm25:
         boosted = list(docs)
         boosted[0] = docs[0] + (" " + term) * extra
         base = oracle_bm25(term, docs)
-        index_base = Bm25Index(tuple(Passage(i, "", d) for i, d in enumerate(docs)), 1.2, 0.75)
-        got_base = index_base.score([term], 0)
+        passages_base = tuple(Passage(i, "", d) for i, d in enumerate(docs))
+        got_base = bm25_scores(term, passages_base, 1.2, 0.75)[0]
         assert got_base == pytest.approx(base[0], abs=1e-9)
         # Only compare when document lengths stay comparable via the index.
-        index_boosted = Bm25Index(
-            tuple(Passage(i, "", d) for i, d in enumerate(boosted)), 1.2, 0.75
-        )
-        assert index_boosted.score([term], 0) >= got_base - 1e-12
+        passages_boosted = tuple(Passage(i, "", d) for i, d in enumerate(boosted))
+        assert bm25_scores(term, passages_boosted, 1.2, 0.75)[0] >= got_base - 1e-12
+
+    @settings(max_examples=300)
+    @given(
+        # Passages drawn from at most three documents, so repeats and ties occur.
+        st.lists(DOCUMENTS, min_size=1, max_size=3).flatmap(
+            lambda docs: st.lists(st.sampled_from(docs), min_size=1, max_size=6)
+        ),
+        ASCII_TEXT,
+    )
+    def test_scores_match_the_oracle_and_rank_by_score_then_index(self, docs, question):
+        passages = tuple(Passage(i, title, body) for i, (title, body) in enumerate(docs))
+        scores = bm25_scores(question, passages, 1.2, 0.75)
+        expected = oracle_bm25(question, [f"{title} {body}" for title, body in docs])
+        assert scores == pytest.approx(expected, abs=1e-9)
+        by_score = sorted(passages, key=lambda p: (-scores[p.index], p.index))
+        assert bm25_rank(question, passages, 1.2, 0.75) == by_score
 
 
 class TestShuffleSequence:

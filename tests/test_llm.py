@@ -144,6 +144,35 @@ class TestCache:
         with pytest.raises(MalformedResponse, match="backend scripted .* mean NLL of nan"):
             gw.score_continuation(req)
 
+    @pytest.mark.parametrize(
+        "req, entry",
+        [
+            (ScorerRequest("p", " c"), {"token_logprobs": [1], "mean_nll": "x"}),
+            (ScorerRequest("p", " c"), {"token_logprobs": [1], "mean_nll": True}),
+            (ScorerRequest("p", " c"), {"token_logprobs": 1, "mean_nll": 1.0}),
+            (ScorerRequest("p", " c"), [1]),
+            (GeneratorRequest(prompt="p"), {"text": 5}),
+            (GeneratorRequest(prompt="p"), [1]),
+        ],
+        ids=["score-str-mean", "score-bool-mean", "score-int-logprobs", "score-list",
+             "completion-int-text", "completion-list"],
+    )
+    def test_cache_hit_of_another_shape_raises_without_a_backend_call(self, tmp_path, req, entry):
+        llm.ResponseCache(tmp_path).put(f"scripted\0{req.fingerprint}", entry)
+        gw = gateway_for(ScriptedBackend(), cache_dir=tmp_path)  # any call would be a ScriptMiss
+        call = gw.score_continuation if isinstance(req, ScorerRequest) else gw.generate
+        with pytest.raises(MalformedResponse, match="backend scripted: the cache holds"):
+            call(req)
+
+    def test_cached_int_past_float_range_raises_on_a_hit(self, tmp_path):
+        req = ScorerRequest("p", " c")
+        llm.ResponseCache(tmp_path).put(
+            f"scripted\0{req.fingerprint}", {"token_logprobs": [1], "mean_nll": 10**400}
+        )
+        gw = gateway_for(ScriptedBackend(), cache_dir=tmp_path)
+        with pytest.raises(MalformedResponse, match="must be finite"):
+            gw.score_continuation(req)
+
     def test_disk_cache_misses_under_another_backend_id(self, tmp_path):
         req = GeneratorRequest(prompt="p")
         first = ScriptedBackend(backend_id="model-a")
@@ -806,9 +835,19 @@ class TestHttpBackend:
                  "malformed chunk size")
                 for size in (b"-1", b"+a", b"1_0", b"0x10")
             ),
+            # Sizes past what one read can ask for, and never sent.
+            *(
+                (raw_reply(["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
+                           size + b"\r\n" + completion_bytes("x") + b"\r\n0\r\n\r\n"),
+                 "response body ended after")
+                for size in (b"f" * 17, b"7fffffffffffffff")
+            ),
+            (raw_reply(["HTTP/1.1 200 OK", "Content-Length: " + "9" * 30], b"short"),
+             "response body ended after 5 of 9"),
         ],
         ids=["long-line", "101-headers", "no-colon", "short-body", "chunk-size-negative",
-             "chunk-size-plus-sign", "chunk-size-underscore", "chunk-size-0x-prefix"],
+             "chunk-size-plus-sign", "chunk-size-underscore", "chunk-size-0x-prefix",
+             "chunk-size-17-digits", "chunk-size-7fff", "content-length-30-digits"],
     )
     def test_malformed_response_raises_connection_error(self, serve, response, message):
         backend = serve(lambda body: response, close_after_reply="silently").backend()

@@ -1,8 +1,12 @@
-"""Every public top-level name in src/gensco has a caller outside the tests.
+"""Every public top-level name in src/gensco has a caller outside the tests,
+and every name a module imports is used.
 
 A name counts as used when a top-level statement other than its own
 definition, in src/gensco or bench/, mentions it (as a name, an
-attribute or an import). Click commands are called by click.
+attribute or an import). Click commands are called by click. An
+imported name counts as used when a top-level statement of its module
+other than an import mentions it, or when the module's ``__all__``
+lists it.
 """
 
 import ast
@@ -58,4 +62,35 @@ def test_every_public_name_has_a_non_test_caller():
         for name, node in public_definitions(trees[path])
         if not any(name in names for statement, names in statements if statement is not node)
     ]
+    assert unused == []
+
+
+def imported_names(tree):
+    """The names the top-level imports of a module bind."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".", 1)[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = exported_names(tree).union(*(
+            mentioned(statement)
+            for statement in tree.body
+            if not isinstance(statement, (ast.Import, ast.ImportFrom))
+        ))
+        unused += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in used]
     assert unused == []
