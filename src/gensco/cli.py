@@ -10,22 +10,24 @@ report.json and report.csv after evaluation. Exit codes: 0 ok,
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, suppress
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import click
 import yaml
 
 from . import baselines, datasets, metrics
-from .llm import HttpBackend, LlmGateway, ScriptedBackend, run_in_order
+from .llm import HttpBackend, LlmGateway, ScriptedBackend
 from .models import (
     AnswerRecord,
     CorruptTrace,
@@ -170,13 +172,7 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return LlmGateway(
-        generator,
-        scorer,
-        cache_dir=cfg.get("cache_dir"),
-        scorer_concurrency=cfg.get("scorer_concurrency", 1),
-        concurrency=cfg.get("concurrency", 1),
-    )
+    return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"))
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
@@ -213,6 +209,75 @@ def _run_id(run_dir) -> str:
     """A run's name: its directory's, with "." and ".." resolved but a
     symlink keeping its own name."""
     return Path(os.path.abspath(run_dir)).name
+
+
+def run_in_order(
+    fn: Callable, items: Sequence, pool: ThreadPoolExecutor, helpers: int
+) -> Iterator:
+    """Yield ``fn(item)`` for each of ``items``, in item order.
+
+    The calling thread and up to ``helpers`` tasks queued on ``pool``, no
+    more than there are other items, take the items one at a time, in
+    order; with no helper the caller maps them alone and nothing is
+    queued. Between its own items the caller yields every result that is
+    ready in order, and once the items run out it waits for the helpers
+    and yields the rest. After a failure or an interrupt no item starts:
+    helper tasks not yet started are cancelled and calls in flight
+    finish. Then the interrupt, or else the first failure in item order,
+    is raised. No call outlives the generator once it is exhausted or
+    closed.
+    """
+    helpers = min(helpers, len(items) - 1)
+    if helpers < 1:
+        yield from map(fn, items)
+        return
+    jobs = enumerate(items)
+    lock = threading.Lock()
+    done: dict[int, tuple[bool, Any]] = {}  # index -> (failed, result or exception)
+    first = 0  # the index of the next result to yield
+
+    def step() -> bool:
+        """Run the next item, if one may start, and store its outcome."""
+        nonlocal jobs
+        with lock:
+            i, item = next(jobs, (-1, None))
+        if i < 0:
+            return False
+        try:
+            done[i] = False, fn(item)
+        except Exception as exc:
+            with lock:
+                done[i] = True, exc
+                jobs = iter(())
+        return True
+
+    def helper() -> None:
+        while step():
+            pass
+
+    def ready() -> Iterator:
+        nonlocal first
+        while first in done:
+            failed, value = done.pop(first)
+            if failed:
+                raise value
+            yield value
+            first += 1
+
+    futures = [pool.submit(helper) for _ in range(helpers)]
+    try:
+        while step():
+            yield from ready()
+    finally:
+        with lock:  # after an interrupt, a failure or a close, start no item
+            jobs = iter(())
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()  # raises what escaped a helper
+    yield from ready()
 
 
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
@@ -267,29 +332,34 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     todo = [inst for inst in instances if inst.id not in done]
 
     started = time.time()
+    concurrency = cfg.get("concurrency", 1)
+    scorer_helpers = concurrency * (cfg.get("scorer_concurrency", 1) - 1)
+    # The run's one pool: its instance helpers are queued first and keep
+    # their workers; each Score's helpers share the rest. With no helper
+    # nothing is queued, so the pool starts no thread.
+    pool = ThreadPoolExecutor(max(concurrency - 1 + scorer_helpers, 1), thread_name_prefix="gensco")
+    fan_out = functools.partial(run_in_order, pool=pool, helpers=scorer_helpers)
 
     def process(inst: MultiHopInstance):
         try:
-            trace, record = run_instance(inst, pipe_cfg, gateway, shot_bank, rankings.get(inst.id))
+            trace, record = run_instance(
+                inst, pipe_cfg, gateway, shot_bank, rankings.get(inst.id), fan_out
+            )
             return inst, trace.to_dict(), record.to_dict(), None
         except Exception as exc:  # noqa: BLE001 - batch isolation boundary
             return inst, None, None, f"{type(exc).__name__}: {exc}"
 
     failures = 0
-    # The calling thread runs instances alongside concurrency - 1 helpers,
-    # no more than there are other instances to run, and between its own
-    # instances it appends the records of every finished instance, in
-    # instance order. With no helper nothing is submitted, so the pool
-    # starts no thread. failures.jsonl lists this invocation's failures only.
-    helpers = min(cfg.get("concurrency", 1) - 1, len(todo) - 1)
-    pool = ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="gensco-instance")
+    # Between its own instances the caller appends the records of every
+    # finished instance, in instance order. failures.jsonl lists this
+    # invocation's failures only.
     with closing(gateway), pool, open(traces_path, "a", encoding="utf-8") as tf, open(
         answers_path, "a", encoding="utf-8"
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
         failures_path, "w", encoding="utf-8"
     ) as ff:
         for inst, trace_dict, answer_dict, error in run_in_order(
-            process, todo, pool, helpers
+            process, todo, pool, concurrency - 1
         ):
             if error is not None:
                 failures += 1

@@ -8,7 +8,6 @@ scripted backend for deterministic tests.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -21,10 +20,9 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 
@@ -590,10 +588,18 @@ class ResponseCache:
         return self.cache_dir / digest[:2] / f"{digest}.json"
 
     def get(self, key: str) -> Optional[Any]:
+        """The value stored under ``key``, or None; MalformedResponse for an
+        entry that is not UTF-8 JSON."""
         path = self._path(key)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError included
+            backend_id = key.partition("\0")[0]
+            raise MalformedResponse(
+                f"backend {backend_id}: the cache entry {path} is not UTF-8 JSON ({exc})"
+            ) from None
 
     def put(self, key: str, value: Any) -> None:
         path = self._path(key)
@@ -620,73 +626,6 @@ class _MemoryCache:
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self._store[key] = value
-
-
-def run_in_order(
-    fn: Callable, items: Iterable, pool: Optional[ThreadPoolExecutor], helpers: int
-) -> Iterator:
-    """Yield ``fn(item)`` for each of ``items``, in item order.
-
-    The calling thread and ``helpers`` tasks queued on ``pool`` take the
-    items one at a time, in order; with no helpers the caller maps them
-    alone and ``pool`` may be None. Between its own items the caller
-    yields every result that is ready in order, and once the items run
-    out it waits for the helpers and yields the rest. After a failure or
-    an interrupt no item starts: helper tasks not yet started are
-    cancelled and calls in flight finish. Then the interrupt, or else the
-    first failure in item order, is raised. No call outlives the
-    generator once it is exhausted or closed.
-    """
-    if helpers < 1:
-        yield from map(fn, items)
-        return
-    jobs = enumerate(items)
-    lock = threading.Lock()
-    done: dict[int, tuple[bool, Any]] = {}  # index -> (failed, result or exception)
-    first = 0  # the index of the next result to yield
-
-    def step() -> bool:
-        """Run the next item, if one may start, and store its outcome."""
-        nonlocal jobs
-        with lock:
-            i, item = next(jobs, (-1, None))
-        if i < 0:
-            return False
-        try:
-            done[i] = False, fn(item)
-        except Exception as exc:
-            with lock:
-                done[i] = True, exc
-                jobs = iter(())
-        return True
-
-    def helper() -> None:
-        while step():
-            pass
-
-    def ready() -> Iterator:
-        nonlocal first
-        while first in done:
-            failed, value = done.pop(first)
-            if failed:
-                raise value
-            yield value
-            first += 1
-
-    futures = [pool.submit(helper) for _ in range(helpers)]
-    try:
-        while step():
-            yield from ready()
-    finally:
-        with lock:  # after an interrupt, a failure or a close, start no item
-            jobs = iter(())
-        for future in futures:
-            future.cancel()
-        wait(futures)
-    for future in futures:
-        if not future.cancelled():
-            future.result()  # raises what escaped a helper
-    yield from ready()
 
 
 def _truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
@@ -717,11 +656,8 @@ class LlmGateway:
 
     Call counters are bucketed by purpose ("decomposition", "answer",
     "relevance", "stop") so a run manifest can audit the call budget.
-    With ``scorer_concurrency`` of 2 or more, ``score_many`` scores on its
-    caller's thread and on helper workers from a pool the gateway owns:
-    ``concurrency`` x (``scorer_concurrency`` - 1) workers, so that
-    ``concurrency`` callers make at most ``concurrency`` x
-    ``scorer_concurrency`` calls at once. The pool shuts down on ``close``.
+    The gateway starts no thread: its methods may be called from many
+    threads at once, and the run that calls them owns those threads.
     """
 
     def __init__(
@@ -730,17 +666,9 @@ class LlmGateway:
         scorer: Backend,
         cache_dir=None,
         retry_base_delay: float = 0.5,
-        scorer_concurrency: int = 1,
-        concurrency: int = 1,
     ) -> None:
         self.generator = generator
         self.scorer = scorer
-        self._helper_count = concurrency * (scorer_concurrency - 1)
-        self._helpers = None
-        if self._helper_count:
-            self._helpers = ThreadPoolExecutor(
-                self._helper_count, thread_name_prefix="gensco-scorer"
-            )
         self.cache = ResponseCache(cache_dir) if cache_dir else _MemoryCache()
         self.retry_base_delay = retry_base_delay
         self._lock = threading.Lock()
@@ -803,8 +731,10 @@ class LlmGateway:
                 mean_nll = math.nan
             return self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, req)
 
-        entry = self._cached(self.scorer_calls, purpose, self.scorer, req, fetch, _is_score)
-        return self._finite(entry, req)["mean_nll"]
+        return self._cached(
+            self.scorer_calls, purpose, self.scorer, req, fetch,
+            lambda entry: _is_score(entry) and self._finite(entry, req),
+        )["mean_nll"]
 
     def _finite(self, entry: dict[str, Any], req: ScorerRequest) -> dict[str, Any]:
         """``entry`` if its mean NLL is finite (not NaN, infinite or an int past
@@ -817,21 +747,8 @@ class LlmGateway:
             )
         return entry
 
-    def score_many(self, requests: Sequence[ScorerRequest], purpose: str) -> list[float]:
-        """The mean NLL of each request, in request order, as
-        ``run_in_order`` scores them on the calling thread and on helpers.
-        A helper task is queued for each worker of the pool (at most one
-        fewer than the requests), so an instance uses the workers the
-        others leave idle."""
-        helpers = min(self._helper_count, len(requests) - 1)
-        score = functools.partial(self.score_continuation, purpose=purpose)
-        return list(run_in_order(score, requests, self._helpers, helpers))
-
     def close(self) -> None:
-        """Stop the scorer helper workers, then release the backends' idle
-        connections."""
-        if self._helpers is not None:
-            self._helpers.shutdown()
+        """Release the backends' idle connections."""
         self.generator.close()
         self.scorer.close()
 

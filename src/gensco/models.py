@@ -42,6 +42,7 @@ class StopReason(str, Enum):
     REPEATED_SUBQUESTION = "repeated_subquestion"
     LIKELIHOOD_STOP = "likelihood_stop"
     REPEATED_PASSAGE = "repeated_passage"
+    POOL_EXHAUSTED = "pool_exhausted"  # dedupe_pool has taken every passage
     MAX_LEVELS = "max_levels"
 
 

@@ -8,6 +8,7 @@ gateway), so the loops' rules exist once whatever serves the calls.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Sequence, Union
@@ -206,6 +207,7 @@ def greedy_loop(
         chosen_indices = {p.index for p in selected}
         pool = [p for p in passages if not (cfg.dedupe_pool and p.index in chosen_indices)]
         if not pool:  # dedupe_pool has taken every passage
+            stop_reason = StopReason.POOL_EXHAUSTED
             break
         head, tails = render_scoring_prompts(selected, pool)
         scores = yield Score(
@@ -281,12 +283,13 @@ def drive(loop: Loop, answer: Callable[[Request], Any]) -> Any:
         reply = answer(request)
 
 
-def serve(gateway: LlmGateway, request: Request) -> Any:
+def serve(gateway: LlmGateway, request: Request, fan_out: Callable = map) -> Any:
     """Answer one request through the gateway: a Generate's completion, or
-    a Score's mean NLLs in request order."""
+    a Score's mean NLLs in request order, as ``fan_out`` maps them."""
     if isinstance(request, Generate):
         return gateway.generate(request.request, purpose=request.purpose)
-    return gateway.score_many(request.requests, request.purpose)
+    score = functools.partial(gateway.score_continuation, purpose=request.purpose)
+    return list(fan_out(score, request.requests))
 
 
 def run_instance(
@@ -295,7 +298,8 @@ def run_instance(
     gateway: LlmGateway,
     shot_bank: Sequence[ShotExample] = (),
     ranking: Optional[Sequence[int]] = None,
+    fan_out: Callable = map,
 ) -> tuple[SelectionTrace, AnswerRecord]:
     """Run the loop of ``cfg.variant`` on one instance through the gateway."""
     loop = instance_loop(inst, cfg, shot_bank, gateway.generator.backend_id, ranking)
-    return drive(loop, lambda request: serve(gateway, request))
+    return drive(loop, lambda request: serve(gateway, request, fan_out))

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
+from gensco.cli import run_in_order
 from gensco.llm import LlmGateway, ScriptedBackend
 from gensco.models import Dataset, MultiHopInstance, Passage
 from gensco.pipeline import Generate, PipelineConfig, drive, instance_loop
@@ -128,6 +132,16 @@ def trace_plan(stop_nlls=None) -> ScriptedPlan:
 
 def scripted_gateway(backend: ScriptedBackend, **kwargs) -> LlmGateway:
     return LlmGateway(backend, backend, **kwargs)
+
+
+@contextmanager
+def scoring_pool(helpers: int, workers: Optional[int] = None):
+    """A ``fan_out`` for ``run_instance``, as ``cli.run_batch`` builds it: each
+    Score is scored on its caller and by up to ``helpers`` tasks queued on a
+    pool of ``workers`` threads (default ``helpers``), which the test owns
+    and which is shut down on exit."""
+    with ThreadPoolExecutor(workers or max(helpers, 1)) as pool:
+        yield functools.partial(run_in_order, pool=pool, helpers=helpers)
 
 
 def synthetic_record(i: int, n_passages: int = 5) -> dict:

@@ -125,6 +125,18 @@ class TestRunBatch:
             time.sleep(0.01)
         assert threading.active_count() <= threads_before
 
+    def test_pool_threads_end_with_the_run(self, tmp_path, monkeypatch):
+        cfg = make_run_config(tmp_path, 2, variant=Variant.STOP, scorer_concurrency=2)
+        flight = InFlight()  # calls held long enough for a helper to take some
+        monkeypatch.setattr(
+            ScriptedBackend, "token_logprobs", flight.wrap(ScriptedBackend.token_logprobs)
+        )
+        assert cli.run_batch(cfg, tmp_path / "run") == 0
+        # The caller scores too; the helper workers end before the run returns.
+        helpers = flight.threads - {threading.current_thread()}
+        assert flight.finished > 0 and helpers
+        assert not any(thread.is_alive() for thread in helpers)
+
     def test_shared_scorer_pool_under_stress_matches_the_serial_run(self, tmp_path):
         # 4 instance threads, each scoring alongside helpers from one pool of
         # 12 workers, with thread switches forced as often as the interpreter

@@ -164,6 +164,45 @@ class TestCache:
         with pytest.raises(MalformedResponse, match="backend scripted: the cache holds"):
             call(req)
 
+    @pytest.mark.parametrize(
+        "content", [b'{"text": "x"', b"\xff\xfe"], ids=["truncated", "not-utf8"]
+    )
+    @pytest.mark.parametrize(
+        "req", [GeneratorRequest(prompt="p"), ScorerRequest("p", " c")], ids=["completion", "score"]
+    )
+    def test_corrupt_cache_file_raises_without_a_backend_call(self, tmp_path, req, content):
+        cache = llm.ResponseCache(tmp_path)
+        key = f"scripted\0{req.fingerprint}"
+        cache.put(key, {"text": "x"})
+        (path,) = tmp_path.rglob("*.json")
+        path.write_bytes(content)
+        backend = ScriptedBackend()  # any call would be a ScriptMiss
+        gw = gateway_for(backend, cache_dir=tmp_path)
+        call = gw.score_continuation if isinstance(req, ScorerRequest) else gw.generate
+        with pytest.raises(MalformedResponse, match="backend scripted: the cache entry") as info:
+            call(req)
+        assert str(path) in str(info.value)
+        assert (gw.stats()["cache_hits"], gw.stats()["cache_misses"]) == (0, 0)
+        assert path.read_bytes() == content  # nothing was fetched and stored over it
+
+    def test_finite_check_runs_once_per_miss_and_once_per_hit(self, tmp_path, monkeypatch):
+        checked = []
+        finite = LlmGateway._finite
+
+        def counted(self, entry, req):
+            checked.append(req)
+            return finite(self, entry, req)
+
+        monkeypatch.setattr(LlmGateway, "_finite", counted)
+        backend = ScriptedBackend()
+        req = ScorerRequest("p", " c")
+        backend.add_logprobs(req, [-0.5, -1.5])
+        gw = gateway_for(backend, cache_dir=tmp_path)
+        assert gw.score_continuation(req) == 1.0
+        assert len(checked) == 1
+        assert gateway_for(ScriptedBackend(), cache_dir=tmp_path).score_continuation(req) == 1.0
+        assert len(checked) == 2
+
     def test_cached_int_past_float_range_raises_on_a_hit(self, tmp_path):
         req = ScorerRequest("p", " c")
         llm.ResponseCache(tmp_path).put(

@@ -2,7 +2,7 @@ import hashlib
 import math
 import threading
 from collections import Counter
-from contextlib import ExitStack, closing
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -23,6 +23,7 @@ from gensco.pipeline import (
     GENSCO_VARIANTS,
     Generate,
     PipelineConfig,
+    Score,
     drive,
     greedy_loop,
     run_instance,
@@ -39,6 +40,7 @@ from helpers import (
     ScriptedPlan,
     build_instance_script,
     plan_requests,
+    scoring_pool,
     scripted_gateway,
     trace_instance,
     trace_plan,
@@ -84,14 +86,17 @@ GOLDEN_SCRIPT_SHA256 = {
 }
 
 
-def run_trace_example(variant=Variant.STOP, plan=None, gateway=None, **cfg_overrides):
-    """The worked trace through ``gateway`` (by default a fresh scripted one)."""
+def run_trace_example(
+    variant=Variant.STOP, plan=None, gateway=None, fan_out=map, **cfg_overrides
+):
+    """The worked trace through ``gateway`` (by default a fresh scripted one),
+    each Score's requests scored as ``fan_out`` maps them."""
     inst = trace_instance()
     cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, variant, **cfg_overrides)
     shots = load_shots(Dataset.TWO_WIKI)
     gateway = gateway or scripted_gateway(ScriptedBackend())
     build_instance_script(gateway.scorer, inst, cfg, plan or trace_plan(), shots)
-    return run_instance(inst, cfg, gateway, shots), gateway
+    return run_instance(inst, cfg, gateway, shots, fan_out=fan_out), gateway
 
 
 class TestWorkedTrace:
@@ -122,14 +127,15 @@ class TestWorkedTrace:
         assert stats["scorer_calls"]["stop"] == 2
 
     def test_scorer_pool_matches_sequential_and_keeps_thread_count(self):
-        # Five runs through one gateway that scores two requests at once,
-        # and the same five through one that scores one at a time.
+        # Five runs that score two requests at once, on one pool, and the
+        # same five through a gateway that scores one at a time.
         sequential_gateway = scripted_gateway(ScriptedBackend())
+        gateway = scripted_gateway(ScriptedBackend())
         runs = []
-        with closing(scripted_gateway(ScriptedBackend(), scorer_concurrency=2)) as gateway:
+        with scoring_pool(1) as fan_out:
             for _ in range(5):
                 sequential, _ = run_trace_example(gateway=sequential_gateway)
-                result, _ = run_trace_example(gateway=gateway)
+                result, _ = run_trace_example(gateway=gateway, fan_out=fan_out)
                 runs.append((result, threading.active_count()))
         for result, _ in runs:
             assert result == sequential
@@ -169,8 +175,8 @@ class TestStoppingRules:
     """The stop tests, run on the worked trace under plans."""
 
     def check(self, without, with_c, workers=1, flight=None):
-        """The worked trace with a level-2 stop pair, through a gateway that
-        scores up to ``workers`` requests at once; its stop reason."""
+        """The worked trace with a level-2 stop pair, each Score scored on up
+        to ``workers`` threads at once; its stop reason."""
         plan = trace_plan(stop_nlls={2: (without, with_c)})
         inst = trace_instance()
         backend = ScriptedBackend()
@@ -181,8 +187,10 @@ class TestStoppingRules:
             backend.token_logprobs = lambda req: (
                 counted if req.continuation == " " + inst.question else plain
             )(req)
-        with closing(scripted_gateway(backend, scorer_concurrency=workers)) as gateway:
-            trace, _ = run_instance(inst, PipelineConfig(), gateway)
+        with scoring_pool(workers - 1) as fan_out:
+            trace, _ = run_instance(
+                inst, PipelineConfig(), scripted_gateway(backend), fan_out=fan_out
+            )
         if trace.stop_reason is StopReason.LIKELIHOOD_STOP:
             assert trace.selected_sequence == (8,)
             return trace.stop_reason
@@ -244,6 +252,25 @@ class TestStoppingRules:
         (trace, _), log = plan_requests(trace_instance(), PipelineConfig(), trace_plan())
         assert [r.level for r, _ in log if r.purpose == "stop"] == [2]
         assert [lv.sub_question.text for lv in trace.levels] == [TRACE_SUBQ_1, TRACE_SUBQ_2]
+
+    @pytest.mark.parametrize("variant, calls", [(Variant.MAX, 7), (Variant.STOP, 11)])
+    def test_pool_emptied_by_dedupe_pool_is_its_own_stop_reason(self, variant, calls):
+        # Two passages and four levels: level 3 asks its sub-question (and,
+        # for gensco-stop, scores its stop pair) and finds no candidate left.
+        inst = MultiHopInstance("dedupe", "q?", "a", (Passage(1, "", "a"), Passage(2, "", "b")))
+        plan = ScriptedPlan(
+            ["first?", "second?", "third?"],
+            [{1: 0.1, 2: 0.5}, {2: 0.3}],
+            "x",
+            stop_nlls={2: (1.0, 0.5), 3: (1.0, 0.5)},
+        )
+        cfg = PipelineConfig(variant=variant, max_levels=4, dedupe_pool=True)
+        (trace, _), log = plan_requests(inst, cfg, plan)
+        assert trace.stop_reason is StopReason.POOL_EXHAUSTED
+        assert (len(trace.levels), trace.selected_sequence) == (2, (1, 2))
+        made = sum(len(r.requests) if isinstance(r, Score) else 1 for r, _ in log)
+        assert made == calls
+        assert max(r.level for r, _ in log) == 3
 
 
 class TestVariants:

@@ -1,6 +1,5 @@
 import threading
 import time
-from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +17,7 @@ from helpers import (
     ScriptedPlan,
     build_instance_script,
     plan_requests,
+    scoring_pool,
     scripted_gateway,
     trace_instance,
     trace_plan,
@@ -42,15 +42,15 @@ def one_level(passages, scores, cfg=ONE_LEVEL):
     return plan_requests(instance(passages), cfg, plan)[0][0].levels[0]
 
 
-def one_level_gateway(inst, scores, flight=None, workers=1, concurrency=1):
-    """A gateway scripted for one level of ``inst`` that scores up to
-    ``workers`` requests at once for each of ``concurrency`` instances."""
+def one_level_gateway(inst, scores, flight=None):
+    """A gateway scripted for one level of ``inst``, its scorer calls
+    counted by ``flight``."""
     backend = ScriptedBackend()
     plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
     build_instance_script(backend, inst, ONE_LEVEL, plan)
     if flight is not None:
         backend.token_logprobs = flight.wrap(backend.token_logprobs)
-    return scripted_gateway(backend, scorer_concurrency=workers, concurrency=concurrency)
+    return scripted_gateway(backend)
 
 
 class TestSelectBest:
@@ -112,8 +112,9 @@ class TestScoreLevel:
         shuffled = MultiHopInstance(inst.id, inst.question, "a", inst.passages[::-1])
         gw = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
         sequential = run_instance(shuffled, ONE_LEVEL, gw)
-        with closing(one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1, workers=4)) as pooled:
-            concurrent = run_instance(shuffled, ONE_LEVEL, pooled)
+        pooled = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
+        with scoring_pool(3) as fan_out:
+            concurrent = run_instance(shuffled, ONE_LEVEL, pooled, fan_out=fan_out)
         assert concurrent == sequential
         candidates = concurrent[0].levels[0].candidates
         assert [c.passage_index for c in candidates] == list(range(1, 11))
@@ -121,19 +122,20 @@ class TestScoreLevel:
     def test_at_most_concurrency_calls_in_flight(self):
         inst = trace_instance()
         flight = InFlight()
-        with closing(one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2)) as gw:
-            run_instance(inst, ONE_LEVEL, gw)
+        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight)
+        with scoring_pool(1) as fan_out:
+            run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
         assert flight.peak == 2
         assert flight.finished == 10
 
     def test_one_instance_takes_the_helpers_the_others_leave_idle(self):
-        # Helpers for two instances and one scoring: it scores on three threads.
+        # The pool and helpers of a run at concurrency 2 and scorer_concurrency
+        # 2, with no instance helper: one scoring runs on three threads.
         inst = trace_instance()
         flight = InFlight(hold=0.02)
-        with closing(
-            one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2, concurrency=2)
-        ) as gw:
-            run_instance(inst, ONE_LEVEL, gw)
+        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight)
+        with scoring_pool(2, workers=3) as fan_out:
+            run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
         assert flight.peak == 3
         assert flight.finished == 10
 
@@ -141,26 +143,16 @@ class TestScoreLevel:
         inst = trace_instance()
         flight = InFlight(hold=0.0)
         counts = []
-        with closing(one_level_gateway(inst, TRACE_SCORES_LEVEL_1, workers=2)) as gw:
-            # Counted at the gateway, so calls the cache answers count too.
-            gw.score_continuation = flight.wrap(gw.score_continuation)
+        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1)
+        # Counted at the gateway, so calls the cache answers count too.
+        gw.score_continuation = flight.wrap(gw.score_continuation)
+        with scoring_pool(1) as fan_out:
             for _ in range(20):
-                run_instance(inst, ONE_LEVEL, gw)
+                run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
                 counts.append(threading.active_count())
         assert max(counts[1:]) <= counts[0]
         assert flight.finished == 200
         assert len(flight.threads) <= 2  # the same workers served every level
-
-    def test_pool_threads_end_with_the_gateway(self):
-        inst = trace_instance()
-        flight = InFlight()  # calls held long enough for a helper to take some
-        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, workers=2)
-        run_instance(inst, ONE_LEVEL, gw)
-        gw.close()
-        # The caller scores too; the helper workers end with the gateway.
-        helpers = flight.threads - {threading.current_thread()}
-        assert flight.finished == 10 and helpers
-        assert not any(thread.is_alive() for thread in helpers)
 
     def test_failure_raised_after_in_flight_calls_finish(self):
         # Request 1 fails at once, while the other worker's call is held open.
@@ -170,9 +162,10 @@ class TestScoreLevel:
             backend.add_logprobs(req, [-1.0])
         flight = InFlight(hold=0.1)
         backend.token_logprobs = flight.wrap(backend.token_logprobs)
-        with closing(scripted_gateway(backend, scorer_concurrency=2)) as gw:
+        gw = scripted_gateway(backend)
+        with scoring_pool(1) as fan_out:
             with pytest.raises(ScriptMiss):
-                gw.score_many(requests, "relevance")
+                list(fan_out(gw.score_continuation, requests))
             started = flight.started
             assert flight.finished == started < 6
             time.sleep(0.15)
@@ -192,9 +185,10 @@ class TestScoreLevel:
 
         flight = InFlight(hold=0.1)
         backend.token_logprobs = flight.wrap(interrupted_on_the_caller)
-        with closing(scripted_gateway(backend, scorer_concurrency=2)) as gw:
+        gw = scripted_gateway(backend)
+        with scoring_pool(1) as fan_out:
             with pytest.raises(KeyboardInterrupt):
-                gw.score_many(requests, "relevance")
+                list(fan_out(gw.score_continuation, requests))
             started = flight.started
             assert flight.finished == started <= 3
             time.sleep(0.15)
@@ -221,7 +215,7 @@ class TestScoreLevel:
         plan = ScriptedPlan(subquestions=[], level_scores=[{7: 1.0}], answer="x")
         (trace, _), log = plan_requests(instance([Passage(7, "", "only")]), cfg, plan)
         assert trace.selected_sequence == (7,)
-        assert trace.stop_reason is StopReason.MAX_LEVELS
+        assert trace.stop_reason is StopReason.POOL_EXHAUSTED
         assert [len(r.requests) for r, _ in log if isinstance(r, Score)] == [1]
 
     def test_blank_target_rejected(self):
