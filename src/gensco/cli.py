@@ -51,7 +51,7 @@ def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:  # nested past the parser's depth
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
@@ -155,10 +155,11 @@ def _check_config(cfg: dict[str, Any]) -> dict[str, Any]:
 
 def _load_file(key: str, path: str, loader: Callable[[str], Any]) -> Any:
     """``loader(path)`` for the file that config key ``key`` names; an
-    unreadable or misshapen file is a ConfigError."""
+    unreadable or misshapen file is a ConfigError, as is JSON nested past
+    the decoder's depth."""
     try:
         return loader(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config key {key!r}: cannot load {path!r}: {exc}") from exc
 
 
@@ -402,7 +403,7 @@ def _previous_invocations(manifest_path: Path) -> list[dict[str, Any]]:
         return []
     try:
         invocations = json.loads(manifest_path.read_text(encoding="utf-8")).get("invocations", [])
-    except (ValueError, AttributeError) as exc:
+    except (ValueError, AttributeError, RecursionError) as exc:
         raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
     if type(invocations) is not list:
         raise CorruptTrace(f"{manifest_path}: 'invocations' is not a list: {invocations!r}")

@@ -97,6 +97,8 @@ def _load_wiki_style(path: Path, dataset: Dataset) -> Iterator[tuple[str, MultiH
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError as exc:  # nested past the decoder's depth
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a non-empty JSON array of instances")
     for i, rec in enumerate(data):
@@ -114,6 +116,8 @@ def _load_musique(path: Path) -> Iterator[tuple[str, MultiHopInstance]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}")
+            except RecursionError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
             where = f"{path}:{lineno}"
             instance_id = str(_require(record, "id", where, object))
             # Only the 2-hop slice of the dev set is evaluated.

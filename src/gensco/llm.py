@@ -25,6 +25,8 @@ from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
+import orjson
+
 
 class GatewayError(Exception):
     pass
@@ -73,27 +75,24 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# The C function json.dumps(..., ensure_ascii=False) writes every str with.
-_json_str = json.encoder.encode_basestring
-
-
-def _json(value: Any) -> str:
+def _json(value: Any) -> bytes:
     """``value`` as ``json.dumps(value, ensure_ascii=False, sort_keys=True)``
-    writes it. A str, an int or a finite float is written without building
-    an encoder."""
+    writes it, as UTF-8. A str (which orjson escapes to the same bytes), an
+    int or a finite float is written without building an encoder; a str
+    with a lone surrogate raises orjson.JSONEncodeError."""
     kind = type(value)
     if kind is str:
-        return _json_str(value)
+        return orjson.dumps(value)
     if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return json.dumps(value, ensure_ascii=False, sort_keys=True)
+        return repr(value).encode()
+    return json.dumps(value, ensure_ascii=False, sort_keys=True).encode()
 
 
 # A request's ``fingerprint`` is its one identity: the scripted backend's
 # lookup key and, after the backend id, its cache key. It is the sha256 of
-# json.dumps({"role": role, **fields}, ensure_ascii=False, sort_keys=True),
-# assembled from its fragments in sorted-key order and computed once, when
-# the request is built.
+# json.dumps({"role": role, **fields}, ensure_ascii=False, sort_keys=True)
+# in UTF-8, assembled from its fragments in sorted-key order and computed
+# once, when the request is built.
 @dataclass(frozen=True)
 class GeneratorRequest:
     prompt: str
@@ -103,12 +102,14 @@ class GeneratorRequest:
     fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        stops = ", ".join(map(_json, self.stop_sequences))
-        object.__setattr__(self, "fingerprint", _sha256(
-            f'{{"max_output_tokens": {_json(self.max_output_tokens)}, '
-            f'"prompt": {_json(self.prompt)}, "role": "generator", '
-            f'"stop_sequences": [{stops}], "temperature": {_json(self.temperature)}}}'
-        ))
+        stops = b", ".join(map(_json, self.stop_sequences))
+        object.__setattr__(self, "fingerprint", hashlib.sha256(
+            b'{"max_output_tokens": %s, "prompt": %s, "role": "generator", '
+            b'"stop_sequences": [%s], "temperature": %s}' % (
+                _json(self.max_output_tokens), _json(self.prompt), stops,
+                _json(self.temperature),
+            )
+        ).hexdigest())
 
 
 def _scorer_fingerprints(head: str, tails: Sequence[str], continuation: str) -> list[str]:
@@ -118,12 +119,12 @@ def _scorer_fingerprints(head: str, tails: Sequence[str], continuation: str) -> 
     escaping of a str is per character, so the escaped head and the
     escaped tail join into the escaped prompt."""
     shared = hashlib.sha256(
-        f'{{"continuation": {_json(continuation)}, "prompt": {_json_str(head)[:-1]}'.encode()
+        b'{"continuation": %s, "prompt": %s' % (_json(continuation), orjson.dumps(head)[:-1])
     )
     fingerprints = []
     for tail in tails:
         state = shared.copy()
-        state.update(f'{_json_str(tail)[1:]}, "role": "scorer"}}'.encode())
+        state.update(orjson.dumps(tail)[1:] + b', "role": "scorer"}')
         fingerprints.append(state.hexdigest())
     return fingerprints
 
@@ -344,10 +345,6 @@ def _read_response(rfile) -> tuple[int, dict[bytes, bytes], bytes, bool]:
     return status, headers, body, keep_alive
 
 
-# Replies are decoded as json.loads decodes them, but a JSON number with a
-# fraction or an exponent is left as its bytes: only the continuation's
-# logprobs are ever turned into floats. No other JSON value decodes to bytes.
-_REPLY_DECODER = json.JSONDecoder(parse_float=str.encode)
 # An echo request's body after its prompt, as json.dumps writes it.
 _ECHO_TAIL = ', "max_tokens": 0, "echo": true, "logprobs": 0, "temperature": 0.0}'
 # Statuses that mean "try again later"; every other non-2xx is final.
@@ -488,9 +485,16 @@ class HttpBackend:
             if status == 400 and any(m in text.lower() for m in _CONTEXT_OVERFLOW_MARKS):
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
+        # A body is decoded as json.loads decodes it. orjson gives the same
+        # value for every body it accepts; a body it refuses (NaN or Infinity
+        # tokens, a BOM, UTF-16 or UTF-32, lone surrogates, or no JSON at all)
+        # goes to json.loads, which accepts or refuses it with its own message.
         try:
-            data = _REPLY_DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
-        except ValueError as exc:  # UnicodeDecodeError included
+            try:
+                data = orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                data = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with a body that is not JSON ({exc})"
             ) from None
@@ -563,14 +567,10 @@ class HttpBackend:
                 f"no token starts at the continuation's offset {cut}: a token "
                 "straddles the prompt/continuation boundary"
             )
-        values = []
-        for off, logp in zip(tail, logprobs[start:]):
-            kind = type(logp)
-            if kind is bytes:
-                logp = float(logp)
-            elif kind is not int and kind is not float:
+        values = logprobs[start:]
+        for off, logp in zip(tail, values):
+            if type(logp) is not int and type(logp) is not float:
                 raise LogprobsUnsupported(f"no logprob for the token at offset {off}")
-            values.append(logp)
         return values
 
 
@@ -595,7 +595,7 @@ class ResponseCache:
             return None
         try:
             return json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError included
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             backend_id = key.partition("\0")[0]
             raise MalformedResponse(
                 f"backend {backend_id}: the cache entry {path} is not UTF-8 JSON ({exc})"

@@ -260,13 +260,14 @@ def append_jsonl(fh, record: dict[str, Any]) -> None:
 
 def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> Iterator[Any]:
     """``decode`` of each record of a JSON-lines file, skipping blank lines; a line
-    that is not JSON or that ``decode`` rejects is a CorruptTrace naming path:line."""
+    that is not JSON (nested past the decoder's depth included) or that ``decode``
+    rejects is a CorruptTrace naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = decode(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
             yield record

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,8 +8,9 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import orjson
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gensco import llm
 from gensco.llm import (
@@ -24,6 +26,10 @@ from gensco.llm import (
     ScriptedBackend,
     ScriptMiss,
 )
+from gensco.models import Dataset, Variant
+from gensco.pipeline import PipelineConfig, run_instance
+
+from helpers import trace_instance
 
 
 def gateway_for(backend, **kwargs):
@@ -952,3 +958,109 @@ class TestDeterminism:
         backend.add_logprobs(req, [-0.25, -0.5])
         responses = [gateway_for(backend).score_continuation(req) for _ in range(3)]
         assert len({repr(r) for r in responses}) == 1
+
+
+class TestOrjsonEscaping:
+    def test_orjson_escapes_every_code_point_as_json_dumps_does(self):
+        # Every code point but the surrogates, in chunks of consecutive ones:
+        # the bytes every fingerprint is hashed from.
+        step = 0x1000
+        for start in range(0, 0x110000, step):
+            chunk = "".join(
+                chr(c) for c in range(start, start + step) if not 0xD800 <= c <= 0xDFFF
+            )
+            assert orjson.dumps(chunk) == json.encoder.encode_basestring(chunk).encode(), hex(
+                start
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GeneratorRequest("q\ud800"),
+            lambda: GeneratorRequest("q", stop_sequences=("\udfff",)),
+            lambda: ScorerRequest("p\udc00", " c"),
+            lambda: ScorerRequest("p", " c\ud834"),
+            lambda: ScorerRequest.sharing_head("h", ["t", "\ud800 t"], " c"),
+        ],
+        ids=["prompt", "stop", "scorer-prompt", "continuation", "shared-head-tail"],
+    )
+    def test_lone_surrogate_fails_when_the_request_is_built(self, build):
+        with pytest.raises(orjson.JSONEncodeError):
+            build()
+
+    def test_lone_surrogate_question_fails_before_any_call(self):
+        inst = dataclasses.replace(trace_instance(), question="Who \ud800?")
+        gw = gateway_for(ScriptedBackend())  # any call would be a ScriptMiss
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.STOP)
+        with pytest.raises(orjson.JSONEncodeError):
+            run_instance(inst, cfg, gw)
+        assert gw.stats() == {
+            "generator_calls": {}, "scorer_calls": {}, "cache_hits": 0, "cache_misses": 0
+        }
+
+
+# A value of the first choice: numbers of every kind json.loads reads (NaN
+# and ±Infinity included, integers within ±2**63), nesting, non-ASCII text
+# and lone surrogates.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-(2**63), 2**63) | SURROGATE_TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(SURROGATE_TEXT, children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def reply_bodies(draw):
+    """A reply body: a JSON document in one of the encodings json.loads
+    detects, with or without a BOM, maybe spliced with raw bytes, or raw
+    bytes alone."""
+    if draw(st.integers(0, 3)):
+        document = {"choices": [draw(st.dictionaries(SURROGATE_TEXT, JSON_VALUES, max_size=4))]}
+    else:
+        document = draw(JSON_VALUES)
+    text = json.dumps(document, ensure_ascii=draw(st.booleans()))
+    encoding = draw(st.sampled_from(["utf-8"] * 5 + ["utf-8-sig", "utf-16", "utf-32-be"]))
+    body = text.encode(encoding, "surrogatepass")
+    kind = draw(st.sampled_from(["whole"] * 4 + ["spliced", "raw"]))
+    if kind == "spliced":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.binary(max_size=3)) + body[at + draw(st.integers(0, 3)):]
+    elif kind == "raw":
+        body = draw(st.binary(max_size=40))
+    return body
+
+
+class TestReplyDecoding:
+    def test_reply_decodes_exactly_as_json_loads_decodes_it(self, serve):
+        # The same bodies accepted, the same first choice for each (by repr,
+        # so NaN, -0.0 and int against float count), and the same message
+        # for each refused one.
+        reply = {}
+        backend = serve(lambda body: raw_reply(
+            ["HTTP/1.1 200 OK", f"Content-Length: {len(reply['body'])}"], reply["body"]
+        )).backend()
+
+        named = f"backend {backend.backend_id} replied"
+
+        @settings(max_examples=400, deadline=None)
+        @given(reply_bodies())
+        def check(body):
+            reply["body"] = body
+            try:
+                value = json.loads(body)
+            except ValueError as exc:  # UnicodeDecodeError included
+                expected = f"{named} with a body that is not JSON ({exc})"
+            else:
+                choices = value.get("choices") if isinstance(value, dict) else None
+                if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+                    expected = repr(choices[0])
+                else:
+                    expected = f"{named} without a choice: {body[:200]!r}"
+            try:
+                got = repr(backend._post(b"{}"))
+            except MalformedResponse as exc:
+                got = str(exc)
+            assert got == expected
+
+        check()
