@@ -36,6 +36,7 @@ from .models import (
     ValidationError,
     Variant,
     append_jsonl,
+    load_json,
     read_jsonl,
 )
 from .pipeline import GENSCO_VARIANTS, PipelineConfig, run_instance
@@ -290,10 +291,12 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     dataset = Dataset(cfg["dataset"])
     dataset_path = Path(cfg["dataset_path"])
+    dataset_bytes = datasets.read(dataset_path)  # the manifest's digest is of what was loaded
     instances = datasets.load(
         datasets.DatasetConfig(
             dataset=dataset, path=str(dataset_path), limit=cfg.get("limit")
-        )
+        ),
+        dataset_bytes,
     )
     if "shot_bank" in cfg:
         shot_bank = _load_file("shot_bank", cfg["shot_bank"], load_shots_file)
@@ -382,7 +385,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     manifest = {
         "run_id": _run_id(run_dir),
         "config": cfg,
-        "dataset_digest": hashlib.sha256(dataset_path.read_bytes()).hexdigest(),
+        "dataset_digest": hashlib.sha256(dataset_bytes).hexdigest(),
         "backends": {
             "generator": gateway.generator.backend_id,
             "scorer": gateway.scorer.backend_id,
@@ -402,7 +405,7 @@ def _previous_invocations(manifest_path: Path) -> list[dict[str, Any]]:
     if not manifest_path.exists():
         return []
     try:
-        invocations = json.loads(manifest_path.read_text(encoding="utf-8")).get("invocations", [])
+        invocations = load_json(manifest_path.read_bytes()).get("invocations", [])
     except (ValueError, AttributeError, RecursionError) as exc:
         raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
     if type(invocations) is not list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, TypeVar
 
-from .models import Dataset, MultiHopInstance, Passage
+from .models import Dataset, MultiHopInstance, Passage, load_json, text_lines
 
 T = TypeVar("T")
 
@@ -92,12 +92,14 @@ def _instance_from_wiki_record(
     )
 
 
-def _load_wiki_style(path: Path, dataset: Dataset) -> Iterator[tuple[str, MultiHopInstance]]:
+def _load_wiki_style(
+    raw: bytes, path: Path, dataset: Dataset
+) -> Iterator[tuple[str, MultiHopInstance]]:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = load_json(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except RecursionError as exc:  # nested past the decoder's depth
+    except (UnicodeDecodeError, RecursionError) as exc:  # or nested past the decoder's depth
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a non-empty JSON array of instances")
@@ -106,51 +108,60 @@ def _load_wiki_style(path: Path, dataset: Dataset) -> Iterator[tuple[str, MultiH
         yield where, _instance_from_wiki_record(rec, dataset, where)
 
 
-def _load_musique(path: Path) -> Iterator[tuple[str, MultiHopInstance]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+def _load_musique(raw: bytes, path: Path) -> Iterator[tuple[str, MultiHopInstance]]:
+    for lineno, line in enumerate(text_lines(raw), start=1):
+        where = f"{path}:{lineno}"
+        try:
+            text = line.decode("utf-8").strip()
+            if not text:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}")
-            except RecursionError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            where = f"{path}:{lineno}"
-            instance_id = str(_require(record, "id", where, object))
-            # Only the 2-hop slice of the dev set is evaluated.
-            if not instance_id.startswith("2hop"):
-                continue
-            paragraphs = _require(record, "paragraphs", where, list)
-            passages = []
-            supports = set()
-            for pos, para in enumerate(paragraphs):
-                at = f"{where}: paragraph {pos}"
-                body = _require(para, "paragraph_text", at)
-                title = _require(para, "title", at) if "title" in para else ""
-                passages.append(Passage(index=pos, title=title, body=body))
-                if para.get("is_supporting"):
-                    supports.add(pos)
-            yield where, MultiHopInstance(
-                id=instance_id,
-                question=_require(record, "question", where),
-                gold_answer=_require(record, "answer", where),
-                passages=tuple(passages),
-                supporting_indices=frozenset(supports) if supports else None,
-                dataset=Dataset.MUSIQUE,
-            )
+            record = load_json(text.encode("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: {exc.msg} at column {exc.colno}")
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        instance_id = str(_require(record, "id", where, object))
+        # Only the 2-hop slice of the dev set is evaluated.
+        if not instance_id.startswith("2hop"):
+            continue
+        paragraphs = _require(record, "paragraphs", where, list)
+        passages = []
+        supports = set()
+        for pos, para in enumerate(paragraphs):
+            at = f"{where}: paragraph {pos}"
+            body = _require(para, "paragraph_text", at)
+            title = _require(para, "title", at) if "title" in para else ""
+            passages.append(Passage(index=pos, title=title, body=body))
+            if para.get("is_supporting"):
+                supports.add(pos)
+        yield where, MultiHopInstance(
+            id=instance_id,
+            question=_require(record, "question", where),
+            gold_answer=_require(record, "answer", where),
+            passages=tuple(passages),
+            supporting_indices=frozenset(supports) if supports else None,
+            dataset=Dataset.MUSIQUE,
+        )
 
 
-def load(cfg: DatasetConfig) -> list[MultiHopInstance]:
-    path = Path(cfg.path)
+def read(path) -> bytes:
+    """The bytes of the dataset file at ``path``; ParseError when there is none."""
+    path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
+    return path.read_bytes()
+
+
+def load(cfg: DatasetConfig, raw: Optional[bytes] = None) -> list[MultiHopInstance]:
+    """The instances of the dataset file ``cfg.path``, parsed from ``raw``,
+    its bytes, when the caller has read them."""
+    path = Path(cfg.path)
+    if raw is None:
+        raw = read(path)
     if cfg.dataset is Dataset.MUSIQUE:
-        records = _load_musique(path)
+        records = _load_musique(raw, path)
     else:
-        records = _load_wiki_style(path, cfg.dataset)
+        records = _load_wiki_style(raw, path, cfg.dataset)
     seen: dict[str, str] = {}  # instance id -> the record that holds it
     instances = []
     for where, inst in records:

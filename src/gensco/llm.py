@@ -27,6 +27,8 @@ from urllib.parse import urlsplit
 
 import orjson
 
+from .models import load_json
+
 
 class GatewayError(Exception):
     pass
@@ -220,7 +222,7 @@ class ScriptedBackend:
         script's backend id and completions are strs, and each logprobs
         entry is a non-empty list of numbers with a finite sum, since the
         gateway would fail on any other at its first call."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = load_json(Path(path).read_bytes())
         try:
             backend = cls(backend_id=payload.get("backend_id", "scripted"))
             backend._completions = payload["completions"]
@@ -485,15 +487,9 @@ class HttpBackend:
             if status == 400 and any(m in text.lower() for m in _CONTEXT_OVERFLOW_MARKS):
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
-        # A body is decoded as json.loads decodes it. orjson gives the same
-        # value for every body it accepts; a body it refuses (NaN or Infinity
-        # tokens, a BOM, UTF-16 or UTF-32, lone surrogates, or no JSON at all)
-        # goes to json.loads, which accepts or refuses it with its own message.
+        # A body is decoded as json.loads decodes it, in any encoding it detects.
         try:
-            try:
-                data = orjson.loads(raw)
-            except orjson.JSONDecodeError:
-                data = json.loads(raw)
+            data = load_json(raw, encoding=None)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with a body that is not JSON ({exc})"
@@ -594,7 +590,7 @@ class ResponseCache:
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            return load_json(path.read_bytes())
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             backend_id = key.partition("\0")[0]
             raise MalformedResponse(

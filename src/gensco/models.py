@@ -8,6 +8,7 @@ is a JSON-lines stream of these records.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import operator
 from dataclasses import dataclass, fields
@@ -15,6 +16,8 @@ from enum import Enum
 from typing import (
     Any, Callable, Iterator, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
 )
+
+import orjson
 
 # Selection rules: a level's best candidate has the lowest (paper) or highest mean NLL.
 MIN_NLL = "min_nll"
@@ -253,21 +256,80 @@ def replay_trace(trace: SelectionTrace, score_sign: str = MIN_NLL) -> bool:
     )
 
 
+# orjson reads every document json.loads reads to the same value, but for
+# two kinds. It reads an integer outside -2**63..2**64-1 as a float, where
+# json.loads keeps it exact, and it reads nesting of any depth, where
+# json.loads raises RecursionError near the interpreter's recursion limit.
+# A document that may hold either goes to json.loads. _DEEP sits far enough
+# below the default limit of 1,000 frames for any caller's stack.
+_DEEP = 256
+# Each byte's class in the search for long integers: a digit "0", a byte a
+# number may follow "s", any other byte "x".
+_CLASSES = bytes(
+    ord("0") if byte in b"0123456789" else ord("s") if byte in b" \t\n\r,:[-" else ord("x")
+    for byte in range(256)
+)
+_DIGITS = b"0" * 19
+
+
+def _long_digit_run(raw: bytes) -> bool:
+    """Whether ``raw`` has 19 digits in a row at its start or after a byte a
+    number may follow, as an integer past 64 bits has."""
+    classes = raw.translate(_CLASSES)
+    return b"s" + _DIGITS in classes or classes.startswith(_DIGITS)
+
+
+def _nests(value: Any, depth: int) -> bool:
+    """Whether a decoded document holds a value ``depth`` containers deep.
+    gc.get_referents gives a list's items and a dict's keys and values, and
+    nothing for a str or a number."""
+    level = [value]
+    for _ in range(depth):
+        level = gc.get_referents(*level)
+        if not level:
+            return False
+    return True
+
+
+def load_json(raw: bytes, encoding: Optional[str] = "utf-8") -> Any:
+    """The value of the JSON document ``raw`` as ``json.loads`` reads it
+    decoded from ``encoding``, or with None as ``json.loads(raw)`` reads it
+    (UTF-8, -16 or -32, after a BOM); a document it refuses raises its
+    error with its message. orjson decodes ``raw`` unless it refuses it or
+    the document has a long digit run or nests _DEEP levels deep."""
+    if not _long_digit_run(raw):
+        try:
+            value = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if not _nests(value, _DEEP):
+                return value
+    return json.loads(raw if encoding is None else raw.decode(encoding))
+
+
 def append_jsonl(fh, record: dict[str, Any]) -> None:
     fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
     fh.flush()
 
 
+def text_lines(raw: bytes) -> list[bytes]:
+    """The lines of a file's bytes as text mode reads them: split at "\\n",
+    "\\r\\n" or "\\r", each but an unended last one ending in "\\n"."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+
+
 def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> Iterator[Any]:
     """``decode`` of each record of a JSON-lines file, skipping blank lines; a line
-    that is not JSON (nested past the decoder's depth included) or that ``decode``
-    rejects is a CorruptTrace naming path:line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    that is not UTF-8 JSON (nested past the decoder's depth included) or that
+    ``decode`` rejects is a CorruptTrace naming path:line."""
+    with open(path, "rb") as fh:
+        lines = text_lines(fh.read())
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if not line.decode("utf-8").strip():
                 continue
-            try:
-                record = decode(json.loads(line))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
-            yield record
+            record = decode(load_json(line))
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
+        yield record

@@ -265,9 +265,12 @@ def instance_loop(
     model_id: str,
     ranking: Optional[Sequence[int]] = None,
 ) -> Loop:
-    """``greedy_loop`` for a GenSco variant, ``ranked_loop`` for a baseline."""
+    """``greedy_loop`` for a GenSco variant, ``ranked_loop`` for a baseline;
+    ValueError for ``precomputed`` without a ranking."""
     if cfg.variant in GENSCO_VARIANTS:
         return greedy_loop(inst, cfg, shot_bank, model_id)
+    if cfg.variant is Variant.PRECOMPUTED and ranking is None:
+        raise ValueError(f"instance {inst.id!r}: variant {cfg.variant.value!r} needs a ranking")
     return ranked_loop(inst, cfg, shot_bank, model_id, ranking)
 
 

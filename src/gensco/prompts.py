@@ -8,12 +8,12 @@ byte-identical prompts.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
-from .models import Dataset, Passage, Record
+from .models import Dataset, Passage, Record, load_json
 
 FIN_KEYWORD = "<FIN></FIN>"
 
@@ -46,8 +46,7 @@ def load_shots(dataset: Dataset) -> tuple[ShotExample, ...]:
 def load_shots_file(path) -> tuple[ShotExample, ...]:
     """A JSON list of objects with the ShotExample fields; ValueError for
     another shape."""
-    with open(path, encoding="utf-8") as fh:
-        shots = json.load(fh)
+    shots = load_json(Path(path).read_bytes())
     try:
         return tuple(map(ShotExample.from_dict, shots))
     except (KeyError, TypeError) as exc:

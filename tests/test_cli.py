@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -76,6 +77,21 @@ class TestRunBatch:
         assert manifest["backends"] == {"generator": "scripted", "scorer": "scripted"}
         assert manifest["llm_calls"]["generator_calls"]["answer"] == 3
         assert len(manifest["dataset_digest"]) == 64
+
+    def test_dataset_digest_is_of_the_bytes_the_run_loaded(self, tmp_path, monkeypatch):
+        cfg = make_run_config(tmp_path, 2)
+        path = Path(cfg["dataset_path"])
+        loaded = path.read_bytes()
+        run_instance = cli.run_instance
+
+        def edit_then_run(*args):
+            path.write_text("[]")  # the file changes while the run is in progress
+            return run_instance(*args)
+
+        monkeypatch.setattr(cli, "run_instance", edit_then_run)
+        assert cli.run_batch(cfg, tmp_path / "run") == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["dataset_digest"] == hashlib.sha256(loaded).hexdigest()
 
     def test_run_dir_given_as_dot_or_a_link_keeps_its_name(self, tmp_path, monkeypatch):
         cfg = make_run_config(tmp_path, 1)
@@ -653,6 +669,16 @@ class TestEvaluateRun:
         assert named in result.output
         assert not (run_dir / "report.json").exists()
 
+    def test_line_that_is_not_utf8_exits_2(self, tmp_path):
+        run_dir = self.finished_run(tmp_path, n=2)
+        path = run_dir / "traces.jsonl"
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second.replace(b'"', b'\xff"', 1))
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and f"{path}:2" in result.output
+        assert "UnicodeDecodeError" in result.output
+
 class TestPipelineConfig:
     @pytest.mark.parametrize("dataset", list(Dataset))
     @pytest.mark.parametrize("variant", list(Variant))
@@ -820,6 +846,21 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert "fatal" in result.output and str(path) in result.output
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("dataset", [Dataset.SYNTHETIC, Dataset.MUSIQUE])
+    def test_dataset_that_is_not_utf8_exits_2(self, tmp_path, dataset):
+        cfg = make_run_config(tmp_path, 2)
+        path = Path(cfg["dataset_path"])
+        if dataset is Dataset.MUSIQUE:
+            record = {"id": "2hop__1", "question": "Q?", "answer": "A",
+                      "paragraphs": [{"title": "T", "paragraph_text": "Text."}]}
+            path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+            cfg["dataset"] = "musique"
+        path.write_bytes(path.read_bytes().replace(b"?", b"\xff", 1))
+        config_path = self.write_config(tmp_path, cfg)
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
+        assert result.exit_code == 2, result.output
+        assert f"fatal: {path}" in result.output and "can't decode byte 0xff" in result.output
 
     def test_missing_required_field_exits_2(self, tmp_path):
         config_path = self.write_config(tmp_path, {"dataset": "synthetic"})

@@ -95,6 +95,14 @@ class TestWikiStyleLoader:
         assert load(cfg) == load(cfg)
 
 
+    def test_numeric_id_past_64_bits_is_kept_exact(self, tmp_path):
+        # orjson would read it as the float 1.2345678901234568e+29.
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{**wiki_record(0), "_id": 123456789012345678901234567890}]))
+        (inst,) = load(DatasetConfig(Dataset.TWO_WIKI, str(path)))
+        assert inst.id == "123456789012345678901234567890"
+
+
 class TestMusiqueLoader:
     def test_filters_to_two_hop(self, tmp_path):
         path = tmp_path / "musique.jsonl"

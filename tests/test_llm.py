@@ -72,6 +72,31 @@ class TestScriptedBackend:
         assert loaded.complete(greq) == "x"
         assert loaded.token_logprobs(sreq) == [-1.0, -3.0]
 
+    # orjson reads an integer outside -2**63..2**64-1 as a float; a script
+    # reads it as json.loads does.
+    @pytest.mark.parametrize(
+        "logprobs, error",
+        [
+            ("-123456789012345678901234567890", None),
+            (f"{10**308}, {10**308}", "OverflowError.*int too large to convert to float"),
+        ],
+        ids=["kept-exact", "sum-past-float-range"],
+    )
+    def test_integer_logprob_past_64_bits_reads_as_json_loads_reads(
+        self, tmp_path, logprobs, error
+    ):
+        req = ScorerRequest(prompt="p", continuation=" c")
+        path = tmp_path / "script.json"
+        path.write_text(
+            f'{{"completions": {{}}, "logprobs": {{"{req.fingerprint}": [{logprobs}]}}}}'
+        )
+        if error is not None:
+            with pytest.raises(ValueError, match=f"not a script file.*{error}"):
+                ScriptedBackend.from_file(path)
+            return
+        value = ScriptedBackend.from_file(path).token_logprobs(req)
+        assert value == [-123456789012345678901234567890] and type(value[0]) is int
+
 
 def mean_nll(logprobs):
     """The mean NLL the gateway returns for a scorer call the backend

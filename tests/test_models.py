@@ -1,8 +1,10 @@
+import codecs
 import json
+import re
 from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gensco.baselines import Ranking
 from gensco.models import (
@@ -22,6 +24,7 @@ from gensco.models import (
     SubQuestion,
     TraceLevel,
     Variant,
+    load_json,
     read_jsonl,
     replay_trace,
 )
@@ -307,6 +310,148 @@ class TestReadJsonl:
         path.write_text(json.dumps(sample_answer().to_dict()) + "\n\n" + bad + "\n")
         with pytest.raises(CorruptTrace, match=f"^{path}:3: .*{named}"):
             list(read_jsonl(path, AnswerRecord.from_dict))
+
+
+# JSON values of every kind json.dumps writes: NaN and ±Infinity, integers
+# past 64 bits, non-ASCII text and lone surrogates.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(-(2**70), 2**70)
+    | st.text(st.characters(blacklist_categories=()), max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+# JSON's whitespace, and characters that str.strip takes for whitespace but JSON does not.
+WHITESPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=3)
+
+
+@st.composite
+def json_texts(draw) -> str:
+    """A value as json.dumps writes it, an object with repeated keys, or a
+    value nested up to 2,000 deep, closed or not."""
+    kind = draw(st.sampled_from(["value", "value", "repeated-keys", "deep"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    if kind == "repeated-keys":
+        pairs = draw(
+            st.lists(st.tuples(st.sampled_from("ab"), JSON_VALUES), min_size=1, max_size=4)
+        )
+        return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    depth = draw(st.integers(1, 2000))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"k": ', "}")]))
+    closed = draw(st.booleans())
+    return opener * depth + json.dumps(draw(JSON_VALUES)) + closer * (depth if closed else 0)
+
+
+@st.composite
+def json_documents(draw) -> bytes:
+    """A JSON text between whitespace in UTF-8, lone surrogates included, maybe
+    after a BOM, maybe spliced with raw bytes; or raw bytes alone."""
+    text = draw(WHITESPACE) + draw(json_texts()) + draw(WHITESPACE)
+    raw = text.encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 7)) == 0:
+        raw = codecs.BOM_UTF8 + raw
+    kind = draw(st.sampled_from(["whole"] * 4 + ["spliced", "raw"]))
+    if kind == "spliced":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.binary(max_size=3)) + raw[at + draw(st.integers(0, 3)):]
+    elif kind == "raw":
+        raw = draw(st.binary(max_size=40))
+    return raw
+
+
+def reference_loads(raw, encoding):
+    return json.loads(raw if encoding is None else raw.decode(encoding))
+
+
+def decoded(loads, raw, encoding):
+    """("ok", the value's repr) or (the error's type, its message). Both
+    readers are called through the same frames, so that json.loads meets
+    the same recursion limit under each."""
+    try:
+        return "ok", repr(loads(raw, encoding))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+        return type(exc).__name__, str(exc)
+
+
+class TestLoadJson:
+    @settings(max_examples=400, deadline=None)
+    @given(json_documents(), st.sampled_from(["utf-8", None]))
+    @example(b"123456789012345678901234567890", "utf-8")  # orjson: 1.2345678901234568e+29
+    @example(b'{"a": [-9223372036854775809]}', "utf-8")
+    @example(b"[" * 300 + b"]" * 300, "utf-8")  # orjson reads nesting of any depth
+    @example(b"[" * 5000 + b"]" * 5000, None)  # json.loads: past its depth
+    @example(b'[NaN, "\\ud800"]', "utf-8")
+    @example(codecs.BOM_UTF8 + b"{}", None)
+    def test_reads_as_json_loads_reads(self, raw, encoding):
+        # The same documents accepted, the same value for each (by repr, so
+        # NaN, -0.0 and int against float count) and the same error and
+        # message for each refused one.
+        assert decoded(load_json, raw, encoding) == decoded(reference_loads, raw, encoding)
+
+
+def text_mode_records(path):
+    """The records and the first failure, as (line, repr of the error), of
+    read_jsonl as it read a file in text mode; a line holding a byte that
+    is not UTF-8 fails with a UnicodeDecodeError."""
+    records = []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if re.search("[\udc80-\udcff]", line):
+                return records, (lineno, "UnicodeDecodeError")
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                return records, (lineno, repr(exc))
+    return records, None
+
+
+def read_records(path):
+    """What read_jsonl yields before its CorruptTrace, as text_mode_records has it."""
+    records = []
+    try:
+        for record in read_jsonl(path):
+            records.append(record)
+    except CorruptTrace as exc:
+        pattern = rf"{re.escape(str(path))}:(\d+): not a record \((.*)\)"
+        named = re.fullmatch(pattern, str(exc), re.S)
+        error = named[2]
+        if error.startswith("UnicodeDecodeError("):
+            error = "UnicodeDecodeError"
+        return records, (int(named[1]), error)
+    return records, None
+
+
+@st.composite
+def jsonl_files(draw) -> bytes:
+    """Documents and blank lines, each ended by "\\n", "\\r\\n" or "\\r",
+    the last maybe not."""
+    lines = draw(st.lists(
+        json_documents() | WHITESPACE.map(lambda text: text.encode("utf-8")), max_size=5
+    ))
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReadJsonlAsTextMode:
+    @settings(max_examples=200, deadline=None)
+    @given(jsonl_files())
+    @example('{"a": 1}\r\n\xa0\r{"b":\n'.encode("utf-8"))  # a line str.strip blanks
+    @example(b'{"a": 1}\n\xff{}\n')
+    def test_reads_each_line_as_text_mode_did(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        path.write_bytes(content)
+        records, failure = read_records(path)
+        expected, expected_failure = text_mode_records(path)
+        assert (repr(records), failure) == (repr(expected), expected_failure)
 
 
 class TestReplayTrace:

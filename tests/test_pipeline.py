@@ -376,6 +376,14 @@ class TestRankedLoop:
         cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.PRECOMPUTED, top_k=5)
         assert self.run(cfg, [7, 2, 9]) == (7, 2, 9)
 
+    def test_precomputed_without_a_ranking_is_refused_by_name(self):
+        inst = trace_instance()
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.PRECOMPUTED)
+        gateway = scripted_gateway(ScriptedBackend())
+        with pytest.raises(ValueError, match=f"{inst.id!r}.*'precomputed'.*needs a ranking"):
+            run_instance(inst, cfg, gateway)
+        assert gateway.stats()["generator_calls"] == {}
+
     def test_bm25_reads_k1_and_b_from_the_config(self):
         inst = trace_instance()
         cfg = PipelineConfig.for_dataset(
