@@ -13,6 +13,7 @@ import csv
 import functools
 import hashlib
 import json
+import operator
 import os
 import sys
 import threading
@@ -418,9 +419,6 @@ def _eval_rows(run_dir: Path) -> list[metrics.InstanceEval]:
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
     instances_path = run_dir / "instances.jsonl"
-    for path in (traces_path, answers_path, instances_path):
-        if not path.exists():
-            raise CorruptTrace(f"{path}: missing")
     instances = {
         inst.id: inst for inst in read_jsonl(instances_path, MultiHopInstance.from_dict)
     }
@@ -455,6 +453,26 @@ def _eval_rows(run_dir: Path) -> list[metrics.InstanceEval]:
     return rows
 
 
+# A per-instance row at its depth in report.json: each key on its own line.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _report_json(payload: dict[str, Any]) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\n"``. Its
+    ``per_instance`` rows, flat objects of scalars with at least one key,
+    go through the C encoder, which ``indent`` would bypass."""
+    rows = payload["per_instance"]
+    text = json.dumps({**payload, "per_instance": []}, indent=2, sort_keys=True)
+    if rows:
+        objects = "\n    },\n    {\n      ".join(_ROW_ENCODER.encode(r)[1:-1] for r in rows)
+        text = text.replace(
+            '\n  "per_instance": []',
+            '\n  "per_instance": [\n    {\n      ' + objects + "\n    }\n  ]",
+            1,
+        )
+    return text + "\n"
+
+
 def evaluate_run(run_dir) -> metrics.EvalReport:
     """Recompute the metric report for a finished run, offline."""
     run_dir = Path(run_dir)
@@ -469,13 +487,12 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
         },
         "per_instance": [vars(r) for r in rows],
     }
-    (run_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (run_dir / "report.json").write_text(_report_json(payload), encoding="utf-8")
+    names = [f.name for f in fields(metrics.InstanceEval)]
     with open(run_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(metrics.InstanceEval)])
-        writer.writeheader()
-        writer.writerows(map(vars, rows))
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(map(operator.attrgetter(*names), rows))
     return report
 
 

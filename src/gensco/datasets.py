@@ -145,11 +145,13 @@ def _load_musique(raw: bytes, path: Path) -> Iterator[tuple[str, MultiHopInstanc
 
 
 def read(path) -> bytes:
-    """The bytes of the dataset file at ``path``; ParseError when there is none."""
+    """The bytes of the dataset file at ``path``; ParseError when it cannot be
+    read (missing, a directory, not readable)."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    return path.read_bytes()
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot be read ({exc.strerror})") from exc
 
 
 def load(cfg: DatasetConfig, raw: Optional[bytes] = None) -> list[MultiHopInstance]:

@@ -59,16 +59,23 @@ class EvalReport:
 
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT = re.compile(f"[{re.escape(string.punctuation)}]")
+
+
+class _Normalized(str):
+    """Text as normalize_answer returns it. Normalizing is idempotent, so
+    normalize_answer returns such text as it is: a row's prediction is
+    normalized once for its answer metrics and its k-precision."""
 
 
 def normalize_answer(text: str) -> str:
     """SQuAD-style normalization: lower-case, strip punctuation, drop
     the articles a/an/the, collapse whitespace."""
-    text = text.lower()
-    text = text.translate(_PUNCT_TABLE)
+    if type(text) is _Normalized:
+        return text
+    text = _PUNCT.sub("", text.lower())
     text = _ARTICLES.sub(" ", text)
-    return " ".join(text.split())
+    return _Normalized(" ".join(text.split()))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -140,6 +147,7 @@ def evaluate_instance(
     supporting_indices: Optional[frozenset[int]],
 ) -> InstanceEval:
     """The report row of one answered instance."""
+    predicted = normalize_answer(predicted)
     am = answer_metrics(predicted, gold)
     row = (instance_id, am.em, am.f1, am.precision, am.recall, k_precision(predicted, passages))
     if supporting_indices is None:

@@ -114,6 +114,11 @@ def _field_codecs(cls) -> tuple[tuple[str, Any, Any, bool], ...]:
     return tuple((f.name, *_codec(hints[f.name]), f.default is None) for f in fields(cls))
 
 
+@functools.cache
+def _has_post_init(cls) -> bool:
+    return hasattr(cls, "__post_init__")
+
+
 class Record:
     """A frozen dataclass whose dict form is derived from its fields: an
     enum is its value, a tuple a list, a frozenset a sorted list and a
@@ -129,13 +134,18 @@ class Record:
 
     @classmethod
     def from_dict(cls: type[R], d: dict[str, Any]) -> R:
-        kwargs = {}
+        # Built as the dataclass __init__ builds it, without its keyword
+        # call: every field set, then __post_init__'s checks.
+        record = object.__new__(cls)
+        values = record.__dict__
         for name, _, decode, optional in _field_codecs(cls):
             try:
-                kwargs[name] = decode(d.get(name) if optional else d[name])
+                values[name] = decode(d.get(name) if optional else d[name])
             except (TypeError, ValueError) as exc:  # a ValueError: not an enum's value
                 raise TypeError(f"{cls.__name__}.{name}: {exc}") from exc
-        return cls(**kwargs)
+        if _has_post_init(cls):
+            record.__post_init__()
+        return record
 
 
 @dataclass(frozen=True)
@@ -316,20 +326,32 @@ def append_jsonl(fh, record: dict[str, Any]) -> None:
 def text_lines(raw: bytes) -> list[bytes]:
     """The lines of a file's bytes as text mode reads them: split at "\\n",
     "\\r\\n" or "\\r", each but an unended last one ending in "\\n"."""
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw.splitlines(keepends=True)
 
 
 def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> Iterator[Any]:
     """``decode`` of each record of a JSON-lines file, skipping blank lines; a line
     that is not UTF-8 JSON (nested past the decoder's depth included) or that
-    ``decode`` rejects is a CorruptTrace naming path:line."""
-    with open(path, "rb") as fh:
-        lines = text_lines(fh.read())
+    ``decode`` rejects is a CorruptTrace naming path:line, as is a file that
+    cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            lines = text_lines(fh.read())
+    except OSError as exc:  # a directory, say
+        raise CorruptTrace(f"{path}: cannot be read ({exc.strerror})") from exc
     for lineno, line in enumerate(lines, start=1):
         try:
-            if not line.decode("utf-8").strip():
-                continue
-            record = decode(load_json(line))
+            try:
+                value = load_json(line)
+            except (ValueError, RecursionError):
+                # Only a line JSON refuses can be blank; its decoding names a
+                # line that is not UTF-8.
+                if not line.decode("utf-8").strip():
+                    continue
+                raise
+            record = decode(value)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
         yield record

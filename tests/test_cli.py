@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from gensco import baselines, cli, metrics
 from gensco.datasets import DatasetConfig, load
@@ -679,6 +680,64 @@ class TestEvaluateRun:
         assert "fatal" in result.output and f"{path}:2" in result.output
         assert "UnicodeDecodeError" in result.output
 
+    @pytest.mark.parametrize("name", ["instances.jsonl", "traces.jsonl", "answers.jsonl"])
+    def test_run_file_that_is_a_directory_exits_2(self, tmp_path, name):
+        run_dir = self.finished_run(tmp_path, n=2)
+        path = run_dir / name
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(cli.CorruptTrace, match="cannot be read"):
+            cli.evaluate_run(run_dir)
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert f"fatal: {path}: cannot be read (Is a directory)" in result.output
+        assert not (run_dir / "report.json").exists()
+
+# Values where a writer other than json.dumps tends to differ: orjson
+# writes 1e-05 as 0.00001 and 1e+16 as 1e16, and has no ensure_ascii.
+REPORT_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 1e-05, 1e+16, -0.0, 0.1 + 0.2]
+)
+# Non-ASCII, astral, lone surrogates, DEL and the characters JSON escapes.
+INSTANCE_IDS = st.text(st.characters(blacklist_categories=()), max_size=8) | st.sampled_from(
+    ["bench-5-00000", "é", "\U0001f600", "\ud800", "\x7f", '"\\/\n\x00', "\u2028"]
+)
+
+
+@st.composite
+def report_payloads(draw):
+    """A report.json payload as evaluate_run builds it."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        labelled = draw(st.booleans())
+        retrieval = REPORT_FLOATS if labelled else st.none()
+        counts = st.integers(-3, 12) if labelled else st.none()
+        rows.append(vars(metrics.InstanceEval(
+            draw(INSTANCE_IDS), draw(st.integers(0, 1)), *(draw(REPORT_FLOATS) for _ in range(4)),
+            draw(retrieval), draw(retrieval), draw(retrieval), draw(counts), draw(counts),
+        )))
+    means = draw(st.dictionaries(st.sampled_from(metrics.MEAN_FIELDS), REPORT_FLOATS))
+    hist = draw(st.dictionaries(
+        st.integers(0, 12).map(str),
+        st.dictionaries(st.integers(-3, 12).map(str), st.integers(1, 500), min_size=1),
+    ))
+    return {
+        "count": len(rows),
+        "means": means,
+        "percents": {k: v * 100.0 for k, v in means.items()},
+        "delta_hops_hist": hist,
+        "per_instance": rows,
+    }
+
+
+class TestReportJson:
+    @settings(max_examples=400, deadline=None)
+    @given(report_payloads())
+    def test_bytes_are_those_of_json_dumps_with_indent(self, payload):
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert cli._report_json(payload) == expected
+
+
 class TestPipelineConfig:
     @pytest.mark.parametrize("dataset", list(Dataset))
     @pytest.mark.parametrize("variant", list(Variant))
@@ -1193,6 +1252,24 @@ class TestCommandLine:
         config_path = self.write_config(tmp_path, cfg)
         result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "where,reason",
+        [("dataset-dir", "Is a directory"), ("synthetic.json/dataset.json", "Not a directory")],
+        ids=["a-directory", "under-a-file"],
+    )
+    def test_dataset_path_that_cannot_be_read_exits_2(self, tmp_path, where, reason):
+        cfg = make_run_config(tmp_path, 2)
+        path = tmp_path / where
+        if where == "dataset-dir":
+            path.mkdir()
+        cfg["dataset_path"] = str(path)
+        config_path = self.write_config(tmp_path, cfg)
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert f"fatal: {path}: cannot be read ({reason})" in result.output
+        assert not (run_dir / "traces.jsonl").exists()
 
     def test_limit_above_dataset_size_exits_2(self, tmp_path):
         config_path = self.write_config(tmp_path, make_run_config(tmp_path, 10))

@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import re
 import string
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gensco.metrics import (
     AnswerMetrics,
@@ -64,6 +65,41 @@ class TestNormalize:
 
     def test_whitespace_collapsed(self):
         assert normalize_answer("  a   big   deal ") == "big deal"
+
+
+def translate_normalize(text):
+    """normalize_answer as it deleted punctuation with a translate table."""
+    text = text.lower()
+    text = text.translate(str.maketrans("", "", string.punctuation))
+    text = re.sub(r"\b(a|an|the)\b", " ", text)
+    return " ".join(text.split())
+
+
+# Any character, surrogates included, and the ones normalization treats
+# specially: the 32 ASCII punctuation marks, capital sigma (final or not
+# by what follows it), dotted capital I (two characters lower-cased),
+# whitespace that str.split takes but a space-only rule would not (NEL,
+# U+2028, U+3000, the ASCII separators), and the articles.
+NORMALIZE_PIECES = (
+    st.characters(blacklist_categories=())
+    | st.sampled_from(list(string.punctuation))
+    | st.sampled_from(["Σ", "ΑΣ", "ΟΔΟΣ", "İ", "\x85", "\u2028", "\u3000", "\x1c", "\xa0"])
+    | st.sampled_from([" ", "a", "an", "the", "The", "A", "AN"])
+)
+
+
+class TestNormalizeAgainstTranslateTable:
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(NORMALIZE_PIECES, max_size=24).map("".join))
+    @example("ΟΔΟΣ. ΑΣ! Σ")
+    @example("İstanbul, the city")
+    @example("a\x85an\u2028the-a.b")
+    @example("t.h.e a's")
+    def test_same_text_as_the_translate_table(self, text):
+        assert normalize_answer(text) == translate_normalize(text)
+        # normalize_answer returns its own output as it is; that is exact
+        # because normalizing is idempotent.
+        assert translate_normalize(translate_normalize(text)) == translate_normalize(text)
 
 
 ORACLE_PAIRS = [

@@ -454,6 +454,81 @@ class TestReadJsonlAsTextMode:
         assert (repr(records), failure) == (repr(expected), expected_failure)
 
 
+def text_mode_lines(raw):
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+
+
+def strip_first_read_jsonl(path, decode=lambda record: record):
+    """read_jsonl as it decoded and stripped every line before parsing it."""
+    with open(path, "rb") as fh:
+        lines = text_mode_lines(fh.read())
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if not line.decode("utf-8").strip():
+                continue
+            record = decode(load_json(line))
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
+        yield record
+
+
+def read_until_corrupt(reader, path, decode):
+    """The records a reader yields and the message of its CorruptTrace, if any."""
+    records = []
+    try:
+        for record in reader(path, decode):
+            records.append(record)
+    except CorruptTrace as exc:
+        return repr(records), str(exc)
+    return repr(records), None
+
+
+RANKING_LINES = st.fixed_dictionaries(
+    {"instance_id": st.text(max_size=3) | st.integers(), "ranking": st.lists(
+        st.integers(0, 9) | st.sampled_from(["1", None, 1.5]), max_size=3
+    )}
+).map(json.dumps)
+JSONL_LINES = st.one_of(
+    json_documents(),
+    WHITESPACE.map(lambda text: text.encode("utf-8")),
+    # Integers at and past 64 bits, and nesting about the depth at which
+    # load_json leaves orjson for json.loads.
+    st.integers(-(10**20), 10**20).map(lambda n: f'{{"k": {n}}}'.encode()),
+    st.integers(250, 260).map(lambda depth: b"[" * depth + b"1" + b"]" * depth),
+    RANKING_LINES.map(str.encode),
+    st.binary(max_size=6),
+)
+DECODERS = {
+    "as-is": lambda record: record,
+    "key-k": lambda record: record["k"],
+    "ranking": Ranking.from_dict,
+}
+
+
+class TestReadJsonlParseFirst:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(JSONL_LINES, st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=6),
+        st.booleans(),
+        st.sampled_from(sorted(DECODERS)),
+    )
+    @example([("\u2028 \x85\u3000".encode(), b"\r\n"), (b'{"k": 1}', b"\r")], False, "key-k")
+    @example([(b"[" * 256 + b"]" * 256, b"\n")], True, "as-is")
+    @example([(b'{"k": 12345678901234567890}', b"\n"), (b"\xff", b"\n")], False, "key-k")
+    def test_same_records_and_message_as_the_strip_first_reader(
+        self, tmp_path_factory, lines, unended, decoder
+    ):
+        content = b"".join(line + end for line, end in lines)
+        if unended and lines:
+            content = content[: -len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        path.write_bytes(content)
+        decode = DECODERS[decoder]
+        assert read_until_corrupt(read_jsonl, path, decode) == read_until_corrupt(
+            strip_first_read_jsonl, path, decode
+        )
+
+
 class TestReplayTrace:
     def test_consistent_trace_replays(self):
         assert replay_trace(sample_trace())
