@@ -190,7 +190,10 @@ def _cut_to_whole_instances(paths: Sequence[Path]) -> int:
     (newline-ended) lines any of them holds, and return N: a run killed
     between or inside its appends keeps the instances every file holds
     whole. A file that is N lines long already is not written."""
-    contents = [path.read_bytes() if path.exists() else b"" for path in paths]
+    try:
+        contents = [path.read_bytes() if path.exists() else b"" for path in paths]
+    except OSError as exc:  # a directory, say
+        raise CorruptTrace(f"{exc.filename}: cannot be read ({exc.strerror})") from exc
     n = min(data.count(b"\n") for data in contents)
     for path, data in zip(paths, contents):
         end = 0
@@ -287,12 +290,13 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     """Execute (or resume) one run; returns the process exit code."""
     cfg = _check_config(cfg)
     run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    invocations = _previous_invocations(manifest_path)
     run_dir.mkdir(parents=True, exist_ok=True)
     dataset = Dataset(cfg["dataset"])
     dataset_path = Path(cfg["dataset_path"])
     dataset_bytes = datasets.read(dataset_path)  # the manifest's digest is of what was loaded
+    dataset_digest = hashlib.sha256(dataset_bytes).hexdigest()
+    manifest_path = run_dir / "manifest.json"
+    invocations = _previous_invocations(manifest_path, cfg, dataset_digest)
     instances = datasets.load(
         datasets.DatasetConfig(
             dataset=dataset, path=str(dataset_path), limit=cfg.get("limit")
@@ -386,7 +390,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     manifest = {
         "run_id": _run_id(run_dir),
         "config": cfg,
-        "dataset_digest": hashlib.sha256(dataset_bytes).hexdigest(),
+        "dataset_digest": dataset_digest,
         "backends": {
             "generator": gateway.generator.backend_id,
             "scorer": gateway.scorer.backend_id,
@@ -401,16 +405,44 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     return 1 if failures else 0
 
 
-def _previous_invocations(manifest_path: Path) -> list[dict[str, Any]]:
-    """The invocations listed by the run's earlier manifest, if any."""
+# The config keys a resume may change: no record depends on them.
+_RESUMABLE_KEYS = frozenset({"limit", "concurrency", "scorer_concurrency", "cache_dir"})
+
+
+def _previous_invocations(
+    manifest_path: Path, cfg: dict[str, Any], dataset_digest: str
+) -> list[dict[str, Any]]:
+    """The invocations listed by the run's earlier manifest, if any. A
+    ConfigError names the config keys other than _RESUMABLE_KEYS whose
+    values differ from the earlier run's, or a dataset whose bytes do."""
     if not manifest_path.exists():
         return []
     try:
-        invocations = load_json(manifest_path.read_bytes()).get("invocations", [])
+        manifest = load_json(manifest_path.read_bytes())
+        invocations = manifest.get("invocations", [])
+        earlier = manifest.get("config")
+    except OSError as exc:  # a directory, say
+        raise CorruptTrace(f"{manifest_path}: cannot be read ({exc.strerror})") from exc
     except (ValueError, AttributeError, RecursionError) as exc:
         raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
     if type(invocations) is not list:
         raise CorruptTrace(f"{manifest_path}: 'invocations' is not a list: {invocations!r}")
+    if type(earlier) is not dict:
+        raise CorruptTrace(f"{manifest_path}: 'config' is not a mapping: {earlier!r}")
+    changed = sorted(
+        key for key in (cfg.keys() | earlier.keys()) - _RESUMABLE_KEYS
+        if cfg.get(key) != earlier.get(key)
+    )
+    if changed:
+        raise ConfigError(
+            f"{manifest_path}: the run was made with other values of config keys {changed};"
+            f" a resume may change only {', '.join(sorted(_RESUMABLE_KEYS))}"
+        )
+    if manifest.get("dataset_digest") != dataset_digest:
+        raise ConfigError(
+            f"{manifest_path}: the run was made from other dataset bytes than"
+            f" {cfg['dataset_path']} holds now"
+        )
     return invocations
 
 
@@ -539,19 +571,13 @@ def main() -> None:
 
 
 @main.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--run-dir", required=True, type=click.Path())
-@click.option("--dataset", default=None)
-@click.option("--variant", default=None)
 @click.option("--limit", default=None, type=int)
-@click.option("--concurrency", default=None, type=int)
-@click.option("--cache-dir", default=None, type=click.Path())
-@click.option("--backend-generator-url", "generator_url", default=None)
-@click.option("--backend-scorer-url", "scorer_url", default=None)
-def cmd_run(config_path, run_dir, **overrides) -> None:
+def cmd_run(config, run_dir, limit) -> None:
     """Run a pipeline or baseline over a dataset (resumable)."""
     try:
-        cfg = load_config(config_path, overrides)
+        cfg = load_config(config, {"limit": limit})
         code = run_batch(cfg, run_dir)
     except (
         ConfigError,

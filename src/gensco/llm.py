@@ -611,17 +611,14 @@ class ResponseCache:
                     os.unlink(tmp)
 
 
-class _MemoryCache:
-    def __init__(self) -> None:
-        self._store: dict[str, Any] = {}
-        self._lock = threading.Lock()
+class _NoCache:
+    """The store of a gateway without a cache_dir: no request repeats in a run, so it keeps none."""
 
-    def get(self, key: str) -> Optional[Any]:
-        return self._store.get(key)
+    def get(self, key: str) -> None:
+        return None
 
     def put(self, key: str, value: Any) -> None:
-        with self._lock:
-            self._store[key] = value
+        pass
 
 
 def _truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
@@ -648,7 +645,7 @@ def _is_score(entry: Any) -> bool:
 
 
 class LlmGateway:
-    """Front door for all LLM traffic: caching, retries, counters.
+    """Front door for all LLM traffic: the disk cache (given a cache_dir), retries, counters.
 
     Call counters are bucketed by purpose ("decomposition", "answer",
     "relevance", "stop") so a run manifest can audit the call budget.
@@ -665,7 +662,7 @@ class LlmGateway:
     ) -> None:
         self.generator = generator
         self.scorer = scorer
-        self.cache = ResponseCache(cache_dir) if cache_dir else _MemoryCache()
+        self.cache = ResponseCache(cache_dir) if cache_dir else _NoCache()
         self.retry_base_delay = retry_base_delay
         self._lock = threading.Lock()
         self.generator_calls: dict[str, int] = {}

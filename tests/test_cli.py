@@ -35,7 +35,9 @@ def make_run_config(tmp_path, n_instances, variant=Variant.MAX, **extra):
     write_synthetic_dataset(data_path, n_instances)
     instances = load(DatasetConfig(Dataset.SYNTHETIC, str(data_path)))
     pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, variant)
-    backend = build_synthetic_script(instances, pipe_cfg)
+    # No-QD has no FIN to end on: it may select at each of max_levels levels.
+    n_levels = pipe_cfg.max_levels if variant is Variant.NO_QD else 3
+    backend = build_synthetic_script(instances, pipe_cfg, n_levels)
     script_path = tmp_path / "script.json"
     backend.to_file(script_path)
     cfg = {
@@ -537,6 +539,22 @@ class TestBaselineRun:
             "baseline answer syn-001",
         ]
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda variant: variant.value)
+    def test_no_request_repeats_within_a_fresh_run(self, tmp_path, variant):
+        # A store that kept responses for one run only would never be read.
+        if variant in (Variant.BM25, Variant.PRECOMPUTED):
+            rankings = {f"syn-{i:03d}": [4, 2, 0] for i in range(4)}
+            _, cfg = self.baseline_run(
+                tmp_path, 4, variant, rankings if variant is Variant.PRECOMPUTED else None
+            )
+        else:
+            cfg = make_run_config(tmp_path, 4, variant)
+        cache_dir = tmp_path / "cache"
+        assert cli.run_batch({**cfg, "cache_dir": str(cache_dir)}, tmp_path / "run") == 0
+        calls = json.loads(read_bytes(tmp_path / "run", "manifest.json"))["llm_calls"]
+        assert calls["cache_hits"] == 0
+        assert calls["cache_misses"] == len(list(cache_dir.rglob("*.json"))) > 0
+
     def test_precomputed_requires_rankings_file(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)
         cfg["variant"] = "precomputed"
@@ -887,15 +905,108 @@ class TestCommandLine:
         assert result.exit_code == 0, result.output
         assert len(read_bytes(run_dir, "traces.jsonl").splitlines()) == 2
 
-    def test_run_seed_option_is_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--seed", "3"),
+            ("--dataset", "synthetic"),
+            ("--variant", "gensco-max"),
+            ("--concurrency", "2"),
+            ("--cache-dir", "cache"),
+            ("--backend-generator-url", "http://localhost:8000"),
+            ("--backend-scorer-url", "http://localhost:8001"),
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_run_option_that_is_not_offered_is_a_usage_error(self, tmp_path, monkeypatch, option):
+        # The config file sets each of these keys; only --limit overrides one.
+        monkeypatch.chdir(tmp_path)  # where a relative --cache-dir would land
         config_path = self.write_config(tmp_path, make_run_config(tmp_path, 2))
         run_dir = tmp_path / "r"
-        result = self.invoke(
-            "run", "--config", config_path, "--run-dir", str(run_dir), "--seed", "3"
-        )
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir), *option)
         assert result.exit_code == 2
-        assert "No such option" in result.output and "--seed" in result.output
+        assert "No such option" in result.output and option[0] in result.output
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "name", ["instances.jsonl", "traces.jsonl", "answers.jsonl", "manifest.json", "config.yaml"]
+    )
+    def test_run_file_or_config_that_is_a_directory_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch, name
+    ):
+        config_path = self.write_config(tmp_path, make_run_config(tmp_path, 3))
+        run_dir = tmp_path / "r"
+        run = ("run", "--config", config_path, "--run-dir", str(run_dir))
+        assert self.invoke(*run, "--limit", "2").exit_code == 0
+        path = (tmp_path if name == "config.yaml" else run_dir) / name
+        path.unlink()
+        path.mkdir()
+        calls = []
+        for method in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, method, lambda backend, req: calls.append(req))
+        result = self.invoke(*run)
+        assert result.exit_code == 2, result.output
+        if name == "config.yaml":  # a usage error
+            assert f"'{path}' is a directory" in result.output
+        else:
+            assert f"fatal: {path}: cannot be read (Is a directory)" in result.output
+        assert not calls
+
+    def test_resume_with_other_config_values_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = make_run_config(tmp_path, 4, Variant.STOP)
+        run_dir = tmp_path / "r"
+        run = ("run", "--config", self.write_config(tmp_path, cfg), "--run-dir", str(run_dir))
+        assert self.invoke(*run, "--limit", "2").exit_code == 0
+        before = {name: read_bytes(run_dir, name) for name in ("traces.jsonl", "manifest.json")}
+        changed = {**cfg, "dedupe_pool": True, "max_levels": 2}
+        run = ("run", "--config", self.write_config(tmp_path, changed), "--run-dir", str(run_dir))
+        calls = []
+        for name in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, name, lambda backend, req: calls.append(req))
+        result = self.invoke(*run)
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and "['dedupe_pool', 'max_levels']" in result.output
+        assert not calls
+        assert {name: read_bytes(run_dir, name) for name in before} == before
+
+    def test_resume_on_an_edited_dataset_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = make_run_config(tmp_path, 4)
+        run_dir = tmp_path / "r"
+        run = ("run", "--config", self.write_config(tmp_path, cfg), "--run-dir", str(run_dir))
+        assert self.invoke(*run, "--limit", "2").exit_code == 0
+        before = {name: read_bytes(run_dir, name) for name in ("traces.jsonl", "manifest.json")}
+        write_synthetic_dataset(cfg["dataset_path"], 5)
+        calls = []
+        for name in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, name, lambda backend, req: calls.append(req))
+        result = self.invoke(*run)
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and cfg["dataset_path"] in result.output
+        assert not calls
+        assert {name: read_bytes(run_dir, name) for name in before} == before
+
+    def test_resume_may_raise_limit_and_change_keys_no_record_reads(self, tmp_path):
+        cfg = make_run_config(tmp_path, 4, Variant.STOP)
+        fresh = tmp_path / "fresh"
+        assert cli.run_batch(cfg, fresh) == 0
+        run_dir = tmp_path / "r"
+        assert cli.run_batch({**cfg, "limit": 2}, run_dir) == 0
+        resumed = {
+            **cfg, "limit": 3, "concurrency": 2, "scorer_concurrency": 2,
+            "cache_dir": str(tmp_path / "cache"),
+        }
+        assert cli.run_batch(resumed, run_dir) == 0
+        assert len(read_bytes(run_dir, "traces.jsonl").splitlines()) == 3
+        assert cli.run_batch(cfg, run_dir) == 0
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(run_dir, name) == read_bytes(fresh, name)
+        manifest = json.loads(read_bytes(run_dir, "manifest.json"))
+        assert manifest["config"] == cfg
+        assert [i["instances_skipped"] for i in manifest["invocations"]] == [0, 2, 3]
 
     def test_config_that_is_not_yaml_exits_2(self, tmp_path):
         path = tmp_path / "config.yaml"

@@ -130,16 +130,30 @@ class TestScoreContinuation:
 
 
 class TestCache:
-    def test_cold_then_warm_equal(self):
+    def test_cold_then_warm_equal(self, tmp_path):
         backend = ScriptedBackend()
         req = ScorerRequest(prompt="p", continuation=" q")
         backend.add_logprobs(req, [-0.5, -1.5])
-        gw = gateway_for(backend)
+        gw = gateway_for(backend, cache_dir=tmp_path)
         first = gw.score_continuation(req)
         assert (gw.stats()["cache_misses"], gw.stats()["cache_hits"]) == (1, 0)
         second = gw.score_continuation(req)
         assert (gw.stats()["cache_misses"], gw.stats()["cache_hits"]) == (1, 1)
         assert first == second
+
+    def test_without_cache_dir_nothing_is_stored_and_every_call_misses(self):
+        backend = ScriptedBackend()
+        greq = GeneratorRequest(prompt="p")
+        sreq = ScorerRequest(prompt="p", continuation=" q")
+        backend.add_completion(greq, "out")
+        backend.add_logprobs(sreq, [-0.5, -1.5])
+        gw = gateway_for(backend)
+        for _ in range(2):
+            assert gw.generate(greq) == "out"
+            assert gw.score_continuation(sreq) == 1.0
+        for req in (greq, sreq):
+            assert gw.cache.get(f"{backend.backend_id}\0{req.fingerprint}") is None
+        assert (gw.stats()["cache_misses"], gw.stats()["cache_hits"]) == (4, 0)
 
     def test_disk_cache_survives_new_gateway(self, tmp_path):
         backend = ScriptedBackend()
@@ -284,13 +298,13 @@ class TestCache:
             backend.add_completion(greq, "out")
             backend.add_logprobs(sreq, [-1.0])
         gw = gateway_for(backend)
-        for _ in range(2):  # a miss, then a hit
+        for _ in range(2):  # without a cache_dir, a miss each time
             for greq, sreq in zip(generated, scored):
                 gw.generate(greq)
                 gw.score_continuation(sreq)
-        # Scripted lookups and memory-cache calls hash nothing more.
+        # Scripted lookups hash nothing more.
         assert len(hashed) == 2 * n
-        assert (gw.stats()["cache_misses"], gw.stats()["cache_hits"]) == (2 * n, 2 * n)
+        assert (gw.stats()["cache_misses"], gw.stats()["cache_hits"]) == (4 * n, 0)
 
     def test_counters_by_purpose(self):
         backend = ScriptedBackend()
@@ -620,9 +634,10 @@ class TestHttpBackend:
             }}]}
             expected = json.loads(json.dumps(logprobs))
             gw = gateway_for(backend)
-            req = ScorerRequest("Question:", " who is it?")
-            gw.score_continuation(req)
-            entry = gw.cache.get(f"{backend.backend_id}\0{req.fingerprint}")
+            stored = []
+            gw.cache.put = lambda key, value: stored.append(value)
+            gw.score_continuation(ScorerRequest("Question:", " who is it?"))
+            (entry,) = stored
             assert list(map(repr, entry["token_logprobs"])) == list(map(repr, expected))
             assert json.dumps(entry, ensure_ascii=False, sort_keys=True) == json.dumps(
                 {"token_logprobs": expected, "mean_nll": -sum(expected) / len(expected)},
