@@ -4,7 +4,7 @@ finished runs offline, and emit plot-ready tables.
 Run directory layout: manifest.json, instances.jsonl, traces.jsonl,
 answers.jsonl, failures.jsonl (when the last invocation had failures),
 report.json and report.csv after evaluation. Exit codes: 0 ok,
-1 instance failures, 2 fatal.
+1 instance failures, 2 fatal: bad input, or a path the system refuses.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh) or {}
-        except (yaml.YAMLError, RecursionError) as exc:  # nested past the parser's depth
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nested past the parser's depth
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
@@ -190,10 +191,7 @@ def _cut_to_whole_instances(paths: Sequence[Path]) -> int:
     (newline-ended) lines any of them holds, and return N: a run killed
     between or inside its appends keeps the instances every file holds
     whole. A file that is N lines long already is not written."""
-    try:
-        contents = [path.read_bytes() if path.exists() else b"" for path in paths]
-    except OSError as exc:  # a directory, say
-        raise CorruptTrace(f"{exc.filename}: cannot be read ({exc.strerror})") from exc
+    contents = [path.read_bytes() if path.exists() else b"" for path in paths]
     n = min(data.count(b"\n") for data in contents)
     for path, data in zip(paths, contents):
         end = 0
@@ -290,10 +288,9 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     """Execute (or resume) one run; returns the process exit code."""
     cfg = _check_config(cfg)
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     dataset = Dataset(cfg["dataset"])
     dataset_path = Path(cfg["dataset_path"])
-    dataset_bytes = datasets.read(dataset_path)  # the manifest's digest is of what was loaded
+    dataset_bytes = dataset_path.read_bytes()  # the manifest's digest is of what was loaded
     dataset_digest = hashlib.sha256(dataset_bytes).hexdigest()
     manifest_path = run_dir / "manifest.json"
     invocations = _previous_invocations(manifest_path, cfg, dataset_digest)
@@ -330,6 +327,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
                 )
     gateway = _build_gateway(cfg)
 
+    run_dir.mkdir(parents=True, exist_ok=True)  # once every input has loaded
     traces_path = run_dir / "traces.jsonl"
     answers_path = run_dir / "answers.jsonl"
     instances_path = run_dir / "instances.jsonl"
@@ -421,8 +419,6 @@ def _previous_invocations(
         manifest = load_json(manifest_path.read_bytes())
         invocations = manifest.get("invocations", [])
         earlier = manifest.get("config")
-    except OSError as exc:  # a directory, say
-        raise CorruptTrace(f"{manifest_path}: cannot be read ({exc.strerror})") from exc
     except (ValueError, AttributeError, RecursionError) as exc:
         raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
     if type(invocations) is not list:
@@ -565,6 +561,32 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
             csv.writer(fh).writerows(table)
 
 
+# The errors of input that a command reports as a fatal line.
+_INPUT_ERRORS = (
+    ConfigError,
+    CorruptTrace,
+    datasets.ParseError,
+    datasets.SchemaError,
+    datasets.SizeTooLarge,
+    ValidationError,
+)
+
+
+def _or_exit_2(fn: Callable, *args) -> Any:
+    """``fn(*args)``; an input error, or an OSError on a path the system
+    refuses, is a ``fatal:`` line and exit code 2. An OSError on no path,
+    a bug or a transport fault rather than bad input, propagates."""
+    try:
+        return fn(*args)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        click.echo(f"fatal: {exc.filename}: {exc.strerror}", err=True)
+    except _INPUT_ERRORS as exc:
+        click.echo(f"fatal: {exc}", err=True)
+    sys.exit(2)
+
+
 @click.group()
 def main() -> None:
     """Greedy passage-sequence selection for multi-hop QA."""
@@ -576,31 +598,15 @@ def main() -> None:
 @click.option("--limit", default=None, type=int)
 def cmd_run(config, run_dir, limit) -> None:
     """Run a pipeline or baseline over a dataset (resumable)."""
-    try:
-        cfg = load_config(config, {"limit": limit})
-        code = run_batch(cfg, run_dir)
-    except (
-        ConfigError,
-        CorruptTrace,
-        datasets.ParseError,
-        datasets.SchemaError,
-        datasets.SizeTooLarge,
-        ValidationError,
-    ) as exc:
-        click.echo(f"fatal: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(code)
+    cfg = _or_exit_2(load_config, config, {"limit": limit})
+    sys.exit(_or_exit_2(run_batch, cfg, run_dir))
 
 
 @main.command("eval")
 @click.argument("run_dir", type=click.Path(exists=True))
 def cmd_eval(run_dir) -> None:
     """Compute metric reports for a finished run."""
-    try:
-        report = evaluate_run(run_dir)
-    except CorruptTrace as exc:
-        click.echo(f"fatal: {exc}", err=True)
-        sys.exit(2)
+    report = _or_exit_2(evaluate_run, run_dir)
     for name, value in sorted(report.percents.items()):
         click.echo(f"{name}: {value:.2f}")
     sys.exit(0)
@@ -625,11 +631,7 @@ def _subset_sizes(ctx, param, value: str) -> tuple[int, ...]:
 @click.option("--seed", default=0, type=int)
 def cmd_plotdata(run_dirs, out_dir, subset_sizes, seed) -> None:
     """Emit scatter/histogram/subset tables for finished runs."""
-    try:
-        emit_plotdata(run_dirs, out_dir, subset_sizes, seed)
-    except CorruptTrace as exc:
-        click.echo(f"fatal: {exc}", err=True)
-        sys.exit(2)
+    _or_exit_2(emit_plotdata, run_dirs, out_dir, subset_sizes, seed)
     sys.exit(0)
 
 

@@ -144,22 +144,12 @@ def _load_musique(raw: bytes, path: Path) -> Iterator[tuple[str, MultiHopInstanc
         )
 
 
-def read(path) -> bytes:
-    """The bytes of the dataset file at ``path``; ParseError when it cannot be
-    read (missing, a directory, not readable)."""
-    path = Path(path)
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot be read ({exc.strerror})") from exc
-
-
 def load(cfg: DatasetConfig, raw: Optional[bytes] = None) -> list[MultiHopInstance]:
     """The instances of the dataset file ``cfg.path``, parsed from ``raw``,
     its bytes, when the caller has read them."""
     path = Path(cfg.path)
     if raw is None:
-        raw = read(path)
+        raw = path.read_bytes()
     if cfg.dataset is Dataset.MUSIQUE:
         records = _load_musique(raw, path)
     else:

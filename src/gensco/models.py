@@ -334,13 +334,10 @@ def text_lines(raw: bytes) -> list[bytes]:
 def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> Iterator[Any]:
     """``decode`` of each record of a JSON-lines file, skipping blank lines; a line
     that is not UTF-8 JSON (nested past the decoder's depth included) or that
-    ``decode`` rejects is a CorruptTrace naming path:line, as is a file that
-    cannot be read."""
-    try:
-        with open(path, "rb") as fh:
-            lines = text_lines(fh.read())
-    except OSError as exc:  # a directory, say
-        raise CorruptTrace(f"{path}: cannot be read ({exc.strerror})") from exc
+    ``decode`` rejects is a CorruptTrace naming path:line. A file that cannot
+    be read raises the OSError that names it."""
+    with open(path, "rb") as fh:
+        lines = text_lines(fh.read())
     for lineno, line in enumerate(lines, start=1):
         try:
             try:

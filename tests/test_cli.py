@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import sys
@@ -622,7 +623,7 @@ class TestEvaluateRun:
         assert first == second
 
     def test_missing_files_rejected(self, tmp_path):
-        with pytest.raises(cli.CorruptTrace):
+        with pytest.raises(FileNotFoundError):
             cli.evaluate_run(tmp_path)
 
     def test_corrupt_trace_line_rejected(self, tmp_path):
@@ -704,11 +705,11 @@ class TestEvaluateRun:
         path = run_dir / name
         path.unlink()
         path.mkdir()
-        with pytest.raises(cli.CorruptTrace, match="cannot be read"):
+        with pytest.raises(IsADirectoryError, match="Is a directory"):
             cli.evaluate_run(run_dir)
         result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
         assert result.exit_code == 2, result.output
-        assert f"fatal: {path}: cannot be read (Is a directory)" in result.output
+        assert f"fatal: {path}: Is a directory" in result.output
         assert not (run_dir / "report.json").exists()
 
 # Values where a writer other than json.dumps tends to differ: orjson
@@ -949,8 +950,74 @@ class TestCommandLine:
         if name == "config.yaml":  # a usage error
             assert f"'{path}' is a directory" in result.output
         else:
-            assert f"fatal: {path}: cannot be read (Is a directory)" in result.output
+            assert f"fatal: {path}: Is a directory" in result.output
         assert not calls
+
+    @pytest.mark.parametrize(
+        "command,name,key,make,reason",
+        [
+            ("run", "r", None, "file", "File exists"),
+            ("run", "cache", "cache_dir", "file", "File exists"),
+            ("run", "r/failures.jsonl", None, "dir", "Is a directory"),
+            ("eval", "r/report.json", None, "dir", "Is a directory"),
+            ("eval", "r/report.csv", None, "dir", "Is a directory"),
+            ("plotdata", "plots", None, "file", "File exists"),
+            ("plotdata", "plots/scatter.csv", None, "dir", "Is a directory"),
+            ("run", "dangling.json", "dataset_path", "link", "No such file or directory"),
+            ("run", "dangling.json", "script_file", "link", "No such file or directory"),
+        ],
+        ids=["run-dir-is-a-file", "cache-dir-is-a-file", "failures-is-a-directory",
+             "report-json-is-a-directory", "report-csv-is-a-directory", "out-dir-is-a-file",
+             "scatter-is-a-directory", "dangling-dataset-path", "dangling-script-file"],
+    )
+    def test_path_the_system_refuses_exits_2_before_any_llm_call(
+        self, tmp_path, monkeypatch, command, name, key, make, reason
+    ):
+        cfg = make_run_config(tmp_path, 3)
+        run_dir = tmp_path / "r"
+        if command != "run" or name.startswith("r/"):  # 2 of 3 instances: one left to resume
+            assert cli.run_batch({**cfg, "limit": 2}, run_dir) == 0
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if make == "file":
+            path.write_text("")
+        elif make == "dir":
+            path.mkdir()
+        else:
+            path.symlink_to(tmp_path / "absent.json")
+        if key is not None:
+            cfg[key] = str(path)
+        calls = []
+        for method in ("complete", "token_logprobs"):
+            monkeypatch.setattr(ScriptedBackend, method, lambda backend, req: calls.append(req))
+        result = self.invoke(*{
+            "run": ("run", "--config", self.write_config(tmp_path, cfg), "--run-dir", str(run_dir)),
+            "eval": ("eval", str(run_dir)),
+            "plotdata": ("plotdata", str(run_dir), "--out-dir", str(tmp_path / "plots")),
+        }[command])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        [fatal] = [line for line in result.output.splitlines() if line.startswith("fatal:")]
+        assert str(path) in fatal and reason in fatal
+        assert not calls
+
+    @pytest.mark.parametrize("command", ["run", "eval", "plotdata"])
+    def test_os_error_on_no_path_is_not_reported_as_bad_input(
+        self, tmp_path, monkeypatch, command
+    ):
+        def fail(*args):
+            raise OSError(errno.EIO, "boom")
+
+        for name in ("run_batch", "evaluate_run", "emit_plotdata"):
+            monkeypatch.setattr(cli, name, fail)
+        result = self.invoke(*{
+            "run": ("run", "--config", self.write_config(tmp_path, {}), "--run-dir",
+                    str(tmp_path / "r")),
+            "eval": ("eval", str(tmp_path)),
+            "plotdata": ("plotdata", str(tmp_path), "--out-dir", str(tmp_path / "plots")),
+        }[command])
+        assert result.exit_code != 2
+        assert isinstance(result.exception, OSError) and result.exception.errno == errno.EIO
 
     def test_resume_with_other_config_values_exits_2_before_any_llm_call(
         self, tmp_path, monkeypatch
@@ -1015,6 +1082,16 @@ class TestCommandLine:
         result = self.invoke("run", "--config", str(path), "--run-dir", str(run_dir))
         assert result.exit_code == 2, result.output
         assert "fatal" in result.output and str(path) in result.output
+        assert not run_dir.exists()
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b'dataset: synthetic\nvariant: "\xff"\n')
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", str(path), "--run-dir", str(run_dir))
+        assert result.exit_code == 2, result.output
+        assert f"fatal: {path}: not valid YAML" in result.output
+        assert "can't decode byte 0xff" in result.output
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("dataset", [Dataset.SYNTHETIC, Dataset.MUSIQUE])
@@ -1191,6 +1268,7 @@ class TestCommandLine:
         assert "fatal" in result.output and repr(key) in result.output
         assert str(path) in result.output
         assert not (run_dir / "traces.jsonl").exists()
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -1379,8 +1457,9 @@ class TestCommandLine:
         run_dir = tmp_path / "r"
         result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
         assert result.exit_code == 2, result.output
-        assert f"fatal: {path}: cannot be read ({reason})" in result.output
+        assert f"fatal: {path}: {reason}" in result.output
         assert not (run_dir / "traces.jsonl").exists()
+        assert not run_dir.exists()
 
     def test_limit_above_dataset_size_exits_2(self, tmp_path):
         config_path = self.write_config(tmp_path, make_run_config(tmp_path, 10))

@@ -85,7 +85,7 @@ class TestWikiStyleLoader:
             load(DatasetConfig(Dataset.TWO_WIKI, str(path)))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(FileNotFoundError):
             load(DatasetConfig(Dataset.TWO_WIKI, str(tmp_path / "nope.json")))
 
     def test_order_stable_and_idempotent(self, tmp_path):
