@@ -33,8 +33,8 @@ from .models import (
     AnswerRecord,
     CorruptTrace,
     Dataset,
+    InputError,
     MultiHopInstance,
-    ValidationError,
     Variant,
     append_jsonl,
     load_json,
@@ -45,11 +45,11 @@ from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
-def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
+def load_config(path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh) or {}
@@ -58,9 +58,6 @@ def load_config(path, overrides: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
     return cfg
 
 
@@ -338,6 +335,17 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         raise CorruptTrace(f"{traces_path}: {whole} lines hold {len(done)} instance ids")
     todo = [inst for inst in instances if inst.id not in done]
 
+    manifest = {
+        "run_id": _run_id(run_dir),
+        "config": cfg,
+        "dataset_digest": dataset_digest,
+        "backends": {
+            "generator": gateway.generator.backend_id,
+            "scorer": gateway.scorer.backend_id,
+        },
+        "instances_total": len(instances),
+        "invocations": invocations,
+    }
     started = time.time()
     concurrency = cfg.get("concurrency", 1)
     scorer_helpers = concurrency * (cfg.get("scorer_concurrency", 1) - 1)
@@ -365,6 +373,8 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
         failures_path, "w", encoding="utf-8"
     ) as ff:
+        if todo:  # a resume of a run killed from here on is checked against it
+            _write_manifest(manifest_path, manifest)
         for inst, trace_dict, answer_dict, error in run_in_order(
             process, todo, pool, concurrency - 1
         ):
@@ -385,22 +395,14 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         "instances_failed": failures,
         "llm_calls": gateway.stats(),
     }
-    manifest = {
-        "run_id": _run_id(run_dir),
-        "config": cfg,
-        "dataset_digest": dataset_digest,
-        "backends": {
-            "generator": gateway.generator.backend_id,
-            "scorer": gateway.scorer.backend_id,
-        },
-        "instances_total": len(instances),
-        **invocation,
-        "invocations": invocations + [invocation],
-    }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    _write_manifest(
+        manifest_path, {**manifest, **invocation, "invocations": invocations + [invocation]}
     )
     return 1 if failures else 0
+
+
+def _write_manifest(path: Path, manifest: dict[str, Any]) -> None:
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # The config keys a resume may change: no record depends on them.
@@ -533,8 +535,6 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
         first = named.setdefault(run_id, run_dir)
         if first is not run_dir:
             raise CorruptTrace(f"{first} and {run_dir}: two runs named {run_id!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scatter = [("run_id", "instance_id", "k_precision", "f1", "pearson")]
     delta_hops = [("run_id", "supporting_count", "delta_hops", "count")]
     subsets = [("run_id", "size", *metrics.ANSWER_FIELDS)]
@@ -556,20 +556,11 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
     tables = {"scatter.csv": scatter, "delta_hops.csv": delta_hops}
     if subset_sizes:
         tables["subsets.csv"] = subsets
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # once every run has been read
     for name, table in tables.items():
         with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(table)
-
-
-# The errors of input that a command reports as a fatal line.
-_INPUT_ERRORS = (
-    ConfigError,
-    CorruptTrace,
-    datasets.ParseError,
-    datasets.SchemaError,
-    datasets.SizeTooLarge,
-    ValidationError,
-)
 
 
 def _or_exit_2(fn: Callable, *args) -> Any:
@@ -582,7 +573,7 @@ def _or_exit_2(fn: Callable, *args) -> Any:
         if exc.filename is None:
             raise
         click.echo(f"fatal: {exc.filename}: {exc.strerror}", err=True)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         click.echo(f"fatal: {exc}", err=True)
     sys.exit(2)
 
@@ -598,7 +589,9 @@ def main() -> None:
 @click.option("--limit", default=None, type=int)
 def cmd_run(config, run_dir, limit) -> None:
     """Run a pipeline or baseline over a dataset (resumable)."""
-    cfg = _or_exit_2(load_config, config, {"limit": limit})
+    cfg = _or_exit_2(load_config, config)
+    if limit is not None:
+        cfg["limit"] = limit
     sys.exit(_or_exit_2(run_batch, cfg, run_dir))
 
 

@@ -14,20 +14,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, TypeVar
 
-from .models import Dataset, MultiHopInstance, Passage, load_json, text_lines
+from .models import Dataset, InputError, MultiHopInstance, Passage, load_json, text_lines
 
 T = TypeVar("T")
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     pass
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     pass
 
 
-class SizeTooLarge(ValueError):
+class SizeTooLarge(InputError):
     pass
 
 

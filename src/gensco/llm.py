@@ -358,6 +358,9 @@ _CONTEXT_OVERFLOW_MARKS = ('"context_length_exceeded"', "maximum context length"
 _MAX_RETRY_AFTER_S = 30
 # Tries of a request before a transport failure or busy reply is BackendUnavailable.
 _MAX_ATTEMPTS = 3
+# The wait before the second try, doubled before each later one, unless a
+# busy reply says how long to wait.
+_RETRY_BASE_DELAY_S = 0.5
 
 
 class _Connection:
@@ -487,9 +490,8 @@ class HttpBackend:
             if status == 400 and any(m in text.lower() for m in _CONTEXT_OVERFLOW_MARKS):
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
-        # A body is decoded as json.loads decodes it, in any encoding it detects.
         try:
-            data = load_json(raw, encoding=None)
+            data = load_json(raw)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with a body that is not JSON ({exc})"
@@ -653,17 +655,10 @@ class LlmGateway:
     threads at once, and the run that calls them owns those threads.
     """
 
-    def __init__(
-        self,
-        generator: Backend,
-        scorer: Backend,
-        cache_dir=None,
-        retry_base_delay: float = 0.5,
-    ) -> None:
+    def __init__(self, generator: Backend, scorer: Backend, cache_dir=None) -> None:
         self.generator = generator
         self.scorer = scorer
         self.cache = ResponseCache(cache_dir) if cache_dir else _NoCache()
-        self.retry_base_delay = retry_base_delay
         self._lock = threading.Lock()
         self.generator_calls: dict[str, int] = {}
         self.scorer_calls: dict[str, int] = {}
@@ -694,7 +689,7 @@ class LlmGateway:
                     if isinstance(exc, BackendBusy) and exc.retry_after is not None:
                         time.sleep(min(exc.retry_after, _MAX_RETRY_AFTER_S))
                     else:
-                        time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
+                        time.sleep(_RETRY_BASE_DELAY_S * (2 ** (attempt - 1)))
             self.cache.put(key, value)
         with self._lock:
             calls[purpose] = calls.get(purpose, 0) + 1

@@ -49,24 +49,16 @@ class StopReason(str, Enum):
     MAX_LEVELS = "max_levels"
 
 
-class CorruptTrace(ValueError):
+class InputError(ValueError):
+    """Input that gensco refuses: a command reports it as a fatal line."""
+
+
+class CorruptTrace(InputError):
     """A run file does not hold the records it should."""
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     """An instance violates a domain invariant."""
-
-
-class EmptyPassageSet(ValidationError):
-    pass
-
-
-class DanglingSupportIndex(ValidationError):
-    pass
-
-
-class BlankQuestion(ValidationError):
-    pass
 
 
 def _expect(kinds: tuple[type, ...], convert=None):
@@ -169,11 +161,11 @@ class MultiHopInstance(Record):
     def __post_init__(self) -> None:
         """Check the domain invariants: every instance is valid once built."""
         if not self.passages:
-            raise EmptyPassageSet(f"instance {self.id!r} has no candidate passages")
+            raise ValidationError(f"instance {self.id!r} has no candidate passages")
         if not self.question.strip():
-            raise BlankQuestion(f"instance {self.id!r} has a blank question")
+            raise ValidationError(f"instance {self.id!r} has a blank question")
         if not self.gold_answer.strip():
-            raise BlankQuestion(f"instance {self.id!r} has a blank gold answer")
+            raise ValidationError(f"instance {self.id!r} has a blank gold answer")
         indices = [p.index for p in self.passages]
         if len(set(indices)) != len(indices):
             raise ValidationError(f"instance {self.id!r} has duplicate passage indices")
@@ -185,7 +177,7 @@ class MultiHopInstance(Record):
         if self.supporting_indices is not None:
             dangling = set(self.supporting_indices) - set(indices)
             if dangling:
-                raise DanglingSupportIndex(
+                raise ValidationError(
                     f"instance {self.id!r} supporting indices {sorted(dangling)} "
                     f"do not refer to any passage"
                 )
@@ -301,12 +293,11 @@ def _nests(value: Any, depth: int) -> bool:
     return True
 
 
-def load_json(raw: bytes, encoding: Optional[str] = "utf-8") -> Any:
+def load_json(raw: bytes) -> Any:
     """The value of the JSON document ``raw`` as ``json.loads`` reads it
-    decoded from ``encoding``, or with None as ``json.loads(raw)`` reads it
-    (UTF-8, -16 or -32, after a BOM); a document it refuses raises its
-    error with its message. orjson decodes ``raw`` unless it refuses it or
-    the document has a long digit run or nests _DEEP levels deep."""
+    decoded from UTF-8; a document it refuses raises its error with its
+    message. orjson decodes ``raw`` unless it refuses it or the document
+    has a long digit run or nests _DEEP levels deep."""
     if not _long_digit_run(raw):
         try:
             value = orjson.loads(raw)
@@ -315,7 +306,7 @@ def load_json(raw: bytes, encoding: Optional[str] = "utf-8") -> Any:
         else:
             if not _nests(value, _DEEP):
                 return value
-    return json.loads(raw if encoding is None else raw.decode(encoding))
+    return json.loads(raw.decode("utf-8"))
 
 
 def append_jsonl(fh, record: dict[str, Any]) -> None:

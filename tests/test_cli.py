@@ -846,7 +846,7 @@ class TestPlotData:
         )
         assert result.exit_code == 2, result.output
         assert "fatal" in result.output and f"{path}:1" in result.output
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_run_dir_given_as_dot_or_a_link_keeps_its_name(self, tmp_path, monkeypatch):
         cfg = make_run_config(tmp_path, 3)
@@ -975,8 +975,11 @@ class TestCommandLine:
     ):
         cfg = make_run_config(tmp_path, 3)
         run_dir = tmp_path / "r"
+        run_files = ("manifest.json", "instances.jsonl", "traces.jsonl", "answers.jsonl")
+        before = {}
         if command != "run" or name.startswith("r/"):  # 2 of 3 instances: one left to resume
             assert cli.run_batch({**cfg, "limit": 2}, run_dir) == 0
+            before = {run_file: read_bytes(run_dir, run_file) for run_file in run_files}
         path = tmp_path / name
         path.parent.mkdir(exist_ok=True)
         if make == "file":
@@ -1000,6 +1003,7 @@ class TestCommandLine:
         [fatal] = [line for line in result.output.splitlines() if line.startswith("fatal:")]
         assert str(path) in fatal and reason in fatal
         assert not calls
+        assert {run_file: read_bytes(run_dir, run_file) for run_file in before} == before
 
     @pytest.mark.parametrize("command", ["run", "eval", "plotdata"])
     def test_os_error_on_no_path_is_not_reported_as_bad_input(
@@ -1037,6 +1041,42 @@ class TestCommandLine:
         assert "fatal" in result.output and "['dedupe_pool', 'max_levels']" in result.output
         assert not calls
         assert {name: read_bytes(run_dir, name) for name in before} == before
+
+    def test_resume_of_an_interrupted_first_invocation_checks_its_config(
+        self, tmp_path, monkeypatch
+    ):
+        names = ("instances.jsonl", "traces.jsonl", "answers.jsonl")
+        cfg = make_run_config(tmp_path, 4, Variant.STOP)
+        fresh = tmp_path / "fresh"
+        assert cli.run_batch(cfg, fresh) == 0
+        run_instance, started = cli.run_instance, []
+
+        def interrupted_on_the_third(inst, *args):
+            started.append(inst.id)
+            if len(started) == 3:
+                raise KeyboardInterrupt
+            return run_instance(inst, *args)
+
+        monkeypatch.setattr(cli, "run_instance", interrupted_on_the_third)
+        run_dir = tmp_path / "r"
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_batch(cfg, run_dir)
+        monkeypatch.undo()
+        assert len(read_bytes(run_dir, "traces.jsonl").splitlines()) == 2
+        changed = {**cfg, "dedupe_pool": True}
+        calls = []
+        with monkeypatch.context() as patched:
+            for name in ("complete", "token_logprobs"):
+                patched.setattr(ScriptedBackend, name, lambda backend, req: calls.append(req))
+            result = self.invoke(
+                "run", "--config", self.write_config(tmp_path, changed), "--run-dir", str(run_dir)
+            )
+        assert result.exit_code == 2, result.output
+        assert "fatal" in result.output and "['dedupe_pool']" in result.output
+        assert not calls
+        assert cli.run_batch(cfg, run_dir) == 0
+        for name in names:
+            assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
 
     def test_resume_on_an_edited_dataset_exits_2_before_any_llm_call(
         self, tmp_path, monkeypatch

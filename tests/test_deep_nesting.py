@@ -68,7 +68,7 @@ def named_file(key, line_end="", **extra):
 def config(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(DEEP)
-    cli.load_config(path, {})
+    cli.load_config(path)
 
 
 def manifest(tmp_path):

@@ -32,8 +32,12 @@ from gensco.pipeline import PipelineConfig, run_instance
 from helpers import trace_instance
 
 
+@pytest.fixture(autouse=True)
+def no_retry_delay(monkeypatch):
+    monkeypatch.setattr(llm, "_RETRY_BASE_DELAY_S", 0.0)
+
+
 def gateway_for(backend, **kwargs):
-    kwargs.setdefault("retry_base_delay", 0.0)
     return LlmGateway(backend, backend, **kwargs)
 
 
@@ -416,13 +420,13 @@ class FlakyBackend:
 class TestRetries:
     def test_recovers_within_retry_budget(self):
         backend = FlakyBackend(fail_times=2)
-        gw = LlmGateway(backend, backend, retry_base_delay=0.0)
+        gw = LlmGateway(backend, backend)
         assert gw.generate(GeneratorRequest(prompt="p")) == "ok"
         assert backend.calls == 3
 
     def test_gives_up_after_three_attempts(self):
         backend = FlakyBackend(fail_times=10)
-        gw = LlmGateway(backend, backend, retry_base_delay=0.0)
+        gw = LlmGateway(backend, backend)
         with pytest.raises(BackendUnavailable):
             gw.generate(GeneratorRequest(prompt="p"))
         assert backend.calls == 3
@@ -788,12 +792,13 @@ class TestHttpBackend:
     def test_busy_reply_waits_for_numeric_retry_after(self, serve, monkeypatch, retry_after, wait):
         waits = []
         monkeypatch.setattr(llm.time, "sleep", waits.append)
+        monkeypatch.setattr(llm, "_RETRY_BASE_DELAY_S", 60.0)
         head = ["HTTP/1.1 503 Service Unavailable", "Content-Length: 0"]
         if retry_after is not None:
             head.append(f"Retry-After: {retry_after}")
         replies = iter([raw_reply(head), completion("ok")])
         server = serve(lambda body: next(replies))
-        gw = gateway_for(server.backend(), retry_base_delay=60.0)
+        gw = gateway_for(server.backend())
         assert gw.generate(GeneratorRequest(prompt="p")) == "ok"
         assert waits == [wait]
 
@@ -1052,9 +1057,9 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def reply_bodies(draw):
-    """A reply body: a JSON document in one of the encodings json.loads
-    detects, with or without a BOM, maybe spliced with raw bytes, or raw
-    bytes alone."""
+    """A reply body: a JSON document in UTF-8, or in UTF-8 after a BOM,
+    UTF-16 or UTF-32, which are refused; maybe spliced with raw bytes, or
+    raw bytes alone."""
     if draw(st.integers(0, 3)):
         document = {"choices": [draw(st.dictionaries(SURROGATE_TEXT, JSON_VALUES, max_size=4))]}
     else:
@@ -1088,7 +1093,7 @@ class TestReplyDecoding:
         def check(body):
             reply["body"] = body
             try:
-                value = json.loads(body)
+                value = json.loads(body.decode("utf-8"))
             except ValueError as exc:  # UnicodeDecodeError included
                 expected = f"{named} with a body that is not JSON ({exc})"
             else:

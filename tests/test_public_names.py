@@ -5,8 +5,7 @@ A name counts as used when a top-level statement other than its own
 definition, in src/gensco or bench/, mentions it (as a name, an
 attribute or an import). Click commands are called by click. An
 imported name counts as used when a top-level statement of its module
-other than an import mentions it, or when the module's ``__all__``
-lists it.
+other than an import mentions it; listing it in ``__all__`` is no use.
 """
 
 import ast
@@ -74,20 +73,11 @@ def imported_names(tree):
             yield from (a.asname or a.name for a in node.names)
 
 
-def exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def test_every_import_is_used():
     unused = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used = exported_names(tree).union(*(
+        used = set().union(*(
             mentioned(statement)
             for statement in tree.body
             if not isinstance(statement, (ast.Import, ast.ImportFrom))
