@@ -348,12 +348,14 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     }
     started = time.time()
     concurrency = cfg.get("concurrency", 1)
-    scorer_helpers = concurrency * (cfg.get("scorer_concurrency", 1) - 1)
-    # The run's one pool: its instance helpers are queued first and keep
-    # their workers; each Score's helpers share the rest. With no helper
-    # nothing is queued, so the pool starts no thread.
-    pool = ThreadPoolExecutor(max(concurrency - 1 + scorer_helpers, 1), thread_name_prefix="gensco")
-    fan_out = functools.partial(run_in_order, pool=pool, helpers=scorer_helpers)
+    scorer_concurrency = cfg.get("scorer_concurrency", 1)
+    # The run's one pool has a worker for each instance helper and for each
+    # helper of the Score every instance has in flight, so no queued helper
+    # waits. With no helper nothing is queued, so the pool starts no thread.
+    pool = ThreadPoolExecutor(
+        max(concurrency * scorer_concurrency - 1, 1), thread_name_prefix="gensco"
+    )
+    fan_out = functools.partial(run_in_order, pool=pool, helpers=scorer_concurrency - 1)
 
     def process(inst: MultiHopInstance):
         try:

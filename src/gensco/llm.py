@@ -30,19 +30,15 @@ import orjson
 from .models import load_json
 
 
-class GatewayError(Exception):
-    pass
-
-
-class BackendUnavailable(GatewayError):
+class BackendUnavailable(Exception):
     """Transport failure that persisted through the bounded retries."""
 
 
-class ContextOverflow(GatewayError):
+class ContextOverflow(Exception):
     """Prompt exceeds the backend's context limit; never silently truncated."""
 
 
-class HttpStatusError(GatewayError):
+class HttpStatusError(Exception):
     """Backend answered with a non-2xx status; never retried unless it is
     a ``BackendBusy``."""
 
@@ -60,21 +56,17 @@ class BackendBusy(HttpStatusError):
         self.retry_after = retry_after
 
 
-class MalformedResponse(GatewayError):
+class MalformedResponse(Exception):
     """Backend answered 2xx with a body that is not a completions reply;
     never retried."""
 
 
-class LogprobsUnsupported(GatewayError):
+class LogprobsUnsupported(Exception):
     """Endpoint cannot echo per-token log-probabilities."""
 
 
-class ScriptMiss(GatewayError):
+class ScriptMiss(Exception):
     """A scripted backend saw a request it has no canned response for."""
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _json(value: Any) -> bytes:
@@ -278,7 +270,8 @@ def _read_exactly(rfile, n: int) -> bytes:
 
 def _read_head(rfile) -> tuple[bytes, int, dict[bytes, bytes]]:
     """HTTP version, status and lower-cased headers of the next final
-    (non-1xx) response."""
+    (non-1xx) response. Of a repeated header the last value is kept, but
+    repeated ``Content-Length`` values must agree (RFC 9112, section 6.3)."""
     while True:
         line = _read_line(rfile)
         if not line:
@@ -293,11 +286,14 @@ def _read_head(rfile) -> tuple[bytes, int, dict[bytes, bytes]]:
             if line in (b"\r\n", b"\n"):
                 break
             name, colon, value = line.partition(b":")
-            if not colon or not name.strip():
+            name, value = name.strip().lower(), value.strip()
+            if not colon or not name:
                 raise ConnectionError(f"malformed header line {line[:100]!r}")
             if len(headers) == _MAX_HEADERS:
                 raise ConnectionError(f"more than {_MAX_HEADERS} response headers")
-            headers[name.strip().lower()] = value.strip()
+            if name == b"content-length" and headers.get(name, value) != value:
+                raise ConnectionError("response has conflicting Content-Length values")
+            headers[name] = value
         status = int(code)
         if not 100 <= status < 200:
             return version, status, headers
@@ -356,6 +352,8 @@ _BUSY_STATUSES = (429, 503)
 _CONTEXT_OVERFLOW_MARKS = ('"context_length_exceeded"', "maximum context length")
 # The longest wait a Retry-After header can ask for before a retry.
 _MAX_RETRY_AFTER_S = 30
+# Seconds a connect, or a wait for the next bytes of a reply, may take.
+_TIMEOUT_S = 120.0
 # Tries of a request before a transport failure or busy reply is BackendUnavailable.
 _MAX_ATTEMPTS = 3
 # The wait before the second try, doubled before each later one, unless a
@@ -387,20 +385,14 @@ class HttpBackend:
     were ever in flight at once. A pooled connection the server has
     closed is dropped before reuse. Transport failures, malformed
     responses included, surface as the builtin ``ConnectionError`` or
-    ``TimeoutError``, which the gateway retries.
+    ``TimeoutError``, which the gateway retries. When ``GENSCO_API_KEY``
+    is set, every request carries it as a bearer token.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: Optional[str] = None,
-        timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, base_url: str, model: str) -> None:
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get("GENSCO_API_KEY")
-        self.timeout = timeout
+        api_key = os.environ.get("GENSCO_API_KEY")
         self.backend_id = f"http:{self.base_url}:{model}"
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
@@ -408,7 +400,7 @@ class HttpBackend:
         path = url.path + "/completions"
         if any(c <= " " or c == "\x7f" for c in path):
             raise ValueError(f"backend URL path has whitespace or control characters: {base_url!r}")
-        if self.api_key and any(c in self.api_key for c in "\r\n\0"):
+        if api_key and any(c in api_key for c in "\r\n\0"):
             raise ValueError("API key has a line break or NUL character")
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
         default_port = 443 if self._tls is not None else 80
@@ -423,8 +415,8 @@ class HttpBackend:
             "Accept-Encoding: identity\r\n"
             "Content-Type: application/json\r\n"
         )
-        if self.api_key:
-            head += f"Authorization: Bearer {self.api_key}\r\n"
+        if api_key:
+            head += f"Authorization: Bearer {api_key}\r\n"
         self._head = (head + "Content-Length: ").encode("utf-8")
         # json.dumps of an echo request, written around its prompt.
         self._echo_head = f'{{"model": {json.dumps(model)}, "prompt": '
@@ -442,7 +434,7 @@ class HttpBackend:
             conn.close()
 
     def _connect(self) -> _Connection:
-        sock = socket.create_connection((self._host, self._port), self.timeout)
+        sock = socket.create_connection((self._host, self._port), _TIMEOUT_S)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tls is not None:
@@ -582,7 +574,7 @@ class ResponseCache:
         self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
-        digest = _sha256(key)
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return self.cache_dir / digest[:2] / f"{digest}.json"
 
     def get(self, key: str) -> Optional[Any]:

@@ -157,7 +157,8 @@ def greedy_loop(
 ) -> Loop:
     """The greedy loop on one instance; returns (trace, answer record).
 
-    Per level: obtain the sub-question (the original question itself for
+    Per level: end before any call when ``dedupe_pool`` has left no
+    candidate; obtain the sub-question (the original question itself for
     the no-decomposition variant) and check the stopping signals, then
     score every candidate appended to the greedy prefix and keep the best
     (``select_best``). The likelihood test (stop variant, from level 2)
@@ -172,6 +173,11 @@ def greedy_loop(
     passages = sorted(inst.passages, key=lambda p: p.index)
 
     for level in range(1, cfg.max_levels + 1):
+        chosen_indices = {p.index for p in selected}
+        pool = [p for p in passages if not (cfg.dedupe_pool and p.index in chosen_indices)]
+        if not pool:  # dedupe_pool has taken every passage
+            stop_reason = StopReason.POOL_EXHAUSTED
+            break
         asked = [lv.sub_question.text for lv in levels]
         if cfg.variant is Variant.NO_QD:
             subq = SubQuestion(level=level, text=inst.question)
@@ -204,11 +210,6 @@ def greedy_loop(
                 stop_reason = StopReason.LIKELIHOOD_STOP
                 break
 
-        chosen_indices = {p.index for p in selected}
-        pool = [p for p in passages if not (cfg.dedupe_pool and p.index in chosen_indices)]
-        if not pool:  # dedupe_pool has taken every passage
-            stop_reason = StopReason.POOL_EXHAUSTED
-            break
         head, tails = render_scoring_prompts(selected, pool)
         scores = yield Score(
             "relevance",

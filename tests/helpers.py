@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from gensco.cli import run_in_order
 from gensco.llm import LlmGateway, ScriptedBackend
@@ -135,12 +135,12 @@ def scripted_gateway(backend: ScriptedBackend, **kwargs) -> LlmGateway:
 
 
 @contextmanager
-def scoring_pool(helpers: int, workers: Optional[int] = None):
+def scoring_pool(helpers: int):
     """A ``fan_out`` for ``run_instance``, as ``cli.run_batch`` builds it: each
     Score is scored on its caller and by up to ``helpers`` tasks queued on a
-    pool of ``workers`` threads (default ``helpers``), which the test owns
-    and which is shut down on exit."""
-    with ThreadPoolExecutor(workers or max(helpers, 1)) as pool:
+    pool of ``helpers`` threads, which the test owns and which is shut down
+    on exit."""
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
         yield functools.partial(run_in_order, pool=pool, helpers=helpers)
 
 

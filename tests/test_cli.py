@@ -145,6 +145,37 @@ class TestRunBatch:
             time.sleep(0.01)
         assert threading.active_count() <= threads_before
 
+    def test_one_instance_has_at_most_scorer_concurrency_calls_in_flight(
+        self, tmp_path, monkeypatch
+    ):
+        # syn-000 waits in its first Generator call until syn-001 has scored
+        # a whole level, so syn-001 scores while the pool has idle workers.
+        cfg = make_run_config(tmp_path, 2, concurrency=2, scorer_concurrency=2)
+        token_logprobs, complete = ScriptedBackend.token_logprobs, ScriptedBackend.complete
+        flights = {topic: InFlight(hold=0.02) for topic in ("0?", "1?")}
+        scored = {topic: flight.wrap(token_logprobs) for topic, flight in flights.items()}
+        level_scored = threading.Event()
+        waits = []
+
+        def counted(self, req):
+            # Every scorer continuation of syn-<i> ends in "topic <i>?".
+            try:
+                return scored[req.continuation.rsplit(" ", 1)[1]](self, req)
+            finally:
+                if flights["1?"].finished >= 5:  # a level of 5 passages
+                    level_scored.set()
+
+        def held(self, req):
+            if "for topic 0?" in req.prompt and not level_scored.is_set():
+                waits.append(level_scored.wait(timeout=10))
+            return complete(self, req)
+
+        monkeypatch.setattr(ScriptedBackend, "token_logprobs", counted)
+        monkeypatch.setattr(ScriptedBackend, "complete", held)
+        assert cli.run_batch(cfg, tmp_path / "run") == 0
+        assert waits == [True]
+        assert flights["1?"].peak == 2 and flights["0?"].peak <= 2
+
     def test_pool_threads_end_with_the_run(self, tmp_path, monkeypatch):
         cfg = make_run_config(tmp_path, 2, variant=Variant.STOP, scorer_concurrency=2)
         flight = InFlight()  # calls held long enough for a helper to take some

@@ -463,8 +463,8 @@ class StubServer(ThreadingHTTPServer):
         )
         self.thread.start()
 
-    def backend(self, **kwargs):
-        backend = HttpBackend(self.url, "m", **kwargs)
+    def backend(self):
+        backend = HttpBackend(self.url, "m")
         self.backends.append(backend)
         return backend
 
@@ -550,15 +550,16 @@ def completion_bytes(text):
 
 
 class TestHttpBackend:
-    def test_completion_text_extracted(self, serve):
+    def test_completion_text_extracted(self, serve, monkeypatch):
+        monkeypatch.setenv("GENSCO_API_KEY", "k")
         server = serve(lambda body: completion(" Paris"))
-        backend = server.backend(api_key="k")
+        backend = server.backend()
         assert backend.complete(GeneratorRequest(prompt="q")) == " Paris"
         path, _, body, _ = server.requests[0]
         assert path == "/v1/completions"
         assert body["max_tokens"] == 64
 
-    def test_echoed_logprobs_sliced_to_continuation(self, serve):
+    def test_echoed_logprobs_sliced_to_continuation(self, serve, monkeypatch):
         prompt = "Context: x\nQuestion:"
         continuation = " who?"
         offsets = [0, 8, 19, 20, 24]
@@ -571,7 +572,8 @@ class TestHttpBackend:
                 }
             ]
         }
-        backend = serve(lambda body: (200, payload)).backend(api_key="k")
+        monkeypatch.setenv("GENSCO_API_KEY", "k")
+        backend = serve(lambda body: (200, payload)).backend()
         got = backend.token_logprobs(ScorerRequest(prompt, continuation))
         assert got == [-0.2, -0.4]
 
@@ -659,8 +661,9 @@ class TestHttpBackend:
         backend = serve(lambda body: (200, payload)).backend()
         assert backend.token_logprobs(ScorerRequest("Question:", " who?")) == [-0.7]
 
-    def test_missing_logprobs_raises(self, serve):
-        backend = serve(lambda body: completion("")).backend(api_key="k")
+    def test_missing_logprobs_raises(self, serve, monkeypatch):
+        monkeypatch.setenv("GENSCO_API_KEY", "k")
+        backend = serve(lambda body: completion("")).backend()
         with pytest.raises(LogprobsUnsupported):
             backend.token_logprobs(ScorerRequest("p", " c"))
 
@@ -843,7 +846,8 @@ class TestHttpBackend:
         assert type(info.value) is HttpStatusError and info.value.status == 400
         assert len(server.requests) == 1
 
-    def test_socket_timeout_retried_then_backend_unavailable(self, serve):
+    def test_socket_timeout_retried_then_backend_unavailable(self, serve, monkeypatch):
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.2)
         server = None
 
         def stall(body):
@@ -851,7 +855,7 @@ class TestHttpBackend:
             return completion("late")
 
         server = serve(stall)
-        gw = gateway_for(server.backend(timeout=0.2))
+        gw = gateway_for(server.backend())
         with pytest.raises(BackendUnavailable) as info:
             gw.generate(GeneratorRequest(prompt="p"))
         assert isinstance(info.value.__cause__, TimeoutError)
@@ -860,7 +864,9 @@ class TestHttpBackend:
     def test_authorization_header_only_with_api_key(self, serve, monkeypatch):
         monkeypatch.delenv("GENSCO_API_KEY", raising=False)
         server = serve(echo_prompt)
-        server.backend(api_key="secret").complete(GeneratorRequest(prompt="a"))
+        monkeypatch.setenv("GENSCO_API_KEY", "secret")
+        server.backend().complete(GeneratorRequest(prompt="a"))
+        monkeypatch.delenv("GENSCO_API_KEY")
         server.backend().complete(GeneratorRequest(prompt="b"))
         (_, with_key, _, _), (_, without_key, _, _) = server.requests
         assert with_key["Authorization"] == "Bearer secret"
@@ -912,6 +918,30 @@ class TestHttpBackend:
         assert isinstance(info.value.__cause__, ConnectionError)
         assert len(server.requests) == 3
 
+    def test_conflicting_content_lengths_retried_then_backend_unavailable(self, serve):
+        # http.client would read the first length; which one is meant is unknowable.
+        data = completion_bytes("x")
+        server = serve(lambda body: raw_reply(
+            ["HTTP/1.1 200 OK", "Content-Length: 2", f"Content-Length: {len(data)}"], data
+        ), close_after_reply="silently")
+        gw = gateway_for(server.backend())
+        with pytest.raises(BackendUnavailable, match="conflicting Content-Length") as info:
+            gw.generate(GeneratorRequest(prompt="p"))
+        assert isinstance(info.value.__cause__, ConnectionError)
+        assert len(server.requests) == 3
+
+    def test_repeated_equal_content_lengths_read(self, serve):
+        def reply(body):
+            data = completion_bytes(body["prompt"])
+            length = f"Content-Length: {len(data)}"
+            return raw_reply(["HTTP/1.1 200 OK", length, length.lower()], data)
+
+        server = serve(reply)
+        backend = server.backend()
+        for i in range(2):
+            assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
+        assert server.connections() == 1
+
     @pytest.mark.parametrize(
         "response, message",
         [
@@ -944,13 +974,16 @@ class TestHttpBackend:
         with pytest.raises(ConnectionError, match=message):
             backend.complete(GeneratorRequest(prompt="p"))
 
-    def test_malformed_chunk_size_fails_at_once_on_a_kept_alive_connection(self, serve):
+    def test_malformed_chunk_size_fails_at_once_on_a_kept_alive_connection(
+        self, serve, monkeypatch
+    ):
         # A size of -1 read as "to the end" would wait for the server's
         # close, which a kept-alive connection never sends.
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 2)
         data = completion_bytes("x")
         backend = serve(lambda body: raw_reply(
             ["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"], b"-1\r\n" + data + b"\r\n0\r\n\r\n"
-        )).backend(timeout=2)
+        )).backend()
         started = time.monotonic()
         with pytest.raises(ConnectionError, match="malformed chunk size"):
             backend.complete(GeneratorRequest(prompt="p"))
@@ -991,9 +1024,10 @@ class TestHttpBackend:
         with pytest.raises(ValueError):
             HttpBackend(url, "m")
 
-    def test_api_key_with_line_break_rejected(self):
+    def test_api_key_with_line_break_rejected(self, monkeypatch):
+        monkeypatch.setenv("GENSCO_API_KEY", "k\r\nX-Injected: 1")
         with pytest.raises(ValueError):
-            HttpBackend("http://host/v1", "m", api_key="k\r\nX-Injected: 1")
+            HttpBackend("http://host/v1", "m")
 
 
 class TestDeterminism:

@@ -253,10 +253,10 @@ class TestStoppingRules:
         assert [r.level for r, _ in log if r.purpose == "stop"] == [2]
         assert [lv.sub_question.text for lv in trace.levels] == [TRACE_SUBQ_1, TRACE_SUBQ_2]
 
-    @pytest.mark.parametrize("variant, calls", [(Variant.MAX, 7), (Variant.STOP, 11)])
+    @pytest.mark.parametrize("variant, calls", [(Variant.MAX, 6), (Variant.STOP, 8)])
     def test_pool_emptied_by_dedupe_pool_is_its_own_stop_reason(self, variant, calls):
-        # Two passages and four levels: level 3 asks its sub-question (and,
-        # for gensco-stop, scores its stop pair) and finds no candidate left.
+        # Two passages and four levels: level 3 finds no candidate left and
+        # makes no call, neither its decomposition nor its stop pair.
         inst = MultiHopInstance("dedupe", "q?", "a", (Passage(1, "", "a"), Passage(2, "", "b")))
         plan = ScriptedPlan(
             ["first?", "second?", "third?"],
@@ -270,7 +270,7 @@ class TestStoppingRules:
         assert (len(trace.levels), trace.selected_sequence) == (2, (1, 2))
         made = sum(len(r.requests) if isinstance(r, Score) else 1 for r, _ in log)
         assert made == calls
-        assert max(r.level for r, _ in log) == 3
+        assert max(r.level for r, _ in log) == 2
 
 
 class TestVariants:

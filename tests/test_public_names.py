@@ -1,5 +1,6 @@
 """Every public top-level name in src/gensco has a caller outside the tests,
-and every name a module imports is used.
+every name a module imports is used, and every exception class is raised
+or caught.
 
 A name counts as used when a top-level statement other than its own
 definition, in src/gensco or bench/, mentions it (as a name, an
@@ -9,6 +10,7 @@ other than an import mentions it; listing it in ``__all__`` is no use.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +86,49 @@ def test_every_import_is_used():
         ))
         unused += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in used]
     assert unused == []
+
+
+def exception_classes(trees):
+    """The names of the classes defined in ``trees`` that derive from a
+    builtin exception, directly or through one another."""
+    bases = {
+        node.name: [mentioned(base) for base in node.bases]
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_builtin_exception(name):
+        value = getattr(builtins, name, None)
+        return isinstance(value, type) and issubclass(value, BaseException)
+
+    found = set()
+    while True:
+        more = {
+            name
+            for name, names in bases.items()
+            if any(is_builtin_exception(n) or n in found for ns in names for n in ns)
+        }
+        if more == found:
+            return found
+        found = more
+
+
+def handled(tree):
+    """The names mentioned by a ``raise``, an ``except`` clause or a
+    ``suppress(...)`` call in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names |= mentioned(node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names |= mentioned(node.type)
+        elif isinstance(node, ast.Call) and "suppress" in mentioned(node.func):
+            names |= set().union(*map(mentioned, node.args))
+    return names
+
+
+def test_every_exception_class_is_raised_or_caught():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    used = set().union(*map(handled, trees))
+    assert sorted(exception_classes(trees) - used) == []

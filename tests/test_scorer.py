@@ -128,17 +128,6 @@ class TestScoreLevel:
         assert flight.peak == 2
         assert flight.finished == 10
 
-    def test_one_instance_takes_the_helpers_the_others_leave_idle(self):
-        # The pool and helpers of a run at concurrency 2 and scorer_concurrency
-        # 2, with no instance helper: one scoring runs on three threads.
-        inst = trace_instance()
-        flight = InFlight(hold=0.02)
-        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight)
-        with scoring_pool(2, workers=3) as fan_out:
-            run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
-        assert flight.peak == 3
-        assert flight.finished == 10
-
     def test_pool_threads_live_across_levels(self):
         inst = trace_instance()
         flight = InFlight(hold=0.0)
