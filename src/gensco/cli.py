@@ -215,23 +215,29 @@ def _run_id(run_dir) -> str:
 def run_in_order(
     fn: Callable, items: Sequence, pool: ThreadPoolExecutor, helpers: int
 ) -> Iterator:
-    """Yield ``fn(item)`` for each of ``items``, in item order.
+    """``fn(item)`` for each of ``items``, in item order.
 
     The calling thread and up to ``helpers`` tasks queued on ``pool``, no
     more than there are other items, take the items one at a time, in
-    order; with no helper the caller maps them alone and nothing is
-    queued. Between its own items the caller yields every result that is
-    ready in order, and once the items run out it waits for the helpers
-    and yields the rest. After a failure or an interrupt no item starts:
-    helper tasks not yet started are cancelled and calls in flight
-    finish. Then the interrupt, or else the first failure in item order,
-    is raised. No call outlives the generator once it is exhausted or
-    closed.
+    order; with no helper this is ``map(fn, items)`` on the caller and
+    nothing is queued. Between its own items the caller yields every
+    result that is ready in order, and once the items run out it waits for
+    the helpers and yields the rest. After a failure or an interrupt no
+    item starts: helper tasks not yet started are cancelled and calls in
+    flight finish. Then the interrupt, or else the first failure in item
+    order, is raised. No call outlives the iterator once it is exhausted
+    or closed.
     """
     helpers = min(helpers, len(items) - 1)
     if helpers < 1:
-        yield from map(fn, items)
-        return
+        return map(fn, items)
+    return _run_with_helpers(fn, items, pool, helpers)
+
+
+def _run_with_helpers(
+    fn: Callable, items: Sequence, pool: ThreadPoolExecutor, helpers: int
+) -> Iterator:
+    """``run_in_order`` with at least one helper."""
     jobs = enumerate(items)
     lock = threading.Lock()
     done: dict[int, tuple[bool, Any]] = {}  # index -> (failed, result or exception)

@@ -8,6 +8,8 @@ scripted backend for deterministic tests.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 import orjson
@@ -86,7 +88,36 @@ def _json(value: Any) -> bytes:
 # lookup key and, after the backend id, its cache key. It is the sha256 of
 # json.dumps({"role": role, **fields}, ensure_ascii=False, sort_keys=True)
 # in UTF-8, assembled from its fragments in sorted-key order and computed
-# once, when the request is built.
+# once, when the request is built. JSON escapes a str character by
+# character, so the escaping of a prompt's head without its closing quote
+# and that of its tail without its opening one join into the escaping of
+# the whole prompt: a request can finish a copy of the hash state of a head
+# it shares with others, and a lone surrogate fails in either part.
+def _generator_start(head: str, max_output_tokens: int):
+    """The hash state of a generator request's JSON up to the end of ``head``."""
+    return hashlib.sha256(
+        b'{"max_output_tokens": %s, "prompt": %s'
+        % (_json(max_output_tokens), orjson.dumps(head)[:-1])
+    )
+
+
+# The heads a run repeats in every Generator request: a template's text.
+# Typed, since json.dumps writes 1 and True differently.
+_shared_generator_start = functools.lru_cache(maxsize=8, typed=True)(_generator_start)
+
+
+def _generator_fingerprint(
+    state, tail: str, temperature: float, stop_sequences: tuple[str, ...]
+) -> str:
+    state.update(
+        b'%s, "role": "generator", "stop_sequences": [%s], "temperature": %s}' % (
+            orjson.dumps(tail)[1:], b", ".join(map(_json, stop_sequences)),
+            _json(temperature),
+        )
+    )
+    return state.hexdigest()
+
+
 @dataclass(frozen=True)
 class GeneratorRequest:
     prompt: str
@@ -96,31 +127,58 @@ class GeneratorRequest:
     fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        stops = b", ".join(map(_json, self.stop_sequences))
-        object.__setattr__(self, "fingerprint", hashlib.sha256(
-            b'{"max_output_tokens": %s, "prompt": %s, "role": "generator", '
-            b'"stop_sequences": [%s], "temperature": %s}' % (
-                _json(self.max_output_tokens), _json(self.prompt), stops,
-                _json(self.temperature),
-            )
-        ).hexdigest())
+        object.__setattr__(self, "fingerprint", _generator_fingerprint(
+            _generator_start(self.prompt, self.max_output_tokens), "",
+            self.temperature, self.stop_sequences,
+        ))
+
+    @classmethod
+    def sharing_head(
+        cls,
+        head: str,
+        tail: str,
+        temperature: float = 0.0,
+        max_output_tokens: int = 64,
+        stop_sequences: tuple[str, ...] = (),
+    ) -> "GeneratorRequest":
+        """The request of prompt ``head + tail``. The hash state up to the
+        end of ``head`` is kept for the next request with this head (a few
+        heads are kept), so ``head`` is text the run repeats, such as a
+        template's, and each request escapes and hashes only its tail."""
+        state = _shared_generator_start(head, max_output_tokens).copy()
+        req = object.__new__(cls)
+        req.__dict__.update(
+            prompt=head + tail,
+            temperature=temperature,
+            max_output_tokens=max_output_tokens,
+            stop_sequences=stop_sequences,
+            fingerprint=_generator_fingerprint(state, tail, temperature, stop_sequences),
+        )
+        return req
 
 
-def _scorer_fingerprints(head: str, tails: Sequence[str], continuation: str) -> list[str]:
-    """The fingerprint of a scorer request with prompt ``head + tail`` and
-    ``continuation``, for each of ``tails``. The JSON up to the end of the
-    head is hashed once and each tail finishes a copy of that state: the
-    escaping of a str is per character, so the escaped head and the
-    escaped tail join into the escaped prompt."""
-    shared = hashlib.sha256(
+def _scorer_start(head: str, continuation: str):
+    """The hash state of a scorer request's JSON up to the end of ``head``."""
+    return hashlib.sha256(
         b'{"continuation": %s, "prompt": %s' % (_json(continuation), orjson.dumps(head)[:-1])
     )
-    fingerprints = []
-    for tail in tails:
-        state = shared.copy()
-        state.update(orjson.dumps(tail)[1:] + b', "role": "scorer"}')
-        fingerprints.append(state.hexdigest())
-    return fingerprints
+
+
+# A scorer request's JSON after its prompt.
+_SCORER_END = b', "role": "scorer"}'
+
+
+class ScorerTail(NamedTuple):
+    """A scorer prompt's text after the head it shares with others, and the
+    bytes that finish its fingerprint from the head's hash state."""
+
+    text: str
+    finish: bytes
+
+
+def scorer_tails(texts: Iterable[str]) -> tuple[ScorerTail, ...]:
+    """Each of ``texts`` as a ScorerTail, escaped once for every request it ends."""
+    return tuple(ScorerTail(text, orjson.dumps(text)[1:] + _SCORER_END) for text in texts)
 
 
 @dataclass(frozen=True)
@@ -130,20 +188,24 @@ class ScorerRequest:
     fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (fingerprint,) = _scorer_fingerprints(self.prompt, ("",), self.continuation)
-        object.__setattr__(self, "fingerprint", fingerprint)
+        state = _scorer_start(self.prompt, self.continuation)
+        state.update(b'"' + _SCORER_END)
+        object.__setattr__(self, "fingerprint", state.hexdigest())
 
     @classmethod
     def sharing_head(
-        cls, head: str, tails: Sequence[str], continuation: str
+        cls, head: str, tails: Sequence[ScorerTail], continuation: str
     ) -> tuple["ScorerRequest", ...]:
-        """The request of prompt ``head + tail`` for each of ``tails``, with the
-        head hashed once for all of them."""
+        """The request of prompt ``head + tail.text`` for each of ``tails``,
+        with the head escaped and hashed once for all of them."""
+        start = _scorer_start(head, continuation)
         requests = []
-        for tail, fingerprint in zip(tails, _scorer_fingerprints(head, tails, continuation)):
+        for text, finish in tails:
+            state = start.copy()
+            state.update(finish)
             req = object.__new__(cls)
             req.__dict__.update(
-                prompt=head + tail, continuation=continuation, fingerprint=fingerprint
+                prompt=head + text, continuation=continuation, fingerprint=state.hexdigest()
             )
             requests.append(req)
         return tuple(requests)
@@ -281,7 +343,7 @@ def _read_head(rfile) -> tuple[bytes, int, dict[bytes, bytes]]:
         if not version.startswith(b"HTTP/") or not code.isdigit() or rest[3:4].strip():
             raise ConnectionError(f"malformed status line {line[:100]!r}")
         headers: dict[bytes, bytes] = {}
-        while True:
+        for lines in itertools.count():
             line = _read_line(rfile)
             if line in (b"\r\n", b"\n"):
                 break
@@ -289,8 +351,8 @@ def _read_head(rfile) -> tuple[bytes, int, dict[bytes, bytes]]:
             name, value = name.strip().lower(), value.strip()
             if not colon or not name:
                 raise ConnectionError(f"malformed header line {line[:100]!r}")
-            if len(headers) == _MAX_HEADERS:
-                raise ConnectionError(f"more than {_MAX_HEADERS} response headers")
+            if lines == _MAX_HEADERS:  # lines, as http.client counts them, not names
+                raise ConnectionError(f"more than {_MAX_HEADERS} response header lines")
             if name == b"content-length" and headers.get(name, value) != value:
                 raise ConnectionError("response has conflicting Content-Length values")
             headers[name] = value
@@ -638,6 +700,33 @@ def _is_score(entry: Any) -> bool:
     )
 
 
+def _unexpected_entry(backend: Backend, entry: Any) -> MalformedResponse:
+    return MalformedResponse(
+        f"backend {backend.backend_id}: the cache holds {entry!r} for this request,"
+        " not an entry of the shape the gateway writes"
+    )
+
+
+# Failures of a backend call that a later try may not meet.
+_TRANSIENT = (ConnectionError, TimeoutError, BackendBusy)
+
+
+def _retried(call: Callable, req, exc: Exception):
+    """``call(req)`` tried again after its first try failed with the
+    transient ``exc``, waiting before each try, until _MAX_ATTEMPTS tries in
+    all; BackendUnavailable when the last one fails too."""
+    for attempt in range(1, _MAX_ATTEMPTS):
+        if isinstance(exc, BackendBusy) and exc.retry_after is not None:
+            time.sleep(min(exc.retry_after, _MAX_RETRY_AFTER_S))
+        else:
+            time.sleep(_RETRY_BASE_DELAY_S * (2 ** (attempt - 1)))
+        try:
+            return call(req)
+        except _TRANSIENT as again:
+            exc = again
+    raise BackendUnavailable(str(exc)) from exc
+
+
 class LlmGateway:
     """Front door for all LLM traffic: the disk cache (given a cache_dir), retries, counters.
 
@@ -657,64 +746,95 @@ class LlmGateway:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _cached(self, calls: dict[str, int], purpose: str, backend: Backend, req, fetch, valid):
-        """The cached value of ``req`` on ``backend``. A hit that is not
-        ``valid`` raises MalformedResponse. A miss calls ``fetch``,
-        retrying transport failures and busy replies, and stores what it
-        returns."""
-        key = backend.backend_id + "\0" + req.fingerprint
-        value = self.cache.get(key)
-        hit = value is not None
-        if hit and not valid(value):
-            raise MalformedResponse(
-                f"backend {backend.backend_id}: the cache holds {value!r} for this request,"
-                " not an entry of the shape the gateway writes"
-            )
-        if not hit:
-            for attempt in itertools.count(1):
-                try:
-                    value = fetch()
-                    break
-                except (ConnectionError, TimeoutError, BackendBusy) as exc:
-                    if attempt >= _MAX_ATTEMPTS:
-                        raise BackendUnavailable(str(exc)) from exc
-                    if isinstance(exc, BackendBusy) and exc.retry_after is not None:
-                        time.sleep(min(exc.retry_after, _MAX_RETRY_AFTER_S))
-                    else:
-                        time.sleep(_RETRY_BASE_DELAY_S * (2 ** (attempt - 1)))
-            self.cache.put(key, value)
-        with self._lock:
-            calls[purpose] = calls.get(purpose, 0) + 1
-            self.cache_hits += hit
-            self.cache_misses += not hit
-        return value
+    def _count(self, calls: dict[str, int], purpose: str, hits: int, misses: int) -> None:
+        if hits or misses:
+            with self._lock:
+                calls[purpose] = calls.get(purpose, 0) + hits + misses
+                self.cache_hits += hits
+                self.cache_misses += misses
 
     def generate(self, req: GeneratorRequest, purpose: str = "answer") -> str:
-        def fetch():
-            return {"text": _truncate_at_stop(self.generator.complete(req), req.stop_sequences)}
+        """The completion of ``req``, cut at its first stop sequence. A hit
+        that is not an entry of the shape the gateway writes raises
+        MalformedResponse; a miss is fetched and stored."""
+        backend = self.generator
+        key = backend.backend_id + "\0" + req.fingerprint
+        entry = self.cache.get(key)
+        hit = entry is not None
+        if hit and not _is_completion(entry):
+            raise _unexpected_entry(backend, entry)
+        if not hit:
+            try:
+                text = backend.complete(req)
+            except _TRANSIENT as exc:
+                text = _retried(backend.complete, req, exc)
+            entry = {"text": _truncate_at_stop(text, req.stop_sequences)}
+            self.cache.put(key, entry)
+        self._count(self.generator_calls, purpose, hit, not hit)
+        return entry["text"]
 
-        return self._cached(
-            self.generator_calls, purpose, self.generator, req, fetch, _is_completion
-        )["text"]
+    def score_many(
+        self, requests: Sequence[ScorerRequest], purpose: str = "relevance", fan_out: Callable = map
+    ) -> list[float]:
+        """The mean NLL of each request's continuation, in request order.
 
-    def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> float:
-        """The mean NLL of the continuation's tokens. The cache entry also
-        keeps the per-token logprobs. A score over no token, or one that is
-        not finite, raises MalformedResponse: it is never retried or cached,
-        and a cached one raises on a hit, as does a hit of another shape."""
+        Every request's cache entry is looked up first. A hit of another
+        shape than the gateway writes, or with a mean NLL that is not
+        finite, raises MalformedResponse before any miss is sent. The
+        misses are sent as ``fan_out(fetch, misses)`` maps them, and each
+        is stored as it returns, its per-token logprobs kept with its mean.
+        A score over no token, or one that is not finite, raises
+        MalformedResponse: it is never retried or cached.
 
-        def fetch():
-            logprobs = self.scorer.token_logprobs(req)
+        The calls are counted as one request at a time would count them:
+        after a failure, every miss that returned and every hit before the
+        first request left unanswered. A cache entry that cannot be read
+        raises before any call is sent or counted.
+        """
+        backend = self.scorer
+        prefix = backend.backend_id + "\0"
+        keys = [prefix + req.fingerprint for req in requests]
+        entries = list(map(self.cache.get, keys))
+        misses = [i for i, entry in enumerate(entries) if entry is None]
+        token_logprobs, put = backend.token_logprobs, self.cache.put
+
+        def fetch(i: int) -> None:
+            req = requests[i]
+            try:
+                logprobs = token_logprobs(req)
+            except _TRANSIENT as exc:
+                logprobs = _retried(token_logprobs, req, exc)
             try:
                 mean_nll = -sum(logprobs) / len(logprobs)
             except (ZeroDivisionError, OverflowError):  # no token, or an int past float range
                 mean_nll = math.nan
-            return self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, req)
+            entry = self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, req)
+            put(keys[i], entry)
+            entries[i] = entry
 
-        return self._cached(
-            self.scorer_calls, purpose, self.scorer, req, fetch,
-            lambda entry: _is_score(entry) and self._finite(entry, req),
-        )["mean_nll"]
+        try:
+            # ``answered``: every request before this index has been answered.
+            if len(misses) < len(requests):
+                for answered, (entry, req) in enumerate(zip(entries, requests)):
+                    if entry is not None and not (_is_score(entry) and self._finite(entry, req)):
+                        raise _unexpected_entry(backend, entry)
+            answered = len(requests)
+            for _ in fan_out(fetch, misses):
+                pass
+        except BaseException:
+            # A hit was not valid, or a miss failed; the misses in flight
+            # have returned, and no other was sent.
+            returned = sum(entries[j] is not None for j in misses)
+            answered = min(answered, next((j for j in misses if entries[j] is None), answered))
+            hits = answered - bisect.bisect_left(misses, answered)
+            self._count(self.scorer_calls, purpose, hits, returned)
+            raise
+        self._count(self.scorer_calls, purpose, len(requests) - len(misses), len(misses))
+        return [entry["mean_nll"] for entry in entries]
+
+    def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> float:
+        """The mean NLL of one request's continuation, as ``score_many`` scores it."""
+        return self.score_many((req,), purpose)[0]
 
     def _finite(self, entry: dict[str, Any], req: ScorerRequest) -> dict[str, Any]:
         """``entry`` if its mean NLL is finite (not NaN, infinite or an int past

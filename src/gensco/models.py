@@ -124,10 +124,11 @@ class Record:
                 out[name] = encode(out[name])
         return out
 
+    # Both constructors build a record as the dataclass __init__ builds it,
+    # without its keyword call and its object.__setattr__ per field: every
+    # field set in the record's __dict__, then __post_init__'s checks.
     @classmethod
     def from_dict(cls: type[R], d: dict[str, Any]) -> R:
-        # Built as the dataclass __init__ builds it, without its keyword
-        # call: every field set, then __post_init__'s checks.
         record = object.__new__(cls)
         values = record.__dict__
         for name, _, decode, optional in _field_codecs(cls):
@@ -135,6 +136,15 @@ class Record:
                 values[name] = decode(d.get(name) if optional else d[name])
             except (TypeError, ValueError) as exc:  # a ValueError: not an enum's value
                 raise TypeError(f"{cls.__name__}.{name}: {exc}") from exc
+        if _has_post_init(cls):
+            record.__post_init__()
+        return record
+
+    @classmethod
+    def from_fields(cls: type[R], **values: Any) -> R:
+        """The record of ``values``, one for every field, taken as they are."""
+        record = object.__new__(cls)
+        record.__dict__.update(values)
         if _has_post_init(cls):
             record.__post_init__()
         return record

@@ -8,14 +8,13 @@ gateway), so the loops' rules exist once whatever serves the calls.
 
 from __future__ import annotations
 
-import functools
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 from .baselines import bm25_rank, shuffle_sequence
 from .decomposition import normalize_subquestion, parse_subquestion
-from .llm import GeneratorRequest, LlmGateway, ScorerRequest
+from .llm import GeneratorRequest, LlmGateway, ScorerRequest, scorer_tails
 from .models import (
     AnswerRecord,
     Dataset,
@@ -33,7 +32,8 @@ from .prompts import (
     ShotExample,
     render_answer_prompt,
     render_decomposition_prompt,
-    render_scoring_prompts,
+    render_scoring_head,
+    render_scoring_tails,
     render_stop_prompt,
 )
 from .scorer import MIN_NLL, select_best
@@ -136,7 +136,9 @@ def answer_step(
     answer = yield Generate(
         "answer",
         0,
-        GeneratorRequest(prompt.text, cfg.temperature, cfg.max_answer_tokens, ("\n",)),
+        GeneratorRequest.sharing_head(
+            prompt.head, prompt.tails[0], cfg.temperature, cfg.max_answer_tokens, ("\n",)
+        ),
     )
     return AnswerRecord(
         instance_id=inst.id,
@@ -171,6 +173,8 @@ def greedy_loop(
     seen: set[str] = set()
     stop_reason = StopReason.MAX_LEVELS
     passages = sorted(inst.passages, key=lambda p: p.index)
+    # Each passage's scoring tail, rendered and escaped once for every level.
+    tails = dict(zip((p.index for p in passages), scorer_tails(render_scoring_tails(passages))))
 
     for level in range(1, cfg.max_levels + 1):
         chosen_indices = {p.index for p in selected}
@@ -186,8 +190,8 @@ def greedy_loop(
             raw = yield Generate(
                 "decomposition",
                 level,
-                GeneratorRequest(
-                    prompt.text, cfg.temperature, MAX_SUBQUESTION_TOKENS, ("\n",)
+                GeneratorRequest.sharing_head(
+                    prompt.head, prompt.tails[0], cfg.temperature, MAX_SUBQUESTION_TOKENS, ("\n",)
                 ),
             )
             subq = parse_subquestion(raw, level)
@@ -198,27 +202,28 @@ def greedy_loop(
                 stop_reason = StopReason.REPEATED_SUBQUESTION
                 break
         if cfg.variant is Variant.STOP and selected:
+            pair = render_stop_prompt(selected, asked, subq.text)
             without, with_candidate = yield Score(
                 "stop",
                 level,
-                tuple(
-                    ScorerRequest(render_stop_prompt(selected, sqs).text, " " + inst.question)
-                    for sqs in (asked, asked + [subq.text])
+                ScorerRequest.sharing_head(
+                    pair.head, scorer_tails(pair.tails), " " + inst.question
                 ),
             )
             if with_candidate > without:
                 stop_reason = StopReason.LIKELIHOOD_STOP
                 break
 
-        head, tails = render_scoring_prompts(selected, pool)
         scores = yield Score(
             "relevance",
             level,
-            ScorerRequest.sharing_head(head, tails, " " + subq.text),
+            ScorerRequest.sharing_head(
+                render_scoring_head(selected), [tails[p.index] for p in pool], " " + subq.text
+            ),
             tuple(pool),
         )
         candidates = tuple(
-            ScoredCandidate(level=level, passage_index=p.index, score=score)
+            ScoredCandidate.from_fields(level=level, passage_index=p.index, score=score)
             for p, score in zip(pool, scores)
         )
         chosen = select_best(candidates, cfg.score_sign).passage_index
@@ -289,11 +294,11 @@ def drive(loop: Loop, answer: Callable[[Request], Any]) -> Any:
 
 def serve(gateway: LlmGateway, request: Request, fan_out: Callable = map) -> Any:
     """Answer one request through the gateway: a Generate's completion, or
-    a Score's mean NLLs in request order, as ``fan_out`` maps them."""
+    a Score's mean NLLs in request order, its misses sent as ``fan_out``
+    maps them."""
     if isinstance(request, Generate):
         return gateway.generate(request.request, purpose=request.purpose)
-    score = functools.partial(gateway.score_continuation, purpose=request.purpose)
-    return list(fan_out(score, request.requests))
+    return gateway.score_many(request.requests, request.purpose, fan_out)
 
 
 def run_instance(

@@ -27,7 +27,16 @@ class ShotExample(Record):
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    text: str
+    """Prompts that differ only after a shared ``head``: ``head + tail`` for
+    each of ``tails``. A renderer makes one prompt, or two for the stop
+    test; ``text`` is the last."""
+
+    head: str
+    tails: tuple[str, ...]
+
+    @property
+    def text(self) -> str:
+        return self.head + self.tails[-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,76 +71,80 @@ def concat_passages(passages: Sequence[Passage]) -> str:
     return " ".join(map(_piece, passages))
 
 
+@functools.lru_cache(maxsize=8)
+def _answer_head(shots: tuple[ShotExample, ...]) -> str:
+    """The answer prompt before its question: the instruction and the shots,
+    which a run repeats in every answer prompt."""
+    instruction = _instruction("answer_instruction.txt")
+    if not shots:
+        return instruction + "\n\n"
+    lines = [instruction + " Here are a few examples:"]
+    for shot in shots:
+        lines.append(f"Question: {shot.question}")
+        lines.append(f"Context: {shot.context}")
+        lines.append(f"Answer: {shot.answer}")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
 def render_answer_prompt(
     question: str,
     passages: Sequence[Passage],
     shots: Sequence[ShotExample] = (),
 ) -> RenderedPrompt:
-    instruction = _instruction("answer_instruction.txt")
-    lines = []
-    if shots:
-        lines.append(instruction + " Here are a few examples:")
-        for shot in shots:
-            lines.append(f"Question: {shot.question}")
-            lines.append(f"Context: {shot.context}")
-            lines.append(f"Answer: {shot.answer}")
-            lines.append("")
-    else:
-        lines.append(instruction)
-        lines.append("")
-    lines.append(f"Question: {question}")
-    lines.append(f"Context: {concat_passages(passages)}")
-    lines.append("Answer:")
-    text = "\n".join(lines)
-    return RenderedPrompt(text)
+    """The answer prompt, its head the instruction and ``shots``."""
+    tail = f"Question: {question}\nContext: {concat_passages(passages)}\nAnswer:"
+    return RenderedPrompt(_answer_head(tuple(shots)), (tail,))
 
 
 def render_decomposition_prompt(
     question: str,
     history: Sequence[tuple[str, Passage]],
 ) -> RenderedPrompt:
-    """Prompt asking for sub-question number ``len(history) + 1``.
+    """Prompt asking for sub-question number ``len(history) + 1``, its head
+    the header.
 
     ``history`` pairs each earlier sub-question with the passage selected
     for it; the pair being requested has no passage yet by construction.
     """
-    header = _instruction("decomposition_header.txt")
-    lines = [header, ""]
-    lines.append(f"Question: {question}")
+    lines = ["", "", f"Question: {question}"]
     for i, (subq, passage) in enumerate(history, start=1):
         lines.append(f"Subquestion {i}: {subq}")
-        lines.append(f"Subcontext {i}: {concat_passages([passage])}")
+        lines.append(f"Subcontext {i}: {_piece(passage)}")
     lines.append(f"Subquestion {len(history) + 1}:")
-    text = "\n".join(lines)
-    return RenderedPrompt(text)
+    return RenderedPrompt(_instruction("decomposition_header.txt"), ("\n".join(lines),))
 
 
 def render_stop_prompt(
     passages: Sequence[Passage],
-    subquestions: Sequence[str],
+    asked: Sequence[str],
+    subquestion: str,
 ) -> RenderedPrompt:
-    """Zero-shot prompt whose continuation likelihood drives the stopping test."""
-    instruction = _instruction("stop_instruction.txt")
-    text = "\n".join(
+    """The stopping test's zero-shot prompts, whose continuation likelihood
+    drives it: the decomposition of the ``asked`` sub-questions, without and
+    with the new ``subquestion``."""
+    head = "\n".join(
         [
-            instruction,
+            _instruction("stop_instruction.txt"),
             f"Context: {concat_passages(passages)}",
-            f"Decomposition: {' '.join(subquestions)}",
-            "Question:",
+            f"Decomposition: {' '.join(asked)}",
         ]
     )
-    return RenderedPrompt(text)
+    end = "\nQuestion:"
+    return RenderedPrompt(head, (end, (" " if asked else "") + subquestion + end))
 
 
-def render_scoring_prompts(
-    prefix: Sequence[Passage], candidates: Sequence[Passage]
-) -> tuple[str, tuple[str, ...]]:
-    """Zero-shot question-generation prompts, one per candidate appended to
-    the greedy ``prefix``, as a shared head and one tail per candidate:
-    ``head + tail`` is the candidate's prompt. Only the continuation
-    likelihood of the supplied sub-question is read back, the generated
-    text is ignored."""
+def render_scoring_head(prefix: Sequence[Passage]) -> str:
+    """The head of the zero-shot question-generation prompts of a level: a
+    candidate's prompt is the head of the greedy ``prefix``, then the
+    candidate's tail. Only the continuation likelihood of the supplied
+    sub-question is read back, the generated text is ignored."""
     head = _instruction("scoring_instruction.txt") + "\nContext: "
     if prefix:
         head += concat_passages(prefix) + " "
-    return head, tuple(_piece(p) + "\nQuestion:" for p in candidates)
+    return head
+
+
+def render_scoring_tails(candidates: Sequence[Passage]) -> tuple[str, ...]:
+    """Each candidate's tail of the prompts ``render_scoring_head`` starts."""
+    return tuple(_piece(p) + "\nQuestion:" for p in candidates)

@@ -25,11 +25,13 @@ from gensco.llm import (
     ScorerRequest,
     ScriptedBackend,
     ScriptMiss,
+    scorer_tails,
 )
-from gensco.models import Dataset, Variant
+from gensco.models import Dataset, Passage, Variant
 from gensco.pipeline import PipelineConfig, run_instance
+from gensco.prompts import concat_passages, render_stop_prompt
 
-from helpers import trace_instance
+from helpers import InFlight, scoring_pool, trace_instance
 
 
 @pytest.fixture(autouse=True)
@@ -321,6 +323,84 @@ class TestCache:
         assert stats["generator_calls"] == {"decomposition": 1, "answer": 1}
 
 
+def stored_name(req):
+    """The file name of a scripted backend's disk-cache entry for ``req``."""
+    return hashlib.sha256(f"scripted\0{req.fingerprint}".encode()).hexdigest()
+
+
+class TestScoreMany:
+    def test_a_failure_waits_for_the_call_in_flight_and_starts_no_other(self, tmp_path):
+        # Two workers: request 3 fails once request 4 has started, and
+        # request 4 returns after that failure.
+        requests = [ScorerRequest(f"passage {i}", " q") for i in range(1, 7)]
+        backend = ScriptedBackend()
+        for req in requests[:2] + requests[3:]:
+            backend.add_logprobs(req, [-1.0])
+        scripted = backend.token_logprobs
+        fourth_started, third_failed = threading.Event(), threading.Event()
+
+        def token_logprobs(req):
+            if req is requests[2]:
+                assert fourth_started.wait(5)
+                third_failed.set()  # and the scripted call raises ScriptMiss
+            elif req is requests[3]:
+                fourth_started.set()
+                assert third_failed.wait(5)
+            return scripted(req)
+
+        flight = InFlight(hold=0.05)
+        backend.token_logprobs = flight.wrap(token_logprobs)
+        gw = gateway_for(backend, cache_dir=tmp_path)
+        with scoring_pool(1) as fan_out:
+            with pytest.raises(ScriptMiss):
+                gw.score_many(requests, "relevance", fan_out)
+            assert flight.started == flight.finished == 4
+            time.sleep(0.1)
+            assert flight.started == 4
+        assert {path.stem for path in tmp_path.rglob("*.json")} == {
+            stored_name(req) for req in (requests[0], requests[1], requests[3])
+        }
+        assert gw.stats() == {
+            "generator_calls": {}, "scorer_calls": {"relevance": 3},
+            "cache_hits": 0, "cache_misses": 3,
+        }
+
+    def test_a_malformed_hit_raises_before_any_miss_is_sent(self, tmp_path):
+        requests = [ScorerRequest(f"passage {i}", " q") for i in range(3)]
+        llm.ResponseCache(tmp_path).put(f"scripted\0{requests[2].fingerprint}", {"text": "x"})
+        backend = ScriptedBackend()
+        for req in requests[:2]:
+            backend.add_logprobs(req, [-1.0])
+        flight = InFlight(hold=0.0)
+        backend.token_logprobs = flight.wrap(backend.token_logprobs)
+        gw = gateway_for(backend, cache_dir=tmp_path)
+        with pytest.raises(MalformedResponse, match="backend scripted: the cache holds"):
+            gw.score_many(requests, "relevance")
+        assert flight.started == 0
+        assert len(list(tmp_path.rglob("*.json"))) == 1
+        assert (gw.stats()["cache_hits"], gw.stats()["cache_misses"]) == (0, 0)
+
+    def test_after_a_failure_calls_count_as_one_at_a_time_would(self, tmp_path):
+        # A hit, a miss, a miss that fails and a hit: the two before the failure count.
+        requests = [ScorerRequest(f"passage {i}", " q") for i in range(4)]
+        cache = llm.ResponseCache(tmp_path)
+        for req in (requests[0], requests[3]):
+            cache.put(f"scripted\0{req.fingerprint}", {"token_logprobs": [-1.0], "mean_nll": 1.0})
+        backend = ScriptedBackend()
+        backend.add_logprobs(requests[1], [-2.0])
+        gw = gateway_for(backend, cache_dir=tmp_path)
+        with pytest.raises(ScriptMiss):
+            gw.score_many(requests, "stop")
+        assert gw.stats() == {
+            "generator_calls": {}, "scorer_calls": {"stop": 2}, "cache_hits": 1, "cache_misses": 1
+        }
+        backend.add_logprobs(requests[2], [-3.0])
+        assert gw.score_many(requests, "stop") == [1.0, 2.0, 3.0, 1.0]
+        assert gw.stats() == {
+            "generator_calls": {}, "scorer_calls": {"stop": 6}, "cache_hits": 4, "cache_misses": 2
+        }
+
+
 def reference_fingerprint(role, fields):
     """The fingerprint as the whole-dict json.dumps writes it."""
     canonical = json.dumps({"role": role, **fields}, ensure_ascii=False, sort_keys=True)
@@ -332,6 +412,10 @@ def reference_fingerprint(role, fields):
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
 # The same with lone surrogates too.
 SURROGATE_TEXT = st.text(st.characters(blacklist_categories=()))
+STOP_INSTRUCTION = (
+    "Generate a question given its complete decomposition into subquestions along with the"
+    " context containing answers to these subquestions."
+)
 # json.dumps writes 0 and 0.0, and True and 1, differently.
 TEMPERATURE = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6),
@@ -363,7 +447,7 @@ class TestFingerprint:
 
     @given(TEXT, st.lists(TEXT, min_size=1, max_size=4), TEXT)
     def test_shared_head_fingerprints_equal_the_whole_prompts(self, head, tails, continuation):
-        shared = ScorerRequest.sharing_head(head, tails, continuation)
+        shared = ScorerRequest.sharing_head(head, scorer_tails(tails), continuation)
         whole = tuple(ScorerRequest(head + tail, continuation) for tail in tails)
         assert shared == whole
         assert [r.fingerprint for r in shared] == [r.fingerprint for r in whole] == [
@@ -382,9 +466,56 @@ class TestFingerprint:
             except Exception as exc:
                 return type(exc)
 
-        assert outcome(lambda: ScorerRequest.sharing_head(head, tails, continuation)) == outcome(
-            lambda: [ScorerRequest(head + tail, continuation) for tail in tails]
+        assert outcome(
+            lambda: ScorerRequest.sharing_head(head, scorer_tails(tails), continuation)
+        ) == outcome(lambda: [ScorerRequest(head + tail, continuation) for tail in tails])
+
+    @given(TEXT, TEXT, TEMPERATURE, st.integers(0, 10**6) | st.booleans(), st.lists(TEXT, max_size=3))
+    def test_generator_shared_head_fingerprint_equals_the_whole_prompt(
+        self, head, tail, temperature, max_output_tokens, stops
+    ):
+        args = (temperature, max_output_tokens, tuple(stops))
+        # Twice: the second request finishes the head's kept hash state.
+        for _ in range(2):
+            shared = GeneratorRequest.sharing_head(head, tail, *args)
+            whole = GeneratorRequest(head + tail, *args)
+            assert shared == whole
+            assert shared.fingerprint == whole.fingerprint
+
+    def test_generator_heads_kept_apart_by_the_type_of_the_token_cap(self):
+        # 1, True and 1.0 are one key to an untyped cache; JSON writes them apart.
+        for max_output_tokens in (1, True, 1.0, 1):
+            shared = GeneratorRequest.sharing_head("head", " tail", 0.0, max_output_tokens)
+            assert shared.fingerprint == GeneratorRequest("head tail", 0.0, max_output_tokens).fingerprint
+
+    @given(SURROGATE_TEXT, SURROGATE_TEXT)
+    @example("a\ud834", "\udd1e")  # a surrogate pair split by the cut
+    def test_generator_shared_head_fails_like_the_whole_prompt(self, head, tail):
+        def outcome(build):
+            try:
+                return build().fingerprint
+            except Exception as exc:
+                return type(exc)
+
+        assert outcome(lambda: GeneratorRequest.sharing_head(head, tail)) == outcome(
+            lambda: GeneratorRequest(head + tail)
         )
+
+    @given(st.lists(TEXT, min_size=1, max_size=3), st.lists(TEXT, max_size=3), TEXT, TEXT)
+    def test_stop_pair_fingerprints_equal_the_whole_prompts(self, bodies, asked, new, question):
+        passages = [Passage(i, "", body) for i, body in enumerate(bodies)]
+        pair = render_stop_prompt(passages, asked, new)
+        shared = ScorerRequest.sharing_head(pair.head, scorer_tails(pair.tails), " " + question)
+        whole = tuple(
+            ScorerRequest(
+                f"{STOP_INSTRUCTION}\nContext: {concat_passages(passages)}\n"
+                f"Decomposition: {' '.join(subquestions)}\nQuestion:",
+                " " + question,
+            )
+            for subquestions in (asked, asked + [new])
+        )
+        assert shared == whole
+        assert [r.fingerprint for r in shared] == [r.fingerprint for r in whole]
 
     def test_disk_cache_file_named_by_sha256_of_backend_id_and_fingerprint(self, tmp_path):
         names = []
@@ -930,6 +1061,17 @@ class TestHttpBackend:
         assert isinstance(info.value.__cause__, ConnectionError)
         assert len(server.requests) == 3
 
+    def test_one_header_name_past_the_line_bound_retried_then_backend_unavailable(self, serve):
+        # http.client bounds header lines, not header names.
+        data = completion_bytes("x")
+        server = serve(lambda body: raw_reply(
+            ["HTTP/1.1 200 OK", f"Content-Length: {len(data)}"] + ["X-A: 1"] * 150, data
+        ), close_after_reply="silently")
+        gw = gateway_for(server.backend())
+        with pytest.raises(BackendUnavailable, match="more than 100 response header lines"):
+            gw.generate(GeneratorRequest(prompt="p"))
+        assert len(server.requests) == 3
+
     def test_repeated_equal_content_lengths_read(self, serve):
         def reply(body):
             data = completion_bytes(body["prompt"])
@@ -1059,9 +1201,12 @@ class TestOrjsonEscaping:
             lambda: GeneratorRequest("q", stop_sequences=("\udfff",)),
             lambda: ScorerRequest("p\udc00", " c"),
             lambda: ScorerRequest("p", " c\ud834"),
-            lambda: ScorerRequest.sharing_head("h", ["t", "\ud800 t"], " c"),
+            lambda: ScorerRequest.sharing_head("h", scorer_tails(["t", "\ud800 t"]), " c"),
+            lambda: GeneratorRequest.sharing_head("h\udc00", "t"),
+            lambda: GeneratorRequest.sharing_head("h", "t\ud800"),
         ],
-        ids=["prompt", "stop", "scorer-prompt", "continuation", "shared-head-tail"],
+        ids=["prompt", "stop", "scorer-prompt", "continuation", "shared-head-tail",
+             "generator-shared-head", "generator-shared-tail"],
     )
     def test_lone_surrogate_fails_when_the_request_is_built(self, build):
         with pytest.raises(orjson.JSONEncodeError):

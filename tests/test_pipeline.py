@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import threading
@@ -452,6 +453,69 @@ def mixed_title_instance(body_chars=40):
     return MultiHopInstance("relevance-levels", "q?", "a", passages)
 
 
+def count_request_work(monkeypatch) -> Counter:
+    """Count, while the test runs, the bytes llm hashes ("hashed") and the
+    strs it escapes as JSON ("escaped", and their length, "chars")."""
+    work = Counter()
+    sha256, dumps = hashlib.sha256, llm.orjson.dumps
+
+    class Counted:
+        """A sha256 state that counts the bytes it is given."""
+
+        def __init__(self, state, data=b""):
+            self.state = state
+            self.update(data)
+
+        def update(self, data):
+            work["hashed"] += len(data)
+            self.state.update(data)
+
+        def copy(self):
+            return Counted(self.state.copy())
+
+        def hexdigest(self):
+            return self.state.hexdigest()
+
+    def counted_dumps(value):
+        if type(value) is str:
+            work["escaped"] += 1
+            work["chars"] += len(value)
+        return dumps(value)
+
+    monkeypatch.setattr(llm.hashlib, "sha256", lambda data=b"": Counted(sha256(), data))
+    monkeypatch.setattr(llm.orjson, "dumps", counted_dumps)
+    # An empty cache of Generator heads, dropped with the counted states it keeps.
+    monkeypatch.setattr(
+        llm, "_shared_generator_start",
+        functools.lru_cache(maxsize=8, typed=True)(llm._generator_start),
+    )
+    return work
+
+
+class TestRequestWork:
+    def test_worked_trace_hashes_and_escapes_each_piece_once(self, monkeypatch):
+        # The worked trace with 2Wiki shots makes 3 decomposition requests,
+        # 2 relevance Scores of 10, 1 stop pair and 1 answer request. Each
+        # instance escapes its 10 passage tails once; each Score its head
+        # and continuation, and the stop pair its 2 tails; each Generator
+        # request its tail and its stop sequence. The decomposition header
+        # and the answer instruction and shots are escaped and hashed once
+        # per run, by the first instance. Escaping and hashing every
+        # prompt whole would take 38 escapes of 8,996 characters and
+        # 10,123 bytes hashed per instance.
+        work = count_request_work(monkeypatch)
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.STOP)
+        shots = load_shots(Dataset.TWO_WIKI)
+        per_instance = []
+        for _ in range(2):
+            before = work.copy()
+            plan_requests(trace_instance(), cfg, trace_plan(), shots)
+            per_instance.append(work - before)
+        first, warm = per_instance
+        assert warm == {"escaped": 10 + 3 * 2 + 2 + 4 * 2, "chars": 2944, "hashed": 4817}
+        assert first - warm == {"escaped": 2, "chars": 2408, "hashed": 2520}
+
+
 class TestRelevanceRequests:
     """A level's relevance requests are built from one rendered and hashed
     prefix, and equal the requests of each whole prompt."""
@@ -480,34 +544,14 @@ class TestRelevanceRequests:
         assert len(set(trace.selected_sequence)) == 3
 
     def test_a_levels_prefix_is_hashed_once(self, monkeypatch):
-        hashed = [0]
-        sha256 = hashlib.sha256
-
-        class Counted:
-            """A sha256 state that counts the bytes it is given."""
-
-            def __init__(self, state, data=b""):
-                self.state = state
-                self.update(data)
-
-            def update(self, data):
-                hashed[0] += len(data)
-                self.state.update(data)
-
-            def copy(self):
-                return Counted(self.state.copy())
-
-            def hexdigest(self):
-                return self.state.hexdigest()
-
-        monkeypatch.setattr(llm.hashlib, "sha256", lambda data=b"": Counted(sha256(), data))
+        work = count_request_work(monkeypatch)
         inst = mixed_title_instance(body_chars=2000)
         cfg = PipelineConfig(variant=Variant.MAX, max_levels=3)
         plan = ScriptedPlan(["s1?", "s2?", "s3?"], LEVEL_SCORES, "a")
         counts = []
 
         def reply(request):
-            counts.append((request, hashed[0]))
+            counts.append((request, work["hashed"]))
             return plan.reply(request)
 
         trace, _ = drive(greedy_loop(inst, cfg, (), "scripted"), reply)
@@ -524,15 +568,15 @@ class TestRelevanceRequests:
 
 # What each function the loops call would have to reject, were its only
 # caller able to pass it: a blank or passage-less history line, a stop
-# prompt without passages or sub-questions, a level without candidates, a
-# shuffle of fewer than two passages (one would loop forever), BM25 over
-# no passage, and a baseline in the greedy loop.
+# pair without passages or earlier sub-questions, scoring tails of no
+# candidate, a shuffle of fewer than two passages (one would loop
+# forever), BM25 over no passage, and a baseline in the greedy loop.
 CALLER_GUARANTEES = {
     "render_decomposition_prompt": lambda question, history: all(
         subq.strip() and isinstance(passage, Passage) for subq, passage in history
     ),
-    "render_stop_prompt": lambda passages, subquestions: bool(passages and subquestions),
-    "render_scoring_prompts": lambda prefix, candidates: bool(candidates),
+    "render_stop_prompt": lambda passages, asked, subquestion: bool(passages and asked),
+    "render_scoring_tails": lambda candidates: bool(candidates),
     "shuffle_sequence": lambda sequence, seed: len(sequence) >= 2,
     "bm25_rank": lambda question, passages, k1, b: bool(passages),
     "greedy_loop": lambda inst, cfg, *rest: cfg.variant in GENSCO_VARIANTS,

@@ -10,7 +10,8 @@ from gensco.prompts import (
     load_shots,
     render_answer_prompt,
     render_decomposition_prompt,
-    render_scoring_prompts,
+    render_scoring_head,
+    render_scoring_tails,
     render_stop_prompt,
 )
 
@@ -93,26 +94,36 @@ class TestDecompositionPrompt:
 
 class TestStopPrompt:
     def test_three_sections(self):
-        prompt = render_stop_prompt([P1], ["Sub one?"])
+        prompt = render_stop_prompt([P1], ["Sub one?"], "Sub two?")
         lines = prompt.text.splitlines()
         assert lines[1] == "Context: First passage body."
-        assert lines[2] == "Decomposition: Sub one?"
+        assert lines[2] == "Decomposition: Sub one? Sub two?"
         assert lines[3] == "Question:"
 
     def test_context_restricted_to_selected_prefix(self):
         # The criterion's i-side conditions on passages for levels 1..i-1
         # even though the decomposition runs to level i.
-        prompt = render_stop_prompt([P1, P2], ["s1?", "s2?", "s3?"])
+        prompt = render_stop_prompt([P1, P2], ["s1?", "s2?"], "s3?")
         assert "Third passage body." not in prompt.text
         assert "Decomposition: s1? s2? s3?" in prompt.text
+
+    @pytest.mark.parametrize("asked", [[], ["s1?"], ["s1?", "s2?"]])
+    def test_pair_is_without_then_with_the_new_subquestion(self, asked):
+        prompt = render_stop_prompt([P1, P2], asked, "new?")
+        context = f"Context: {concat_passages([P1, P2])}"
+        instruction = prompt.head.split("\n", 1)[0]
+        assert [prompt.head + tail for tail in prompt.tails] == [
+            f"{instruction}\n{context}\nDecomposition: {' '.join(subqs)}\nQuestion:"
+            for subqs in (asked, asked + ["new?"])
+        ]
 
 
 class TestScoringPrompt:
     def test_single_candidate_context(self):
         inst = trace_instance()
         p8 = inst.passage_by_index(8)
-        head, (tail,) = render_scoring_prompts([], [p8])
-        assert head + tail == (
+        (tail,) = render_scoring_tails([p8])
+        assert render_scoring_head([]) + tail == (
             "Generate a question based on the context.\n"
             f"Context: {p8.body}\n"
             "Question:"
@@ -122,15 +133,15 @@ class TestScoringPrompt:
         inst = trace_instance()
         p8 = inst.passage_by_index(8)
         p1 = inst.passage_by_index(1)
-        head, (tail,) = render_scoring_prompts([p8], [p1])
-        text = head + tail
+        (tail,) = render_scoring_tails([p1])
+        text = render_scoring_head([p8]) + tail
         assert text.index(p8.body) < text.index(p1.body)
 
     @pytest.mark.parametrize("prefix", [[], [P1], [P2, P1], [Passage(4, "", "")]],
                              ids=["empty", "untitled", "titled-then-untitled", "blank"])
     def test_head_plus_tail_is_the_whole_prompt(self, prefix):
         candidates = [P2, P3, Passage(5, "", ""), Passage(6, "T", "")]
-        head, tails = render_scoring_prompts(prefix, candidates)
+        head, tails = render_scoring_head(prefix), render_scoring_tails(candidates)
         instruction = "Generate a question based on the context."
         assert [head + tail for tail in tails] == [
             f"{instruction}\nContext: {concat_passages(prefix + [p])}\nQuestion:"
@@ -140,6 +151,6 @@ class TestScoringPrompt:
 
 @given(st.text(min_size=1, max_size=40), st.text(min_size=1, max_size=40))
 def test_cross_process_stable_digest(question, body):
-    a = render_scoring_prompts([], [Passage(0, "", body)])
-    b = render_scoring_prompts([], [Passage(0, "", body)])
+    a = render_scoring_tails([Passage(0, "", body)])
+    b = render_scoring_tails([Passage(0, "", body)])
     assert a == b

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from gensco.llm import ScorerRequest, ScriptedBackend, ScriptMiss
 from gensco.models import MultiHopInstance, Passage, ScoredCandidate, StopReason, Variant
 from gensco.pipeline import PipelineConfig, Score, run_instance
-from gensco.prompts import render_scoring_prompts
+from gensco.prompts import render_scoring_head, render_scoring_tails
 from gensco.scorer import MAX_NLL, select_best
 
 from helpers import (
@@ -88,7 +88,7 @@ class TestScoreLevel:
         (trace, _), log = plan_requests(inst, PipelineConfig(), trace_plan())
         (request,) = [r for r, _ in log if r.purpose == "relevance" and r.level == 2]
         prefix = [inst.passage_by_index(8)]
-        head, tails = render_scoring_prompts(prefix, inst.passages)
+        head, tails = render_scoring_head(prefix), render_scoring_tails(inst.passages)
         assert [req.prompt for req in request.requests] == [head + tail for tail in tails]
         assert {req.continuation for req in request.requests} == {" " + TRACE_SUBQ_2}
         assert trace.levels[1].chosen_index == 1
@@ -133,8 +133,11 @@ class TestScoreLevel:
         flight = InFlight(hold=0.0)
         counts = []
         gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1)
-        # Counted at the gateway, so calls the cache answers count too.
-        gw.score_continuation = flight.wrap(gw.score_continuation)
+        # Counted at the requests score_many sends through the pool.
+        score_many = gw.score_many
+        gw.score_many = lambda requests, purpose, fan_out: score_many(
+            requests, purpose, lambda fetch, misses: fan_out(flight.wrap(fetch), misses)
+        )
         with scoring_pool(1) as fan_out:
             for _ in range(20):
                 run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
