@@ -4,7 +4,8 @@ finished runs offline, and emit plot-ready tables.
 Run directory layout: manifest.json, instances.jsonl, traces.jsonl,
 answers.jsonl, failures.jsonl (when the last invocation had failures),
 report.json and report.csv after evaluation. Exit codes: 0 ok,
-1 instance failures, 2 fatal: bad input, or a path the system refuses.
+1 instance failures (for eval: instances without an answer), 2 fatal:
+bad input, or a path the system refuses.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, suppress
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -163,7 +164,7 @@ def _load_file(key: str, path: str, loader: Callable[[str], Any]) -> Any:
         raise ConfigError(f"config key {key!r}: cannot load {path!r}: {exc}") from exc
 
 
-def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
+def _build_gateway(cfg: dict[str, Any], fan_out: Callable) -> LlmGateway:
     if cfg.get("backend", "http") == "scripted":
         script = cfg["script_file"]
         generator = scorer = _load_file("script_file", script, ScriptedBackend.from_file)
@@ -173,7 +174,7 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return LlmGateway(generator, scorer, cache_dir=cfg.get("cache_dir"))
+    return LlmGateway(generator, scorer, cfg.get("cache_dir"), fan_out)
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
@@ -328,7 +329,17 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
                     f"config key 'rankings_file': {path!r} ranks an absent or repeated passage"
                     f" in the first {pipe_cfg.top_k} of {inst.id!r}: {head}"
                 )
-    gateway = _build_gateway(cfg)
+    concurrency = cfg.get("concurrency", 1)
+    scorer_concurrency = cfg.get("scorer_concurrency", 1)
+    # The run's one pool has a worker for each instance helper and for each
+    # helper of the Score every instance has in flight, so no queued helper
+    # waits. With no helper nothing is queued, so the pool starts no thread.
+    pool = ThreadPoolExecutor(
+        max(concurrency * scorer_concurrency - 1, 1), thread_name_prefix="gensco"
+    )
+    gateway = _build_gateway(
+        cfg, functools.partial(run_in_order, pool=pool, helpers=scorer_concurrency - 1)
+    )
 
     run_dir.mkdir(parents=True, exist_ok=True)  # once every input has loaded
     traces_path = run_dir / "traces.jsonl"
@@ -336,7 +347,8 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     instances_path = run_dir / "instances.jsonl"
     failures_path = run_dir / "failures.jsonl"
     whole = _cut_to_whole_instances((instances_path, traces_path, answers_path))
-    done = set(read_jsonl(traces_path, _trace_id)) if whole else set()
+    kept = list(read_jsonl(traces_path, _trace_id)) if whole else []
+    done = set(kept)
     if len(done) != whole:  # a blank or repeated line
         raise CorruptTrace(f"{traces_path}: {whole} lines hold {len(done)} instance ids")
     todo = [inst for inst in instances if inst.id not in done]
@@ -353,21 +365,10 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         "invocations": invocations,
     }
     started = time.time()
-    concurrency = cfg.get("concurrency", 1)
-    scorer_concurrency = cfg.get("scorer_concurrency", 1)
-    # The run's one pool has a worker for each instance helper and for each
-    # helper of the Score every instance has in flight, so no queued helper
-    # waits. With no helper nothing is queued, so the pool starts no thread.
-    pool = ThreadPoolExecutor(
-        max(concurrency * scorer_concurrency - 1, 1), thread_name_prefix="gensco"
-    )
-    fan_out = functools.partial(run_in_order, pool=pool, helpers=scorer_concurrency - 1)
 
     def process(inst: MultiHopInstance):
         try:
-            trace, record = run_instance(
-                inst, pipe_cfg, gateway, shot_bank, rankings.get(inst.id), fan_out
-            )
+            trace, record = run_instance(inst, pipe_cfg, gateway, shot_bank, rankings.get(inst.id))
             return inst, trace.to_dict(), record.to_dict(), None
         except Exception as exc:  # noqa: BLE001 - batch isolation boundary
             return inst, None, None, f"{type(exc).__name__}: {exc}"
@@ -393,8 +394,17 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
             append_jsonl(inf, inst.to_dict())
             append_jsonl(tf, trace_dict)
             append_jsonl(af, answer_dict)
+            kept.append(inst.id)
     if failures == 0:
         failures_path.unlink()
+    # A resume that filled a hole appended it last. traces.jsonl is sorted
+    # last, so a run killed before its replace is sorted again on resume.
+    rank = {inst.id: i for i, inst in enumerate(instances)}
+    ranks = [rank.get(i, len(rank)) for i in kept]
+    if ranks != sorted(ranks):
+        for path, key in ((instances_path, "id"), (answers_path, "instance_id"),
+                          (traces_path, "instance_id")):
+            _sort_run_file(path, key, rank)
 
     invocation = {
         "started": started,
@@ -407,6 +417,31 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         manifest_path, {**manifest, **invocation, "invocations": invocations + [invocation]}
     )
     return 1 if failures else 0
+
+
+def _sort_run_file(path: Path, key: str, rank: dict[str, int]) -> None:
+    """Rewrite the JSON-lines run file ``path`` with its lines ordered by
+    the ``rank`` of their ``key`` field (unranked ones last), through a
+    temporary file and one atomic replace."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    try:
+        lines.sort(key=lambda line: rank.get(load_json(line)[key], len(rank)))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CorruptTrace(f"{path}: a line without an instance id ({exc!r})") from exc
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(b"".join(lines))
+    os.replace(tmp, path)
+
+
+def _read_manifest(path: Path) -> dict[str, Any]:
+    """A run's manifest; CorruptTrace unless it is a JSON object."""
+    try:
+        manifest = load_json(path.read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise CorruptTrace(f"{path}: unreadable ({exc})") from exc
+    if type(manifest) is not dict:
+        raise CorruptTrace(f"{path}: unreadable (a JSON {type(manifest).__name__}, not an object)")
+    return manifest
 
 
 def _write_manifest(path: Path, manifest: dict[str, Any]) -> None:
@@ -425,12 +460,9 @@ def _previous_invocations(
     values differ from the earlier run's, or a dataset whose bytes do."""
     if not manifest_path.exists():
         return []
-    try:
-        manifest = load_json(manifest_path.read_bytes())
-        invocations = manifest.get("invocations", [])
-        earlier = manifest.get("config")
-    except (ValueError, AttributeError, RecursionError) as exc:
-        raise CorruptTrace(f"{manifest_path}: unreadable ({exc})") from exc
+    manifest = _read_manifest(manifest_path)
+    invocations = manifest.get("invocations", [])
+    earlier = manifest.get("config")
     if type(invocations) is not list:
         raise CorruptTrace(f"{manifest_path}: 'invocations' is not a list: {invocations!r}")
     if type(earlier) is not dict:
@@ -512,12 +544,19 @@ def _report_json(payload: dict[str, Any]) -> str:
 
 
 def evaluate_run(run_dir) -> metrics.EvalReport:
-    """Recompute the metric report for a finished run, offline."""
+    """Recompute the metric report for a finished run, offline, and count
+    the instances of its manifest's ``instances_total`` without an answer."""
     run_dir = Path(run_dir)
     rows = _eval_rows(run_dir)
-    report = metrics.aggregate(rows)
+    manifest_path = run_dir / "manifest.json"
+    total = _read_manifest(manifest_path).get("instances_total")
+    if not _is_int(total) or total < 0:
+        raise CorruptTrace(f"{manifest_path}: 'instances_total' is not a count: {total!r}")
+    report = replace(metrics.aggregate(rows), instances_missing=max(total - len(rows), 0))
     payload = {
         "count": report.count,
+        "instances_total": total,
+        "instances_missing": report.instances_missing,
         "means": report.means,
         "percents": report.percents,
         "delta_hops_hist": {
@@ -606,11 +645,14 @@ def cmd_run(config, run_dir, limit) -> None:
 @main.command("eval")
 @click.argument("run_dir", type=click.Path(exists=True))
 def cmd_eval(run_dir) -> None:
-    """Compute metric reports for a finished run."""
+    """Compute metric reports for a finished run; exit 1 when an instance
+    of the run has no answer."""
     report = _or_exit_2(evaluate_run, run_dir)
     for name, value in sorted(report.percents.items()):
         click.echo(f"{name}: {value:.2f}")
-    sys.exit(0)
+    if report.instances_missing:
+        click.echo(f"instances_missing: {report.instances_missing}", err=True)
+    sys.exit(1 if report.instances_missing else 0)
 
 
 def _subset_sizes(ctx, param, value: str) -> tuple[int, ...]:

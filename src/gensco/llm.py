@@ -8,7 +8,6 @@ scripted backend for deterministic tests.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import itertools
@@ -628,12 +627,13 @@ class HttpBackend:
 
 class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, named by the
-    key's sha256."""
+    key's sha256. Each entry is written to a temporary file and renamed
+    into place, so a reader sees a whole entry or none, also when another
+    process shares the directory."""
 
     def __init__(self, cache_dir) -> None:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -643,10 +643,12 @@ class ResponseCache:
         """The value stored under ``key``, or None; MalformedResponse for an
         entry that is not UTF-8 JSON."""
         path = self._path(key)
-        if not path.exists():
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
             return None
         try:
-            return load_json(path.read_bytes())
+            return load_json(raw)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             backend_id = key.partition("\0")[0]
             raise MalformedResponse(
@@ -655,16 +657,15 @@ class ResponseCache:
 
     def put(self, key: str, value: Any) -> None:
         path = self._path(key)
-        with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(value, fh, ensure_ascii=False, sort_keys=True)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(value, fh, ensure_ascii=False, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 class _NoCache:
@@ -736,10 +737,11 @@ class LlmGateway:
     threads at once, and the run that calls them owns those threads.
     """
 
-    def __init__(self, generator: Backend, scorer: Backend, cache_dir=None) -> None:
+    def __init__(self, generator: Backend, scorer: Backend, cache_dir=None, fan_out=map) -> None:
         self.generator = generator
         self.scorer = scorer
         self.cache = ResponseCache(cache_dir) if cache_dir else _NoCache()
+        self._fan_out = fan_out
         self._lock = threading.Lock()
         self.generator_calls: dict[str, int] = {}
         self.scorer_calls: dict[str, int] = {}
@@ -774,28 +776,28 @@ class LlmGateway:
         return entry["text"]
 
     def score_many(
-        self, requests: Sequence[ScorerRequest], purpose: str = "relevance", fan_out: Callable = map
+        self, requests: Sequence[ScorerRequest], purpose: str = "relevance"
     ) -> list[float]:
         """The mean NLL of each request's continuation, in request order.
 
         Every request's cache entry is looked up first. A hit of another
         shape than the gateway writes, or with a mean NLL that is not
-        finite, raises MalformedResponse before any miss is sent. The
-        misses are sent as ``fan_out(fetch, misses)`` maps them, and each
-        is stored as it returns, its per-token logprobs kept with its mean.
-        A score over no token, or one that is not finite, raises
-        MalformedResponse: it is never retried or cached.
-
-        The calls are counted as one request at a time would count them:
-        after a failure, every miss that returned and every hit before the
-        first request left unanswered. A cache entry that cannot be read
-        raises before any call is sent or counted.
+        finite, raises MalformedResponse before any miss is sent or any
+        call counted. The gateway's ``fan_out(fetch, misses)`` sends the
+        misses, and each is stored as it returns, its per-token logprobs
+        kept with its mean. A score over no token, or one that is not
+        finite, raises MalformedResponse: it is never retried or cached.
+        Every hit and every miss that returned is counted, failed or not.
         """
         backend = self.scorer
         prefix = backend.backend_id + "\0"
         keys = [prefix + req.fingerprint for req in requests]
         entries = list(map(self.cache.get, keys))
         misses = [i for i, entry in enumerate(entries) if entry is None]
+        if len(misses) < len(requests):
+            for entry, req in zip(entries, requests):
+                if entry is not None and not (_is_score(entry) and self._finite(entry, req)):
+                    raise _unexpected_entry(backend, entry)
         token_logprobs, put = backend.token_logprobs, self.cache.put
 
         def fetch(i: int) -> None:
@@ -813,23 +815,12 @@ class LlmGateway:
             entries[i] = entry
 
         try:
-            # ``answered``: every request before this index has been answered.
-            if len(misses) < len(requests):
-                for answered, (entry, req) in enumerate(zip(entries, requests)):
-                    if entry is not None and not (_is_score(entry) and self._finite(entry, req)):
-                        raise _unexpected_entry(backend, entry)
-            answered = len(requests)
-            for _ in fan_out(fetch, misses):
+            for _ in self._fan_out(fetch, misses):
                 pass
-        except BaseException:
-            # A hit was not valid, or a miss failed; the misses in flight
-            # have returned, and no other was sent.
-            returned = sum(entries[j] is not None for j in misses)
-            answered = min(answered, next((j for j in misses if entries[j] is None), answered))
-            hits = answered - bisect.bisect_left(misses, answered)
-            self._count(self.scorer_calls, purpose, hits, returned)
-            raise
-        self._count(self.scorer_calls, purpose, len(requests) - len(misses), len(misses))
+        finally:
+            # After a failure the misses in flight have returned, and no other was sent.
+            returned = len(misses) - entries.count(None)
+            self._count(self.scorer_calls, purpose, len(requests) - len(misses), returned)
         return [entry["mean_nll"] for entry in entries]
 
     def score_continuation(self, req: ScorerRequest, purpose: str = "relevance") -> float:

@@ -56,6 +56,7 @@ class EvalReport:
     means: dict[str, float]  # raw fractions
     percents: dict[str, float]  # means scaled by 100, the tables' convention
     delta_hops_hist: dict[int, dict[int, int]]  # supporting count -> delta -> n
+    instances_missing: int = 0  # of the run's instances, those without an answer
 
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")

@@ -270,11 +270,18 @@ def replay_trace(trace: SelectionTrace, score_sign: str = MIN_NLL) -> bool:
 
 # orjson reads every document json.loads reads to the same value, but for
 # two kinds. It reads an integer outside -2**63..2**64-1 as a float, where
-# json.loads keeps it exact, and it reads nesting of any depth, where
-# json.loads raises RecursionError near the interpreter's recursion limit.
+# json.loads keeps it exact, and it reads nesting past the depth where
+# json.loads raises RecursionError, near the interpreter's recursion limit.
 # A document that may hold either goes to json.loads. _DEEP sits far enough
 # below the default limit of 1,000 frames for any caller's stack.
 _DEEP = 256
+# orjson 3.8.3 overflows its native stack and kills the process with
+# SIGSEGV on a closed array about 131,000 levels deep, or a chain of {"":
+# about 52,500 deep (8 MB stacks). A document nests no deeper than its
+# count of "[" and "{" bytes, which brackets inside strings only raise: one
+# with _OPENS of them goes to json.loads unread by orjson, and one with
+# fewer than _DEEP cannot nest _DEEP levels deep.
+_OPENS = 10_000
 # Each byte's class in the search for long integers: a digit "0", a byte a
 # number may follow "s", any other byte "x".
 _CLASSES = bytes(
@@ -307,14 +314,15 @@ def load_json(raw: bytes) -> Any:
     """The value of the JSON document ``raw`` as ``json.loads`` reads it
     decoded from UTF-8; a document it refuses raises its error with its
     message. orjson decodes ``raw`` unless it refuses it or the document
-    has a long digit run or nests _DEEP levels deep."""
-    if not _long_digit_run(raw):
+    has _OPENS brackets and braces, a long digit run or _DEEP levels."""
+    opens = raw.count(b"[") + raw.count(b"{")
+    if opens < _OPENS and not _long_digit_run(raw):
         try:
             value = orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
         else:
-            if not _nests(value, _DEEP):
+            if opens < _DEEP or not _nests(value, _DEEP):
                 return value
     return json.loads(raw.decode("utf-8"))
 

@@ -292,13 +292,12 @@ def drive(loop: Loop, answer: Callable[[Request], Any]) -> Any:
         reply = answer(request)
 
 
-def serve(gateway: LlmGateway, request: Request, fan_out: Callable = map) -> Any:
+def serve(gateway: LlmGateway, request: Request) -> Any:
     """Answer one request through the gateway: a Generate's completion, or
-    a Score's mean NLLs in request order, its misses sent as ``fan_out``
-    maps them."""
+    a Score's mean NLLs in request order."""
     if isinstance(request, Generate):
         return gateway.generate(request.request, purpose=request.purpose)
-    return gateway.score_many(request.requests, request.purpose, fan_out)
+    return gateway.score_many(request.requests, request.purpose)
 
 
 def run_instance(
@@ -307,8 +306,7 @@ def run_instance(
     gateway: LlmGateway,
     shot_bank: Sequence[ShotExample] = (),
     ranking: Optional[Sequence[int]] = None,
-    fan_out: Callable = map,
 ) -> tuple[SelectionTrace, AnswerRecord]:
     """Run the loop of ``cfg.variant`` on one instance through the gateway."""
     loop = instance_loop(inst, cfg, shot_bank, gateway.generator.backend_id, ranking)
-    return drive(loop, lambda request: serve(gateway, request, fan_out))
+    return drive(loop, lambda request: serve(gateway, request))

@@ -136,7 +136,7 @@ def scripted_gateway(backend: ScriptedBackend, **kwargs) -> LlmGateway:
 
 @contextmanager
 def scoring_pool(helpers: int):
-    """A ``fan_out`` for ``run_instance``, as ``cli.run_batch`` builds it: each
+    """A ``fan_out`` for ``LlmGateway``, as ``cli.run_batch`` builds it: each
     Score is scored on its caller and by up to ``helpers`` tasks queued on a
     pool of ``helpers`` threads, which the test owns and which is shut down
     on exit."""

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -367,6 +368,57 @@ class TestRunBatch:
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(resumed, name) == read_bytes(fresh, name)
 
+    def run_with_a_hole(self, tmp_path):
+        """A 3-instance run whose syn-000 failed, with the full script back
+        in place for its resume, and a fresh run of that script."""
+        cfg = make_run_config(tmp_path, 3)
+        fresh = tmp_path / "fresh"
+        assert cli.run_batch(cfg, fresh) == 0
+        full_script = read_bytes(tmp_path, "script.json")
+        instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
+        pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, Variant.MAX)
+        build_synthetic_script(instances[1:], pipe_cfg).to_file(cfg["script_file"])
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 1
+        (tmp_path / "script.json").write_bytes(full_script)
+        return cfg, run_dir, fresh
+
+    def test_resume_that_fills_a_hole_leaves_the_run_files_in_dataset_order(
+        self, tmp_path, monkeypatch
+    ):
+        cfg, run_dir, fresh = self.run_with_a_hole(tmp_path)
+        assert cli.run_batch(cfg, run_dir) == 0
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
+        replaced = []
+        monkeypatch.setattr(os, "replace", lambda *paths: replaced.append(paths))
+        assert cli.run_batch(cfg, run_dir) == 0
+        assert replaced == []  # a run in order is not rewritten
+
+    def test_resume_killed_while_sorting_sorts_again_with_nothing_to_run(
+        self, tmp_path, monkeypatch
+    ):
+        cfg, run_dir, fresh = self.run_with_a_hole(tmp_path)
+        replace, replaced = os.replace, []
+
+        def killed_at_the_second(src, dst):
+            replaced.append(Path(dst).name)
+            if len(replaced) == 2:
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_at_the_second)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_batch(cfg, run_dir)
+        assert replaced == ["instances.jsonl", "answers.jsonl"]
+        monkeypatch.setattr(os, "replace", replace)
+        assert read_bytes(run_dir, "traces.jsonl") != read_bytes(fresh, "traces.jsonl")
+        assert cli.run_batch(cfg, run_dir) == 0
+        manifest = json.loads(read_bytes(run_dir, "manifest.json"))
+        assert manifest["instances_skipped"] == 3
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
+
     @pytest.mark.parametrize("tail", ["empty", "half", "whole"])
     @pytest.mark.parametrize("torn_file", [0, 1, 2])
     @pytest.mark.parametrize("whole_instances", [0, 1, 2, 3])
@@ -652,6 +704,30 @@ class TestEvaluateRun:
         cli.evaluate_run(run_dir)
         second = read_bytes(run_dir, "report.json"), read_bytes(run_dir, "report.csv")
         assert first == second
+
+    def test_instances_without_an_answer_are_counted_and_exit_1(self, tmp_path):
+        cfg = make_run_config(tmp_path, 3)
+        instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
+        pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, Variant.MAX)
+        build_synthetic_script(instances[1:], pipe_cfg).to_file(cfg["script_file"])
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(cfg, run_dir) == 1
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 1, result.output
+        assert "em:" in result.output and "instances_missing: 1" in result.output
+        payload = json.loads(read_bytes(run_dir, "report.json"))
+        assert [payload[key] for key in ("count", "instances_total", "instances_missing")] == [
+            2, 3, 1
+        ]
+        assert len(read_bytes(run_dir, "report.csv").splitlines()) == 3
+
+    def test_run_without_a_manifest_exits_2_naming_it(self, tmp_path):
+        run_dir = self.finished_run(tmp_path)
+        (run_dir / "manifest.json").unlink()
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert f"fatal: {run_dir / 'manifest.json'}: No such file" in result.output
+        assert not (run_dir / "report.json").exists()
 
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -2,8 +2,12 @@
 gets each reader's named error, as any other unreadable input does, not a
 bare RecursionError."""
 
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -93,23 +97,58 @@ def musique_line(tmp_path):
     datasets.load(DatasetConfig(Dataset.MUSIQUE, str(path)))
 
 
-@pytest.mark.parametrize(
-    "read, error",
-    [
-        (reply, MalformedResponse),
-        (cache_entry, MalformedResponse),
-        (named_file("script_file"), cli.ConfigError),
-        (named_file("shot_bank"), cli.ConfigError),
-        (named_file("rankings_file", "\n", variant="precomputed"), cli.ConfigError),
-        (config, cli.ConfigError),
-        (manifest, CorruptTrace),
-        (trace_line, CorruptTrace),
-        (named_file("dataset_path"), ParseError),
-        (musique_line, ParseError),
-    ],
-    ids=["reply", "cache-entry", "script", "shot-bank", "rankings", "config", "manifest",
-         "trace-line", "wiki-dataset", "musique-line"],
-)
+# Each reader of JSON from outside, and the error it must end in.
+READERS = {
+    "reply": (reply, MalformedResponse),
+    "cache-entry": (cache_entry, MalformedResponse),
+    "script": (named_file("script_file"), cli.ConfigError),
+    "shot-bank": (named_file("shot_bank"), cli.ConfigError),
+    "rankings": (named_file("rankings_file", "\n", variant="precomputed"), cli.ConfigError),
+    "config": (config, cli.ConfigError),
+    "manifest": (manifest, CorruptTrace),
+    "trace-line": (trace_line, CorruptTrace),
+    "wiki-dataset": (named_file("dataset_path"), ParseError),
+    "musique-line": (musique_line, ParseError),
+}
+
+
+@pytest.mark.parametrize("read, error", READERS.values(), ids=list(READERS))
 def test_nesting_past_the_decoder_depth_is_the_readers_named_error(tmp_path, read, error):
     with pytest.raises(error, match="maximum recursion depth exceeded"):
         read(tmp_path)
+
+
+# Run in a child process: orjson 3.8.3 overflows its native stack on such
+# a document, which kills the process with SIGSEGV rather than failing a test.
+PAST_ORJSONS_STACK = """
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import test_deep_nesting
+from gensco.models import load_json
+
+depth = 200_000
+for raw in (b"[" * depth + b"]" * depth, b'{"":' * depth + b"0" + b"}" * depth):
+    with pytest.raises(RecursionError):
+        load_json(raw)
+test_deep_nesting.DEEP = "[" * depth + "]" * depth
+for read, error in test_deep_nesting.READERS.values():
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(error, match="maximum recursion depth exceeded"):
+            read(Path(tmp))
+"""
+
+
+def test_nesting_past_orjsons_stack_is_the_readers_named_error():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", PAST_ORJSONS_STACK],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]

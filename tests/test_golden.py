@@ -67,7 +67,7 @@ def test_report_files_of_a_fixed_synthetic_run(tmp_path):
         )
     }
     assert digests == {
-        "report.json": "da8060af980c92a5558f3670f2cc5bd241a381ac3a435b6b375059001005d90a",
+        "report.json": "60fcf438ea0af496ca473b93075431a3e5dbdc081d9a4df320e8f6ba34761a75",
         "report.csv": "4e77d18de4e89a3654172364c33519471cfa70026cfa9a3d8842210175ae06bb",
         "subsets.csv": "29f255da46b007e9840db995a5909ba8783803d699fbbc93babc32657b79f7eb",
     }

@@ -6,8 +6,9 @@ A reader lets the OSError that names its path propagate, and
 per reader covers the paths someone thought of and no others.
 ``cli._load_file`` adds the config key that named the file,
 ``llm.HttpBackend._post`` turns a socket's failure into a ConnectionError,
-and ``llm.LlmGateway._cached`` retries that. The scan is by AST, so a
-comment or a docstring that names these does not count.
+and ``llm.ResponseCache.get`` reads an entry that is not there as a miss.
+The scan is by AST, so a comment or a docstring that names these does not
+count.
 """
 
 import ast
@@ -24,7 +25,7 @@ ALLOWED = {
     "cli._or_exit_2",
     "cli._load_file",
     "llm.HttpBackend._post",
-    "llm.LlmGateway._cached",
+    "llm.ResponseCache.get",
 }
 
 

@@ -274,6 +274,16 @@ class TestCache:
         assert gw.generate(req) == "from b"
         assert (gw.stats()["cache_hits"], gw.stats()["cache_misses"]) == (0, 1)
 
+    def test_a_write_that_fails_leaves_no_file_and_a_missing_entry_is_a_miss(self, tmp_path):
+        cache = llm.ResponseCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.put("k", {"text": object()})
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+        assert cache.get("k") is None
+        cache.put("k", {"text": "x"})
+        assert cache.get("k") == {"text": "x"}
+        assert [path.suffix for path in tmp_path.rglob("*") if path.is_file()] == [".json"]
+
     def test_cache_key_pinned(self, tmp_path):
         # The key is sha256(backend_id + "\0" + fingerprint); changing it
         # makes every existing disk cache miss, so it changes only on purpose.
@@ -350,10 +360,10 @@ class TestScoreMany:
 
         flight = InFlight(hold=0.05)
         backend.token_logprobs = flight.wrap(token_logprobs)
-        gw = gateway_for(backend, cache_dir=tmp_path)
         with scoring_pool(1) as fan_out:
+            gw = gateway_for(backend, cache_dir=tmp_path, fan_out=fan_out)
             with pytest.raises(ScriptMiss):
-                gw.score_many(requests, "relevance", fan_out)
+                gw.score_many(requests, "relevance")
             assert flight.started == flight.finished == 4
             time.sleep(0.1)
             assert flight.started == 4
@@ -380,8 +390,8 @@ class TestScoreMany:
         assert len(list(tmp_path.rglob("*.json"))) == 1
         assert (gw.stats()["cache_hits"], gw.stats()["cache_misses"]) == (0, 0)
 
-    def test_after_a_failure_calls_count_as_one_at_a_time_would(self, tmp_path):
-        # A hit, a miss, a miss that fails and a hit: the two before the failure count.
+    def test_a_failed_score_counts_every_hit_and_every_miss_that_returned(self, tmp_path):
+        # A hit, a miss, a miss that fails and a hit: both hits and the miss count.
         requests = [ScorerRequest(f"passage {i}", " q") for i in range(4)]
         cache = llm.ResponseCache(tmp_path)
         for req in (requests[0], requests[3]):
@@ -392,12 +402,12 @@ class TestScoreMany:
         with pytest.raises(ScriptMiss):
             gw.score_many(requests, "stop")
         assert gw.stats() == {
-            "generator_calls": {}, "scorer_calls": {"stop": 2}, "cache_hits": 1, "cache_misses": 1
+            "generator_calls": {}, "scorer_calls": {"stop": 3}, "cache_hits": 2, "cache_misses": 1
         }
         backend.add_logprobs(requests[2], [-3.0])
         assert gw.score_many(requests, "stop") == [1.0, 2.0, 3.0, 1.0]
         assert gw.stats() == {
-            "generator_calls": {}, "scorer_calls": {"stop": 6}, "cache_hits": 4, "cache_misses": 2
+            "generator_calls": {}, "scorer_calls": {"stop": 7}, "cache_hits": 5, "cache_misses": 2
         }
 
 

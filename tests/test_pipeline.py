@@ -87,17 +87,14 @@ GOLDEN_SCRIPT_SHA256 = {
 }
 
 
-def run_trace_example(
-    variant=Variant.STOP, plan=None, gateway=None, fan_out=map, **cfg_overrides
-):
-    """The worked trace through ``gateway`` (by default a fresh scripted one),
-    each Score's requests scored as ``fan_out`` maps them."""
+def run_trace_example(variant=Variant.STOP, plan=None, gateway=None, **cfg_overrides):
+    """The worked trace through ``gateway`` (by default a fresh scripted one)."""
     inst = trace_instance()
     cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, variant, **cfg_overrides)
     shots = load_shots(Dataset.TWO_WIKI)
     gateway = gateway or scripted_gateway(ScriptedBackend())
     build_instance_script(gateway.scorer, inst, cfg, plan or trace_plan(), shots)
-    return run_instance(inst, cfg, gateway, shots, fan_out=fan_out), gateway
+    return run_instance(inst, cfg, gateway, shots), gateway
 
 
 class TestWorkedTrace:
@@ -131,12 +128,12 @@ class TestWorkedTrace:
         # Five runs that score two requests at once, on one pool, and the
         # same five through a gateway that scores one at a time.
         sequential_gateway = scripted_gateway(ScriptedBackend())
-        gateway = scripted_gateway(ScriptedBackend())
         runs = []
         with scoring_pool(1) as fan_out:
+            gateway = scripted_gateway(ScriptedBackend(), fan_out=fan_out)
             for _ in range(5):
                 sequential, _ = run_trace_example(gateway=sequential_gateway)
-                result, _ = run_trace_example(gateway=gateway, fan_out=fan_out)
+                result, _ = run_trace_example(gateway=gateway)
                 runs.append((result, threading.active_count()))
         for result, _ in runs:
             assert result == sequential
@@ -190,7 +187,7 @@ class TestStoppingRules:
             )(req)
         with scoring_pool(workers - 1) as fan_out:
             trace, _ = run_instance(
-                inst, PipelineConfig(), scripted_gateway(backend), fan_out=fan_out
+                inst, PipelineConfig(), scripted_gateway(backend, fan_out=fan_out)
             )
         if trace.stop_reason is StopReason.LIKELIHOOD_STOP:
             assert trace.selected_sequence == (8,)

@@ -42,15 +42,15 @@ def one_level(passages, scores, cfg=ONE_LEVEL):
     return plan_requests(instance(passages), cfg, plan)[0][0].levels[0]
 
 
-def one_level_gateway(inst, scores, flight=None):
+def one_level_gateway(inst, scores, flight=None, fan_out=map):
     """A gateway scripted for one level of ``inst``, its scorer calls
-    counted by ``flight``."""
+    counted by ``flight`` and each Score's misses sent as ``fan_out`` maps them."""
     backend = ScriptedBackend()
     plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
     build_instance_script(backend, inst, ONE_LEVEL, plan)
     if flight is not None:
         backend.token_logprobs = flight.wrap(backend.token_logprobs)
-    return scripted_gateway(backend)
+    return scripted_gateway(backend, fan_out=fan_out)
 
 
 class TestSelectBest:
@@ -112,9 +112,9 @@ class TestScoreLevel:
         shuffled = MultiHopInstance(inst.id, inst.question, "a", inst.passages[::-1])
         gw = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
         sequential = run_instance(shuffled, ONE_LEVEL, gw)
-        pooled = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
         with scoring_pool(3) as fan_out:
-            concurrent = run_instance(shuffled, ONE_LEVEL, pooled, fan_out=fan_out)
+            pooled = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1, fan_out=fan_out)
+            concurrent = run_instance(shuffled, ONE_LEVEL, pooled)
         assert concurrent == sequential
         candidates = concurrent[0].levels[0].candidates
         assert [c.passage_index for c in candidates] == list(range(1, 11))
@@ -122,9 +122,9 @@ class TestScoreLevel:
     def test_at_most_concurrency_calls_in_flight(self):
         inst = trace_instance()
         flight = InFlight()
-        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight)
         with scoring_pool(1) as fan_out:
-            run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
+            gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, fan_out)
+            run_instance(inst, ONE_LEVEL, gw)
         assert flight.peak == 2
         assert flight.finished == 10
 
@@ -132,15 +132,14 @@ class TestScoreLevel:
         inst = trace_instance()
         flight = InFlight(hold=0.0)
         counts = []
-        gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1)
-        # Counted at the requests score_many sends through the pool.
-        score_many = gw.score_many
-        gw.score_many = lambda requests, purpose, fan_out: score_many(
-            requests, purpose, lambda fetch, misses: fan_out(flight.wrap(fetch), misses)
-        )
         with scoring_pool(1) as fan_out:
+            # Counted at the requests score_many sends through the pool.
+            gw = one_level_gateway(
+                inst, TRACE_SCORES_LEVEL_1,
+                fan_out=lambda fetch, misses: fan_out(flight.wrap(fetch), misses),
+            )
             for _ in range(20):
-                run_instance(inst, ONE_LEVEL, gw, fan_out=fan_out)
+                run_instance(inst, ONE_LEVEL, gw)
                 counts.append(threading.active_count())
         assert max(counts[1:]) <= counts[0]
         assert flight.finished == 200
