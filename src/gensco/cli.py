@@ -11,7 +11,6 @@ bad input, or a path the system refuses.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import operator
@@ -164,7 +163,7 @@ def _load_file(key: str, path: str, loader: Callable[[str], Any]) -> Any:
         raise ConfigError(f"config key {key!r}: cannot load {path!r}: {exc}") from exc
 
 
-def _build_gateway(cfg: dict[str, Any], fan_out: Callable) -> LlmGateway:
+def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
     if cfg.get("backend", "http") == "scripted":
         script = cfg["script_file"]
         generator = scorer = _load_file("script_file", script, ScriptedBackend.from_file)
@@ -174,7 +173,9 @@ def _build_gateway(cfg: dict[str, Any], fan_out: Callable) -> LlmGateway:
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return LlmGateway(generator, scorer, cfg.get("cache_dir"), fan_out)
+    return LlmGateway(
+        generator, scorer, cfg.get("cache_dir"), cfg.get("scorer_concurrency", 1)
+    )
 
 
 def _pipeline_config(cfg: dict[str, Any], dataset: Dataset) -> PipelineConfig:
@@ -330,16 +331,10 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
                     f" in the first {pipe_cfg.top_k} of {inst.id!r}: {head}"
                 )
     concurrency = cfg.get("concurrency", 1)
-    scorer_concurrency = cfg.get("scorer_concurrency", 1)
-    # The run's one pool has a worker for each instance helper and for each
-    # helper of the Score every instance has in flight, so no queued helper
-    # waits. With no helper nothing is queued, so the pool starts no thread.
-    pool = ThreadPoolExecutor(
-        max(concurrency * scorer_concurrency - 1, 1), thread_name_prefix="gensco"
-    )
-    gateway = _build_gateway(
-        cfg, functools.partial(run_in_order, pool=pool, helpers=scorer_concurrency - 1)
-    )
+    # The run's one pool has a worker for each instance helper. With no
+    # helper nothing is queued, so the pool starts no thread.
+    pool = ThreadPoolExecutor(max(concurrency - 1, 1), thread_name_prefix="gensco")
+    gateway = _build_gateway(cfg)
 
     run_dir.mkdir(parents=True, exist_ok=True)  # once every input has loaded
     traces_path = run_dir / "traces.jsonl"

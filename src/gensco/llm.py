@@ -299,11 +299,9 @@ class ScriptedBackend:
 def _readable(sock) -> bool:
     """True when an idle socket has something to read: for a keep-alive
     connection between requests, that is the server's close."""
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 # Limits on what a response may send before its body, as in http.client.
@@ -364,6 +362,8 @@ def _read_chunked(rfile) -> bytes:
     parts = []
     while True:
         line = _read_line(rfile)
+        if not line.endswith(b"\n"):
+            raise ConnectionError("chunked response cut off before a chunk size line ended")
         size = line.split(b";", 1)[0].strip()
         if not size or size.strip(b"0123456789abcdefABCDEF"):  # hex digits only
             raise ConnectionError(f"malformed chunk size {line[:100]!r}")
@@ -373,8 +373,10 @@ def _read_chunked(rfile) -> bytes:
         parts.append(_read_exactly(rfile, size))
         if _read_line(rfile) not in (b"\r\n", b"\n"):
             raise ConnectionError("chunk data not followed by a line end")
-    while _read_line(rfile) not in (b"\r\n", b"\n", b""):
-        pass  # trailer fields
+    # Trailer fields, up to the blank line that ends the reply.
+    while (line := _read_line(rfile)) not in (b"\r\n", b"\n"):
+        if not line.endswith(b"\n"):
+            raise ConnectionError("chunked response cut off before its last line ended")
     return b"".join(parts)
 
 
@@ -440,14 +442,15 @@ class HttpBackend:
     """OpenAI-compatible /completions client with echoed-logprobs scoring.
 
     Each request is one HTTP/1.1 POST written with a single ``sendall``
-    on a keep-alive connection. Idle connections wait in a LIFO pool
-    shared by all threads, so a request made from a fresh worker thread
-    still reuses one, and the pool never holds more connections than
-    were ever in flight at once. A pooled connection the server has
-    closed is dropped before reuse. Transport failures, malformed
-    responses included, surface as the builtin ``ConnectionError`` or
-    ``TimeoutError``, which the gateway retries. When ``GENSCO_API_KEY``
-    is set, every request carries it as a bearer token.
+    on a keep-alive connection; ``token_logprobs_many`` keeps several in
+    flight from the calling thread, one per connection. Idle connections
+    wait in a LIFO pool shared by all threads, and the pool never holds
+    more connections than were ever in flight at once. A pooled
+    connection the server has closed is dropped before reuse. Transport
+    failures, malformed responses included, surface as the builtin
+    ``ConnectionError`` or ``TimeoutError``, which the gateway retries.
+    When ``GENSCO_API_KEY`` is set, every request carries it as a bearer
+    token.
     """
 
     def __init__(self, base_url: str, model: str) -> None:
@@ -512,22 +515,35 @@ class HttpBackend:
         for conn in idle:
             conn.close()
 
-    def _post(self, data: bytes) -> dict[str, Any]:
-        """The first choice of the reply to one POST of the JSON ``data``."""
-        request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
+    def _failed(self, conn: Optional[_Connection], exc: BaseException) -> BaseException:
+        """What to raise after ``exc`` broke an exchange on ``conn``, which is
+        closed: name-resolution and TLS failures are connection failures too."""
+        if conn is not None:
+            conn.close()
+        if isinstance(exc, OSError) and not isinstance(exc, (ConnectionError, TimeoutError)):
+            error = ConnectionError(f"POST {self.base_url}/completions: {exc!r}")
+            error.__cause__ = exc
+            return error
+        return exc
+
+    def _send(self, data: bytes) -> _Connection:
+        """A pooled or new connection on which one POST of the JSON ``data`` is written."""
         conn = self._pooled()
         try:
             if conn is None:
                 conn = self._connect()
-            conn.sock.sendall(request)
+            conn.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(data), data))
+        except BaseException as exc:
+            raise self._failed(conn, exc)
+        return conn
+
+    def _reply(self, conn: _Connection) -> dict[str, Any]:
+        """The first choice of the reply read from ``conn``. The connection is
+        pooled again when the reply lets it carry another request."""
+        try:
             status, headers, raw, keep_alive = _read_response(conn.rfile)
         except BaseException as exc:
-            if conn is not None:
-                conn.close()
-            if isinstance(exc, OSError) and not isinstance(exc, (ConnectionError, TimeoutError)):
-                # Name-resolution and TLS failures are connection failures too.
-                raise ConnectionError(f"POST {self.base_url}/completions: {exc!r}") from exc
-            raise
+            raise self._failed(conn, exc)
         if keep_alive:
             with self._idle_lock:
                 self._idle.append(conn)
@@ -544,7 +560,7 @@ class HttpBackend:
                 raise ContextOverflow(text[:500])
             raise HttpStatusError(status, text[:500])
         try:
-            data = load_json(raw)
+            data = load_json(raw, exact=False)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with a body that is not JSON ({exc})"
@@ -555,6 +571,10 @@ class HttpBackend:
                 f"backend {self.backend_id} replied without a choice: {raw[:200]!r}"
             )
         return choices[0]
+
+    def _post(self, data: bytes) -> dict[str, Any]:
+        """The first choice of the reply to one POST of the JSON ``data``."""
+        return self._reply(self._send(data))
 
     def complete(self, req: GeneratorRequest) -> str:
         body: dict[str, Any] = {
@@ -570,12 +590,68 @@ class HttpBackend:
             raise MalformedResponse(f"backend {self.backend_id} replied with a choice without text")
         return text
 
-    def token_logprobs(self, req: ScorerRequest) -> list[float]:
-        # Echo the full prompt+continuation and read back per-token
-        # logprobs for the continuation span only.
+    def _echo(self, req: ScorerRequest) -> bytes:
+        """The JSON of the request that echoes ``req``'s prompt and
+        continuation with their per-token logprobs."""
         full = req.prompt + req.continuation
         body = self._echo_head + json.encoder.encode_basestring_ascii(full) + _ECHO_TAIL
-        lp = self._post(body.encode("ascii")).get("logprobs")
+        return body.encode("ascii")
+
+    def token_logprobs(self, req: ScorerRequest) -> list[float]:
+        return self._logprobs(req, self._post(self._echo(req)))
+
+    def token_logprobs_many(self, requests: Sequence[ScorerRequest], in_flight: int) -> list[Any]:
+        """For each request, what ``token_logprobs`` returns or raises, or
+        None for a request that was not sent.
+
+        The calling thread keeps up to ``in_flight`` POSTs outstanding, each
+        on its own pooled or new connection, and writes the next request on
+        the connection whose reply it has just read. After a failure that is
+        not transient no request is written, but the replies in flight are
+        read. A connection whose reply is not read (after an interrupt, or
+        when no reply has begun for _TIMEOUT_S) is closed, never pooled.
+        """
+        outcomes: list[Any] = [None] * len(requests)
+        unsent = iter(range(len(requests)))
+        waiting: dict[int, tuple[int, _Connection]] = {}  # fd -> (request, connection)
+        poller = select.poll()
+        try:
+            while True:
+                for i in itertools.islice(unsent, in_flight - len(waiting)):
+                    try:
+                        conn = self._send(self._echo(requests[i]))
+                    except Exception as exc:
+                        outcomes[i] = exc
+                        if isinstance(exc, _TRANSIENT):
+                            continue
+                        unsent = iter(())
+                        break
+                    fd = conn.sock.fileno()
+                    waiting[fd] = i, conn
+                    poller.register(fd, select.POLLIN)
+                if not waiting:
+                    return outcomes
+                ready = poller.poll(_TIMEOUT_S * 1000) or [(fd, 0) for fd in waiting]
+                for fd, events in ready:
+                    i, conn = waiting.pop(fd)
+                    poller.unregister(fd)
+                    try:
+                        if not events:  # no reply has begun in time
+                            conn.close()
+                            raise TimeoutError(f"no reply to a POST in {_TIMEOUT_S} s")
+                        outcomes[i] = self._logprobs(requests[i], self._reply(conn))
+                    except Exception as exc:
+                        outcomes[i] = exc
+                        if not isinstance(exc, _TRANSIENT):
+                            unsent = iter(())
+        finally:
+            for _, conn in waiting.values():
+                conn.close()
+
+    def _logprobs(self, req: ScorerRequest, choice: dict[str, Any]) -> list[float]:
+        """The per-token logprobs of ``req``'s continuation in ``choice``, the
+        reply to its echo request."""
+        lp = choice.get("logprobs")
         if lp is not None and not isinstance(lp, dict):
             raise MalformedResponse(
                 f"backend {self.backend_id} replied with logprobs that are not an object"
@@ -613,7 +689,7 @@ class HttpBackend:
         # logprob: a dropped token would change the mean NLL's denominator.
         # Only whitespace may precede its first token (tokenizers that
         # skip whitespace start it after the leading space).
-        if not tail or full[cut:tail[0]].strip():
+        if not tail or req.continuation[: tail[0] - cut].strip():
             raise LogprobsUnsupported(
                 f"no token starts at the continuation's offset {cut}: a token "
                 "straddles the prompt/continuation boundary"
@@ -734,14 +810,17 @@ class LlmGateway:
     Call counters are bucketed by purpose ("decomposition", "answer",
     "relevance", "stop") so a run manifest can audit the call budget.
     The gateway starts no thread: its methods may be called from many
-    threads at once, and the run that calls them owns those threads.
+    threads at once, and the run that calls them owns those threads. A
+    ``Score`` has up to ``scorer_concurrency`` scorer calls in flight.
     """
 
-    def __init__(self, generator: Backend, scorer: Backend, cache_dir=None, fan_out=map) -> None:
+    def __init__(
+        self, generator: Backend, scorer: Backend, cache_dir=None, scorer_concurrency: int = 1
+    ) -> None:
         self.generator = generator
         self.scorer = scorer
         self.cache = ResponseCache(cache_dir) if cache_dir else _NoCache()
-        self._fan_out = fan_out
+        self.scorer_concurrency = scorer_concurrency
         self._lock = threading.Lock()
         self.generator_calls: dict[str, int] = {}
         self.scorer_calls: dict[str, int] = {}
@@ -783,11 +862,18 @@ class LlmGateway:
         Every request's cache entry is looked up first. A hit of another
         shape than the gateway writes, or with a mean NLL that is not
         finite, raises MalformedResponse before any miss is sent or any
-        call counted. The gateway's ``fan_out(fetch, misses)`` sends the
-        misses, and each is stored as it returns, its per-token logprobs
-        kept with its mean. A score over no token, or one that is not
-        finite, raises MalformedResponse: it is never retried or cached.
+        call counted. Each miss that returns is stored, its per-token
+        logprobs kept with its mean. A score over no token, or one that is
+        not finite, raises MalformedResponse: it is never retried or cached.
         Every hit and every miss that returned is counted, failed or not.
+
+        The misses go to the scorer's ``token_logprobs_many`` when it has
+        one and the ``Score`` has 2 or more misses and ``scorer_concurrency``
+        is 2 or more. Its transient failures are retried once the others
+        have returned; after any other failure no miss is sent, not even a
+        retry, and the first such failure in request order is raised.
+        Otherwise the misses are sent one at a time, each retried before
+        the next is sent, and the first failure is raised at once.
         """
         backend = self.scorer
         prefix = backend.backend_id + "\0"
@@ -798,27 +884,44 @@ class LlmGateway:
             for entry, req in zip(entries, requests):
                 if entry is not None and not (_is_score(entry) and self._finite(entry, req)):
                     raise _unexpected_entry(backend, entry)
-        token_logprobs, put = backend.token_logprobs, self.cache.put
 
-        def fetch(i: int) -> None:
-            req = requests[i]
-            try:
-                logprobs = token_logprobs(req)
-            except _TRANSIENT as exc:
-                logprobs = _retried(token_logprobs, req, exc)
+        def store(i: int, logprobs: list[float]) -> None:
             try:
                 mean_nll = -sum(logprobs) / len(logprobs)
             except (ZeroDivisionError, OverflowError):  # no token, or an int past float range
                 mean_nll = math.nan
-            entry = self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, req)
-            put(keys[i], entry)
+            entry = self._finite({"token_logprobs": logprobs, "mean_nll": mean_nll}, requests[i])
+            self.cache.put(keys[i], entry)
             entries[i] = entry
 
         try:
-            for _ in self._fan_out(fetch, misses):
-                pass
+            many = getattr(backend, "token_logprobs_many", None)
+            if many is None or len(misses) < 2 or self.scorer_concurrency < 2:
+                token_logprobs = backend.token_logprobs
+                for i in misses:
+                    try:
+                        logprobs = token_logprobs(requests[i])
+                    except _TRANSIENT as exc:
+                        logprobs = _retried(token_logprobs, requests[i], exc)
+                    store(i, logprobs)
+            else:
+                outcomes = many([requests[i] for i in misses], self.scorer_concurrency)
+                failure, transient = None, []
+                for i, outcome in zip(misses, outcomes):
+                    if isinstance(outcome, _TRANSIENT):
+                        transient.append((i, outcome))
+                    elif isinstance(outcome, Exception):
+                        failure = failure or outcome
+                    elif outcome is not None:
+                        try:
+                            store(i, outcome)
+                        except MalformedResponse as exc:
+                            failure = failure or exc
+                if failure is not None:
+                    raise failure
+                for i, exc in transient:
+                    store(i, _retried(backend.token_logprobs, requests[i], exc))
         finally:
-            # After a failure the misses in flight have returned, and no other was sent.
             returned = len(misses) - entries.count(None)
             self._count(self.scorer_calls, purpose, len(requests) - len(misses), returned)
         return [entry["mean_nll"] for entry in entries]

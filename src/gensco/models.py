@@ -310,19 +310,23 @@ def _nests(value: Any, depth: int) -> bool:
     return True
 
 
-def load_json(raw: bytes) -> Any:
+def load_json(raw: bytes, exact: bool = True) -> Any:
     """The value of the JSON document ``raw`` as ``json.loads`` reads it
     decoded from UTF-8; a document it refuses raises its error with its
     message. orjson decodes ``raw`` unless it refuses it or the document
-    has _OPENS brackets and braces, a long digit run or _DEEP levels."""
+    has _OPENS brackets and braces, a long digit run or _DEEP levels.
+
+    Not ``exact``, orjson decodes any document it reads with fewer than
+    _OPENS brackets and braces: an integer past 64 bits is then a float,
+    and nesting may go past json.loads's depth."""
     opens = raw.count(b"[") + raw.count(b"{")
-    if opens < _OPENS and not _long_digit_run(raw):
+    if opens < _OPENS and not (exact and _long_digit_run(raw)):
         try:
             value = orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
         else:
-            if opens < _DEEP or not _nests(value, _DEEP):
+            if not exact or opens < _DEEP or not _nests(value, _DEEP):
                 return value
     return json.loads(raw.decode("utf-8"))
 

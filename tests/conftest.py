@@ -23,3 +23,21 @@ def pytest_collection_modifyitems(items):
         if here in item.path.parents:
             for mark in _LEAKS_FAIL:
                 item.add_marker(mark)
+
+
+@pytest.fixture
+def serve():
+    """Start loopback stub servers (``helpers.StubServer``); each is stopped
+    after the test."""
+    from helpers import StubServer
+
+    servers = []
+
+    def start(reply, **kwargs):
+        server = StubServer(reply, **kwargs)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.stop()

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-import functools
 import json
+import socket
+import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
 
-from gensco.cli import run_in_order
-from gensco.llm import LlmGateway, ScriptedBackend
+from gensco.llm import HttpBackend, LlmGateway, ScriptedBackend
 from gensco.models import Dataset, MultiHopInstance, Passage
 from gensco.pipeline import Generate, PipelineConfig, drive, instance_loop
 from gensco.prompts import FIN_KEYWORD, ShotExample, load_shots
@@ -134,16 +134,6 @@ def scripted_gateway(backend: ScriptedBackend, **kwargs) -> LlmGateway:
     return LlmGateway(backend, backend, **kwargs)
 
 
-@contextmanager
-def scoring_pool(helpers: int):
-    """A ``fan_out`` for ``LlmGateway``, as ``cli.run_batch`` builds it: each
-    Score is scored on its caller and by up to ``helpers`` tasks queued on a
-    pool of ``helpers`` threads, which the test owns and which is shut down
-    on exit."""
-    with ThreadPoolExecutor(max(helpers, 1)) as pool:
-        yield functools.partial(run_in_order, pool=pool, helpers=helpers)
-
-
 def synthetic_record(i: int, n_passages: int = 5) -> dict:
     context = [
         [
@@ -190,6 +180,14 @@ def synthetic_plan(inst: MultiHopInstance, n_levels: int = 3) -> ScriptedPlan:
     )
 
 
+def synthetic_requests(instances, cfg: PipelineConfig, n_levels: int = 3):
+    """Each request the loop makes for the synthetic ``instances``, with
+    its planned reply."""
+    shot_bank = load_shots(Dataset.SYNTHETIC)
+    for inst in instances:
+        yield from plan_requests(inst, cfg, synthetic_plan(inst, n_levels), shot_bank)[1]
+
+
 def build_synthetic_script(
     instances, cfg: PipelineConfig, n_levels: int = 3
 ) -> ScriptedBackend:
@@ -200,6 +198,149 @@ def build_synthetic_script(
             backend, inst, cfg, synthetic_plan(inst, n_levels), shot_bank
         )
     return backend
+
+
+def echo_reply(req, nll: float):
+    """A /completions reply that echoes ``req`` as one token for the prompt
+    and one, with logprob ``-nll``, for the continuation."""
+    return 200, {"choices": [{"text": req.prompt + req.continuation, "logprobs": {
+        "token_logprobs": [None, -nll], "text_offset": [0, len(req.prompt)],
+    }}]}
+
+
+def replies_for(requests, hold: float = 0.0):
+    """A StubServer ``reply`` that answers the planned ``(request, reply)``
+    pairs as a script of them answers: a completion by its prompt, a scorer
+    request by its echo (``echo_reply``), each after ``hold`` seconds."""
+    table = {}
+    for request, reply in requests:
+        if isinstance(request, Generate):
+            table[request.request.prompt] = 200, {"choices": [{"text": reply}]}
+        else:
+            for req, nll in zip(request.requests, reply):
+                table[req.prompt + req.continuation] = echo_reply(req, nll)
+
+    def reply(body):
+        time.sleep(hold)
+        return table[body["prompt"]]
+
+    return reply
+
+
+# A StubServer reply that resets the connection instead of answering.
+RESET = object()
+
+
+class StubServer(ThreadingHTTPServer):
+    """Loopback /completions stub on 127.0.0.1.
+
+    ``reply(body)`` returns the (status, payload) for each POST, the raw
+    bytes of a whole response, which are written as they are, or RESET,
+    which closes the connection with a TCP reset and no reply. Every
+    request is recorded with its path, headers, JSON body and client port,
+    so a test can count the TCP connections it came on, and its body's
+    bytes are kept in ``raw_bodies``; ``exchanges`` holds, as each reply
+    is written, the request's body and the length of the reply's body. A
+    POST is in flight from when its body is read until its reply is
+    ready; ``peak`` holds the most in flight at once under each
+    ``flight_key(body)``. With ``close_after_reply`` set to
+    "announced" or "silently" the server closes each connection after one
+    response, with or without a ``Connection: close`` header; the silent
+    close is what a server's keep-alive timeout does.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, reply, close_after_reply=None, flight_key=lambda body: None):
+        self.reply = reply
+        self.close_after_reply = close_after_reply
+        self.flight_key = flight_key
+        self.requests = []
+        self.raw_bodies = []
+        self.exchanges = []
+        self.lock = threading.Lock()
+        self.in_flight = Counter()
+        self.peak = Counter()
+        self.closed = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.backends = []
+        super().__init__(("127.0.0.1", 0), StubHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+        self.thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        self.thread.start()
+
+    def backend(self):
+        backend = HttpBackend(self.url, "m")
+        self.backends.append(backend)
+        return backend
+
+    def connections(self):
+        return len({port for _, _, _, port in self.requests})
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def handle_error(self, request, client_address):
+        pass  # the client gave up on a delayed reply
+
+    def stop(self):
+        self.release.set()
+        for backend in self.backends:
+            backend.close()
+        self.shutdown()
+        self.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body
+    # would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):
+        server = self.server
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.loads(raw)
+        key = server.flight_key(body)
+        with server.lock:
+            server.raw_bodies.append(raw)
+            server.requests.append((self.path, self.headers, body, self.client_address[1]))
+            server.in_flight[key] += 1
+            server.peak[key] = max(server.peak[key], server.in_flight[key])
+        try:
+            reply = server.reply(body)
+        finally:
+            with server.lock:
+                server.in_flight[key] -= 1
+        self.close_connection = server.close_after_reply is not None
+        if reply is RESET:
+            self.connection.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            self.close_connection = True
+            return
+        if isinstance(reply, bytes):
+            server.exchanges.append((raw, len(reply)))
+            self.wfile.write(reply)
+            return
+        status, payload = reply
+        data = json.dumps(payload).encode()
+        server.exchanges.append((raw, len(data)))
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if server.close_after_reply == "announced":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
 
 
 class InFlight:

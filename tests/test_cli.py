@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -14,9 +15,9 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from gensco import baselines, cli, metrics
+from gensco import baselines, cli, llm, metrics, models
 from gensco.datasets import DatasetConfig, load
-from gensco.llm import ScriptedBackend
+from gensco.llm import HttpBackend, ScriptedBackend
 from gensco.models import Dataset, Variant
 from gensco.pipeline import PipelineConfig
 from gensco.prompts import load_shots
@@ -26,7 +27,9 @@ from helpers import (
     ScriptedPlan,
     build_instance_script,
     build_synthetic_script,
+    replies_for,
     synthetic_record,
+    synthetic_requests,
     write_synthetic_dataset,
 )
 
@@ -53,8 +56,50 @@ def make_run_config(tmp_path, n_instances, variant=Variant.MAX, **extra):
     return cfg
 
 
+# For each instance of make_run_config(tmp_path, 4, Variant.STOP) served by
+# the loopback stub: POSTs, request body bytes, reply body bytes, JSON
+# documents the gateway decoded, and bytes scanned for long digit runs.
+PINNED_WORK = {
+    "0": (18, 9898, 5231, 18, 0),
+    "1": (10, 5597, 2387, 10, 0),
+    "2": (24, 13574, 7225, 24, 0),
+    "3": (18, 9898, 5186, 18, 0),
+}
+
+
 def read_bytes(run_dir, name):
     return (Path(run_dir) / name).read_bytes()
+
+
+def synthetic_server(serve, cfg, hold=0.0, **kwargs):
+    """A loopback stub that answers the batch of ``cfg`` (a config from
+    make_run_config) as its script does, each reply held ``hold`` seconds."""
+    instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
+    pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, Variant(cfg["variant"]))
+    return serve(replies_for(synthetic_requests(instances, pipe_cfg), hold), **kwargs)
+
+
+def http_config(cfg, server):
+    """``cfg`` with the stub ``server`` as its generator and scorer."""
+    kept = {key: value for key, value in cfg.items() if key not in ("backend", "script_file")}
+    return {
+        **kept, "backend": "http", "generator_url": server.url, "generator_model": "m",
+        "scorer_url": server.url, "scorer_model": "m",
+    }
+
+
+def topic(body):
+    """The topic of the synthetic instance whose request ``body`` is: every
+    prompt of syn-<i> holds its question or a sub-question, which end in
+    "for topic <i>?"."""
+    return re.findall(r"for topic (\d+)\?", body["prompt"])[-1]
+
+
+def answer_cores(run_dir):
+    return [
+        (a["instance_id"], a["predicted_answer"], a["context_order"])
+        for a in map(json.loads, read_bytes(run_dir, "answers.jsonl").splitlines())
+    ]
 
 
 class TestRunBatch:
@@ -139,61 +184,108 @@ class TestRunBatch:
         assert cli.run_batch(cfg, tmp_path / "run") == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert flight.finished == sum(manifest["llm_calls"]["scorer_calls"].values())
-        assert flight.peak <= 4
-        # The scorer pools end with the run's worker threads.
+        # A scripted backend answers one call at a time, so each instance has one in flight.
+        assert flight.peak <= 2
+        # The pool's worker threads end with the run.
         deadline = time.monotonic() + 5
         while threading.active_count() > threads_before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= threads_before
 
-    def test_one_instance_has_at_most_scorer_concurrency_calls_in_flight(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("scorer_concurrency", [1, 2, 3])
+    def test_an_instance_keeps_at_most_scorer_concurrency_posts_in_flight_from_its_thread(
+        self, tmp_path, serve, monkeypatch, scorer_concurrency
     ):
-        # syn-000 waits in its first Generator call until syn-001 has scored
-        # a whole level, so syn-001 scores while the pool has idle workers.
-        cfg = make_run_config(tmp_path, 2, concurrency=2, scorer_concurrency=2)
-        token_logprobs, complete = ScriptedBackend.token_logprobs, ScriptedBackend.complete
-        flights = {topic: InFlight(hold=0.02) for topic in ("0?", "1?")}
-        scored = {topic: flight.wrap(token_logprobs) for topic, flight in flights.items()}
-        level_scored = threading.Event()
-        waits = []
+        # Two instances at a time against a loopback stub that holds each
+        # reply, so that the POSTs of one Score overlap.
+        cfg = make_run_config(
+            tmp_path, 4, variant=Variant.STOP, concurrency=2,
+            scorer_concurrency=scorer_concurrency,
+        )
+        assert cli.run_batch(cfg, tmp_path / "scripted") == 0
+        server = synthetic_server(serve, cfg, hold=0.003, flight_key=topic)
+        owners, writers = {}, []
+        run_instance, send = cli.run_instance, HttpBackend._send
 
-        def counted(self, req):
-            # Every scorer continuation of syn-<i> ends in "topic <i>?".
+        def owned(inst, *args):
+            owners[threading.current_thread()] = str(int(inst.id.split("-")[1]))
+            return run_instance(inst, *args)
+
+        def recorded(backend, data):
+            writers.append((owners.get(threading.current_thread()), topic(json.loads(data))))
+            return send(backend, data)
+
+        monkeypatch.setattr(cli, "run_instance", owned)
+        monkeypatch.setattr(HttpBackend, "_send", recorded)
+        assert cli.run_batch(http_config(cfg, server), tmp_path / "http") == 0
+        assert len(writers) == len(server.requests)
+        assert [owner for owner, _ in writers] == [post for _, post in writers]
+        assert set(server.peak) == {"0", "1", "2", "3"}
+        assert max(server.peak.values()) == scorer_concurrency
+        assert read_bytes(tmp_path / "http", "traces.jsonl") == read_bytes(
+            tmp_path / "scripted", "traces.jsonl"
+        )
+        assert answer_cores(tmp_path / "http") == answer_cores(tmp_path / "scripted")
+
+    def test_work_per_instance_is_pinned(self, tmp_path, serve, monkeypatch):
+        # Exact counts, where timings are noise: for each instance of a fixed
+        # gensco-stop batch, its POSTs, request body bytes and reply body
+        # bytes, the JSON documents the gateway decodes, and the bytes the
+        # exact decoder scans for integers past 64 bits.
+        cfg = make_run_config(tmp_path, 4, variant=Variant.STOP, scorer_concurrency=2)
+        server = synthetic_server(serve, cfg)
+        running, decoded, scanned = [None], Counter(), Counter()
+        run_instance, load_json = cli.run_instance, llm.load_json
+        long_digit_run = models._long_digit_run
+
+        def counted(inst, *args):
+            running[0] = str(int(inst.id.split("-")[1]))
             try:
-                return scored[req.continuation.rsplit(" ", 1)[1]](self, req)
+                return run_instance(inst, *args)
             finally:
-                if flights["1?"].finished >= 5:  # a level of 5 passages
-                    level_scored.set()
+                running[0] = None
 
-        def held(self, req):
-            if "for topic 0?" in req.prompt and not level_scored.is_set():
-                waits.append(level_scored.wait(timeout=10))
-            return complete(self, req)
+        def counted_load(raw, *args, **kwargs):
+            decoded[running[0]] += 1
+            return load_json(raw, *args, **kwargs)
 
-        monkeypatch.setattr(ScriptedBackend, "token_logprobs", counted)
-        monkeypatch.setattr(ScriptedBackend, "complete", held)
-        assert cli.run_batch(cfg, tmp_path / "run") == 0
-        assert waits == [True]
-        assert flights["1?"].peak == 2 and flights["0?"].peak <= 2
+        def counted_scan(raw):
+            scanned[running[0]] += len(raw)
+            return long_digit_run(raw)
+
+        monkeypatch.setattr(cli, "run_instance", counted)
+        monkeypatch.setattr(llm, "load_json", counted_load)
+        monkeypatch.setattr(models, "_long_digit_run", counted_scan)
+        assert cli.run_batch(http_config(cfg, server), tmp_path / "run") == 0
+        posts, sent, replied = Counter(), Counter(), Counter()
+        for raw, size in server.exchanges:
+            posts[topic(json.loads(raw))] += 1
+            sent[topic(json.loads(raw))] += len(raw)
+            replied[topic(json.loads(raw))] += size
+        work = {
+            i: (posts[i], sent[i], replied[i], decoded[i], scanned[i])
+            for i in sorted(posts)
+        }
+        assert work == PINNED_WORK
+        assert None not in decoded  # no reply is decoded outside an instance
 
     def test_pool_threads_end_with_the_run(self, tmp_path, monkeypatch):
-        cfg = make_run_config(tmp_path, 2, variant=Variant.STOP, scorer_concurrency=2)
-        flight = InFlight()  # calls held long enough for a helper to take some
+        cfg = make_run_config(tmp_path, 2, variant=Variant.STOP, concurrency=2)
+        flight = InFlight()  # calls held long enough for the helper to take an instance
         monkeypatch.setattr(
             ScriptedBackend, "token_logprobs", flight.wrap(ScriptedBackend.token_logprobs)
         )
         assert cli.run_batch(cfg, tmp_path / "run") == 0
-        # The caller scores too; the helper workers end before the run returns.
+        # The caller runs instances too; the helper worker ends before the run returns.
         helpers = flight.threads - {threading.current_thread()}
         assert flight.finished > 0 and helpers
         assert not any(thread.is_alive() for thread in helpers)
 
     def test_shared_scorer_pool_under_stress_matches_the_serial_run(self, tmp_path):
-        # 4 instance threads, each scoring alongside helpers from one pool of
-        # 12 workers, with thread switches forced as often as the interpreter
-        # allows: a lost counter
-        # update or a reply out of request order shows in the files or counts.
+        # 4 instance threads, 3 of them workers of the run's pool, with
+        # thread switches forced as often as the interpreter allows: a lost
+        # counter update or a reply out of request order shows in the files
+        # or counts.
         # A lost update is rare per run, so the stressed run is repeated.
         cfg = make_run_config(tmp_path, 8, variant=Variant.STOP)
         assert cli.run_batch(cfg, tmp_path / "serial") == 0
@@ -223,22 +315,34 @@ class TestRunBatch:
             assert calls["scorer_calls"] == serial["scorer_calls"]
             assert calls["cache_misses"] == serial["cache_misses"]
 
-    def test_concurrency_one_starts_no_thread(self, tmp_path, monkeypatch):
+    def test_concurrency_one_starts_no_thread(self, tmp_path, serve, monkeypatch):
+        # Scripted, and through a loopback stub at scorer_concurrency 3: the
+        # run's thread starts no thread (the stub's own thread starts its
+        # handlers).
         cfg = make_run_config(
-            tmp_path, 4, variant=Variant.STOP, concurrency=1, scorer_concurrency=1
+            tmp_path, 4, variant=Variant.STOP, concurrency=1, scorer_concurrency=3
         )
         assert cli.run_batch(cfg, tmp_path / "unpatched") == 0
+        server = synthetic_server(serve, cfg)
+        caller, start = threading.current_thread(), threading.Thread.start
 
-        def start(thread):
-            raise RuntimeError(f"thread {thread.name} started")
+        def checked(thread):
+            if threading.current_thread() is caller:
+                raise RuntimeError(f"thread {thread.name} started")
+            start(thread)
 
-        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(threading.Thread, "start", checked)
         assert cli.run_batch(cfg, tmp_path / "caller") == 0
+        assert cli.run_batch(http_config(cfg, server), tmp_path / "http") == 0
         monkeypatch.undo()
+        assert len(server.requests) > 0
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(tmp_path / "caller", name) == read_bytes(
                 tmp_path / "unpatched", name
             )
+        assert read_bytes(tmp_path / "http", "traces.jsonl") == read_bytes(
+            tmp_path / "unpatched", "traces.jsonl"
+        )
 
     @pytest.mark.parametrize("left", [0, 1])
     def test_resume_with_at_most_one_instance_left_starts_no_thread(

@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import select
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import orjson
 import pytest
@@ -31,7 +32,7 @@ from gensco.models import Dataset, Passage, Variant
 from gensco.pipeline import PipelineConfig, run_instance
 from gensco.prompts import concat_passages, render_stop_prompt
 
-from helpers import InFlight, scoring_pool, trace_instance
+from helpers import RESET, InFlight, echo_reply, trace_instance
 
 
 @pytest.fixture(autouse=True)
@@ -339,42 +340,6 @@ def stored_name(req):
 
 
 class TestScoreMany:
-    def test_a_failure_waits_for_the_call_in_flight_and_starts_no_other(self, tmp_path):
-        # Two workers: request 3 fails once request 4 has started, and
-        # request 4 returns after that failure.
-        requests = [ScorerRequest(f"passage {i}", " q") for i in range(1, 7)]
-        backend = ScriptedBackend()
-        for req in requests[:2] + requests[3:]:
-            backend.add_logprobs(req, [-1.0])
-        scripted = backend.token_logprobs
-        fourth_started, third_failed = threading.Event(), threading.Event()
-
-        def token_logprobs(req):
-            if req is requests[2]:
-                assert fourth_started.wait(5)
-                third_failed.set()  # and the scripted call raises ScriptMiss
-            elif req is requests[3]:
-                fourth_started.set()
-                assert third_failed.wait(5)
-            return scripted(req)
-
-        flight = InFlight(hold=0.05)
-        backend.token_logprobs = flight.wrap(token_logprobs)
-        with scoring_pool(1) as fan_out:
-            gw = gateway_for(backend, cache_dir=tmp_path, fan_out=fan_out)
-            with pytest.raises(ScriptMiss):
-                gw.score_many(requests, "relevance")
-            assert flight.started == flight.finished == 4
-            time.sleep(0.1)
-            assert flight.started == 4
-        assert {path.stem for path in tmp_path.rglob("*.json")} == {
-            stored_name(req) for req in (requests[0], requests[1], requests[3])
-        }
-        assert gw.stats() == {
-            "generator_calls": {}, "scorer_calls": {"relevance": 3},
-            "cache_hits": 0, "cache_misses": 3,
-        }
-
     def test_a_malformed_hit_raises_before_any_miss_is_sent(self, tmp_path):
         requests = [ScorerRequest(f"passage {i}", " q") for i in range(3)]
         llm.ResponseCache(tmp_path).put(f"scripted\0{requests[2].fingerprint}", {"text": "x"})
@@ -571,106 +536,6 @@ class TestRetries:
         with pytest.raises(BackendUnavailable):
             gw.generate(GeneratorRequest(prompt="p"))
         assert backend.calls == 3
-
-
-class StubServer(ThreadingHTTPServer):
-    """Loopback /completions stub on 127.0.0.1.
-
-    ``reply(body)`` returns the (status, payload) for each POST, or the
-    raw bytes of a whole response, which are written as they are. Every
-    request is recorded with its path, headers, JSON body and client port,
-    so a test can count the TCP connections it came on, and its body's
-    bytes are kept in ``raw_bodies``. With
-    ``close_after_reply`` set to "announced" or "silently" the server
-    closes each connection after one response, with or without a
-    ``Connection: close`` header; the silent close is what a server's
-    keep-alive timeout does.
-    """
-
-    daemon_threads = True
-
-    def __init__(self, reply, close_after_reply=None):
-        self.reply = reply
-        self.close_after_reply = close_after_reply
-        self.requests = []
-        self.raw_bodies = []
-        self.closed = threading.Semaphore(0)
-        self.release = threading.Event()
-        self.backends = []
-        super().__init__(("127.0.0.1", 0), StubHandler)
-        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
-        self.thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self.thread.start()
-
-    def backend(self):
-        backend = HttpBackend(self.url, "m")
-        self.backends.append(backend)
-        return backend
-
-    def connections(self):
-        return len({port for _, _, _, port in self.requests})
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        self.closed.release()
-
-    def handle_error(self, request, client_address):
-        pass  # the client gave up on a delayed reply
-
-    def stop(self):
-        self.release.set()
-        for backend in self.backends:
-            backend.close()
-        self.shutdown()
-        self.server_close()
-        self.thread.join(timeout=5)
-        assert not self.thread.is_alive()
-
-
-class StubHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in two writes; with Nagle on, the body
-    # would wait for the client's delayed ACK.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-    def do_POST(self):
-        raw = self.rfile.read(int(self.headers["Content-Length"]))
-        body = json.loads(raw)
-        self.server.raw_bodies.append(raw)
-        self.server.requests.append((self.path, self.headers, body, self.client_address[1]))
-        reply = self.server.reply(body)
-        self.close_connection = self.server.close_after_reply is not None
-        if isinstance(reply, bytes):
-            self.wfile.write(reply)
-            return
-        status, payload = reply
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if self.server.close_after_reply == "announced":
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
-
-
-@pytest.fixture
-def serve():
-    servers = []
-
-    def start(reply, **kwargs):
-        server = StubServer(reply, **kwargs)
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.stop()
 
 
 def completion(text):
@@ -1116,10 +981,16 @@ class TestHttpBackend:
             ),
             (raw_reply(["HTTP/1.1 200 OK", "Content-Length: " + "9" * 30], b"short"),
              "response body ended after 5 of 9"),
+            # Cut off inside the last-chunk line, or before the blank line after the trailers.
+            (raw_reply(["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
+                       b"3\r\n\x00\x00\x00\r\n0"), "before a chunk size line ended"),
+            (raw_reply(["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
+                       b"3\r\nabc\r\n0\r\nX-Trailer: 1\r\n"), "before its last line ended"),
         ],
         ids=["long-line", "101-headers", "no-colon", "short-body", "chunk-size-negative",
              "chunk-size-plus-sign", "chunk-size-underscore", "chunk-size-0x-prefix",
-             "chunk-size-17-digits", "chunk-size-7fff", "content-length-30-digits"],
+             "chunk-size-17-digits", "chunk-size-7fff", "content-length-30-digits",
+             "chunked-cut-in-last-chunk", "chunked-cut-in-trailers"],
     )
     def test_malformed_response_raises_connection_error(self, serve, response, message):
         backend = serve(lambda body: response, close_after_reply="silently").backend()
@@ -1182,6 +1053,161 @@ class TestHttpBackend:
             HttpBackend("http://host/v1", "m")
 
 
+class TestMultiplexedScore:
+    """One Score of 4 misses with up to 2 POSTs in flight, all written and
+    read by the calling thread, against a fault on one of them."""
+
+    REQUESTS = tuple(ScorerRequest(f"Passage {i}.", f" Question {i}?") for i in range(4))
+    NLLS = [0.5, 1.25, 2.0, 0.75]
+
+    def index(self, body):
+        return int(body["prompt"][len("Passage ")])
+
+    def replies(self, faults=(), hold=0.0):
+        """Each request's echo with its NLL after ``hold`` seconds, but the
+        replies ``faults`` lists for a request index first, in turn."""
+        faults = {i: list(replies) for i, replies in dict(faults).items()}
+
+        def reply(body):
+            i = self.index(body)
+            if faults.get(i):
+                return faults[i].pop(0)
+            time.sleep(hold)
+            return echo_reply(self.REQUESTS[i], self.NLLS[i])
+
+        return reply
+
+    def gateway(self, server):
+        backend = server.backend()
+        return LlmGateway(backend, backend, scorer_concurrency=2)
+
+    def posts(self, server):
+        return sorted(self.index(body) for _, _, body, _ in server.requests)
+
+    def counts(self, gw):
+        stats = gw.stats()
+        return stats["scorer_calls"], stats["cache_misses"]
+
+    def test_two_in_flight_from_the_calling_thread_each_reply_to_its_request(
+        self, serve, monkeypatch
+    ):
+        server = serve(self.replies(hold=0.02))
+        gw = self.gateway(server)
+        writers = []
+        send = HttpBackend._send
+
+        def recorded(backend, data):
+            writers.append(threading.current_thread())
+            return send(backend, data)
+
+        monkeypatch.setattr(HttpBackend, "_send", recorded)
+        assert gw.score_many(self.REQUESTS) == self.NLLS
+        assert server.peak[None] == 2
+        assert writers == [threading.current_thread()] * 4
+        assert server.connections() == 2
+        assert gw.score_many(self.REQUESTS[::-1]) == self.NLLS[::-1]
+        assert server.connections() == 2  # the pooled connections served both Scores
+
+    def test_a_busy_reply_is_retried_once(self, serve):
+        busy = raw_reply(
+            ["HTTP/1.1 503 Service Unavailable", "Content-Length: 0", "Retry-After: 0"]
+        )
+        server = serve(self.replies({2: [busy]}))
+        gw = self.gateway(server)
+        assert gw.score_many(self.REQUESTS) == self.NLLS
+        assert self.posts(server) == [0, 1, 2, 2, 3]
+        assert self.counts(gw) == ({"relevance": 4}, 4)
+
+    def test_a_final_error_stops_the_writes_and_the_reply_in_flight_is_read(self, serve):
+        # Request 1's 400 is read while request 0's reply is held, so the
+        # connection request 0 frees comes back only after the failure.
+        failed = threading.Event()
+        answer = self.replies()
+
+        def reply(body):
+            i = self.index(body)
+            if i == 1 and not failed.is_set():
+                failed.set()
+                return 400, {"error": "bad request"}
+            if i == 0 and not failed.is_set():
+                assert failed.wait(5)
+                time.sleep(0.05)
+            return answer(body)
+
+        server = serve(reply)
+        gw = self.gateway(server)
+        with pytest.raises(HttpStatusError) as info:
+            gw.score_many(self.REQUESTS)
+        assert type(info.value) is HttpStatusError and info.value.status == 400
+        assert self.posts(server) == [0, 1]  # no later miss was written
+        assert self.counts(gw) == ({"relevance": 1}, 1)  # request 0 returned
+        # Both connections are in step: the next Score reads its own replies.
+        assert gw.score_many(self.REQUESTS[::-1]) == self.NLLS[::-1]
+        assert server.connections() == 2
+
+    def test_a_miss_reset_three_times_is_backend_unavailable(self, serve):
+        server = serve(self.replies({2: [RESET] * 3}))
+        gw = self.gateway(server)
+        with pytest.raises(BackendUnavailable) as info:
+            gw.score_many(self.REQUESTS)
+        assert isinstance(info.value.__cause__, ConnectionError)
+        assert self.posts(server) == [0, 1, 2, 2, 2, 3]
+        assert self.counts(gw) == ({"relevance": 3}, 3)
+
+    def test_a_miss_without_a_reply_times_out_then_is_backend_unavailable(
+        self, serve, monkeypatch
+    ):
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.2)
+        server = None
+        answer = self.replies()
+
+        def stall(body):
+            if self.index(body) == 3:
+                server.release.wait(10)
+            return answer(body)
+
+        server = serve(stall)
+        gw = self.gateway(server)
+        with pytest.raises(BackendUnavailable) as info:
+            gw.score_many(self.REQUESTS)
+        assert isinstance(info.value.__cause__, TimeoutError)
+        assert self.posts(server) == [0, 1, 2, 3, 3, 3]
+        assert self.counts(gw) == ({"relevance": 3}, 3)
+
+    def test_an_interrupt_in_the_wait_closes_the_connections_in_flight(
+        self, serve, monkeypatch
+    ):
+        server = serve(self.replies())
+        gw = self.gateway(server)
+        sent = []
+        send = HttpBackend._send
+
+        def recorded(backend, data):
+            sent.append(send(backend, data))
+            return sent[-1]
+
+        def poll():
+            poller = select.poll()
+            return SimpleNamespace(
+                register=poller.register, unregister=poller.unregister,
+                poll=lambda timeout: poller.poll(0) if timeout == 0 else interrupt(),
+            )
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(HttpBackend, "_send", recorded)
+        monkeypatch.setattr(llm, "select", SimpleNamespace(poll=poll, POLLIN=select.POLLIN))
+        with pytest.raises(KeyboardInterrupt):
+            gw.score_many(self.REQUESTS)
+        assert len(sent) == 2
+        assert [conn.sock.fileno() for conn in sent] == [-1, -1]
+        assert gw.scorer._idle == []
+        assert self.counts(gw) == ({}, 0)
+        for _ in sent:
+            assert server.closed.acquire(timeout=5)
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self):
         backend = ScriptedBackend()
@@ -1234,14 +1260,23 @@ class TestOrjsonEscaping:
 
 
 # A value of the first choice: numbers of every kind json.loads reads (NaN
-# and ±Infinity included, integers within ±2**63), nesting, non-ASCII text
-# and lone surrogates.
+# and ±Infinity included, integers past 64 bits too), nesting, non-ASCII
+# text and lone surrogates.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.integers(-(2**63), 2**63) | SURROGATE_TEXT,
+    st.none() | st.booleans() | st.floats() | st.integers(-(2**70), 2**70) | SURROGATE_TEXT,
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(SURROGATE_TEXT, children, max_size=3),
     max_leaves=12,
 )
+NUMBERS = st.floats() | st.integers(-(2**70), 2**70)
+# A first choice: the fields gensco reads, of the shapes it reads or not, or any keys.
+CHOICES = st.fixed_dictionaries({}, optional={
+    "text": SURROGATE_TEXT | JSON_VALUES,
+    "logprobs": st.fixed_dictionaries({}, optional={
+        "token_logprobs": st.lists(st.none() | NUMBERS, max_size=4) | JSON_VALUES,
+        "text_offset": st.lists(st.integers(-(2**70), 2**70), max_size=4) | JSON_VALUES,
+    }) | JSON_VALUES,
+}) | st.dictionaries(SURROGATE_TEXT, JSON_VALUES, max_size=4)
 
 
 @st.composite
@@ -1250,7 +1285,7 @@ def reply_bodies(draw):
     UTF-16 or UTF-32, which are refused; maybe spliced with raw bytes, or
     raw bytes alone."""
     if draw(st.integers(0, 3)):
-        document = {"choices": [draw(st.dictionaries(SURROGATE_TEXT, JSON_VALUES, max_size=4))]}
+        document = {"choices": [draw(CHOICES)]}
     else:
         document = draw(JSON_VALUES)
     text = json.dumps(document, ensure_ascii=draw(st.booleans()))
@@ -1265,11 +1300,36 @@ def reply_bodies(draw):
     return body
 
 
+def read_fields(choice):
+    """The fields of a first choice that gensco reads."""
+    fields = {"text": choice.get("text")}
+    logprobs = choice.get("logprobs")
+    if isinstance(logprobs, dict):
+        fields.update(
+            token_logprobs=logprobs.get("token_logprobs"), text_offset=logprobs.get("text_offset")
+        )
+    return fields
+
+
+def past_64_bits_as_float(value):
+    """``value`` with each integer outside -2**63..2**64-1 as its nearest
+    float, as orjson reads it."""
+    if type(value) is int and not -(2**63) <= value < 2**64:
+        return float(value)
+    if isinstance(value, list):
+        return [past_64_bits_as_float(item) for item in value]
+    if isinstance(value, dict):
+        return {key: past_64_bits_as_float(item) for key, item in value.items()}
+    return value
+
+
 class TestReplyDecoding:
-    def test_reply_decodes_exactly_as_json_loads_decodes_it(self, serve):
-        # The same bodies accepted, the same first choice for each (by repr,
-        # so NaN, -0.0 and int against float count), and the same message
-        # for each refused one.
+    def test_reply_gives_json_loads_fields_or_a_named_error(self, serve):
+        # A reply json.loads refuses is refused with its message, and one
+        # without a choice is named; of any other, each field gensco reads
+        # equals by repr (so NaN, -0.0 and int against float count) what
+        # json.loads reads, but for an integer past 64 bits, which is its
+        # nearest float. Reading the logprobs then returns or names the fault.
         reply = {}
         backend = serve(lambda body: raw_reply(
             ["HTTP/1.1 200 OK", f"Content-Length: {len(reply['body'])}"], reply["body"]
@@ -1288,13 +1348,32 @@ class TestReplyDecoding:
             else:
                 choices = value.get("choices") if isinstance(value, dict) else None
                 if isinstance(choices, list) and choices and isinstance(choices[0], dict):
-                    expected = repr(choices[0])
+                    expected = repr(past_64_bits_as_float(read_fields(choices[0])))
                 else:
                     expected = f"{named} without a choice: {body[:200]!r}"
             try:
-                got = repr(backend._post(b"{}"))
+                choice = backend._post(b"{}")
             except MalformedResponse as exc:
-                got = str(exc)
-            assert got == expected
+                assert str(exc) == expected
+                return
+            assert repr(read_fields(choice)) == expected
+            try:
+                backend._logprobs(ScorerRequest("p", " c"), choice)
+            except (MalformedResponse, LogprobsUnsupported):
+                pass
 
         check()
+
+    @pytest.mark.parametrize("big", [2**64, -(2**63) - 1, 2**70])
+    def test_text_offset_past_64_bits_is_refused_and_a_logprob_is_its_nearest_float(
+        self, serve, big
+    ):
+        req = ScorerRequest("Question:", " who?")
+        payload = {"choices": [{"text": "", "logprobs": {
+            "token_logprobs": [None, -1.5], "text_offset": [0, big]}}]}
+        backend = serve(lambda body: (200, payload)).backend()
+        with pytest.raises(MalformedResponse, match="not integers"):
+            backend.token_logprobs(req)
+        payload["choices"][0]["logprobs"] = {
+            "token_logprobs": [None, big], "text_offset": [0, 9]}
+        assert repr(backend.token_logprobs(req)) == repr([float(big)])

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import threading
+import time
 from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gensco.baselines import bm25_rank
 from gensco import llm, pipeline
-from gensco.llm import MalformedResponse, ScorerRequest, ScriptedBackend
+from gensco.llm import LlmGateway, MalformedResponse, ScorerRequest, ScriptedBackend
 from gensco.models import (
     Dataset,
     MultiHopInstance,
@@ -37,11 +38,10 @@ from helpers import (
     TRACE_SCORES_LEVEL_1,
     TRACE_SUBQ_1,
     TRACE_SUBQ_2,
-    InFlight,
     ScriptedPlan,
     build_instance_script,
     plan_requests,
-    scoring_pool,
+    replies_for,
     scripted_gateway,
     trace_instance,
     trace_plan,
@@ -124,21 +124,26 @@ class TestWorkedTrace:
         assert stats["scorer_calls"]["relevance"] == 20
         assert stats["scorer_calls"]["stop"] == 2
 
-    def test_scorer_pool_matches_sequential_and_keeps_thread_count(self):
-        # Five runs that score two requests at once, on one pool, and the
-        # same five through a gateway that scores one at a time.
+    def test_multiplexed_scores_match_sequential_and_start_no_thread(self, serve):
+        # Five runs that keep two scorer calls in flight, through one
+        # gateway, and the same five through one that scores one at a time.
+        inst = trace_instance()
+        cfg = PipelineConfig.for_dataset(Dataset.TWO_WIKI, Variant.STOP)
+        shots = load_shots(Dataset.TWO_WIKI)
+        server = serve(replies_for(plan_requests(inst, cfg, trace_plan(), shots)[1]))
+        backend = server.backend()
+        gateway = LlmGateway(backend, backend, scorer_concurrency=2)
         sequential_gateway = scripted_gateway(ScriptedBackend())
         runs = []
-        with scoring_pool(1) as fan_out:
-            gateway = scripted_gateway(ScriptedBackend(), fan_out=fan_out)
-            for _ in range(5):
-                sequential, _ = run_trace_example(gateway=sequential_gateway)
-                result, _ = run_trace_example(gateway=gateway)
-                runs.append((result, threading.active_count()))
-        for result, _ in runs:
-            assert result == sequential
+        for _ in range(5):
+            (sequential, _), _ = run_trace_example(gateway=sequential_gateway)
+            trace, record = run_instance(inst, cfg, gateway, shots)
+            runs.append((trace, record, threading.active_count()))
+        for trace, record, _ in runs:
+            assert trace == sequential
+            assert (record.predicted_answer, record.context_order) == (TRACE_ANSWER, (8, 1))
         assert gateway.stats() == sequential_gateway.stats()
-        counts = [count for _, count in runs]
+        counts = [count for _, _, count in runs]
         assert max(counts[1:]) <= counts[0]
 
 
@@ -172,28 +177,22 @@ class TestGoldenPrompts:
 class TestStoppingRules:
     """The stop tests, run on the worked trace under plans."""
 
-    def check(self, without, with_c, workers=1, flight=None):
-        """The worked trace with a level-2 stop pair, each Score scored on up
-        to ``workers`` threads at once; its stop reason."""
-        plan = trace_plan(stop_nlls={2: (without, with_c)})
-        inst = trace_instance()
-        backend = ScriptedBackend()
-        build_instance_script(backend, inst, PipelineConfig(), plan)
-        if flight is not None:
-            # Count only the stop pair: its continuation is the question.
-            plain, counted = backend.token_logprobs, flight.wrap(backend.token_logprobs)
-            backend.token_logprobs = lambda req: (
-                counted if req.continuation == " " + inst.question else plain
-            )(req)
-        with scoring_pool(workers - 1) as fan_out:
-            trace, _ = run_instance(
-                inst, PipelineConfig(), scripted_gateway(backend, fan_out=fan_out)
-            )
+    def stop_reason(self, inst, gateway):
+        """The stop reason of the worked trace through ``gateway``."""
+        trace, _ = run_instance(inst, PipelineConfig(), gateway)
         if trace.stop_reason is StopReason.LIKELIHOOD_STOP:
             assert trace.selected_sequence == (8,)
             return trace.stop_reason
         assert (trace.selected_sequence, trace.stop_reason) == ((8, 1), StopReason.FIN_KEYWORD)
         return None
+
+    def check(self, without, with_c):
+        """The worked trace with a level-2 stop pair; its stop reason."""
+        plan = trace_plan(stop_nlls={2: (without, with_c)})
+        inst = trace_instance()
+        backend = ScriptedBackend()
+        build_instance_script(backend, inst, PipelineConfig(), plan)
+        return self.stop_reason(inst, scripted_gateway(backend))
 
     def test_strictly_increasing_nll_stops(self):
         assert self.check(1.5, 1.8) is StopReason.LIKELIHOOD_STOP
@@ -210,12 +209,26 @@ class TestStoppingRules:
         [(1.5, 1.8, StopReason.LIKELIHOOD_STOP), (1.8, 1.5, None)],
     )
     def test_stop_pair_scored_concurrently_with_two_scorer_workers(
-        self, workers, without, with_c, expected
+        self, serve, workers, without, with_c, expected
     ):
-        flight = InFlight(hold=0.02)
-        assert self.check(without, with_c, workers, flight) is expected
-        assert flight.finished == 2
-        assert flight.peak == workers
+        plan = trace_plan(stop_nlls={2: (without, with_c)})
+        inst = trace_instance()
+        answer = replies_for(plan_requests(inst, PipelineConfig(), plan)[1])
+
+        def is_stop_pair(body):  # its continuation is the question
+            return body["prompt"].endswith(" " + inst.question)
+
+        def reply(body):
+            if is_stop_pair(body):
+                time.sleep(0.02)  # long enough for the pair to overlap
+            return answer(body)
+
+        server = serve(reply, flight_key=is_stop_pair)
+        backend = server.backend()
+        gateway = LlmGateway(backend, backend, scorer_concurrency=workers)
+        assert self.stop_reason(inst, gateway) is expected
+        assert sum(is_stop_pair(body) for _, _, body, _ in server.requests) == 2
+        assert server.peak[True] == workers
 
     @pytest.mark.parametrize("without, with_c", [(math.nan, 1.2), (1.5, math.nan)],
                              ids=["without-nan", "with-candidate-nan"])

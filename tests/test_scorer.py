@@ -1,10 +1,9 @@
 import threading
-import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gensco.llm import ScorerRequest, ScriptedBackend, ScriptMiss
+from gensco.llm import LlmGateway, ScriptedBackend, ScriptMiss
 from gensco.models import MultiHopInstance, Passage, ScoredCandidate, StopReason, Variant
 from gensco.pipeline import PipelineConfig, Score, run_instance
 from gensco.prompts import render_scoring_head, render_scoring_tails
@@ -13,11 +12,10 @@ from gensco.scorer import MAX_NLL, select_best
 from helpers import (
     TRACE_SCORES_LEVEL_1,
     TRACE_SUBQ_2,
-    InFlight,
     ScriptedPlan,
     build_instance_script,
     plan_requests,
-    scoring_pool,
+    replies_for,
     scripted_gateway,
     trace_instance,
     trace_plan,
@@ -42,15 +40,24 @@ def one_level(passages, scores, cfg=ONE_LEVEL):
     return plan_requests(instance(passages), cfg, plan)[0][0].levels[0]
 
 
-def one_level_gateway(inst, scores, flight=None, fan_out=map):
-    """A gateway scripted for one level of ``inst``, its scorer calls
-    counted by ``flight`` and each Score's misses sent as ``fan_out`` maps them."""
+def one_level_gateway(inst, scores):
+    """A gateway scripted for one level of ``inst``."""
     backend = ScriptedBackend()
     plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
     build_instance_script(backend, inst, ONE_LEVEL, plan)
-    if flight is not None:
-        backend.token_logprobs = flight.wrap(backend.token_logprobs)
-    return scripted_gateway(backend, fan_out=fan_out)
+    return scripted_gateway(backend)
+
+
+def one_level_server(serve, inst, scores, hold=0.005):
+    """A loopback stub that answers one level of ``inst``, each reply held
+    ``hold`` seconds so that the calls in flight overlap."""
+    plan = ScriptedPlan(subquestions=[], level_scores=[scores], answer="x")
+    return serve(replies_for(plan_requests(inst, ONE_LEVEL, plan)[1], hold))
+
+
+def http_gateway(server, scorer_concurrency):
+    backend = server.backend()
+    return LlmGateway(backend, backend, scorer_concurrency=scorer_concurrency)
 
 
 class TestSelectBest:
@@ -107,83 +114,41 @@ class TestScoreLevel:
         run_instance(inst, ONE_LEVEL, gw)
         assert gw.stats()["scorer_calls"] == {"relevance": 10}
 
-    def test_concurrent_merge_is_index_ordered(self):
+    def test_concurrent_merge_is_index_ordered(self, serve):
         inst = trace_instance()
         shuffled = MultiHopInstance(inst.id, inst.question, "a", inst.passages[::-1])
         gw = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1)
         sequential = run_instance(shuffled, ONE_LEVEL, gw)
-        with scoring_pool(3) as fan_out:
-            pooled = one_level_gateway(shuffled, TRACE_SCORES_LEVEL_1, fan_out=fan_out)
-            concurrent = run_instance(shuffled, ONE_LEVEL, pooled)
-        assert concurrent == sequential
-        candidates = concurrent[0].levels[0].candidates
+        server = one_level_server(serve, shuffled, TRACE_SCORES_LEVEL_1)
+        concurrent = run_instance(shuffled, ONE_LEVEL, http_gateway(server, 3))
+        assert server.peak[None] == 3
+        (trace, record), (expected, expected_record) = concurrent, sequential
+        assert trace == expected
+        assert (record.predicted_answer, record.context_order) == (
+            expected_record.predicted_answer, expected_record.context_order
+        )
+        candidates = trace.levels[0].candidates
         assert [c.passage_index for c in candidates] == list(range(1, 11))
 
-    def test_at_most_concurrency_calls_in_flight(self):
+    def test_at_most_concurrency_calls_in_flight(self, serve):
         inst = trace_instance()
-        flight = InFlight()
-        with scoring_pool(1) as fan_out:
-            gw = one_level_gateway(inst, TRACE_SCORES_LEVEL_1, flight, fan_out)
-            run_instance(inst, ONE_LEVEL, gw)
-        assert flight.peak == 2
-        assert flight.finished == 10
+        server = one_level_server(serve, inst, TRACE_SCORES_LEVEL_1)
+        gw = http_gateway(server, 2)
+        run_instance(inst, ONE_LEVEL, gw)
+        assert server.peak[None] == 2
+        assert gw.stats()["scorer_calls"] == {"relevance": 10}
 
-    def test_pool_threads_live_across_levels(self):
+    def test_pooled_connections_live_across_levels(self, serve):
         inst = trace_instance()
-        flight = InFlight(hold=0.0)
+        server = one_level_server(serve, inst, TRACE_SCORES_LEVEL_1, hold=0.0)
+        gw = http_gateway(server, 2)
         counts = []
-        with scoring_pool(1) as fan_out:
-            # Counted at the requests score_many sends through the pool.
-            gw = one_level_gateway(
-                inst, TRACE_SCORES_LEVEL_1,
-                fan_out=lambda fetch, misses: fan_out(flight.wrap(fetch), misses),
-            )
-            for _ in range(20):
-                run_instance(inst, ONE_LEVEL, gw)
-                counts.append(threading.active_count())
+        for _ in range(20):
+            run_instance(inst, ONE_LEVEL, gw)
+            counts.append(threading.active_count())
         assert max(counts[1:]) <= counts[0]
-        assert flight.finished == 200
-        assert len(flight.threads) <= 2  # the same workers served every level
-
-    def test_failure_raised_after_in_flight_calls_finish(self):
-        # Request 1 fails at once, while the other worker's call is held open.
-        requests = [ScorerRequest(f"passage {i}", " q") for i in range(1, 7)]
-        backend = ScriptedBackend()
-        for req in requests[1:]:
-            backend.add_logprobs(req, [-1.0])
-        flight = InFlight(hold=0.1)
-        backend.token_logprobs = flight.wrap(backend.token_logprobs)
-        gw = scripted_gateway(backend)
-        with scoring_pool(1) as fan_out:
-            with pytest.raises(ScriptMiss):
-                list(fan_out(gw.score_continuation, requests))
-            started = flight.started
-            assert flight.finished == started < 6
-            time.sleep(0.15)
-            assert flight.started == started
-
-    def test_interrupt_of_the_caller_stops_new_requests_and_propagates(self):
-        requests = [ScorerRequest(f"passage {i}", " q") for i in range(1, 9)]
-        backend = ScriptedBackend()
-        for req in requests:
-            backend.add_logprobs(req, [-1.0])
-        scripted = backend.token_logprobs
-
-        def interrupted_on_the_caller(req):
-            if threading.current_thread() is threading.main_thread():
-                raise KeyboardInterrupt
-            return scripted(req)
-
-        flight = InFlight(hold=0.1)
-        backend.token_logprobs = flight.wrap(interrupted_on_the_caller)
-        gw = scripted_gateway(backend)
-        with scoring_pool(1) as fan_out:
-            with pytest.raises(KeyboardInterrupt):
-                list(fan_out(gw.score_continuation, requests))
-            started = flight.started
-            assert flight.finished == started <= 3
-            time.sleep(0.15)
-            assert flight.started == started
+        assert gw.stats()["scorer_calls"] == {"relevance": 200}
+        assert server.connections() <= 2  # the same connections served every level
 
     def test_failed_candidate_aborts_level(self):
         scores = {1: 0.5, 2: 0.7}
