@@ -8,6 +8,7 @@ scripted backend for deterministic tests.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -23,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 import orjson
@@ -600,37 +601,45 @@ class HttpBackend:
     def token_logprobs(self, req: ScorerRequest) -> list[float]:
         return self._logprobs(req, self._post(self._echo(req)))
 
-    def token_logprobs_many(self, requests: Sequence[ScorerRequest], in_flight: int) -> list[Any]:
-        """For each request, what ``token_logprobs`` returns or raises, or
-        None for a request that was not sent.
+    def token_logprobs_many(
+        self, requests: Sequence[ScorerRequest], in_flight: int
+    ) -> Iterator[tuple[int, Any]]:
+        """Yield ``(i, outcome)`` for each request as its exchange ends: the
+        logprobs ``token_logprobs(requests[i])`` returns, or the transient
+        failure it raises. Once no request is left in flight, raise the first
+        other failure in request order.
 
         The calling thread keeps up to ``in_flight`` POSTs outstanding, each
         on its own pooled or new connection, and writes the next request on
         the connection whose reply it has just read. After a failure that is
         not transient no request is written, but the replies in flight are
-        read. A connection whose reply is not read (after an interrupt, or
-        when no reply has begun for _TIMEOUT_S) is closed, never pooled.
+        read. A connection whose reply is not read (after an interrupt, when
+        the caller stops early, or when no reply has begun for _TIMEOUT_S) is
+        closed, never pooled.
         """
-        outcomes: list[Any] = [None] * len(requests)
+        failures: dict[int, Exception] = {}
         unsent = iter(range(len(requests)))
         waiting: dict[int, tuple[int, _Connection]] = {}  # fd -> (request, connection)
         poller = select.poll()
         try:
             while True:
-                for i in itertools.islice(unsent, in_flight - len(waiting)):
+                while len(waiting) < in_flight and not failures:
+                    i = next(unsent, None)
+                    if i is None:
+                        break
                     try:
                         conn = self._send(self._echo(requests[i]))
+                    except _TRANSIENT as exc:
+                        yield i, exc
+                        continue
                     except Exception as exc:
-                        outcomes[i] = exc
-                        if isinstance(exc, _TRANSIENT):
-                            continue
-                        unsent = iter(())
+                        failures[i] = exc
                         break
                     fd = conn.sock.fileno()
                     waiting[fd] = i, conn
                     poller.register(fd, select.POLLIN)
                 if not waiting:
-                    return outcomes
+                    break
                 ready = poller.poll(_TIMEOUT_S * 1000) or [(fd, 0) for fd in waiting]
                 for fd, events in ready:
                     i, conn = waiting.pop(fd)
@@ -639,14 +648,18 @@ class HttpBackend:
                         if not events:  # no reply has begun in time
                             conn.close()
                             raise TimeoutError(f"no reply to a POST in {_TIMEOUT_S} s")
-                        outcomes[i] = self._logprobs(requests[i], self._reply(conn))
+                        outcome = self._logprobs(requests[i], self._reply(conn))
+                    except _TRANSIENT as exc:
+                        outcome = exc
                     except Exception as exc:
-                        outcomes[i] = exc
-                        if not isinstance(exc, _TRANSIENT):
-                            unsent = iter(())
+                        failures[i] = exc
+                        continue
+                    yield i, outcome
         finally:
             for _, conn in waiting.values():
                 conn.close()
+        if failures:
+            raise failures[min(failures)]
 
     def _logprobs(self, req: ScorerRequest, choice: dict[str, Any]) -> list[float]:
         """The per-token logprobs of ``req``'s continuation in ``choice``, the
@@ -868,12 +881,11 @@ class LlmGateway:
         Every hit and every miss that returned is counted, failed or not.
 
         The misses go to the scorer's ``token_logprobs_many`` when it has
-        one and the ``Score`` has 2 or more misses and ``scorer_concurrency``
-        is 2 or more. Its transient failures are retried once the others
-        have returned; after any other failure no miss is sent, not even a
-        retry, and the first such failure in request order is raised.
-        Otherwise the misses are sent one at a time, each retried before
-        the next is sent, and the first failure is raised at once.
+        one, with up to ``scorer_concurrency`` in flight: each miss is stored
+        as its reply is read, and the transient failures are retried once the
+        others have returned. A failure that is not transient stops the
+        writes, and no miss is retried. A scorer without it answers the
+        misses one at a time, each stored or retried before the next is sent.
         """
         backend = self.scorer
         prefix = backend.backend_id + "\0"
@@ -896,31 +908,24 @@ class LlmGateway:
 
         try:
             many = getattr(backend, "token_logprobs_many", None)
-            if many is None or len(misses) < 2 or self.scorer_concurrency < 2:
-                token_logprobs = backend.token_logprobs
+            if many is None:
                 for i in misses:
                     try:
-                        logprobs = token_logprobs(requests[i])
+                        logprobs = backend.token_logprobs(requests[i])
                     except _TRANSIENT as exc:
-                        logprobs = _retried(token_logprobs, requests[i], exc)
+                        logprobs = _retried(backend.token_logprobs, requests[i], exc)
                     store(i, logprobs)
             else:
-                outcomes = many([requests[i] for i in misses], self.scorer_concurrency)
-                failure, transient = None, []
-                for i, outcome in zip(misses, outcomes):
-                    if isinstance(outcome, _TRANSIENT):
-                        transient.append((i, outcome))
-                    elif isinstance(outcome, Exception):
-                        failure = failure or outcome
-                    elif outcome is not None:
-                        try:
-                            store(i, outcome)
-                        except MalformedResponse as exc:
-                            failure = failure or exc
-                if failure is not None:
-                    raise failure
-                for i, exc in transient:
-                    store(i, _retried(backend.token_logprobs, requests[i], exc))
+                transient: dict[int, Exception] = {}
+                replies = many([requests[i] for i in misses], self.scorer_concurrency)
+                with contextlib.closing(replies):
+                    for j, outcome in replies:
+                        if isinstance(outcome, Exception):
+                            transient[misses[j]] = outcome
+                        else:
+                            store(misses[j], outcome)
+                for i in sorted(transient):
+                    store(i, _retried(backend.token_logprobs, requests[i], transient[i]))
         finally:
             returned = len(misses) - entries.count(None)
             self._count(self.scorer_calls, purpose, len(requests) - len(misses), returned)

@@ -1118,6 +1118,26 @@ class TestMultiplexedScore:
         assert self.posts(server) == [0, 1, 2, 2, 3]
         assert self.counts(gw) == ({"relevance": 4}, 4)
 
+    def test_refused_connects_are_retried_after_the_others_return(self, serve, monkeypatch):
+        # The first two connects fail before any request is in flight: the
+        # other two misses are still sent, and the refused two retried.
+        server = serve(self.replies())
+        gw = self.gateway(server)
+        connects = []
+        connect = HttpBackend._connect
+
+        def refused(backend):
+            connects.append(len(connects))
+            if len(connects) <= 2:
+                raise ConnectionRefusedError("the backend is restarting")
+            return connect(backend)
+
+        monkeypatch.setattr(HttpBackend, "_connect", refused)
+        assert gw.score_many(self.REQUESTS) == self.NLLS
+        assert len(connects) == 2 + server.connections() == 4
+        assert self.posts(server) == [0, 1, 2, 3]
+        assert self.counts(gw) == ({"relevance": 4}, 4)
+
     def test_a_final_error_stops_the_writes_and_the_reply_in_flight_is_read(self, serve):
         # Request 1's 400 is read while request 0's reply is held, so the
         # connection request 0 frees comes back only after the failure.
