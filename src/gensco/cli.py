@@ -16,13 +16,12 @@ import json
 import operator
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, suppress
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import click
 import yaml
@@ -214,81 +213,6 @@ def _run_id(run_dir) -> str:
     return Path(os.path.abspath(run_dir)).name
 
 
-def run_in_order(
-    fn: Callable, items: Sequence, pool: ThreadPoolExecutor, helpers: int
-) -> Iterator:
-    """``fn(item)`` for each of ``items``, in item order.
-
-    The calling thread and up to ``helpers`` tasks queued on ``pool``, no
-    more than there are other items, take the items one at a time, in
-    order; with no helper this is ``map(fn, items)`` on the caller and
-    nothing is queued. Between its own items the caller yields every
-    result that is ready in order, and once the items run out it waits for
-    the helpers and yields the rest. After a failure or an interrupt no
-    item starts: helper tasks not yet started are cancelled and calls in
-    flight finish. Then the interrupt, or else the first failure in item
-    order, is raised. No call outlives the iterator once it is exhausted
-    or closed.
-    """
-    helpers = min(helpers, len(items) - 1)
-    if helpers < 1:
-        return map(fn, items)
-    return _run_with_helpers(fn, items, pool, helpers)
-
-
-def _run_with_helpers(
-    fn: Callable, items: Sequence, pool: ThreadPoolExecutor, helpers: int
-) -> Iterator:
-    """``run_in_order`` with at least one helper."""
-    jobs = enumerate(items)
-    lock = threading.Lock()
-    done: dict[int, tuple[bool, Any]] = {}  # index -> (failed, result or exception)
-    first = 0  # the index of the next result to yield
-
-    def step() -> bool:
-        """Run the next item, if one may start, and store its outcome."""
-        nonlocal jobs
-        with lock:
-            i, item = next(jobs, (-1, None))
-        if i < 0:
-            return False
-        try:
-            done[i] = False, fn(item)
-        except Exception as exc:
-            with lock:
-                done[i] = True, exc
-                jobs = iter(())
-        return True
-
-    def helper() -> None:
-        while step():
-            pass
-
-    def ready() -> Iterator:
-        nonlocal first
-        while first in done:
-            failed, value = done.pop(first)
-            if failed:
-                raise value
-            yield value
-            first += 1
-
-    futures = [pool.submit(helper) for _ in range(helpers)]
-    try:
-        while step():
-            yield from ready()
-    finally:
-        with lock:  # after an interrupt, a failure or a close, start no item
-            jobs = iter(())
-        for future in futures:
-            future.cancel()
-        wait(futures)
-    for future in futures:
-        if not future.cancelled():
-            future.result()  # raises what escaped a helper
-    yield from ready()
-
-
 def run_batch(cfg: dict[str, Any], run_dir) -> int:
     """Execute (or resume) one run; returns the process exit code."""
     cfg = _check_config(cfg)
@@ -330,10 +254,6 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
                     f"config key 'rankings_file': {path!r} ranks an absent or repeated passage"
                     f" in the first {pipe_cfg.top_k} of {inst.id!r}: {head}"
                 )
-    concurrency = cfg.get("concurrency", 1)
-    # The run's one pool has a worker for each instance helper. With no
-    # helper nothing is queued, so the pool starts no thread.
-    pool = ThreadPoolExecutor(max(concurrency - 1, 1), thread_name_prefix="gensco")
     gateway = _build_gateway(cfg)
 
     run_dir.mkdir(parents=True, exist_ok=True)  # once every input has loaded
@@ -369,27 +289,35 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
             return inst, None, None, f"{type(exc).__name__}: {exc}"
 
     failures = 0
-    # Between its own instances the caller appends the records of every
-    # finished instance, in instance order. failures.jsonl lists this
-    # invocation's failures only.
-    with closing(gateway), pool, open(traces_path, "a", encoding="utf-8") as tf, open(
+    # The run's one pool. Its workers run the instances, and the caller
+    # appends each instance's records once it and every earlier instance
+    # have finished. With at most one instance to run nothing is queued, so
+    # no thread starts. failures.jsonl lists this invocation's failures only.
+    concurrency = cfg.get("concurrency", 1)
+    pool = ThreadPoolExecutor(concurrency, thread_name_prefix="gensco")
+    ordered = pool.map if min(concurrency, len(todo)) > 1 else map
+    with closing(gateway), open(traces_path, "a", encoding="utf-8") as tf, open(
         answers_path, "a", encoding="utf-8"
     ) as af, open(instances_path, "a", encoding="utf-8") as inf, open(
         failures_path, "w", encoding="utf-8"
     ) as ff:
         if todo:  # a resume of a run killed from here on is checked against it
             _write_manifest(manifest_path, manifest)
-        for inst, trace_dict, answer_dict, error in run_in_order(
-            process, todo, pool, concurrency - 1
-        ):
-            if error is not None:
-                failures += 1
-                append_jsonl(ff, {"instance_id": inst.id, "error": error})
-                continue
-            append_jsonl(inf, inst.to_dict())
-            append_jsonl(tf, trace_dict)
-            append_jsonl(af, answer_dict)
-            kept.append(inst.id)
+        try:
+            for inst, trace_dict, answer_dict, error in ordered(process, todo):
+                if error is not None:
+                    failures += 1
+                    append_jsonl(ff, {"instance_id": inst.id, "error": error})
+                    continue
+                append_jsonl(inf, inst.to_dict())
+                append_jsonl(tf, trace_dict)
+                append_jsonl(af, answer_dict)
+                kept.append(inst.id)
+        finally:
+            # No queued instance starts after an interrupt or a failed write,
+            # and those in flight finish. Executor.map alone would leave one
+            # queued on Python 3.10: the one it was waiting on.
+            pool.shutdown(cancel_futures=True)
     if failures == 0:
         failures_path.unlink()
     # A resume that filled a hole appended it last. traces.jsonl is sorted

@@ -52,3 +52,21 @@ def test_traced_run_and_eval_of_a_scripted_batch(tmp_path):
     assert set(tracer.missing) <= STALE
     layers = tracing.layer_metrics(tracer.spans, 2)
     assert layers["llm.calls_per_instance.answer"] == 1
+
+
+def test_instances_on_pool_workers_are_traced_under_the_run(tmp_path):
+    # The tracer hands the open span to pool workers only through the pool
+    # it swaps in as cli.ThreadPoolExecutor: a pool made another way leaves
+    # the instances it runs without a parent.
+    tracing = load_tracer()
+    cfg = make_run_config(tmp_path, 4, Variant.STOP, concurrency=2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.run_batch(cfg, tmp_path / "run")
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[0]: span[2] for span in tracer.spans}
+    parents = [names.get(span[1]) for span in tracer.spans if span[2] == "pipeline.run_instance"]
+    assert parents == ["cli.run_batch"] * 4

@@ -66,6 +66,31 @@ PINNED_WORK = {
     "3": (18, 9898, 5186, 18, 0),
 }
 
+# For each instance of the same batch with a cache_dir: its ResponseCache
+# gets and puts on an empty cache, then on the cache that pass filled.
+PINNED_CACHE_WORK = {
+    "0": (18, 18, 18, 0),
+    "1": (10, 10, 10, 0),
+    "2": (24, 24, 24, 0),
+    "3": (18, 18, 18, 0),
+}
+
+
+def running_instance(monkeypatch):
+    """A one-slot list that holds, while cli.run_instance runs syn-<i>, its
+    <i> as a string, and None between instances."""
+    running, run_instance = [None], cli.run_instance
+
+    def counted(inst, *args):
+        running[0] = str(int(inst.id.split("-")[1]))
+        try:
+            return run_instance(inst, *args)
+        finally:
+            running[0] = None
+
+    monkeypatch.setattr(cli, "run_instance", counted)
+    return running
+
 
 def read_bytes(run_dir, name):
     return (Path(run_dir) / name).read_bytes()
@@ -234,16 +259,9 @@ class TestRunBatch:
         # exact decoder scans for integers past 64 bits.
         cfg = make_run_config(tmp_path, 4, variant=Variant.STOP, scorer_concurrency=2)
         server = synthetic_server(serve, cfg)
-        running, decoded, scanned = [None], Counter(), Counter()
-        run_instance, load_json = cli.run_instance, llm.load_json
+        running, decoded, scanned = running_instance(monkeypatch), Counter(), Counter()
+        load_json = llm.load_json
         long_digit_run = models._long_digit_run
-
-        def counted(inst, *args):
-            running[0] = str(int(inst.id.split("-")[1]))
-            try:
-                return run_instance(inst, *args)
-            finally:
-                running[0] = None
 
         def counted_load(raw, *args, **kwargs):
             decoded[running[0]] += 1
@@ -253,7 +271,6 @@ class TestRunBatch:
             scanned[running[0]] += len(raw)
             return long_digit_run(raw)
 
-        monkeypatch.setattr(cli, "run_instance", counted)
         monkeypatch.setattr(llm, "load_json", counted_load)
         monkeypatch.setattr(models, "_long_digit_run", counted_scan)
         assert cli.run_batch(http_config(cfg, server), tmp_path / "run") == 0
@@ -269,20 +286,64 @@ class TestRunBatch:
         assert work == PINNED_WORK
         assert None not in decoded  # no reply is decoded outside an instance
 
+    def test_cache_work_per_instance_is_pinned(self, tmp_path, serve, monkeypatch):
+        # The batch of test_work_per_instance_is_pinned with a cache_dir, run
+        # twice on one cache. Each call looks its entry up once; each miss is
+        # stored once, and the warm pass stores and sends nothing.
+        cfg = make_run_config(
+            tmp_path, 4, variant=Variant.STOP, scorer_concurrency=2,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        server = synthetic_server(serve, cfg)
+        running, gets, puts = running_instance(monkeypatch), Counter(), Counter()
+        get, put = llm.ResponseCache.get, llm.ResponseCache.put
+
+        def counted_get(cache, key):
+            gets[running[0]] += 1
+            return get(cache, key)
+
+        def counted_put(cache, key, value):
+            puts[running[0]] += 1
+            return put(cache, key, value)
+
+        monkeypatch.setattr(llm.ResponseCache, "get", counted_get)
+        monkeypatch.setattr(llm.ResponseCache, "put", counted_put)
+        passes = []
+        for name in ("cold", "warm"):
+            gets.clear()
+            puts.clear()
+            posts = len(server.exchanges)
+            assert cli.run_batch(http_config(cfg, server), tmp_path / name) == 0
+            calls = json.loads(read_bytes(tmp_path / name, "manifest.json"))["llm_calls"]
+            total = sum(calls["generator_calls"].values()) + sum(calls["scorer_calls"].values())
+            assert sum(gets.values()) == total and None not in gets
+            assert sum(puts.values()) == calls["cache_misses"] and None not in puts
+            passes.append((gets.copy(), puts.copy(), len(server.exchanges) - posts))
+        (cold_gets, cold_puts, cold_posts), (warm_gets, warm_puts, warm_posts) = passes
+        work = {
+            i: (cold_gets[i], cold_puts[i], warm_gets[i], warm_puts[i]) for i in sorted(cold_gets)
+        }
+        assert work == PINNED_CACHE_WORK
+        assert {i: counts[0] for i, counts in PINNED_WORK.items()} == cold_puts  # a POST a miss
+        assert cold_posts == sum(cold_puts.values()) and warm_posts == 0
+        assert read_bytes(tmp_path / "warm", "traces.jsonl") == read_bytes(
+            tmp_path / "cold", "traces.jsonl"
+        )
+
     def test_pool_threads_end_with_the_run(self, tmp_path, monkeypatch):
         cfg = make_run_config(tmp_path, 2, variant=Variant.STOP, concurrency=2)
-        flight = InFlight()  # calls held long enough for the helper to take an instance
+        flight = InFlight()  # calls held long enough for each worker to take an instance
         monkeypatch.setattr(
             ScriptedBackend, "token_logprobs", flight.wrap(ScriptedBackend.token_logprobs)
         )
         assert cli.run_batch(cfg, tmp_path / "run") == 0
-        # The caller runs instances too; the helper worker ends before the run returns.
+        # The pool's workers run the instances and end before the run returns.
         helpers = flight.threads - {threading.current_thread()}
         assert flight.finished > 0 and helpers
         assert not any(thread.is_alive() for thread in helpers)
 
     def test_shared_scorer_pool_under_stress_matches_the_serial_run(self, tmp_path):
-        # 4 instance threads, 3 of them workers of the run's pool, with
+        # 4 instance threads, the workers of the run's pool, with
         # thread switches forced as often as the interpreter allows: a lost
         # counter update or a reply out of request order shows in the files
         # or counts.
@@ -362,39 +423,45 @@ class TestRunBatch:
         assert manifest["instances_skipped"] == 3 - left
         assert len((run_dir / "traces.jsonl").read_text().splitlines()) == 3
 
-    def test_interrupt_on_the_caller_ends_the_batch_with_whole_instances(
+    def test_interrupt_while_writing_ends_the_batch_with_whole_instances(
         self, tmp_path, monkeypatch
     ):
+        # The interrupt comes from the caller's write of the first
+        # instance's last record, while the workers hold two later ones.
         names = ("instances.jsonl", "traces.jsonl", "answers.jsonl")
         cfg = make_run_config(
             tmp_path, 6, variant=Variant.STOP, concurrency=2, scorer_concurrency=2
         )
         fresh = tmp_path / "fresh"
         assert cli.run_batch(cfg, fresh) == 0
-        caller = threading.current_thread()
-        helper_busy, interrupted = threading.Event(), threading.Event()
-        by_caller, by_helper, finished, late = [], [], [], []
-        run_instance = cli.run_instance
+        both_held, interrupted = threading.Event(), threading.Event()
+        started, held, finished, late, written = [], [], [], [], []
+        run_instance, append_jsonl = cli.run_instance, cli.append_jsonl
 
-        def interrupted_on_the_caller(inst, *args):
+        def held_until_the_interrupt(inst, *args):
             if interrupted.is_set():
                 late.append(inst.id)
-            if threading.current_thread() is caller:
-                by_caller.append(inst.id)
-                if len(by_caller) == 2:
-                    assert helper_busy.wait(5)
-                    interrupted.set()
-                    raise KeyboardInterrupt
-            else:
-                by_helper.append(inst.id)
-                helper_busy.set()
+            started.append(inst.id)
+            if inst.id != "syn-000":
+                held.append(inst.id)
+                if len(held) == 2:
+                    both_held.set()
                 interrupted.wait(5)
                 time.sleep(0.1)  # still in flight when the interrupt is raised
             result = run_instance(inst, *args)
             finished.append(inst.id)
             return result
 
-        monkeypatch.setattr(cli, "run_instance", interrupted_on_the_caller)
+        def interrupted_after_the_first_instance(fh, record):
+            append_jsonl(fh, record)
+            written.append(record)
+            if len(written) == len(names):
+                assert both_held.wait(5)
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_instance", held_until_the_interrupt)
+        monkeypatch.setattr(cli, "append_jsonl", interrupted_after_the_first_instance)
         threads_before = set(threading.enumerate())
         run_dir = tmp_path / "run"
         with pytest.raises(KeyboardInterrupt):
@@ -403,8 +470,8 @@ class TestRunBatch:
         for thread in alive:
             thread.join(timeout=5)
         assert alive == []
-        assert late == [] and len(by_caller) == 2 and len(by_helper) == 1
-        assert by_helper[0] in finished  # the helper's instance was waited for
+        assert late == [] and sorted(started) == ["syn-000", "syn-001", "syn-002"]
+        assert sorted(finished) == sorted(started)  # those in flight were waited for
         lines = [read_bytes(run_dir, name).splitlines(keepends=True) for name in names]
         assert len({len(kept) for kept in lines}) == 1
         for name, kept in zip(names, lines):
@@ -414,32 +481,55 @@ class TestRunBatch:
         for name in names:
             assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
 
-    def test_held_caller_instance_keeps_instance_order(self, tmp_path, monkeypatch):
+    def test_held_first_instance_keeps_instance_order(self, tmp_path, monkeypatch):
         cfg = make_run_config(tmp_path, 6, variant=Variant.STOP)
         assert cli.run_batch(cfg, tmp_path / "serial") == 0
-        caller = threading.current_thread()
-        caller_started, helper_ahead = threading.Event(), threading.Event()
+        first_started, two_ahead = threading.Event(), threading.Event()
         finished = []
         run_instance = cli.run_instance
 
-        def held_on_the_caller(inst, *args):
-            if threading.current_thread() is caller:
-                # The caller's first instance ends after two of the helper's.
-                caller_started.set()
-                assert helper_ahead.wait(5)
+        def held_first(inst, *args):
+            if inst.id == "syn-000":
+                # The first instance ends after two later ones.
+                first_started.set()
+                assert two_ahead.wait(5)
                 finished.append(inst.id)
             else:
-                assert caller_started.wait(5)
+                assert first_started.wait(5)
                 finished.append(inst.id)
                 if len(finished) == 2:
-                    helper_ahead.set()
+                    two_ahead.set()
             return run_instance(inst, *args)
 
-        monkeypatch.setattr(cli, "run_instance", held_on_the_caller)
+        monkeypatch.setattr(cli, "run_instance", held_first)
         assert cli.run_batch({**cfg, "concurrency": 2}, tmp_path / "run") == 0
         assert finished != sorted(finished)
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(tmp_path / "run", name) == read_bytes(tmp_path / "serial", name)
+
+    def test_records_land_as_soon_as_they_are_in_order(self, tmp_path, monkeypatch):
+        # syn-002 runs until syn-001's trace line is written: the caller
+        # writes it while syn-002 is still in flight.
+        cfg = make_run_config(tmp_path, 3, variant=Variant.STOP, concurrency=2)
+        second_traced, waited = threading.Event(), []
+        run_instance, append_jsonl = cli.run_instance, cli.append_jsonl
+
+        def appended(fh, record):
+            append_jsonl(fh, record)
+            if fh.name.endswith("traces.jsonl") and record["instance_id"] == "syn-001":
+                second_traced.set()
+
+        def held(inst, *args):
+            if inst.id == "syn-001":
+                time.sleep(0.2)
+            elif inst.id == "syn-002":
+                waited.append(second_traced.wait(5))
+            return run_instance(inst, *args)
+
+        monkeypatch.setattr(cli, "run_instance", held)
+        monkeypatch.setattr(cli, "append_jsonl", appended)
+        assert cli.run_batch(cfg, tmp_path / "run") == 0
+        assert waited == [True]
 
     def test_failures_file_lists_only_this_invocations_failures(self, tmp_path):
         cfg = make_run_config(tmp_path, 3)

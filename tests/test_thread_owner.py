@@ -2,8 +2,10 @@
 concurrent.futures or names a ThreadPoolExecutor or threading.Thread.
 
 ``cli.run_batch`` builds the run's one pool, and every other module is
-called on the threads it gives them. The scan is by AST, so a comment or
-a docstring that names these does not count.
+called on the threads it gives them. Only llm.py imports threading, for
+the locks on its counters and idle connections: the run orders its
+instances with ``Executor.map``, not with locks of its own. The scan is
+by AST, so a comment or a docstring that names these does not count.
 """
 
 import ast
@@ -40,3 +42,20 @@ def test_only_cli_starts_threads():
     }
     assert found.pop("cli.py")  # the scan sees the run's own pool
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def imports_threading(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "threading":
+            return True
+    return False
+
+
+def test_only_llm_imports_threading():
+    importers = [
+        path.name for path in SOURCES
+        if imports_threading(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["llm.py"]
