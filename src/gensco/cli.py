@@ -368,7 +368,11 @@ def _read_manifest(path: Path) -> dict[str, Any]:
 
 
 def _write_manifest(path: Path, manifest: dict[str, Any]) -> None:
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``manifest`` through a temporary file and one atomic replace, so
+    that a run killed while writing it keeps the earlier manifest whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 # The config keys a resume may change: no record depends on them.

@@ -462,6 +462,10 @@ class HttpBackend:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"backend URL must be http(s)://host[:port][/path]: {base_url!r}")
+        try:
+            url.hostname.encode("idna")  # as a connect would, to look the host up
+        except UnicodeError as exc:
+            raise ValueError(f"backend URL host is not a valid name ({exc}): {base_url!r}") from exc
         path = url.path + "/completions"
         if any(c <= " " or c == "\x7f" for c in path):
             raise ValueError(f"backend URL path has whitespace or control characters: {base_url!r}")
@@ -606,16 +610,17 @@ class HttpBackend:
     ) -> Iterator[tuple[int, Any]]:
         """Yield ``(i, outcome)`` for each request as its exchange ends: the
         logprobs ``token_logprobs(requests[i])`` returns, or the transient
-        failure it raises. Once no request is left in flight, raise the first
-        other failure in request order.
+        failure it raises. Every other failure is final: once no request is
+        left in flight, the first in request order is raised.
 
         The calling thread keeps up to ``in_flight`` POSTs outstanding, each
         on its own pooled or new connection, and writes the next request on
-        the connection whose reply it has just read. After a failure that is
-        not transient no request is written, but the replies in flight are
-        read. A connection whose reply is not read (after an interrupt, when
-        the caller stops early, or when no reply has begun for _TIMEOUT_S) is
-        closed, never pooled.
+        the connection whose reply it has just read. A write fails only
+        transiently, since ``_send`` raises each OSError as a ConnectionError.
+        After a final failure no request is written, but the replies in
+        flight are read. A connection whose reply is not read (after an
+        interrupt, when the caller stops early, or when no reply has begun
+        for _TIMEOUT_S) is closed, never pooled.
         """
         failures: dict[int, Exception] = {}
         unsent = iter(range(len(requests)))
@@ -632,9 +637,6 @@ class HttpBackend:
                     except _TRANSIENT as exc:
                         yield i, exc
                         continue
-                    except Exception as exc:
-                        failures[i] = exc
-                        break
                     fd = conn.sock.fileno()
                     waiting[fd] = i, conn
                     poller.register(fd, select.POLLIN)
@@ -883,9 +885,10 @@ class LlmGateway:
         The misses go to the scorer's ``token_logprobs_many`` when it has
         one, with up to ``scorer_concurrency`` in flight: each miss is stored
         as its reply is read, and the transient failures are retried once the
-        others have returned. A failure that is not transient stops the
-        writes, and no miss is retried. A scorer without it answers the
-        misses one at a time, each stored or retried before the next is sent.
+        others have returned. A final failure stops the writes, and no miss
+        is retried. A scorer without it (a scripted or in-process backend,
+        whose calls never fail transiently) answers the misses one at a time,
+        each stored as it returns; its first failure is raised at once.
         """
         backend = self.scorer
         prefix = backend.backend_id + "\0"
@@ -910,11 +913,7 @@ class LlmGateway:
             many = getattr(backend, "token_logprobs_many", None)
             if many is None:
                 for i in misses:
-                    try:
-                        logprobs = backend.token_logprobs(requests[i])
-                    except _TRANSIENT as exc:
-                        logprobs = _retried(backend.token_logprobs, requests[i], exc)
-                    store(i, logprobs)
+                    store(i, backend.token_logprobs(requests[i]))
             else:
                 transient: dict[int, Exception] = {}
                 replies = many([requests[i] for i in misses], self.scorer_concurrency)

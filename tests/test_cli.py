@@ -15,6 +15,7 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from gensco import baselines, cli, llm, metrics, models
 from gensco.datasets import DatasetConfig, load
 from gensco.llm import HttpBackend, ScriptedBackend
@@ -111,6 +112,31 @@ def http_config(cfg, server):
         **kept, "backend": "http", "generator_url": server.url, "generator_model": "m",
         "scorer_url": server.url, "scorer_model": "m",
     }
+
+
+def relevance_prompt(cfg, i):
+    """The echo prompt of the first relevance request of syn-<i> in the
+    batch of ``cfg`` (a config from make_run_config)."""
+    instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
+    pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, Variant(cfg["variant"]))
+    req = next(
+        request.requests[0] for request, _ in synthetic_requests(instances[i:i + 1], pipe_cfg)
+        if request.purpose == "relevance"
+    )
+    return req.prompt + req.continuation
+
+
+def with_faults(server, faults):
+    """Make ``server`` answer a POST whose prompt ``faults`` lists with the
+    listed replies first, in turn, and then as before."""
+    answer, pending = server.reply, {prompt: list(replies) for prompt, replies in faults.items()}
+
+    def reply(body):
+        queue = pending.get(body["prompt"])
+        return queue.pop(0) if queue else answer(body)
+
+    server.reply = reply
+    return pending
 
 
 def topic(body):
@@ -329,6 +355,73 @@ class TestRunBatch:
         assert read_bytes(tmp_path / "warm", "traces.jsonl") == read_bytes(
             tmp_path / "cold", "traces.jsonl"
         )
+
+    def fault_free_run(self, tmp_path, serve, monkeypatch, scorer_concurrency):
+        """The batch of test_work_per_instance_is_pinned run into
+        tmp_path/fault-free against a stub, with retries that do not wait:
+        its config and the stub."""
+        monkeypatch.setattr(llm, "_RETRY_BASE_DELAY_S", 0.0)
+        cfg = make_run_config(
+            tmp_path, 4, variant=Variant.STOP, scorer_concurrency=scorer_concurrency
+        )
+        server = synthetic_server(serve, cfg)
+        assert cli.run_batch(http_config(cfg, server), tmp_path / "fault-free") == 0
+        return cfg, server
+
+    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
+    def test_transient_faults_in_a_batch_are_retried_to_the_fault_free_run(
+        self, tmp_path, serve, monkeypatch, scorer_concurrency
+    ):
+        # One relevance POST answered busy, one reset and one refused
+        # connect: each retry costs a POST and no call.
+        cfg, server = self.fault_free_run(tmp_path, serve, monkeypatch, scorer_concurrency)
+        fault_free = len(server.requests)
+        busy = (
+            b"HTTP/1.1 503 Service Unavailable\r\n"
+            b"Content-Length: 0\r\nRetry-After: 0\r\n\r\n"
+        )
+        faulted = {relevance_prompt(cfg, 1): [busy], relevance_prompt(cfg, 2): [helpers.RESET]}
+        pending = with_faults(server, faulted)
+        connect, connects = HttpBackend._connect, []
+
+        def refused_once(backend):
+            connects.append(backend)
+            if len(connects) == 2:  # the scorer's first, for syn-000's first Score
+                raise ConnectionRefusedError("the backend is restarting")
+            return connect(backend)
+
+        monkeypatch.setattr(HttpBackend, "_connect", refused_once)
+        assert cli.run_batch(http_config(cfg, server), tmp_path / "run") == 0
+        assert not (tmp_path / "run" / "failures.jsonl").exists()
+        assert pending == {prompt: [] for prompt in faulted} and len(connects) > 2
+        assert connects[0] is not connects[1]
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(tmp_path / "run", name) == read_bytes(tmp_path / "fault-free", name)
+        prompts = [body["prompt"] for _, _, body, _ in server.requests]
+        assert Counter(prompts[fault_free:]) == Counter(prompts[:fault_free] + list(faulted))
+        calls = [
+            json.loads(read_bytes(tmp_path / name, "manifest.json"))["llm_calls"]
+            for name in ("fault-free", "run")
+        ]
+        assert calls[0] == calls[1]
+
+    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
+    def test_a_request_reset_three_times_fails_only_its_instance(
+        self, tmp_path, serve, monkeypatch, scorer_concurrency
+    ):
+        cfg, server = self.fault_free_run(tmp_path, serve, monkeypatch, scorer_concurrency)
+        with_faults(server, {relevance_prompt(cfg, 1): [helpers.RESET] * 3})
+        run_dir = tmp_path / "run"
+        assert cli.run_batch(http_config(cfg, server), run_dir) == 1
+        (failure,) = map(json.loads, read_bytes(run_dir, "failures.jsonl").splitlines())
+        assert failure["instance_id"] == "syn-001"
+        assert failure["error"].startswith("BackendUnavailable: ")
+        traces = map(json.loads, read_bytes(run_dir, "traces.jsonl").splitlines())
+        assert [trace["instance_id"] for trace in traces] == ["syn-000", "syn-002", "syn-003"]
+        assert cli.run_batch(http_config(cfg, server), run_dir) == 0
+        assert not (run_dir / "failures.jsonl").exists()
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(run_dir, name) == read_bytes(tmp_path / "fault-free", name)
 
     def test_pool_threads_end_with_the_run(self, tmp_path, monkeypatch):
         cfg = make_run_config(tmp_path, 2, variant=Variant.STOP, concurrency=2)
@@ -584,8 +677,14 @@ class TestRunBatch:
         assert cli.run_batch(cfg, run_dir) == 0
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
-        replaced = []
-        monkeypatch.setattr(os, "replace", lambda *paths: replaced.append(paths))
+        replace, replaced = os.replace, []
+
+        def recorded(src, dst):
+            if Path(dst).name != "manifest.json":
+                replaced.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recorded)
         assert cli.run_batch(cfg, run_dir) == 0
         assert replaced == []  # a run in order is not rewritten
 
@@ -596,9 +695,10 @@ class TestRunBatch:
         replace, replaced = os.replace, []
 
         def killed_at_the_second(src, dst):
-            replaced.append(Path(dst).name)
-            if len(replaced) == 2:
-                raise KeyboardInterrupt
+            if Path(dst).name != "manifest.json":  # a run file's
+                replaced.append(Path(dst).name)
+                if len(replaced) == 2:
+                    raise KeyboardInterrupt
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", killed_at_the_second)
@@ -612,6 +712,37 @@ class TestRunBatch:
         assert manifest["instances_skipped"] == 3
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
+
+    def test_run_killed_while_writing_its_last_manifest_resumes_to_the_uninterrupted_files(
+        self, tmp_path, monkeypatch
+    ):
+        # The kill comes once the file of the run's last manifest is open
+        # for writing: every run file is whole.
+        cfg = make_run_config(tmp_path, 3)
+        fresh = tmp_path / "fresh"
+        assert cli.run_batch(cfg, fresh) == 0
+        path_open, opened = Path.open, []
+
+        def killed_at_the_second_manifest(path, mode="r", *args, **kwargs):
+            fh = path_open(path, mode, *args, **kwargs)
+            if "w" in mode and path.name.startswith("manifest.json"):
+                opened.append(path.name)
+                if len(opened) == 2:
+                    fh.close()
+                    raise KeyboardInterrupt
+            return fh
+
+        monkeypatch.setattr(Path, "open", killed_at_the_second_manifest)
+        run_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_batch(cfg, run_dir)
+        monkeypatch.undo()
+        assert len(opened) == 2
+        assert cli.run_batch(cfg, run_dir) == 0
+        for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
+            assert read_bytes(run_dir, name) == read_bytes(fresh, name), name
+        manifest = json.loads(read_bytes(run_dir, "manifest.json"))
+        assert [i["instances_skipped"] for i in manifest["invocations"]] == [3]
 
     @pytest.mark.parametrize("tail", ["empty", "half", "whole"])
     @pytest.mark.parametrize("torn_file", [0, 1, 2])
@@ -923,6 +1054,28 @@ class TestEvaluateRun:
         assert f"fatal: {run_dir / 'manifest.json'}: No such file" in result.output
         assert not (run_dir / "report.json").exists()
 
+    def test_run_without_answers_exits_2(self, tmp_path):
+        run_dir = self.finished_run(tmp_path)
+        (run_dir / "answers.jsonl").write_text("")
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert f"fatal: {run_dir / 'answers.jsonl'}: no answer records" in result.output
+        assert not (run_dir / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "total", ["3", -1, None, True], ids=["string", "negative", "null", "bool"]
+    )
+    def test_instances_total_that_is_not_a_count_exits_2(self, tmp_path, total):
+        run_dir = self.finished_run(tmp_path)
+        manifest_path = run_dir / "manifest.json"
+        manifest_path.write_text(
+            json.dumps({**json.loads(manifest_path.read_text()), "instances_total": total})
+        )
+        result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert f"'instances_total' is not a count: {total!r}" in result.output
+        assert not (run_dir / "report.json").exists()
+
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             cli.evaluate_run(tmp_path)
@@ -940,8 +1093,9 @@ class TestEvaluateRun:
             lambda rec: {**rec, "context_order": None},
             lambda rec: list(rec),
             lambda rec: {**rec, "context_order": [99]},
+            lambda rec: {**rec, "instance_id": "syn-999"},
         ],
-        ids=["null-context-order", "list-line", "missing-passage"],
+        ids=["null-context-order", "list-line", "missing-passage", "unmatched-instance"],
     )
     def test_malformed_answer_record_exits_2(self, tmp_path, line):
         run_dir = self.finished_run(tmp_path)
@@ -1416,13 +1570,19 @@ class TestCommandLine:
         assert manifest["config"] == cfg
         assert [i["instances_skipped"] for i in manifest["invocations"]] == [0, 2, 3]
 
-    def test_config_that_is_not_yaml_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text,message",
+        [("dataset: [unclosed\n", "not valid YAML"),
+         ("- dataset: synthetic\n", "config must be a mapping")],
+        ids=["unclosed-list", "a-list"],
+    )
+    def test_config_that_is_not_yaml_exits_2(self, tmp_path, text, message):
         path = tmp_path / "config.yaml"
-        path.write_text("dataset: [unclosed\n")
+        path.write_text(text)
         run_dir = tmp_path / "r"
         result = self.invoke("run", "--config", str(path), "--run-dir", str(run_dir))
         assert result.exit_code == 2, result.output
-        assert "fatal" in result.output and str(path) in result.output
+        assert f"fatal: {path}: {message}" in result.output
         assert not run_dir.exists()
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path):
@@ -1680,14 +1840,21 @@ class TestCommandLine:
         assert calls == []
         assert not (run_dir / "traces.jsonl").exists()
 
-    def test_unreadable_manifest_exits_2_before_any_llm_call(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text,named",
+        [("{broken", "unreadable"), ("[]", "a JSON list, not an object"),
+         ('{"config": ["dataset"]}', "'config' is not a mapping")],
+        ids=["broken-json", "a-list", "config-a-list"],
+    )
+    def test_unreadable_manifest_exits_2_before_any_llm_call(self, tmp_path, text, named):
         config_path = self.write_config(tmp_path, make_run_config(tmp_path, 2))
         run_dir = tmp_path / "r"
         run_dir.mkdir()
-        (run_dir / "manifest.json").write_text("{broken")
+        (run_dir / "manifest.json").write_text(text)
         result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
         assert result.exit_code == 2
-        assert "fatal" in result.output and "manifest.json" in result.output
+        assert f"fatal: {run_dir / 'manifest.json'}: " in result.output
+        assert named in result.output
         assert not (run_dir / "traces.jsonl").exists()
 
     def test_manifest_whose_invocations_are_not_a_list_exits_2_before_any_llm_call(
@@ -1766,15 +1933,21 @@ class TestCommandLine:
         assert "score_sign" in result.output
         assert not (run_dir / "traces.jsonl").exists()
 
-    def test_malformed_backend_url_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000", "http://" + "a" * 64 + ".test:8000/v1"],
+        ids=["no-scheme", "label-past-63-characters"],
+    )
+    def test_malformed_backend_url_exits_2(self, tmp_path, url):
         cfg = make_run_config(tmp_path, 2, backend="http", generator_model="g",
-                              scorer_model="s", generator_url="localhost:8000",
+                              scorer_model="s", generator_url=url,
                               scorer_url="http://localhost:8001")
         del cfg["script_file"]
         config_path = self.write_config(tmp_path, cfg)
-        result = self.invoke("run", "--config", config_path, "--run-dir", str(tmp_path / "r"))
+        run_dir = tmp_path / "r"
+        result = self.invoke("run", "--config", config_path, "--run-dir", str(run_dir))
         assert result.exit_code == 2
-        assert "localhost:8000" in result.output
+        assert "fatal: " in result.output and repr(url) in result.output
+        assert not run_dir.exists()
 
     def test_missing_dataset_file_exits_2(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)

@@ -106,11 +106,17 @@ class TestWikiStyleLoader:
 class TestMusiqueLoader:
     def test_filters_to_two_hop(self, tmp_path):
         path = tmp_path / "musique.jsonl"
-        lines = [musique_line(0), musique_line(1, hop="3hop"), musique_line(2)]
+        lines = [musique_line(0), "", musique_line(1, hop="3hop"), " \t", musique_line(2)]
         path.write_text("\n".join(lines) + "\n")
         instances = load(DatasetConfig(Dataset.MUSIQUE, str(path)))
-        assert [inst.id for inst in instances] == ["2hop__0", "2hop__2"]
+        assert [inst.id for inst in instances] == ["2hop__0", "2hop__2"]  # blank lines skipped
         assert instances[0].supporting_indices == {0, 1}
+
+    def test_file_without_a_two_hop_record_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "musique.jsonl"
+        path.write_text(musique_line(0, hop="3hop") + "\n\n")
+        with pytest.raises(ParseError, match="no 2-hop instances found"):
+            load(DatasetConfig(Dataset.MUSIQUE, str(path)))
 
     def test_corrupt_line_reports_position(self, tmp_path):
         path = tmp_path / "musique.jsonl"
@@ -136,6 +142,7 @@ def set_item(name, pos, value):
         (Dataset.ADV_HOTPOT, set_field("answer", ["Answer"]), "'answer'"),
         (Dataset.TWO_WIKI, set_item("context", 3, "ab"), "context entry 3"),
         (Dataset.TWO_WIKI, set_item("context", 2, ["Title", ["One.", 2]]), "context entry 2"),
+        (Dataset.TWO_WIKI, set_item("context", 4, [7, ["One."]]), "context entry 4"),
         (Dataset.TWO_WIKI, set_field("context", {"Title": ["One."]}), "'context'"),
         (Dataset.MUSIQUE, set_item("paragraphs", 0, "Paragraph text."), "paragraph 0"),
         (Dataset.MUSIQUE, set_item("paragraphs", 1, {"paragraph_text": 7}), "'paragraph_text'"),
@@ -149,6 +156,7 @@ def set_item(name, pos, value):
         "hotpot-answer-a-list",
         "context-entry-a-string",
         "sentence-not-a-string",
+        "title-not-a-string",
         "context-an-object",
         "musique-paragraph-a-string",
         "musique-paragraph-text-a-number",

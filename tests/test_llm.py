@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import select
+import socket
 import sys
 import threading
 import time
@@ -916,6 +917,22 @@ class TestHttpBackend:
             assert backend.complete(GeneratorRequest(prompt=f"p{i}")) == f"p{i}"
         assert server.connections() == 2
 
+    def test_failed_name_lookup_retried_then_backend_unavailable(self, monkeypatch):
+        connects = []
+
+        def unresolved(backend):
+            connects.append(backend)
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(HttpBackend, "_connect", unresolved)
+        gw = gateway_for(HttpBackend("http://backend.test/v1", "m"))
+        with pytest.raises(BackendUnavailable) as info:
+            gw.generate(GeneratorRequest(prompt="p"))
+        assert type(info.value.__cause__) is ConnectionError
+        assert "backend.test" in str(info.value.__cause__)
+        assert isinstance(info.value.__cause__.__cause__, socket.gaierror)
+        assert len(connects) == 3
+
     def test_malformed_status_line_retried_then_backend_unavailable(self, serve):
         server = serve(lambda body: b"HTPT/1.1 200 OK\r\n\r\n")
         gw = gateway_for(server.backend())
@@ -986,11 +1003,16 @@ class TestHttpBackend:
                        b"3\r\n\x00\x00\x00\r\n0"), "before a chunk size line ended"),
             (raw_reply(["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
                        b"3\r\nabc\r\n0\r\nX-Trailer: 1\r\n"), "before its last line ended"),
+            (raw_reply(["HTTP/1.1 200 OK", "Transfer-Encoding: chunked"],
+                       b"3\r\nabcd\r\n0\r\n\r\n"), "chunk data not followed by a line end"),
+            (raw_reply(["HTTP/1.1 200 OK", "Content-Length: -5"], b"short"),
+             "malformed Content-Length"),
         ],
         ids=["long-line", "101-headers", "no-colon", "short-body", "chunk-size-negative",
              "chunk-size-plus-sign", "chunk-size-underscore", "chunk-size-0x-prefix",
              "chunk-size-17-digits", "chunk-size-7fff", "content-length-30-digits",
-             "chunked-cut-in-last-chunk", "chunked-cut-in-trailers"],
+             "chunked-cut-in-last-chunk", "chunked-cut-in-trailers", "chunk-longer-than-its-size",
+             "content-length-negative"],
     )
     def test_malformed_response_raises_connection_error(self, serve, response, message):
         backend = serve(lambda body: response, close_after_reply="silently").backend()
@@ -1041,11 +1063,17 @@ class TestHttpBackend:
         assert len(server.requests) == 1
 
     @pytest.mark.parametrize(
-        "url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host/v 1"]
+        "url",
+        [
+            "localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host/v 1",
+            # A label past the 63 characters a connect's IDNA encoding allows.
+            "http://" + "a" * 64 + ".test/v1",
+        ],
     )
     def test_malformed_base_url_rejected(self, url):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             HttpBackend(url, "m")
+        assert repr(url) in str(info.value)
 
     def test_api_key_with_line_break_rejected(self, monkeypatch):
         monkeypatch.setenv("GENSCO_API_KEY", "k\r\nX-Injected: 1")
