@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, suppress
+from contextlib import closing
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -30,7 +30,6 @@ from . import baselines, datasets, metrics
 from .llm import HttpBackend, LlmGateway, ScriptedBackend
 from .models import (
     AnswerRecord,
-    CorruptTrace,
     Dataset,
     InputError,
     MultiHopInstance,
@@ -44,19 +43,15 @@ from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
 
-class ConfigError(InputError):
-    pass
-
-
 def load_config(path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh) or {}
         except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
             # RecursionError: nested past the parser's depth
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+            raise InputError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
+        raise InputError(f"{path}: config must be a mapping")
     return cfg
 
 
@@ -126,40 +121,40 @@ _CONFIG_KEYS = {
 
 def _check_config(cfg: dict[str, Any]) -> dict[str, Any]:
     """``cfg`` with its numbers as floats where a float is expected; a
-    ConfigError names the first unknown or invalid key, the first key the
+    InputError names the first unknown or invalid key, the first key the
     config's variant or backend does not read, or the first missing key
     they need."""
     for key, value in cfg.items():
         spec = _CONFIG_KEYS.get(key)
         if spec is None:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
         if not spec.accepts(value):
-            raise ConfigError(f"config key {key!r} must be {spec.expected}, got {value!r}")
+            raise InputError(f"config key {key!r} must be {spec.expected}, got {value!r}")
     variant = Variant(cfg["variant"]) if "variant" in cfg else None
     backend = cfg.get("backend", "http")
     for key, spec in _CONFIG_KEYS.items():
         read = spec.backend in (None, backend) and (variant is None or variant in spec.variants)
         if key in cfg and not read:
-            raise ConfigError(
+            raise InputError(
                 f"config key {key!r} is not read by variant {cfg.get('variant')!r}"
                 f" with backend {backend!r}"
             )
         if read and spec.required and key not in cfg:
-            raise ConfigError(f"missing config field {key!r}")
+            raise InputError(f"missing config field {key!r}")
     if "shuffle_seed" in cfg and cfg.get("shuffle") is not True:
-        raise ConfigError("config key 'shuffle_seed' is read only with 'shuffle: true'")
+        raise InputError("config key 'shuffle_seed' is read only with 'shuffle: true'")
     as_float = _FLOAT.accepts  # _replace keeps the check, so it marks every number key
     return {k: float(v) if _CONFIG_KEYS[k].accepts is as_float else v for k, v in cfg.items()}
 
 
 def _load_file(key: str, path: str, loader: Callable[[str], Any]) -> Any:
     """``loader(path)`` for the file that config key ``key`` names; an
-    unreadable or misshapen file is a ConfigError, as is JSON nested past
+    unreadable or misshapen file is an InputError, as is JSON nested past
     the decoder's depth."""
     try:
         return loader(path)
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"config key {key!r}: cannot load {path!r}: {exc}") from exc
+        raise InputError(f"config key {key!r}: cannot load {path!r}: {exc}") from exc
 
 
 def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
@@ -171,7 +166,7 @@ def _build_gateway(cfg: dict[str, Any]) -> LlmGateway:
             generator = HttpBackend(cfg["generator_url"], cfg["generator_model"])
             scorer = HttpBackend(cfg["scorer_url"], cfg["scorer_model"])
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise InputError(str(exc)) from exc
     return LlmGateway(
         generator, scorer, cfg.get("cache_dir"), cfg.get("scorer_concurrency", 1)
     )
@@ -235,7 +230,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         shot_bank = load_shots(dataset)
     pipe_cfg = _pipeline_config(cfg, dataset)
     if pipe_cfg.shots > len(shot_bank):
-        raise ConfigError(
+        raise InputError(
             f"config key 'shots' asks for {pipe_cfg.shots} shots,"
             f" but the shot bank holds {len(shot_bank)}"
         )
@@ -245,12 +240,12 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
         rankings = _load_file("rankings_file", path, baselines.load_rankings)
         for inst in instances:
             if inst.id not in rankings:
-                raise ConfigError(
+                raise InputError(
                     f"config key 'rankings_file': {path!r} has no ranking for {inst.id!r}"
                 )
             head = rankings[inst.id][: pipe_cfg.top_k]
             if len({p.index for p in inst.passages}.intersection(head)) < len(head):
-                raise ConfigError(
+                raise InputError(
                     f"config key 'rankings_file': {path!r} ranks an absent or repeated passage"
                     f" in the first {pipe_cfg.top_k} of {inst.id!r}: {head}"
                 )
@@ -265,7 +260,7 @@ def run_batch(cfg: dict[str, Any], run_dir) -> int:
     kept = list(read_jsonl(traces_path, _trace_id)) if whole else []
     done = set(kept)
     if len(done) != whole:  # a blank or repeated line
-        raise CorruptTrace(f"{traces_path}: {whole} lines hold {len(done)} instance ids")
+        raise InputError(f"{traces_path}: {whole} lines hold {len(done)} instance ids")
     todo = [inst for inst in instances if inst.id not in done]
 
     manifest = {
@@ -350,20 +345,20 @@ def _sort_run_file(path: Path, key: str, rank: dict[str, int]) -> None:
     try:
         lines.sort(key=lambda line: rank.get(load_json(line)[key], len(rank)))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CorruptTrace(f"{path}: a line without an instance id ({exc!r})") from exc
+        raise InputError(f"{path}: a line without an instance id ({exc!r})") from exc
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(b"".join(lines))
     os.replace(tmp, path)
 
 
 def _read_manifest(path: Path) -> dict[str, Any]:
-    """A run's manifest; CorruptTrace unless it is a JSON object."""
+    """A run's manifest; an InputError unless it is a JSON object."""
     try:
         manifest = load_json(path.read_bytes())
     except (ValueError, RecursionError) as exc:
-        raise CorruptTrace(f"{path}: unreadable ({exc})") from exc
+        raise InputError(f"{path}: unreadable ({exc})") from exc
     if type(manifest) is not dict:
-        raise CorruptTrace(f"{path}: unreadable (a JSON {type(manifest).__name__}, not an object)")
+        raise InputError(f"{path}: unreadable (a JSON {type(manifest).__name__}, not an object)")
     return manifest
 
 
@@ -383,7 +378,7 @@ def _previous_invocations(
     manifest_path: Path, cfg: dict[str, Any], dataset_digest: str
 ) -> list[dict[str, Any]]:
     """The invocations listed by the run's earlier manifest, if any. A
-    ConfigError names the config keys other than _RESUMABLE_KEYS whose
+    InputError names the config keys other than _RESUMABLE_KEYS whose
     values differ from the earlier run's, or a dataset whose bytes do."""
     if not manifest_path.exists():
         return []
@@ -391,20 +386,20 @@ def _previous_invocations(
     invocations = manifest.get("invocations", [])
     earlier = manifest.get("config")
     if type(invocations) is not list:
-        raise CorruptTrace(f"{manifest_path}: 'invocations' is not a list: {invocations!r}")
+        raise InputError(f"{manifest_path}: 'invocations' is not a list: {invocations!r}")
     if type(earlier) is not dict:
-        raise CorruptTrace(f"{manifest_path}: 'config' is not a mapping: {earlier!r}")
+        raise InputError(f"{manifest_path}: 'config' is not a mapping: {earlier!r}")
     changed = sorted(
         key for key in (cfg.keys() | earlier.keys()) - _RESUMABLE_KEYS
         if cfg.get(key) != earlier.get(key)
     )
     if changed:
-        raise ConfigError(
+        raise InputError(
             f"{manifest_path}: the run was made with other values of config keys {changed};"
             f" a resume may change only {', '.join(sorted(_RESUMABLE_KEYS))}"
         )
     if manifest.get("dataset_digest") != dataset_digest:
-        raise ConfigError(
+        raise InputError(
             f"{manifest_path}: the run was made from other dataset bytes than"
             f" {cfg['dataset_path']} holds now"
         )
@@ -422,19 +417,17 @@ def _eval_rows(run_dir: Path) -> list[metrics.InstanceEval]:
     traced = set(read_jsonl(traces_path, _trace_id))
     answers = list(read_jsonl(answers_path, AnswerRecord.from_dict))
     if not answers:
-        raise CorruptTrace(f"{answers_path}: no answer records")
+        raise InputError(f"{answers_path}: no answer records")
 
     rows: list[metrics.InstanceEval] = []
     for answer in answers:
         inst = instances.get(answer.instance_id)
         if inst is None or answer.instance_id not in traced:
-            raise CorruptTrace(
-                f"answer for {answer.instance_id!r} has no matching instance/trace"
-            )
+            raise InputError(f"answer for {answer.instance_id!r} has no matching instance/trace")
         try:
             passages = [inst.passage_by_index(i).body for i in answer.context_order]
         except KeyError as exc:
-            raise CorruptTrace(
+            raise InputError(
                 f"{answers_path}: the context_order of {answer.instance_id!r}"
                 f" names an absent passage {exc}"
             ) from exc
@@ -478,7 +471,7 @@ def evaluate_run(run_dir) -> metrics.EvalReport:
     manifest_path = run_dir / "manifest.json"
     total = _read_manifest(manifest_path).get("instances_total")
     if not _is_int(total) or total < 0:
-        raise CorruptTrace(f"{manifest_path}: 'instances_total' is not a count: {total!r}")
+        raise InputError(f"{manifest_path}: 'instances_total' is not a count: {total!r}")
     report = replace(metrics.aggregate(rows), instances_missing=max(total - len(rows), 0))
     payload = {
         "count": report.count,
@@ -508,16 +501,13 @@ def emit_plotdata(run_dirs, out_dir, subset_sizes=(), seed: int = 0) -> None:
         run_id = _run_id(run_dir)
         first = named.setdefault(run_id, run_dir)
         if first is not run_dir:
-            raise CorruptTrace(f"{first} and {run_dir}: two runs named {run_id!r}")
+            raise InputError(f"{first} and {run_dir}: two runs named {run_id!r}")
     scatter = [("run_id", "instance_id", "k_precision", "f1", "pearson")]
     delta_hops = [("run_id", "supporting_count", "delta_hops", "count")]
     subsets = [("run_id", "size", *metrics.ANSWER_FIELDS)]
     for run_id, run_dir in named.items():
         rows = _eval_rows(run_dir)
-        r_value = ""
-        if len(rows) >= 2:
-            with suppress(metrics.DegenerateVariance):
-                r_value = metrics.pearson([r.k_precision for r in rows], [r.f1 for r in rows])
+        r_value = metrics.pearson([r.k_precision for r in rows], [r.f1 for r in rows])
         scatter += [(run_id, r.instance_id, r.k_precision, r.f1, r_value) for r in rows]
         hist = metrics.aggregate(rows).delta_hops_hist
         # report.json's order: its keys sorted as strings, "11" before "2".

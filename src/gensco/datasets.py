@@ -19,18 +19,6 @@ from .models import Dataset, InputError, MultiHopInstance, Passage, load_json, t
 T = TypeVar("T")
 
 
-class ParseError(InputError):
-    pass
-
-
-class SchemaError(InputError):
-    pass
-
-
-class SizeTooLarge(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
     dataset: Dataset
@@ -39,15 +27,15 @@ class DatasetConfig:
 
 
 def _require(record: Any, field: str, where: str, kind: type = str):
-    """``record[field]``; a SchemaError unless ``record`` is an object that
+    """``record[field]``; an InputError unless ``record`` is an object that
     holds a ``kind`` there."""
     if not isinstance(record, dict):
-        raise SchemaError(f"{where}: not an object")
+        raise InputError(f"{where}: not an object")
     if field not in record:
-        raise SchemaError(f"{where}: missing field {field!r}")
+        raise InputError(f"{where}: missing field {field!r}")
     value = record[field]
     if not isinstance(value, kind):
-        raise SchemaError(
+        raise InputError(
             f"{where}: field {field!r} must be {kind.__name__}, not {type(value).__name__}"
         )
     return value
@@ -68,7 +56,7 @@ def _instance_from_wiki_record(
             if not (isinstance(title, str) and isinstance(sentences, (str, list))):
                 raise TypeError
         except (TypeError, ValueError):
-            raise SchemaError(f"{where}: malformed context entry {pos}") from None
+            raise InputError(f"{where}: malformed context entry {pos}") from None
         passages.append(Passage(index=pos, title=title, body=body))
         titles.append(title)
     supports: Optional[frozenset[int]] = None
@@ -77,7 +65,7 @@ def _instance_from_wiki_record(
         if not isinstance(supporting, list) or not all(
             isinstance(fact, list) and fact and isinstance(fact[0], str) for fact in supporting
         ):
-            raise SchemaError(f"{where}: field 'supporting_facts' must be a list of [title, ...]")
+            raise InputError(f"{where}: field 'supporting_facts' must be a list of [title, ...]")
         support_titles = {fact[0] for fact in supporting}
         supports = frozenset(
             i for i, title in enumerate(titles) if title in support_titles
@@ -98,11 +86,11 @@ def _load_wiki_style(
     try:
         data = load_json(raw)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except (UnicodeDecodeError, RecursionError) as exc:  # or nested past the decoder's depth
-        raise ParseError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(data, list) or not data:
-        raise ParseError(f"{path}: expected a non-empty JSON array of instances")
+        raise InputError(f"{path}: expected a non-empty JSON array of instances")
     for i, rec in enumerate(data):
         where = f"{path}[{i}]"
         yield where, _instance_from_wiki_record(rec, dataset, where)
@@ -117,9 +105,9 @@ def _load_musique(raw: bytes, path: Path) -> Iterator[tuple[str, MultiHopInstanc
                 continue
             record = load_json(text.encode("utf-8"))
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: {exc.msg} at column {exc.colno}")
+            raise InputError(f"{where}: {exc.msg} at column {exc.colno}")
         except (UnicodeDecodeError, RecursionError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise InputError(f"{where}: {exc}") from None
         instance_id = str(_require(record, "id", where, object))
         # Only the 2-hop slice of the dev set is evaluated.
         if not instance_id.startswith("2hop"):
@@ -159,15 +147,13 @@ def load(cfg: DatasetConfig, raw: Optional[bytes] = None) -> list[MultiHopInstan
     for where, inst in records:
         first = seen.setdefault(inst.id, where)
         if first != where:
-            raise SchemaError(f"{first} and {where}: repeated instance id {inst.id!r}")
+            raise InputError(f"{first} and {where}: repeated instance id {inst.id!r}")
         instances.append(inst)
     if not instances:  # only MuSiQue: a wiki-style file holds at least one record
-        raise ParseError(f"{path}: no 2-hop instances found")
+        raise InputError(f"{path}: no 2-hop instances found")
     if cfg.limit is not None:
         if cfg.limit > len(instances):
-            raise SizeTooLarge(
-                f"limit {cfg.limit} exceeds the {len(instances)} available instances"
-            )
+            raise InputError(f"limit {cfg.limit} exceeds the {len(instances)} available instances")
         instances = instances[: cfg.limit]
     return instances
 

@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
-class DegenerateVariance(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AnswerMetrics:
     em: int
@@ -131,11 +127,14 @@ def retrieval_metrics(
     )
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("pearson needs two equal-length vectors of size >= 2")
-    if len(set(xs)) == 1 or len(set(ys)) == 1:
-        raise DegenerateVariance("pearson is undefined for a constant vector")
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Pearson's r of two equal-length vectors; None where r is undefined:
+    fewer than two pairs, or a constant vector (checked exactly, since
+    statistics.correlation can read one as uncorrelated)."""
+    if len(xs) != len(ys):
+        raise ValueError("pearson needs two vectors of one length")
+    if len(set(xs)) < 2 or len(set(ys)) < 2:
+        return None
     return statistics.correlation(xs, ys)
 
 

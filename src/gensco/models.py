@@ -53,14 +53,6 @@ class InputError(ValueError):
     """Input that gensco refuses: a command reports it as a fatal line."""
 
 
-class CorruptTrace(InputError):
-    """A run file does not hold the records it should."""
-
-
-class ValidationError(InputError):
-    """An instance violates a domain invariant."""
-
-
 def _expect(kinds: tuple[type, ...], convert=None):
     """A decoder that takes only a JSON value whose type is one of ``kinds``
     (exactly: a bool is no int), then ``convert`` of it."""
@@ -171,23 +163,21 @@ class MultiHopInstance(Record):
     def __post_init__(self) -> None:
         """Check the domain invariants: every instance is valid once built."""
         if not self.passages:
-            raise ValidationError(f"instance {self.id!r} has no candidate passages")
+            raise InputError(f"instance {self.id!r} has no candidate passages")
         if not self.question.strip():
-            raise ValidationError(f"instance {self.id!r} has a blank question")
+            raise InputError(f"instance {self.id!r} has a blank question")
         if not self.gold_answer.strip():
-            raise ValidationError(f"instance {self.id!r} has a blank gold answer")
+            raise InputError(f"instance {self.id!r} has a blank gold answer")
         indices = [p.index for p in self.passages]
         if len(set(indices)) != len(indices):
-            raise ValidationError(f"instance {self.id!r} has duplicate passage indices")
+            raise InputError(f"instance {self.id!r} has duplicate passage indices")
         for p in self.passages:
             if not p.body.strip():
-                raise ValidationError(
-                    f"instance {self.id!r} passage {p.index} has an empty body"
-                )
+                raise InputError(f"instance {self.id!r} passage {p.index} has an empty body")
         if self.supporting_indices is not None:
             dangling = set(self.supporting_indices) - set(indices)
             if dangling:
-                raise ValidationError(
+                raise InputError(
                     f"instance {self.id!r} supporting indices {sorted(dangling)} "
                     f"do not refer to any passage"
                 )
@@ -347,7 +337,7 @@ def text_lines(raw: bytes) -> list[bytes]:
 def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> Iterator[Any]:
     """``decode`` of each record of a JSON-lines file, skipping blank lines; a line
     that is not UTF-8 JSON (nested past the decoder's depth included) or that
-    ``decode`` rejects is a CorruptTrace naming path:line. A file that cannot
+    ``decode`` rejects is an InputError naming path:line. A file that cannot
     be read raises the OSError that names it."""
     with open(path, "rb") as fh:
         lines = text_lines(fh.read())
@@ -363,5 +353,5 @@ def read_jsonl(path, decode: Callable[[Any], Any] = lambda record: record) -> It
                 raise
             record = decode(value)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
+            raise InputError(f"{path}:{lineno}: not a record ({exc!r})") from exc
         yield record

@@ -19,7 +19,7 @@ import helpers
 from gensco import baselines, cli, llm, metrics, models
 from gensco.datasets import DatasetConfig, load
 from gensco.llm import HttpBackend, ScriptedBackend
-from gensco.models import Dataset, Variant
+from gensco.models import Dataset, InputError, Variant
 from gensco.pipeline import PipelineConfig
 from gensco.prompts import load_shots
 
@@ -967,7 +967,7 @@ class TestBaselineRun:
     def test_precomputed_requires_rankings_file(self, tmp_path):
         cfg = make_run_config(tmp_path, 2)
         cfg["variant"] = "precomputed"
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(InputError, match="^missing config field 'rankings_file'$"):
             cli.run_batch(cfg, tmp_path / "run")
 
     @pytest.mark.parametrize(
@@ -1084,26 +1084,40 @@ class TestEvaluateRun:
         run_dir = self.finished_run(tmp_path)
         with open(run_dir / "traces.jsonl", "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
-        with pytest.raises(cli.CorruptTrace):
+        traces = re.escape(str(run_dir / "traces.jsonl"))
+        with pytest.raises(InputError, match=rf"^{traces}:5: not a record \(JSONDecodeError\("):
             cli.evaluate_run(run_dir)
 
     @pytest.mark.parametrize(
-        "line",
+        "line, message",
         [
-            lambda rec: {**rec, "context_order": None},
-            lambda rec: list(rec),
-            lambda rec: {**rec, "context_order": [99]},
-            lambda rec: {**rec, "instance_id": "syn-999"},
+            (
+                lambda rec: {**rec, "context_order": None},
+                r"^{path}:5: not a record \(TypeError\('AnswerRecord\.context_order:"
+                r" expected list, got None'\)\)$",
+            ),
+            (
+                lambda rec: list(rec),
+                r"^{path}:5: not a record \(TypeError\('AnswerRecord\.instance_id: ",
+            ),
+            (
+                lambda rec: {**rec, "context_order": [99]},
+                r"^{path}: the context_order of 'syn-000' names an absent passage 99$",
+            ),
+            (
+                lambda rec: {**rec, "instance_id": "syn-999"},
+                r"^answer for 'syn-999' has no matching instance/trace$",
+            ),
         ],
         ids=["null-context-order", "list-line", "missing-passage", "unmatched-instance"],
     )
-    def test_malformed_answer_record_exits_2(self, tmp_path, line):
+    def test_malformed_answer_record_exits_2(self, tmp_path, line, message):
         run_dir = self.finished_run(tmp_path)
         answers = run_dir / "answers.jsonl"
         first = json.loads(answers.read_text().splitlines()[0])
         with open(answers, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line(first)) + "\n")
-        with pytest.raises(cli.CorruptTrace):
+        with pytest.raises(InputError, match=message.format(path=re.escape(str(answers)))):
             cli.evaluate_run(run_dir)
         result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
         assert result.exit_code == 2
@@ -1136,7 +1150,8 @@ class TestEvaluateRun:
         first = json.loads(lines[0])
         first[field] = value
         path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
-        with pytest.raises(cli.CorruptTrace):
+        message = rf"^{re.escape(str(path))}:1: not a record \(\w+\(.*{re.escape(named)}"
+        with pytest.raises(InputError, match=message):
             cli.evaluate_run(run_dir)
         result = CliRunner().invoke(cli.main, ["eval", str(run_dir)])
         assert result.exit_code == 2, result.output
@@ -1262,10 +1277,8 @@ class TestPlotData:
         payload = json.loads((run_a / "report.json").read_text())
         kp = [r["k_precision"] for r in payload["per_instance"]]
         f1 = [r["f1"] for r in payload["per_instance"]]
-        try:
-            expected_r = f"{metrics.pearson(kp, f1)}"
-        except metrics.DegenerateVariance:
-            expected_r = ""
+        r_value = metrics.pearson(kp, f1)
+        expected_r = "" if r_value is None else f"{r_value}"
         first_row = scatter[1].split(",")
         assert first_row[0] == "run-a"
         assert first_row[4] == expected_r

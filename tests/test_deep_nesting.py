@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from gensco import cli, datasets, llm
-from gensco.datasets import DatasetConfig, ParseError
+from gensco.datasets import DatasetConfig
 from gensco.llm import GeneratorRequest, HttpBackend, LlmGateway, MalformedResponse
-from gensco.models import CorruptTrace, Dataset
+from gensco.models import Dataset, InputError
 
 from test_cli import make_run_config
 
@@ -97,24 +97,46 @@ def musique_line(tmp_path):
     datasets.load(DatasetConfig(Dataset.MUSIQUE, str(path)))
 
 
-# Each reader of JSON from outside, and the error it must end in.
+# Each reader of JSON from outside, and the error it must end in: its
+# class, and a message naming what was read.
+DEPTH = "maximum recursion depth exceeded"
 READERS = {
-    "reply": (reply, MalformedResponse),
-    "cache-entry": (cache_entry, MalformedResponse),
-    "script": (named_file("script_file"), cli.ConfigError),
-    "shot-bank": (named_file("shot_bank"), cli.ConfigError),
-    "rankings": (named_file("rankings_file", "\n", variant="precomputed"), cli.ConfigError),
-    "config": (config, cli.ConfigError),
-    "manifest": (manifest, CorruptTrace),
-    "trace-line": (trace_line, CorruptTrace),
-    "wiki-dataset": (named_file("dataset_path"), ParseError),
-    "musique-line": (musique_line, ParseError),
+    "reply": (
+        reply, MalformedResponse,
+        rf"^backend http:\S+ replied with a body that is not JSON \({DEPTH}",
+    ),
+    "cache-entry": (
+        cache_entry, MalformedResponse,
+        rf"^backend scripted: the cache entry \S+\.json is not UTF-8 JSON \({DEPTH}",
+    ),
+    "script": (
+        named_file("script_file"), InputError,
+        rf"^config key 'script_file': cannot load '\S+/named': {DEPTH}",
+    ),
+    "shot-bank": (
+        named_file("shot_bank"), InputError,
+        rf"^config key 'shot_bank': cannot load '\S+/named': {DEPTH}",
+    ),
+    "rankings": (
+        named_file("rankings_file", "\n", variant="precomputed"), InputError,
+        rf"^config key 'rankings_file': cannot load '\S+/named':"
+        rf" \S+/named:1: not a record \(RecursionError\('{DEPTH}",
+    ),
+    "config": (config, InputError, rf"^\S+/config\.yaml: not valid YAML: {DEPTH}"),
+    "manifest": (manifest, InputError, rf"^\S+/r/manifest\.json: unreadable \({DEPTH}"),
+    "trace-line": (
+        trace_line, InputError, rf"^\S+/r/traces\.jsonl:2: not a record \(RecursionError\('{DEPTH}"
+    ),
+    "wiki-dataset": (named_file("dataset_path"), InputError, rf"^\S+/named: {DEPTH}"),
+    "musique-line": (musique_line, InputError, rf"^\S+/musique\.jsonl:1: {DEPTH}"),
 }
 
 
-@pytest.mark.parametrize("read, error", READERS.values(), ids=list(READERS))
-def test_nesting_past_the_decoder_depth_is_the_readers_named_error(tmp_path, read, error):
-    with pytest.raises(error, match="maximum recursion depth exceeded"):
+@pytest.mark.parametrize("read, error, message", READERS.values(), ids=list(READERS))
+def test_nesting_past_the_decoder_depth_is_the_readers_named_error(
+    tmp_path, read, error, message
+):
+    with pytest.raises(error, match=message):
         read(tmp_path)
 
 
@@ -134,9 +156,9 @@ for raw in (b"[" * depth + b"]" * depth, b'{"":' * depth + b"0" + b"}" * depth):
     with pytest.raises(RecursionError):
         load_json(raw)
 test_deep_nesting.DEEP = "[" * depth + "]" * depth
-for read, error in test_deep_nesting.READERS.values():
+for read, error, message in test_deep_nesting.READERS.values():
     with tempfile.TemporaryDirectory() as tmp:
-        with pytest.raises(error, match="maximum recursion depth exceeded"):
+        with pytest.raises(error, match=message):
             read(Path(tmp))
 """
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from gensco.metrics import (
     AnswerMetrics,
-    DegenerateVariance,
     InstanceEval,
     RetrievalMetrics,
     aggregate,
@@ -233,11 +232,17 @@ class TestPearson:
         assert abs(pearson(xs, ys) - oracle_pearson(xs, ys)) < 1e-12
 
     def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
-            pearson([1, 1, 1], [1, 2, 3])
+        assert pearson([1, 1, 1], [1, 2, 3]) is None
+        assert pearson([1, 2, 3], [4, 4, 4]) is None
+        # statistics.correlation reads this constant vector as r = 0.0.
+        assert pearson([0.1] * 3, [0, 1, 2]) is None
+
+    def test_fewer_than_two_pairs(self):
+        assert pearson([], []) is None
+        assert pearson([0.5], [1.0]) is None
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pearson needs two vectors of one length$"):
             pearson([1, 2], [1])
 
 

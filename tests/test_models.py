@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from gensco.baselines import Ranking
 from gensco.models import (
     AnswerRecord,
-    CorruptTrace,
     Dataset,
     GeneratorParams,
+    InputError,
     MultiHopInstance,
     Passage,
     Record,
@@ -20,7 +20,6 @@ from gensco.models import (
     StopReason,
     SubQuestion,
     TraceLevel,
-    ValidationError,
     Variant,
     load_json,
     read_jsonl,
@@ -53,16 +52,17 @@ class TestValidateInstance:
         assert inst.supporting_indices == {1, 8}
 
     def test_empty_passage_set(self):
-        with pytest.raises(ValidationError, match="has no candidate passages"):
+        with pytest.raises(InputError, match="^instance 'x1' has no candidate passages$"):
             make_instance(passages=(), supporting_indices=None)
 
     def test_dangling_support_index(self):
         passages = tuple(Passage(i, "", f"body {i}") for i in range(10))
-        with pytest.raises(ValidationError, match="do not refer to any passage"):
+        message = r"^instance 'x1' supporting indices \[12\] do not refer to any passage$"
+        with pytest.raises(InputError, match=message):
             make_instance(passages=passages, supporting_indices=frozenset({12}))
 
     def test_blank_question(self):
-        with pytest.raises(ValidationError, match="has a blank question"):
+        with pytest.raises(InputError, match="^instance 'x1' has a blank question$"):
             make_instance(question="   ")
 
     def test_blank_passage_body(self):
@@ -282,7 +282,8 @@ class TestDecode:
 
     def test_instance_read_back_checks_its_invariants(self):
         d = {**RECORD_SAMPLES[MultiHopInstance].to_dict(), "supporting_indices": [3]}
-        with pytest.raises(ValidationError, match="do not refer to any passage"):
+        message = r"^instance 'x1' supporting indices \[3\] do not refer to any passage$"
+        with pytest.raises(InputError, match=message):
             MultiHopInstance.from_dict(d)
 
 
@@ -306,7 +307,7 @@ class TestReadJsonl:
     def test_bad_line_names_file_and_line(self, tmp_path, bad, named):
         path = tmp_path / "answers.jsonl"
         path.write_text(json.dumps(sample_answer().to_dict()) + "\n\n" + bad + "\n")
-        with pytest.raises(CorruptTrace, match=f"^{path}:3: .*{named}"):
+        with pytest.raises(InputError, match=f"^{path}:3: .*{named}"):
             list(read_jsonl(path, AnswerRecord.from_dict))
 
 
@@ -411,12 +412,12 @@ def text_mode_records(path):
 
 
 def read_records(path):
-    """What read_jsonl yields before its CorruptTrace, as text_mode_records has it."""
+    """What read_jsonl yields before its InputError, as text_mode_records has it."""
     records = []
     try:
         for record in read_jsonl(path):
             records.append(record)
-    except CorruptTrace as exc:
+    except InputError as exc:
         pattern = rf"{re.escape(str(path))}:(\d+): not a record \((.*)\)"
         named = re.fullmatch(pattern, str(exc), re.S)
         error = named[2]
@@ -466,17 +467,17 @@ def strip_first_read_jsonl(path, decode=lambda record: record):
                 continue
             record = decode(load_json(line))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CorruptTrace(f"{path}:{lineno}: not a record ({exc!r})") from exc
+            raise InputError(f"{path}:{lineno}: not a record ({exc!r})") from exc
         yield record
 
 
 def read_until_corrupt(reader, path, decode):
-    """The records a reader yields and the message of its CorruptTrace, if any."""
+    """The records a reader yields and the message of its InputError, if any."""
     records = []
     try:
         for record in reader(path, decode):
             records.append(record)
-    except CorruptTrace as exc:
+    except InputError as exc:
         return repr(records), str(exc)
     return repr(records), None
 
