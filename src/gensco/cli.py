@@ -43,10 +43,27 @@ from .prompts import load_shots, load_shots_file
 from .scorer import MAX_NLL, MIN_NLL
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.safe_load's loader, except that a mapping that repeats a key is
+    refused, where safe_load keeps the key's last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # a << merge's keys may be overridden
+                key = self.construct_object(key_node, deep=True)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark
+                    )
+                keys.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh) or {}
+            cfg = yaml.load(fh, _ConfigLoader) or {}
         except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
             # RecursionError: nested past the parser's depth
             raise InputError(f"{path}: not valid YAML: {exc}") from exc

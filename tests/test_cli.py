@@ -1586,8 +1586,10 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "text,message",
         [("dataset: [unclosed\n", "not valid YAML"),
-         ("- dataset: synthetic\n", "config must be a mapping")],
-        ids=["unclosed-list", "a-list"],
+         ("- dataset: synthetic\n", "config must be a mapping"),
+         # safe_load would keep the last value and run bm25
+         ("variant: gensco-max\nvariant: bm25\n", "not valid YAML: repeated key 'variant'")],
+        ids=["unclosed-list", "a-list", "repeated-key"],
     )
     def test_config_that_is_not_yaml_exits_2(self, tmp_path, text, message):
         path = tmp_path / "config.yaml"
