@@ -1,6 +1,7 @@
 """Every public top-level name in src/gensco has a caller outside the tests,
 every name a module imports is used, and every exception class is raised
-or caught.
+or caught and is one of a listed set, each listed with the reason it is a
+class of its own.
 
 A name counts as used when a top-level statement other than its own
 definition, in src/gensco or bench/, mentions it (as a name, an
@@ -132,3 +133,23 @@ def test_every_exception_class_is_raised_or_caught():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
     used = set().union(*map(handled, trees))
     assert sorted(exception_classes(trees) - used) == []
+
+
+# Every exception class in src/gensco, and why a caller needs it as a class
+# of its own. A new class needs a reason here; an error that is reported
+# only by its message is one of these.
+EXCEPTION_CLASSES = {
+    "InputError": "cli._or_exit_2 catches it: a fatal: line and exit 2",
+    "BackendBusy": "caught through llm._TRANSIENT: the gateway retries it",
+    "BackendUnavailable": "failures.jsonl records it by name",
+    "ContextOverflow": "failures.jsonl records it by name",
+    "HttpStatusError": "failures.jsonl records it by name",
+    "MalformedResponse": "failures.jsonl records it by name",
+    "LogprobsUnsupported": "failures.jsonl records it by name",
+    "ScriptMiss": "failures.jsonl records it by name",
+}
+
+
+def test_exception_classes_are_the_listed_ones():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert sorted(exception_classes(trees)) == sorted(EXCEPTION_CLASSES)
