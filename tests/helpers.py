@@ -227,16 +227,23 @@ def replies_for(requests, hold: float = 0.0):
     return reply
 
 
-# A StubServer reply that resets the connection instead of answering.
-RESET = object()
+# StubServer replies that reset the connection instead of answering, and
+# that leave the POST unanswered until the server stops.
+RESET, HOLD = object(), object()
+
+
+class Closing(bytes):
+    """A StubServer reply of the raw bytes of a response, after which the
+    stub closes the connection."""
 
 
 class StubServer(ThreadingHTTPServer):
     """Loopback /completions stub on 127.0.0.1.
 
     ``reply(body)`` returns the (status, payload) for each POST, the raw
-    bytes of a whole response, which are written as they are, or RESET,
-    which closes the connection with a TCP reset and no reply. Every
+    bytes of a whole response, which are written as they are (and then the
+    connection closed, for Closing bytes), RESET, which closes the
+    connection with a TCP reset and no reply, or HOLD. Every
     request is recorded with its path, headers, JSON body and client port,
     so a test can count the TCP connections it came on, and its body's
     bytes are kept in ``raw_bodies``; ``exchanges`` holds, as each reply
@@ -327,9 +334,14 @@ class StubHandler(BaseHTTPRequestHandler):
             )
             self.close_connection = True
             return
+        if reply is HOLD:
+            server.release.wait(10)
+            self.close_connection = True
+            return
         if isinstance(reply, bytes):
             server.exchanges.append((raw, len(reply)))
             self.wfile.write(reply)
+            self.close_connection |= isinstance(reply, Closing)
             return
         status, payload = reply
         data = json.dumps(payload).encode()

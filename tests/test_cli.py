@@ -20,7 +20,7 @@ from gensco import baselines, cli, llm, metrics, models
 from gensco.datasets import DatasetConfig, load
 from gensco.llm import HttpBackend, ScriptedBackend
 from gensco.models import Dataset, InputError, Variant
-from gensco.pipeline import PipelineConfig
+from gensco.pipeline import Generate, PipelineConfig
 from gensco.prompts import load_shots
 
 from helpers import (
@@ -114,16 +114,19 @@ def http_config(cfg, server):
     }
 
 
-def relevance_prompt(cfg, i):
-    """The echo prompt of the first relevance request of syn-<i> in the
-    batch of ``cfg`` (a config from make_run_config)."""
+def first_prompt(cfg, i, purpose="relevance"):
+    """The prompt that the POST of the first ``purpose`` request of syn-<i>
+    carries in the batch of ``cfg`` (a config from make_run_config): a
+    Generator prompt, or a scorer request's echo prompt."""
     instances = load(DatasetConfig(Dataset.SYNTHETIC, cfg["dataset_path"]))
     pipe_cfg = PipelineConfig.for_dataset(Dataset.SYNTHETIC, Variant(cfg["variant"]))
-    req = next(
-        request.requests[0] for request, _ in synthetic_requests(instances[i:i + 1], pipe_cfg)
-        if request.purpose == "relevance"
+    request = next(
+        request for request, _ in synthetic_requests(instances[i:i + 1], pipe_cfg)
+        if request.purpose == purpose
     )
-    return req.prompt + req.continuation
+    if isinstance(request, Generate):
+        return request.request.prompt
+    return request.requests[0].prompt + request.requests[0].continuation
 
 
 def with_faults(server, faults):
@@ -368,33 +371,16 @@ class TestRunBatch:
         assert cli.run_batch(http_config(cfg, server), tmp_path / "fault-free") == 0
         return cfg, server
 
-    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
-    def test_transient_faults_in_a_batch_are_retried_to_the_fault_free_run(
-        self, tmp_path, serve, monkeypatch, scorer_concurrency
-    ):
-        # One relevance POST answered busy, one reset and one refused
-        # connect: each retry costs a POST and no call.
-        cfg, server = self.fault_free_run(tmp_path, serve, monkeypatch, scorer_concurrency)
+    def run_with_faults(self, tmp_path, cfg, server, faulted):
+        """Run the batch of ``cfg`` into tmp_path/run against the stub that
+        ran it fault-free, with ``faulted``'s replies (one for each prompt)
+        queued by with_faults, and check that each retry cost a POST and no
+        call: the run ends as the fault-free run did."""
         fault_free = len(server.requests)
-        busy = (
-            b"HTTP/1.1 503 Service Unavailable\r\n"
-            b"Content-Length: 0\r\nRetry-After: 0\r\n\r\n"
-        )
-        faulted = {relevance_prompt(cfg, 1): [busy], relevance_prompt(cfg, 2): [helpers.RESET]}
         pending = with_faults(server, faulted)
-        connect, connects = HttpBackend._connect, []
-
-        def refused_once(backend):
-            connects.append(backend)
-            if len(connects) == 2:  # the scorer's first, for syn-000's first Score
-                raise ConnectionRefusedError("the backend is restarting")
-            return connect(backend)
-
-        monkeypatch.setattr(HttpBackend, "_connect", refused_once)
         assert cli.run_batch(http_config(cfg, server), tmp_path / "run") == 0
         assert not (tmp_path / "run" / "failures.jsonl").exists()
-        assert pending == {prompt: [] for prompt in faulted} and len(connects) > 2
-        assert connects[0] is not connects[1]
+        assert pending == {prompt: [] for prompt in faulted}
         for name in ("instances.jsonl", "traces.jsonl", "answers.jsonl"):
             assert read_bytes(tmp_path / "run", name) == read_bytes(tmp_path / "fault-free", name)
         prompts = [body["prompt"] for _, _, body, _ in server.requests]
@@ -406,11 +392,54 @@ class TestRunBatch:
         assert calls[0] == calls[1]
 
     @pytest.mark.parametrize("scorer_concurrency", [1, 2])
+    def test_transient_faults_in_a_batch_are_retried_to_the_fault_free_run(
+        self, tmp_path, serve, monkeypatch, scorer_concurrency
+    ):
+        # One relevance POST answered busy, one reset and one refused connect.
+        cfg, server = self.fault_free_run(tmp_path, serve, monkeypatch, scorer_concurrency)
+        busy = (
+            b"HTTP/1.1 503 Service Unavailable\r\n"
+            b"Content-Length: 0\r\nRetry-After: 0\r\n\r\n"
+        )
+        connect, connects = HttpBackend._connect, []
+
+        def refused_once(backend):
+            connects.append(backend)
+            if len(connects) == 2:  # the scorer's first, for syn-000's first Score
+                raise ConnectionRefusedError("the backend is restarting")
+            return connect(backend)
+
+        monkeypatch.setattr(HttpBackend, "_connect", refused_once)
+        faulted = {first_prompt(cfg, 1): [busy], first_prompt(cfg, 2): [helpers.RESET]}
+        self.run_with_faults(tmp_path, cfg, server, faulted)
+        assert len(connects) > 2 and connects[0] is not connects[1]
+
+    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
+    def test_busy_cut_and_held_replies_in_a_batch_are_retried_to_the_fault_free_run(
+        self, tmp_path, serve, monkeypatch, scorer_concurrency
+    ):
+        # A relevance POST answered 429, one whose body the stub cuts short
+        # and closes, one held past the timeout, and a decomposition POST
+        # answered 503, which the Generator's retry serves.
+        cfg, server = self.fault_free_run(tmp_path, serve, monkeypatch, scorer_concurrency)
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.5)  # far above a loopback reply's time
+        too_many = b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 0\r\nRetry-After: 0\r\n\r\n"
+        cut = b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"choices": [{"text": '
+        unavailable = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"
+        faulted = {
+            first_prompt(cfg, 0): [too_many],
+            first_prompt(cfg, 1): [helpers.Closing(cut)],
+            first_prompt(cfg, 2): [helpers.HOLD],
+            first_prompt(cfg, 3, "decomposition"): [unavailable],
+        }
+        self.run_with_faults(tmp_path, cfg, server, faulted)
+
+    @pytest.mark.parametrize("scorer_concurrency", [1, 2])
     def test_a_request_reset_three_times_fails_only_its_instance(
         self, tmp_path, serve, monkeypatch, scorer_concurrency
     ):
         cfg, server = self.fault_free_run(tmp_path, serve, monkeypatch, scorer_concurrency)
-        with_faults(server, {relevance_prompt(cfg, 1): [helpers.RESET] * 3})
+        with_faults(server, {first_prompt(cfg, 1): [helpers.RESET] * 3})
         run_dir = tmp_path / "run"
         assert cli.run_batch(http_config(cfg, server), run_dir) == 1
         (failure,) = map(json.loads, read_bytes(run_dir, "failures.jsonl").splitlines())
