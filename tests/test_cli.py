@@ -76,6 +76,13 @@ PINNED_CACHE_WORK = {
     "3": (18, 18, 18, 0),
 }
 
+# For each instance of the same batch on the scripted backend, run after a
+# first pass that filled a cache_dir: the Python call events (call and
+# c_call) inside cli.run_instance on that cache, then without a cache_dir,
+# as the interpreter of CALL_EVENTS_PYTHON counts them.
+CALL_EVENTS_PYTHON = (3, 11, 7)
+PINNED_CALL_EVENTS = {"0": (1533, 673), "1": (884, 407), "2": (2014, 867), "3": (1533, 673)}
+
 
 def running_instance(monkeypatch):
     """A one-slot list that holds, while cli.run_instance runs syn-<i>, its
@@ -358,6 +365,58 @@ class TestRunBatch:
         assert read_bytes(tmp_path / "warm", "traces.jsonl") == read_bytes(
             tmp_path / "cold", "traces.jsonl"
         )
+
+    def test_scripted_work_per_instance_is_pinned(self, tmp_path, monkeypatch):
+        # The batch of test_cache_work_per_instance_is_pinned on the scripted
+        # backend: the same cache work, one ScriptedBackend call a miss, and
+        # the Python calls each instance makes once the caches of the process
+        # and the cache_dir hold what the run asks of them.
+        cfg = make_run_config(tmp_path, 4, variant=Variant.STOP)
+        counted = {
+            ScriptedBackend.complete.__code__: "backend",
+            ScriptedBackend.token_logprobs.__code__: "backend",
+            llm.ResponseCache.get.__code__: "get",
+            llm.ResponseCache.put.__code__: "put",
+        }
+        run_instance, work = cli.run_instance, Counter()
+
+        def profiled(inst, *args):
+            i = str(int(inst.id.split("-")[1]))
+
+            def profile(frame, event, arg):
+                if event == "call" or event == "c_call":
+                    work[i, "events"] += 1
+                    if event == "call" and frame.f_code in counted:
+                        work[i, counted[frame.f_code]] += 1
+
+            sys.setprofile(profile)
+            try:
+                return run_instance(inst, *args)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(cli, "run_instance", profiled)
+        cached = {**cfg, "cache_dir": str(tmp_path / "cache")}
+        passes = []
+        for name, run_cfg in (("cold", cached), ("warm", cached), ("uncached", cfg)):
+            work.clear()
+            assert cli.run_batch(run_cfg, tmp_path / name) == 0
+            passes.append(work.copy())
+        cold, warm, uncached = passes
+        posts = {i: counts[0] for i, counts in PINNED_WORK.items()}  # a call each
+        assert {i: cold[i, "backend"] for i in posts} == posts
+        assert {i: uncached[i, "backend"] for i in posts} == posts
+        assert {
+            i: (cold[i, "get"], cold[i, "put"], warm[i, "get"], warm[i, "put"]) for i in posts
+        } == PINNED_CACHE_WORK
+        assert sum(warm[i, "backend"] for i in posts) == 0
+        events = {i: (warm[i, "events"], uncached[i, "events"]) for i in posts}
+        if sys.version_info[:3] == CALL_EVENTS_PYTHON:
+            assert events == PINNED_CALL_EVENTS
+        for name in ("warm", "uncached"):
+            assert read_bytes(tmp_path / name, "traces.jsonl") == read_bytes(
+                tmp_path / "cold", "traces.jsonl"
+            )
 
     def fault_free_run(self, tmp_path, serve, monkeypatch, scorer_concurrency):
         """The batch of test_work_per_instance_is_pinned run into
