@@ -66,12 +66,12 @@ class TestValidateInstance:
             make_instance(question="   ")
 
     def test_blank_passage_body(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^instance 'x1' passage 0 has an empty body$"):
             make_instance(passages=(Passage(0, "t", "  "),), supporting_indices=None)
 
     def test_duplicate_passage_index(self):
         passages = (Passage(0, "", "a"), Passage(0, "", "b"))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^instance 'x1' has duplicate passage indices$"):
             make_instance(passages=passages, supporting_indices=None)
 
 
