@@ -725,17 +725,21 @@ class ResponseCache:
     def __init__(self, cache_dir) -> None:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        # Entry paths are joined as strings: two pathlib joins a call cost
+        # more Python calls than the rest of a hit.
+        self._prefix = os.path.join(self.cache_dir, "")
 
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+        return f"{self._prefix}{digest[:2]}{os.sep}{digest}.json"
 
     def get(self, key: str) -> Optional[Any]:
         """The value stored under ``key``, or None; MalformedResponse for an
         entry that is not UTF-8 JSON."""
         path = self._path(key)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             return None
         try:
@@ -748,8 +752,9 @@ class ResponseCache:
 
     def put(self, key: str, value: Any) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(value, fh, ensure_ascii=False, sort_keys=True)

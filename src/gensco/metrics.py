@@ -56,6 +56,7 @@ class EvalReport:
 
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
+_ARTICLE_WORDS = frozenset(("a", "an", "the"))
 _PUNCT = re.compile(f"[{re.escape(string.punctuation)}]")
 
 
@@ -65,14 +66,35 @@ class _Normalized(str):
     normalized once for its answer metrics and its k-precision."""
 
 
+def _words(text: str) -> list[str]:
+    """The tokens of normalize_answer(text), with the tokens that are a
+    whole article kept.
+
+    Text lower-cased and without punctuation is split on whitespace once,
+    and _ARTICLES runs only on a token that holds a character that is
+    neither whitespace nor a word character. re's word characters are
+    those str.isalnum accepts and "_", which is punctuation and already
+    gone. A token of word characters alone has no word boundary inside
+    it, so the regex can only match it whole, and the tokens are those
+    of the regex run over the whole text."""
+    words = _PUNCT.sub("", text.lower()).split()
+    if "".join(words).isalnum():
+        return words
+    cut: list[str] = []
+    for word in words:
+        if word.isalnum():
+            cut.append(word)
+        else:
+            cut += _ARTICLES.sub(" ", word).split()
+    return cut
+
+
 def normalize_answer(text: str) -> str:
     """SQuAD-style normalization: lower-case, strip punctuation, drop
     the articles a/an/the, collapse whitespace."""
     if type(text) is _Normalized:
         return text
-    text = _PUNCT.sub("", text.lower())
-    text = _ARTICLES.sub(" ", text)
-    return _Normalized(" ".join(text.split()))
+    return _Normalized(" ".join([w for w in _words(text) if w not in _ARTICLE_WORDS]))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -104,9 +126,10 @@ def k_precision(predicted: str, passages: Sequence[str]) -> float:
     pred_tokens = set(normalize_answer(predicted).split())
     if not pred_tokens:
         return 0.0
-    passage_tokens = set(normalize_answer(" ".join(passages)).split())
-    grounded = sum(1 for tok in pred_tokens if tok in passage_tokens)
-    return grounded / len(pred_tokens)
+    # The prediction's tokens hold no article, so the passages' whole
+    # articles, which _words keeps, match none of them.
+    grounded = pred_tokens.intersection(_words(" ".join(passages)))
+    return len(grounded) / len(pred_tokens)
 
 
 def retrieval_metrics(

@@ -307,8 +307,10 @@ def load_json(raw: bytes, exact: bool = True) -> Any:
     has _OPENS brackets and braces, a long digit run or _DEEP levels.
 
     Not ``exact``, orjson decodes any document it reads with fewer than
-    _OPENS brackets and braces: an integer past 64 bits is then a float,
-    and nesting may go past json.loads's depth."""
+    _OPENS brackets and braces, and nesting may go past json.loads's
+    depth. One rule then holds for integers, whichever decoder reads the
+    document: one past 64 bits is its nearest float, and one past the
+    float range is refused with a ValueError."""
     opens = raw.count(b"[") + raw.count(b"{")
     if opens < _OPENS and not (exact and _long_digit_run(raw)):
         try:
@@ -318,7 +320,19 @@ def load_json(raw: bytes, exact: bool = True) -> Any:
         else:
             if not exact or opens < _DEEP or not _nests(value, _DEEP):
                 return value
-    return json.loads(raw.decode("utf-8"))
+    return json.loads(raw.decode("utf-8"), parse_int=None if exact else _int_as_orjson_reads)
+
+
+def _int_as_orjson_reads(literal: str) -> Any:
+    """A JSON integer as orjson reads it: exact within -2**63..2**64-1,
+    else its nearest float, and refused past the float range."""
+    value = int(literal)
+    if -(2**63) <= value < 2**64:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("number is infinity when parsed as double") from None
 
 
 def append_jsonl(fh, record: dict[str, Any]) -> None:

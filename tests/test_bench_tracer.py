@@ -52,6 +52,8 @@ def test_traced_run_and_eval_of_a_scripted_batch(tmp_path):
     assert set(tracer.missing) <= STALE
     layers = tracing.layer_metrics(tracer.spans, 2)
     assert layers["llm.calls_per_instance.answer"] == 1
+    # evaluate_instance calls the metrics through the names the tracer wraps.
+    assert layers["metrics.us_per_instance"] > 0
 
 
 def test_instances_on_pool_workers_are_traced_under_the_run(tmp_path):

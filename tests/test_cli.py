@@ -81,7 +81,7 @@ PINNED_CACHE_WORK = {
 # c_call) inside cli.run_instance on that cache, then without a cache_dir,
 # as the interpreter of CALL_EVENTS_PYTHON counts them.
 CALL_EVENTS_PYTHON = (3, 11, 7)
-PINNED_CALL_EVENTS = {"0": (1533, 673), "1": (884, 407), "2": (2014, 867), "3": (1533, 673)}
+PINNED_CALL_EVENTS = {"0": (885, 673), "1": (524, 407), "2": (1150, 867), "3": (885, 673)}
 
 
 def running_instance(monkeypatch):

@@ -94,6 +94,13 @@ class TestNormalizeAgainstTranslateTable:
     @example("İstanbul, the city")
     @example("a\x85an\u2028the-a.b")
     @example("t.h.e a's")
+    # An article next to a character that is neither whitespace nor a word
+    # character, inside one whitespace-separated token.
+    @example("the\u2013end")
+    @example("a\u2019s")
+    @example("x_the")
+    @example("the\u0301 a")
+    @example("an\u2192b")
     def test_same_text_as_the_translate_table(self, text):
         assert normalize_answer(text) == translate_normalize(text)
         # normalize_answer returns its own output as it is; that is exact
@@ -163,6 +170,19 @@ class TestAnswerMetricsOracle:
         assert got.em == 1 and got.f1 == 1.0 or got.em == 0
 
 
+def k_precision_over_the_joined_text(predicted, passages):
+    """k_precision as it read the passages' tokens off their normalized
+    joined text."""
+    pred_tokens = set(normalize_answer(predicted).split())
+    if not pred_tokens:
+        return 0.0
+    passage_tokens = set(normalize_answer(" ".join(passages)).split())
+    return sum(1 for tok in pred_tokens if tok in passage_tokens) / len(pred_tokens)
+
+
+PIECE_TEXTS = st.lists(NORMALIZE_PIECES, max_size=12).map("".join)
+
+
 class TestKPrecision:
     def test_partial_grounding(self):
         assert k_precision("london england", ["london is a city"]) == 0.5
@@ -183,6 +203,17 @@ class TestKPrecision:
         base = k_precision(pred, passages)
         for perm in itertools.permutations(passages):
             assert k_precision(pred, list(perm)) == base
+
+    @settings(max_examples=500, deadline=None)
+    @given(PIECE_TEXTS, st.lists(PIECE_TEXTS, max_size=4), st.booleans())
+    @example("the\u2013end", ["the\u2013end"], False)
+    @example("an\u2192b a", ["an\u2192b"], False)
+    def test_same_as_over_the_joined_normalized_text(self, predicted, passages, quoting):
+        if quoting and passages:  # a prediction that copies from a passage
+            predicted += " " + passages[0]
+        assert k_precision(predicted, passages) == k_precision_over_the_joined_text(
+            predicted, passages
+        )
 
 
 class TestRetrievalMetrics:

@@ -392,6 +392,27 @@ class TestLoadJson:
         # message for each refused one.
         assert decoded(load_json, raw) == decoded(reference_loads, raw)
 
+    @pytest.mark.parametrize("number,value", [
+        (b"-9223372036854775808", -(2**63)),
+        (b"18446744073709551615", 2**64 - 1),
+        (b"-9223372036854775809", float(-(2**63) - 1)),
+        (b"18446744073709551616", float(2**64)),
+        (b"1" + b"0" * 308, 1e308),
+        (b"1" + b"0" * 309, None),  # past the float range
+        (b"-1" + b"0" * 309, None),
+    ], ids=["-2**63", "2**64-1", "-2**63-1", "2**64", "10**308", "10**309", "-10**309"])
+    def test_not_exact_reads_an_integer_by_one_rule_whichever_decoder_reads_it(
+        self, number, value
+    ):
+        # orjson reads the first document; it refuses NaN, so json.loads
+        # reads the second.
+        for raw in (b"[0, " + number + b"]", b"[NaN, " + number + b"]"):
+            if value is None:
+                with pytest.raises(ValueError, match="infinity"):
+                    load_json(raw, exact=False)
+            else:
+                assert repr(load_json(raw, exact=False)[1]) == repr(value)
+
 
 def text_mode_records(path):
     """The records and the first failure, as (line, repr of the error), of
